@@ -1,8 +1,9 @@
 """Batch command-line surface for the whole workbench.
 
-Exit codes: 0 for success or agreement; 1 for infeasible, refuted or
-disagreeing results (valid outcomes, distinguished in the JSON); 2 for
-usage errors, malformed files, budget exhaustion or inconclusive checks.
+Exit codes: 0 for success, agreement or refuted lists; 1 for infeasible,
+disagreeing or beaten results (valid outcomes, distinguished in the JSON);
+2 for usage errors, malformed files, budget exhaustion or inconclusive
+checks.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .constructions import (
     gadget_certification_suite,
 )
 from .formula import Cnf3Formula
-from .graph import GraphError
-from .labeling import LabelingError, verify_additive, verify_from_lists, verify_ptds, weight
+from .labeling import verify_additive, verify_from_lists, verify_ptds, weight
 from .oracles import (
     check_equivalence_listcolor,
     check_equivalence_sat,
@@ -57,9 +57,23 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
+# the exit status of every solver, refutation and verdict status
+EXIT_CODE = {
+    "found": EXIT_OK, "agree": EXIT_OK, "refuted": EXIT_OK,
+    "infeasible": EXIT_NEGATIVE, "disagree": EXIT_NEGATIVE, "beaten": EXIT_NEGATIVE,
+    "budget-exceeded": EXIT_ERROR, "inconclusive": EXIT_ERROR,
+}
+
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
+
+
+def _seeded_rng(args) -> random.Random:
+    """The generator of a randomized sweep, which is only reproducible from a seed."""
+    if args.seed is None:
+        raise ValueError("randomized sweeps require --seed")
+    return random.Random(args.seed)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -101,11 +115,7 @@ def cmd_solve(args) -> int:
         rep = decide_list_additive(g, lists, budget, propagate)
     _emit(args, rep.to_json_dict(), f"{args.problem}: {rep.status}"
           + (f", value {rep.value}" if rep.value is not None else ""))
-    if rep.status == "found":
-        return EXIT_OK
-    if rep.status == "infeasible":
-        return EXIT_NEGATIVE
-    return EXIT_ERROR
+    return EXIT_CODE[rep.status]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +244,7 @@ def cmd_construct(args) -> int:
             verdict = check_equivalence_sat(phi, budget)
             payload["verdict"] = verdict.to_json_dict()
             _emit(args, payload, f"sat reduction: n={red.graph.n}, verdict {verdict.status}")
-            return EXIT_OK if verdict.agree else (
-                EXIT_NEGATIVE if verdict.status == "disagree" else EXIT_ERROR)
+            return EXIT_CODE[verdict.status]
         _emit(args, payload, f"sat reduction: n={red.graph.n} -> {paths['graph']}")
         return EXIT_OK
     if args.kind == "inapprox":
@@ -267,7 +276,7 @@ def cmd_refute_lists(args) -> int:
           {"refuted": f"lists refuted: additive choosability >= {res.eta_ell_lower_bound}",
            "beaten": "lists beaten: a labeling exists",
            "budget-exceeded": "budget exceeded before the search finished"}[res.status])
-    return {"refuted": EXIT_OK, "beaten": EXIT_NEGATIVE, "budget-exceeded": EXIT_ERROR}[res.status]
+    return EXIT_CODE[res.status]
 
 
 def _bounds_payload(g) -> dict:
@@ -279,10 +288,7 @@ def _bounds_payload(g) -> dict:
 
 def cmd_bounds(args) -> int:
     if args.random:
-        if args.seed is None:
-            print("--random sweeps require --seed", file=sys.stderr)
-            return EXIT_ERROR
-        rng = random.Random(args.seed)
+        rng = _seeded_rng(args)
         from .oracles import random_graph
 
         graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random)]
@@ -356,11 +362,9 @@ def _summarize_verdicts(args, verdicts: list[dict], label: str) -> int:
             print(json.dumps(v, sort_keys=True))
     print(f"{label}: {agree}/{len(verdicts)} agree, {len(disagree)} disagree, "
           f"{len(inconclusive)} inconclusive", file=sys.stderr if args.json else sys.stdout)
-    if disagree:
-        return EXIT_NEGATIVE
-    if inconclusive:
-        return EXIT_ERROR
-    return EXIT_OK
+    # a disagreement outranks an inconclusive verdict
+    codes = {EXIT_CODE[v["status"]] for v in verdicts}
+    return EXIT_NEGATIVE if EXIT_NEGATIVE in codes else max(codes, default=EXIT_OK)
 
 
 def cmd_check(args) -> int:
@@ -378,12 +382,9 @@ def cmd_check(args) -> int:
         return EXIT_OK if all_ok else EXIT_NEGATIVE
 
     if args.target == "solvers":
-        if args.seed is None:
-            print("--random sweeps require --seed", file=sys.stderr)
-            return EXIT_ERROR
         from .oracles import random_graph
 
-        rng = random.Random(args.seed)
+        rng = _seeded_rng(args)
         graphs = [random_graph(rng, 1, min(args.max_n, 6)) for _ in range(args.random or 200)]
         payloads = _run_sweep(_solver_oracle_payload, graphs, args.jobs)
         bad = sum(1 for p in payloads if not p["agree"])
@@ -399,16 +400,12 @@ def cmd_check(args) -> int:
             num_vars, clauses = fileio.read_cnf(args.cnf)
             verdict = check_equivalence_sat(Cnf3Formula(num_vars, tuple(clauses)), _budget(args))
             _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-            return EXIT_OK if verdict.agree else (
-                EXIT_NEGATIVE if verdict.status == "disagree" else EXIT_ERROR)
+            return EXIT_CODE[verdict.status]
         instances: list[Cnf3Formula] = []
         if args.exhaustive:
             instances.extend(exhaustive_small_formulas(args.max_vars, args.max_clauses))
         if args.random:
-            if args.seed is None:
-                print("--random sweeps require --seed", file=sys.stderr)
-                return EXIT_ERROR
-            rng = random.Random(args.seed)
+            rng = _seeded_rng(args)
             instances.extend(random_formula(rng, args.vars, args.clauses)
                              for _ in range(args.random))
         if not instances:
@@ -423,15 +420,11 @@ def cmd_check(args) -> int:
             lists = fileio.read_lists(args.lists)
             verdict = check_equivalence_listcolor(g, lists, _budget(args))
             _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-            return EXIT_OK if verdict.agree else (
-                EXIT_NEGATIVE if verdict.status == "disagree" else EXIT_ERROR)
+            return EXIT_CODE[verdict.status]
         if not args.random:
             print("nothing to check: pass --graph/--lists or --random", file=sys.stderr)
             return EXIT_ERROR
-        if args.seed is None:
-            print("--random sweeps require --seed", file=sys.stderr)
-            return EXIT_ERROR
-        rng = random.Random(args.seed)
+        rng = _seeded_rng(args)
         instances = [random_list_instance(rng, args.max_n) for _ in range(args.random)]
         verdicts = _run_sweep(_lc_verdict_payload, instances, args.jobs)
         return _summarize_verdicts(args, verdicts, "list-coloring equivalence")
@@ -440,24 +433,20 @@ def cmd_check(args) -> int:
         g = fileio.read_graph(args.graph)
         verdict = check_threshold_inapprox(g, args.d, _budget(args))
         _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-        return EXIT_OK if verdict.agree else (
-            EXIT_NEGATIVE if verdict.status == "disagree" else EXIT_ERROR)
+        return EXIT_CODE[verdict.status]
 
     # all: the desk-scale battery in one shot
-    if args.seed is None:
-        print("check all requires --seed", file=sys.stderr)
-        return EXIT_ERROR
+    rng = _seeded_rng(args)
     rc = EXIT_OK
     suite = gadget_certification_suite()
     ok = all(rep.certified for _name, rep in suite)
     print(f"gadget contracts: {'all certified' if ok else 'FAILURES'} ({len(suite)} gadgets)")
     rc = max(rc, EXIT_OK if ok else EXIT_NEGATIVE)
     instances = exhaustive_small_formulas(2, 2)
-    rng = random.Random(args.seed)
     instances += [random_formula(rng, 3, 3) for _ in range(10)]
     verdicts = _run_sweep(_sat_verdict_payload, instances, args.jobs)
     rc = max(rc, _summarize_verdicts(args, verdicts, "sat equivalence"))
-    rng = random.Random(args.seed)
+    rng = _seeded_rng(args)
     lc = [random_list_instance(rng, 3) for _ in range(8)]
     verdicts = _run_sweep(_lc_verdict_payload, lc, args.jobs)
     rc = max(rc, _summarize_verdicts(args, verdicts, "list-coloring equivalence"))
@@ -465,7 +454,7 @@ def cmd_check(args) -> int:
     for g, d in ((complete_graph(3), 16), (complete_graph(4), 21)):
         verdict = check_threshold_inapprox(g, d, _budget(args))
         print(f"threshold n={g.n} d={d}: {verdict.status}")
-        rc = max(rc, EXIT_OK if verdict.agree else EXIT_ERROR)
+        rc = max(rc, EXIT_CODE[verdict.status])
     return rc
 
 
@@ -556,7 +545,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.FileFormatError, GraphError, LabelingError, FileNotFoundError) as exc:
+    # every luckylab input error (file format, graph, labeling, formula) and
+    # an invalid budget is a ValueError
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..formula import Cnf3Formula
 from ..graph import Graph, GraphError, is_triangle_free
@@ -33,11 +34,12 @@ class ReductionOutput:
             covered.update(ids)
         return covered == set(range(self.graph.n))
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {name: v for v, name in (self.graph.names or {}).items()}
+
     def id_of(self, name: str) -> int:
-        for v, nm in (self.graph.names or {}).items():
-            if nm == name:
-                return v
-        raise KeyError(name)
+        return self._ids[name]
 
 
 def _span(b: GadgetBuilder, start: int) -> tuple[int, ...]:

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .formula import Cnf3Formula, FormulaError, make_formula
 from .graph import Graph, GraphError, build_graph, chromatic_number
 from .labeling import (
@@ -126,49 +124,30 @@ def _set_partitions(items: Sequence[int]):
 def naive_sigma(g: Graph) -> int:
     """Minimum number of distinct labels, labels drawn from {1..n*maxdeg+1}.
 
-    Enumerates labelings grouped by their level-set partition: for each
-    partition the injective value assignments are swept with one vectorized
-    pass, which is exhaustive over the same space as a direct product scan.
+    Enumerates labelings grouped by their level-set partition, fewest groups
+    first: for each partition every injective assignment of values to its
+    groups is tried, which is exhaustive over the same space as a direct
+    product scan.
     """
     cap = g.n * g.max_degree() + 1
     adj = g.adjacency()
-    # coefficient rows: per vertex, how many neighbors sit in each group
-    best = g.n
-    feasible_m: Optional[int] = None
-    by_size: dict[int, list] = {}
-    for part in _set_partitions(list(range(g.n))):
-        by_size.setdefault(len(part), []).append(part)
-    for m in sorted(by_size):
-        if feasible_m is not None:
-            break
-        for part in by_size[m]:
-            group_of = {}
-            for gi, grp in enumerate(part):
-                for v in grp:
-                    group_of[v] = gi
-            coeff = np.zeros((g.n, m), dtype=np.int64)
-            for v in range(g.n):
-                for u in adj[v]:
-                    coeff[v, group_of[u]] += 1
-            diff = np.array([coeff[u] - coeff[v] for u, v in g.edges], dtype=np.int64)
-            if diff.size and (~diff.any(axis=1)).any():
-                continue  # some edge has identical rows: no value choice works
-            if not g.edges:
-                feasible_m = m
-                break
-            # sweep injective value vectors from {1..cap}
-            found = False
-            for combo in itertools.combinations(range(1, cap + 1), m):
-                perms = np.array(list(itertools.permutations(combo)), dtype=np.int64)
-                ok = (diff @ perms.T != 0).all(axis=0)
-                if ok.any():
-                    found = True
-                    break
-            if found:
-                feasible_m = m
-                break
-    assert feasible_m is not None, "singleton partition always admits values"
-    return feasible_m
+    for part in sorted(_set_partitions(list(range(g.n))), key=len):
+        m = len(part)
+        group_of = {v: gi for gi, grp in enumerate(part) for v in grp}
+        # coefficient rows: per vertex, how many neighbors sit in each group
+        coeff = [[0] * m for _ in range(g.n)]
+        for v in range(g.n):
+            for u in adj[v]:
+                coeff[v][group_of[u]] += 1
+        # an edge is violated exactly when the values zero its difference row
+        diffs = {tuple(a - b for a, b in zip(coeff[u], coeff[v])) for u, v in g.edges}
+        if not all(any(d) for d in diffs):
+            continue  # some edge has identical rows: no value choice works
+        for combo in itertools.combinations(range(1, cap + 1), m):
+            for vals in itertools.permutations(combo):
+                if all(sum(c * x for c, x in zip(d, vals)) for d in diffs):
+                    return m
+    raise AssertionError("singleton partition always admits values")
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +246,6 @@ def list_color_brute(g: Graph, lists: ListAssignment) -> Optional[dict[int, int]
 # Constructive labelings for the two reductions.
 
 
-def _name_index(g: Graph) -> dict[str, int]:
-    return {name: v for v, name in (g.names or {}).items()}
-
-
 def labeling_from_assignment(
     phi: Cnf3Formula,
     gamma: Mapping[int, bool],
@@ -287,16 +262,15 @@ def labeling_from_assignment(
     if not phi.satisfies(gamma):
         raise FormulaError("assignment does not satisfy the formula")
     red = reduction or build_sat_reduction(phi)
-    idx = _name_index(red.graph)
     fixed: dict[int, int] = {}
     for i in range(1, phi.num_vars + 1):
-        port = idx[f"x{i}"] if gamma[i] else idx[f"!x{i}"]
+        port = red.id_of(f"x{i}") if gamma[i] else red.id_of(f"!x{i}")
         fixed[port] = 1
         for y in (1, 3, 4, 5, 6):
-            fixed[idx[f"x{i}.y{y}"]] = 1
+            fixed[red.id_of(f"x{i}.y{y}")] = 1
     for ci in range(len(phi.clauses)):
         for w in (1, 2, 3, 5):
-            fixed[idx[f"c{ci}.w{w}"]] = 1
+            fixed[red.id_of(f"c{ci}.w{w}")] = 1
     rep = complete_partial(red.graph, fixed, budget)
     if rep.status != "found":
         raise ReconstructionDefect(
@@ -323,12 +297,11 @@ def assignment_from_labeling(
     bad = verify_additive(red.graph, lab, mode="binary")
     if bad:
         raise FormulaError(f"labeling is not a valid binary additive labeling: {bad[:3]}")
-    idx = _name_index(red.graph)
     gamma: dict[int, bool] = {}
     for i in range(1, phi.num_vars + 1):
-        if lab[idx[f"x{i}"]] == 1:
+        if lab[red.id_of(f"x{i}")] == 1:
             gamma[i] = True
-        elif lab[idx[f"!x{i}"]] == 1:
+        elif lab[red.id_of(f"!x{i}")] == 1:
             gamma[i] = False
         else:
             gamma[i] = True
@@ -359,16 +332,15 @@ def labeling_from_coloring(
         if coloring[u] == coloring[v]:
             raise GraphError(f"coloring is not proper on edge ({u}, {v})")
     red = reduction or build_inapprox_reduction(g, d)
-    idx = _name_index(red.graph)
     fixed: dict[int, int] = {}
     recipe = {1: (0, 1, 0), 2: (0, 1, 1), 3: (1, 1, 1)}
     for v in g.vertices():
-        fixed[idx[f"v{v}"]] = 1
-        fixed[idx[f"v{v}.p3"]] = 0
+        fixed[red.id_of(f"v{v}")] = 1
+        fixed[red.id_of(f"v{v}.p3")] = 0
         p4, p5, p6 = recipe[coloring[v]]
-        fixed[idx[f"v{v}.p4"]] = p4
-        fixed[idx[f"v{v}.p5"]] = p5
-        fixed[idx[f"v{v}.p6"]] = p6
+        fixed[red.id_of(f"v{v}.p4")] = p4
+        fixed[red.id_of(f"v{v}.p5")] = p5
+        fixed[red.id_of(f"v{v}.p6")] = p6
     cap = 5 * g.n
     rep = complete_partial(red.graph, fixed, budget, weight_cap=cap)
     if rep.status != "found":

@@ -16,13 +16,14 @@ being passed off as an answer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .graph import Graph, GraphError
-from .labeling import Labeling, ListAssignment, verify_additive
+from .labeling import Labeling, ListAssignment, verify_additive, weight
 from . import fileio
 
 DEFAULT_MAX_NODES = 100_000_000
@@ -171,50 +172,33 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
 
 
 class _Engine:
-    """One exhaustive search over labelings with per-vertex finite domains.
+    """One exhaustive search over the labelings of a SearchProblem."""
 
-    extra_sum adds a constant to a vertex's neighbor sum (the boundary model
-    for gadget certification); vertices in `unchecked` have host-dependent
-    sums, so edges touching them are not constrained here.
-    """
-
-    def __init__(
-        self,
-        g: Graph,
-        domains: Sequence[Sequence[int]],
-        budget: SearchBudget,
-        *,
-        propagate: bool = True,
-        weight_cap: Optional[int] = None,
-        min_sum: Optional[int] = None,
-        distinct_cap: Optional[int] = None,
-        extra_sum: Optional[Mapping[int, int]] = None,
-        unchecked: Iterable[int] = (),
-        tiers: Optional[Mapping[int, int]] = None,
-        break_symmetry: bool = True,
-    ):
+    def __init__(self, problem: SearchProblem, budget: SearchBudget,
+                 propagate: bool = True, break_symmetry: bool = True):
+        g = problem.graph
         self.g = g
         n = g.n
         self.n = n
         self.adj = g.adjacency()
-        self.domains = [tuple(sorted(set(d))) for d in domains]
+        self.domains = [tuple(sorted(set(d))) for d in problem.domains]
         for v, d in enumerate(self.domains):
             if not d:
                 raise GraphError(f"empty domain at vertex {v}")
         self.budget = budget
         self.propagate = propagate
-        self.weight_cap = weight_cap
-        self.min_sum = min_sum
-        self.distinct_cap = distinct_cap
-        self.checked = [v not in set(unchecked) for v in range(n)]
-        self.order = _search_order(n, self.adj, tiers)
+        self.weight_cap = problem.weight_cap
+        self.min_sum = problem.min_sum
+        self.distinct_cap = problem.distinct_cap
+        self.checked = [v not in problem.unchecked for v in range(n)]
+        self.order = _search_order(n, self.adj, dict(problem.tiers or ()))
         self.pos = [0] * n
         for i, v in enumerate(self.order):
             self.pos[v] = i
 
         self.dmin = [d[0] for d in self.domains]
         self.dmax = [d[-1] for d in self.domains]
-        ex = dict(extra_sum or {})
+        ex = dict(problem.extra_sum or ())
         self.label = [0] * n
         self.assigned = [False] * n
         self.asum = [ex.get(v, 0) for v in range(n)]
@@ -239,7 +223,6 @@ class _Engine:
         self.best_labels: Optional[list[int]] = None
         self._minimize = False
         self._on_solution: Optional[Callable[[dict[int, int], list[int]], None]] = None
-        self._stop_first = False
         self._found_first: Optional[list[int]] = None
 
     # -- interval plumbing --------------------------------------------------
@@ -503,7 +486,6 @@ class _Engine:
             return "budget-exceeded"
 
     def first_solution(self) -> tuple[str, Optional[dict[int, int]]]:
-        self._stop_first = True
         outcome = self._run()
         if self._found_first is not None:
             return "found", {v: self._found_first[v] for v in range(self.n)}
@@ -511,15 +493,15 @@ class _Engine:
             return "budget-exceeded", None
         return "infeasible", None
 
-    def minimize_weight(self) -> tuple[str, Optional[dict[int, int]], Optional[int]]:
+    def minimize_weight(self) -> tuple[str, Optional[dict[int, int]]]:
         self._minimize = True
         outcome = self._run()
         if outcome == "budget-exceeded":
             # a budget cut with an incumbent is still not a proven optimum
-            return "budget-exceeded", None, None
+            return "budget-exceeded", None
         if self.best_labels is None:
-            return "infeasible", None, None
-        return "found", {v: self.best_labels[v] for v in range(self.n)}, self.best_weight
+            return "infeasible", None
+        return "found", {v: self.best_labels[v] for v in range(self.n)}
 
     def enumerate_all(self, on_solution: Callable[[dict[int, int], list[int]], None]) -> str:
         self._on_solution = on_solution
@@ -529,7 +511,15 @@ class _Engine:
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A labeling search instance for the shared engine."""
+    """A labeling search instance for the shared engine.
+
+    Every constraint of the search is declared here; the engine reads them
+    from the problem.  extra_sum adds a constant to a vertex's neighbor sum
+    (the boundary model for gadget certification); vertices in `unchecked`
+    have host-dependent sums, so edges touching them are not constrained.
+    `tiers` partitions the vertices into assignment-priority classes, lower
+    first.
+    """
 
     graph: Graph
     domains: tuple[tuple[int, ...], ...]
@@ -540,43 +530,15 @@ class SearchProblem:
     unchecked: frozenset[int] = frozenset()
     tiers: Optional[tuple[tuple[int, int], ...]] = None
 
-    def _engine(self, budget: SearchBudget, propagate: bool,
-                break_symmetry: bool = True) -> _Engine:
-        return _Engine(
-            self.graph,
-            self.domains,
-            budget,
-            propagate=propagate,
-            weight_cap=self.weight_cap,
-            min_sum=self.min_sum,
-            distinct_cap=self.distinct_cap,
-            extra_sum=dict(self.extra_sum) if self.extra_sum else None,
-            unchecked=self.unchecked,
-            tiers=dict(self.tiers) if self.tiers else None,
-            break_symmetry=break_symmetry,
-        )
-
 
 def uniform_domains(g: Graph, values: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     vals = tuple(sorted(set(values)))
     return tuple(vals for _ in range(g.n))
 
 
-def first_solution(problem: SearchProblem, budget: SearchBudget, propagate: bool = True):
-    eng = problem._engine(budget, propagate)
-    status, sol = eng.first_solution()
-    return status, sol, eng.nodes
-
-
-def minimize_weight(problem: SearchProblem, budget: SearchBudget, propagate: bool = True):
-    eng = problem._engine(budget, propagate)
-    status, sol, w = eng.minimize_weight()
-    return status, sol, w, eng.nodes
-
-
 def enumerate_solutions(problem: SearchProblem, budget: SearchBudget, on_solution, propagate: bool = True):
     # enumeration must visit every solution, so symmetry breaking is off
-    eng = problem._engine(budget, propagate, break_symmetry=False)
+    eng = _Engine(problem, budget, propagate, break_symmetry=False)
     outcome = eng.enumerate_all(on_solution)
     return outcome, eng.nodes
 
@@ -595,10 +557,60 @@ def _finish(report: SolveReport, t0: float) -> SolveReport:
     return report
 
 
-def _recheck(g: Graph, lab: Labeling, mode: str):
-    bad = verify_additive(g, lab, mode=mode)
-    if bad:
-        raise AssertionError(f"solver produced a non-additive certificate: {bad[:3]}")
+def _search(problem: SearchProblem, budget: Optional[SearchBudget], propagate: bool, mode: str,
+            minimize: bool = False, value: Callable[[Labeling], int] = weight) -> SolveReport:
+    """Run one engine search and report it.
+
+    A found labeling is rechecked under `mode` before it becomes the
+    certificate, and the report's value is `value(certificate)`.  With
+    `minimize` the search is a branch and bound on total weight.
+    """
+    _require_nonempty(problem.graph)
+    t0 = time.monotonic()
+    eng = _Engine(problem, budget or SearchBudget(), propagate)
+    status, sol = eng.minimize_weight() if minimize else eng.first_solution()
+    rep = SolveReport(status, nodes_explored=eng.nodes)
+    if status == "found":
+        rep.certificate = Labeling(sol)
+        bad = verify_additive(problem.graph, rep.certificate, mode=mode)
+        if bad:
+            raise AssertionError(f"solver produced a non-additive certificate: {bad[:3]}")
+        rep.value = value(rep.certificate)
+    return _finish(rep, t0)
+
+
+def _least_feasible(g: Graph, budget: Optional[SearchBudget], propagate: bool,
+                    bounds: Iterable[int], problem_for: Callable[[int], SearchProblem],
+                    decided_key: str) -> SolveReport:
+    """First bound b, in order, whose problem_for(b) has a labeling with labels >= 1.
+
+    All bounds share one budget.  A budget cut records the last bound
+    proven infeasible in detail[decided_key].
+    """
+    _require_nonempty(g)
+    budget = budget or SearchBudget()
+    t0 = time.monotonic()
+    spent = 0
+    last_decided = 0
+    for b in bounds:
+        remaining = budget.max_nodes - spent
+        remaining_ms = budget.max_ms - (time.monotonic() - t0) * 1000.0
+        if remaining <= 0 or remaining_ms <= 0:
+            break
+        rep = _search(problem_for(b), SearchBudget(max_nodes=remaining, max_ms=remaining_ms),
+                      propagate, "positive")
+        spent += rep.nodes_explored
+        if rep.status == "budget-exceeded":
+            break
+        if rep.status == "found":
+            rep.value = b
+            rep.nodes_explored = spent
+            return _finish(rep, t0)
+        last_decided = b
+    else:
+        return _finish(SolveReport("infeasible", nodes_explored=spent), t0)
+    return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
+                               detail={decided_key: last_decided}), t0)
 
 
 def solve_eta(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
@@ -607,32 +619,9 @@ def solve_eta(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool =
     Iterates k upward; each k is decided exhaustively before moving on, so a
     reported value carries a solver lower bound as well as a certificate.
     """
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
-    spent = 0
-    last_decided = 0
-    k = 0
-    while True:
-        k += 1
-        remaining = budget.max_nodes - spent
-        remaining_ms = budget.max_ms - (time.monotonic() - t0) * 1000.0
-        if remaining <= 0 or remaining_ms <= 0:
-            return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
-                                       detail={"last_decided_k": last_decided}), t0)
-        sub = SearchBudget(max_nodes=remaining, max_ms=remaining_ms)
-        problem = SearchProblem(g, uniform_domains(g, range(1, k + 1)))
-        status, sol, nodes = first_solution(problem, sub, propagate)
-        spent += nodes
-        if status == "budget-exceeded":
-            return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
-                                       detail={"last_decided_k": last_decided}), t0)
-        if status == "found":
-            lab = Labeling(sol)
-            _recheck(g, lab, "positive")
-            return _finish(SolveReport("found", value=k, certificate=lab,
-                                       nodes_explored=spent), t0)
-        last_decided = k
+    return _least_feasible(g, budget, propagate, itertools.count(1),
+                           lambda k: SearchProblem(g, uniform_domains(g, range(1, k + 1))),
+                           "last_decided_k")
 
 
 def exists_binary(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True,
@@ -644,56 +633,27 @@ def exists_binary(g: Graph, budget: Optional[SearchBudget] = None, propagate: bo
     by constructions whose repeated appendages would otherwise be
     interleaved with the skeleton they depend on.
     """
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
     problem = SearchProblem(g, uniform_domains(g, (0, 1)), weight_cap=weight_cap,
                             tiers=tuple(sorted(tiers.items())) if tiers else None)
-    status, sol, nodes = first_solution(problem, budget, propagate)
-    rep = SolveReport(status, nodes_explored=nodes)
-    if status == "found":
-        lab = Labeling(sol)
-        _recheck(g, lab, "binary")
-        rep.certificate = lab
-        rep.value = sum(sol.values())
+    rep = _search(problem, budget, propagate, "binary")
     if weight_cap is not None:
         rep.detail["weight_cap"] = weight_cap
-    return _finish(rep, t0)
+    return rep
 
 
 def solve_eta1(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
     """Minimum total weight over (0,1)-additive labelings, by branch and bound."""
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
-    problem = SearchProblem(g, uniform_domains(g, (0, 1)))
-    status, sol, w, nodes = minimize_weight(problem, budget, propagate)
-    rep = SolveReport(status, nodes_explored=nodes)
-    if status == "found":
-        lab = Labeling(sol)
-        _recheck(g, lab, "binary")
-        rep.certificate = lab
-        rep.value = w
-    return _finish(rep, t0)
+    return _search(SearchProblem(g, uniform_domains(g, (0, 1))), budget, propagate, "binary",
+                   minimize=True)
 
 
 def decide_list_additive(g: Graph, lists: ListAssignment,
                          budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
     """Decide whether an additive labeling exists with every label drawn from its list."""
-    _require_nonempty(g)
+    _require_nonempty(g)  # before the lists are checked against g
     lists.validate_on(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
     domains = tuple(tuple(sorted(lists[v])) for v in g.vertices())
-    problem = SearchProblem(g, domains)
-    status, sol, nodes = first_solution(problem, budget, propagate)
-    rep = SolveReport(status, nodes_explored=nodes)
-    if status == "found":
-        lab = Labeling(sol)
-        _recheck(g, lab, "any")
-        rep.certificate = lab
-        rep.value = lab.max_label()
-    return _finish(rep, t0)
+    return _search(SearchProblem(g, domains), budget, propagate, "any", value=Labeling.max_label)
 
 
 @dataclass
@@ -748,34 +708,17 @@ def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool
     Labels are drawn from {1..n*maxdeg+1}; the cap is surfaced in the report
     detail because the problem statement does not bound it.
     """
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
     cap = sigma_label_cap(g)
-    spent = 0
-    for m in range(1, g.n + 1):
-        remaining = budget.max_nodes - spent
-        remaining_ms = budget.max_ms - (time.monotonic() - t0) * 1000.0
-        if remaining <= 0 or remaining_ms <= 0:
-            return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
-                                       detail={"label_universe_max": cap, "last_decided_m": m - 1}), t0)
-        sub = SearchBudget(max_nodes=remaining, max_ms=remaining_ms)
-        problem = SearchProblem(g, uniform_domains(g, range(1, cap + 1)), distinct_cap=m)
-        status, sol, nodes = first_solution(problem, sub, propagate)
-        spent += nodes
-        if status == "budget-exceeded":
-            return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
-                                       detail={"label_universe_max": cap, "last_decided_m": m - 1}), t0)
-        if status == "found":
-            lab = Labeling(sol)
-            _recheck(g, lab, "positive")
-            distinct = len(set(sol.values()))
-            if distinct > m:
-                raise AssertionError("distinct-label cap violated by search")
-            return _finish(SolveReport("found", value=distinct, certificate=lab, nodes_explored=spent,
-                                       detail={"label_universe_max": cap}), t0)
-    return _finish(SolveReport("infeasible", nodes_explored=spent,
-                               detail={"label_universe_max": cap}), t0)
+    domains = uniform_domains(g, range(1, cap + 1))
+    rep = _least_feasible(g, budget, propagate, range(1, g.n + 1),
+                          lambda m: SearchProblem(g, domains, distinct_cap=m), "last_decided_m")
+    rep.detail["label_universe_max"] = cap
+    if rep.status == "found":
+        distinct = len(set(rep.certificate.values.values()))
+        if distinct > rep.value:
+            raise AssertionError("distinct-label cap violated by search")
+        rep.value = distinct
+    return rep
 
 
 def min_ptds(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
@@ -785,19 +728,11 @@ def min_ptds(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = 
     are additionally required to be >= 1 everywhere; the certificate is the
     indicator labeling of the set.
     """
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
     problem = SearchProblem(g, uniform_domains(g, (0, 1)), min_sum=1)
-    status, sol, w, nodes = minimize_weight(problem, budget, propagate)
-    rep = SolveReport(status, nodes_explored=nodes)
-    if status == "found":
-        lab = Labeling(sol)
-        _recheck(g, lab, "binary")
-        rep.certificate = lab
-        rep.value = w
-        rep.detail["set"] = sorted(v for v, x in sol.items() if x == 1)
-    return _finish(rep, t0)
+    rep = _search(problem, budget, propagate, "binary", minimize=True)
+    if rep.status == "found":
+        rep.detail["set"] = sorted(v for v, x in rep.certificate.values.items() if x == 1)
+    return rep
 
 
 def complete_partial(
@@ -813,17 +748,6 @@ def complete_partial(
 
     Fixed vertices keep their given label; free vertices range over `values`.
     """
-    _require_nonempty(g)
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
     free = tuple(sorted(set(values)))
     domains = tuple((fixed[v],) if v in fixed else free for v in g.vertices())
-    problem = SearchProblem(g, domains, weight_cap=weight_cap)
-    status, sol, nodes = first_solution(problem, budget, propagate)
-    rep = SolveReport(status, nodes_explored=nodes)
-    if status == "found":
-        lab = Labeling(sol)
-        _recheck(g, lab, "any")
-        rep.certificate = lab
-        rep.value = sum(sol.values())
-    return _finish(rep, t0)
+    return _search(SearchProblem(g, domains, weight_cap=weight_cap), budget, propagate, "any")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,11 +69,19 @@ def test_verify_labeling_violation(capsys, tmp_path):
     assert json.loads(out)["violations"]
 
 
-def test_malformed_graph_exit_two(capsys, tmp_path):
-    bad = tmp_path / "bad.col"
-    bad.write_text("what is this\n")
-    code, _ = run(capsys, "solve", "eta", "--graph", str(bad))
+@pytest.mark.parametrize("name, text, argv", [
+    ("bad.col", "what is this\n", ["solve", "eta", "--graph"]),
+    ("empty.cnf", "p cnf 2 0\n", ["check", "sat", "--cnf"]),
+    ("p3.col", "p edge 3 2\ne 1 2\ne 2 3\n", ["solve", "eta", "--budget-nodes", "0", "--graph"]),
+    ("p3.col", "p edge 3 2\ne 1 2\ne 2 3\n", ["solve", "eta", "--budget-ms", "0", "--graph"]),
+], ids=["graph", "cnf-without-clauses", "budget-nodes-0", "budget-ms-0"])
+def test_malformed_graph_exit_two(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_construct_counterexample_verify(capsys, tmp_path):
@@ -146,6 +158,32 @@ def test_check_sat_single(capsys, tmp_path):
 def test_check_random_requires_seed(capsys):
     code, _ = run(capsys, "check", "sat", "--random", "3")
     assert code == 2
+
+
+def test_check_all_threshold_disagreement_exit_one(capsys, monkeypatch):
+    from luckylab import cli
+    from luckylab.oracles import EquivalenceVerdict
+
+    def harness(status):
+        return lambda *args, **kwargs: EquivalenceVerdict("stub", True, status == "agree", status)
+
+    monkeypatch.setattr(cli, "gadget_certification_suite", lambda: [])
+    monkeypatch.setattr(cli, "check_equivalence_sat", harness("agree"))
+    monkeypatch.setattr(cli, "check_equivalence_listcolor", harness("agree"))
+    monkeypatch.setattr(cli, "check_threshold_inapprox", harness("disagree"))
+    code, out = run(capsys, "check", "all", "--seed", "1")
+    assert code == 1
+    assert "threshold n=4 d=21: disagree" in out
+
+
+def test_cli_imports_without_numpy():
+    import luckylab
+
+    src = str(Path(luckylab.__file__).resolve().parents[1])
+    code = ("import sys, luckylab.cli, luckylab.oracles, luckylab.bounds; "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
 
 
 def test_check_sat_sweep_deterministic_across_jobs(capsys):

@@ -10,6 +10,7 @@ from luckylab.graph import (
     cycle_graph,
     empty_graph,
     path_graph,
+    petersen_graph,
 )
 from luckylab.labeling import Labeling, make_lists, verify_additive, verify_ptds
 from luckylab.solver import (
@@ -108,6 +109,12 @@ def test_budget_exceeded_is_reported():
     rep = solve_eta(g, SearchBudget(max_nodes=5, max_ms=60_000))
     assert rep.status == "budget-exceeded"
     assert rep.detail["last_decided_k"] < 6  # eta(K6) = 6 was never reached
+    # the node total counts the search node that tripped the cap
+    assert (rep.nodes_explored, rep.detail) == (6, {"last_decided_k": 1})
+    rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=40, max_ms=60_000))
+    assert rep.status == "budget-exceeded"
+    assert rep.nodes_explored == 41
+    assert rep.detail == {"label_universe_max": 31, "last_decided_m": 0}
 
 
 def test_propagation_toggle_statuses(rng):
