@@ -13,16 +13,22 @@ from .solver import SearchBudget, solve_eta, solve_eta1, solve_sigma
 
 def clique_ratio_bound(g: Graph) -> int:
     """ceil(omega / (n - omega + 1)), a lower bound on the additive number."""
-    omega, _ = max_clique(g)
-    return math.ceil(omega / (g.n - omega + 1))
+    return _clique_ratio(g, max_clique(g)[0])
 
 
 def regular_bound(g: Graph) -> Optional[int]:
     """3 when the graph is regular with omega > (n+4)/3, else None."""
     if regularity(g) is None:
-        return None
-    omega, _ = max_clique(g)
-    if 3 * omega > g.n + 4:
+        return None  # before the exponential clique search
+    return _regular(g, max_clique(g)[0])
+
+
+def _clique_ratio(g: Graph, omega: int) -> int:
+    return math.ceil(omega / (g.n - omega + 1))
+
+
+def _regular(g: Graph, omega: int) -> Optional[int]:
+    if regularity(g) is not None and 3 * omega > g.n + 4:
         return 3
     return None
 
@@ -83,8 +89,8 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
         n=g.n,
         omega=omega,
         chi=chi,
-        clique_ratio=clique_ratio_bound(g),
-        regular=regular_bound(g),
+        clique_ratio=_clique_ratio(g, omega),
+        regular=_regular(g, omega),
     )
 
     r_eta = solve_eta(g, budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from multiprocessing import Pool
@@ -347,6 +348,8 @@ def _solver_oracle_payload(g) -> dict:
 
 
 def _run_sweep(worker, instances, jobs: int) -> list[dict]:
+    # workers beyond the instances or the cores only add start-up cost
+    jobs = min(jobs, len(instances), os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             return pool.map(worker, instances)
@@ -544,6 +547,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
     # an invalid budget is a ValueError

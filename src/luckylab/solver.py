@@ -1,10 +1,12 @@
 """Exact search for every labeling problem in the workbench.
 
 One engine drives all of them: depth-first assignment over a fixed vertex
-order (descending degree, ties by id; values ascending) with sum-interval
-propagation.  Every vertex carries the interval of neighbor sums still
-reachable given the partial assignment; an edge whose two intervals have
-collapsed to the same singleton can never be repaired, so the branch dies.
+order (maximum-cardinality search: a vertex whose neighbors are all ordered
+first, then most ordered neighbors, higher degree, lower id; values
+ascending) with sum-interval propagation.  Every vertex carries the
+interval of neighbor sums still reachable given the partial assignment; an
+edge whose two intervals have collapsed to the same singleton can never be
+repaired, so the branch dies.
 Disabling propagation only delays conflict detection until the incident
 neighborhoods are fully assigned; it never changes feasibility, which the
 property tests exercise.
@@ -16,6 +18,7 @@ being passed off as an answer.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import time
@@ -144,6 +147,13 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     lower tiers are exhausted first.  Constructions with large repeated
     appendages (the amplifier's pendant pairs) use it to put the globally
     constrained skeleton ahead of the appendages.
+
+    The selection runs on a lazy-deletion heap (Tarjan & Yannakakis, SIAM J.
+    Comput. 1984): each change of a vertex's ordered-neighbor count pushes a
+    fresh entry.  A count only grows, so a vertex's fresh entry sorts before
+    all of its older ones, and an entry popped for a placed vertex is simply
+    skipped.  A vertex gets at most degree + 1 entries, so the cost is
+    O((n + m) log n).
     """
     degree = [len(adj[v]) for v in range(n)]
     tier = [0] * n
@@ -153,21 +163,21 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     placed = [False] * n
     count = [0] * n
     order: list[int] = []
-
-    def key(v: int):
-        return (-tier[v], count[v] == degree[v], count[v], degree[v], -v)
-
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if placed[v]:
-                continue
-            if best < 0 or key(v) > key(best):
-                best = v
-        placed[best] = True
-        order.append(best)
-        for u in adj[best]:
-            count[u] += 1
+    # min-heap form of the key: lower tier, all neighbors ordered, more
+    # ordered neighbors, higher degree, lower id
+    heap = [(tier[v], degree[v] != 0, 0, -degree[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)[4]
+        if placed[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not placed[u]:
+                c = count[u] + 1
+                count[u] = c
+                heapq.heappush(heap, (tier[u], c != degree[u], -c, -degree[u], u))
     return order
 
 

@@ -54,3 +54,20 @@ def test_bounds_json():
     rep = bounds_report(path_graph(3))
     d = json.loads(rep.to_json())
     assert d["eta"] == 1 and d["chi"] == 2
+
+
+def test_bounds_report_computes_omega_once(monkeypatch):
+    import luckylab.bounds as bounds_mod
+
+    calls = []
+    real = bounds_mod.max_clique
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(bounds_mod, "max_clique", counting)
+    for g in (complete_graph(4), petersen_graph(), path_graph(3)):
+        calls.clear()
+        bounds_report(g)
+        assert len(calls) == 1

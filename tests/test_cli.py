@@ -195,6 +195,55 @@ def test_check_sat_sweep_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the CLI's multiprocessing.Pool: records each size, maps in-process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr("luckylab.cli.Pool", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(capsys, pool_sizes, jobs):
+    code = main(["bounds", "--random", "3", "--max-n", "4", "--seed", "1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("cores, instances, want", [
+    (3, 5, [3]),     # capped at the cores
+    (8, 2, [2]),     # capped at the instances
+    (None, 5, []),   # unknown core count: run in-process
+    (8, 1, []),      # one instance: run in-process
+])
+def test_jobs_clamped_before_pool(capsys, monkeypatch, pool_sizes, cores, instances, want):
+    monkeypatch.setattr("luckylab.cli.os.cpu_count", lambda: cores)
+    code, out = run(capsys, "check", "solvers", "--random", str(instances), "--max-n", "3",
+                    "--seed", "1", "--jobs", "64")
+    assert code == 0
+    assert out.startswith(f"solver-oracle equivalence: {instances}/{instances} agree")
+    assert pool_sizes == want
+
+
 def test_bounds_sweep_cli(capsys):
     code, out = run(capsys, "bounds", "--random", "5", "--max-n", "5", "--seed", "2", "--json")
     assert code == 0

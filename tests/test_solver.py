@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from luckylab.constructions import build_sat_reduction
 from luckylab.graph import (
     GraphError,
     build_graph,
@@ -13,8 +16,12 @@ from luckylab.graph import (
     petersen_graph,
 )
 from luckylab.labeling import Labeling, make_lists, verify_additive, verify_ptds
+from luckylab.oracles import random_formula
 from luckylab.solver import (
     SearchBudget,
+    SearchProblem,
+    _Engine,
+    _search_order,
     decide_list_additive,
     exists_binary,
     min_ptds,
@@ -22,6 +29,7 @@ from luckylab.solver import (
     solve_eta,
     solve_eta1,
     solve_sigma,
+    uniform_domains,
 )
 
 
@@ -185,3 +193,71 @@ def test_weight_capped_decision_matches_enumeration(rng):
             assert (rep.status == "found") == want, (g.edges, cap)
             if rep.status == "found":
                 assert rep.value <= cap
+
+
+def _search_order_reference(n, adj, tiers=None):
+    """The quadratic maximum-cardinality search the heap version must reproduce."""
+    degree = [len(adj[v]) for v in range(n)]
+    tier = [0] * n
+    if tiers:
+        for v, t in tiers.items():
+            tier[v] = t
+    placed = [False] * n
+    count = [0] * n
+    order = []
+
+    def key(v):
+        return (-tier[v], count[v] == degree[v], count[v], degree[v], -v)
+
+    for _ in range(n):
+        best = -1
+        for v in range(n):
+            if placed[v]:
+                continue
+            if best < 0 or key(v) > key(best):
+                best = v
+        placed[best] = True
+        order.append(best)
+        for u in adj[best]:
+            count[u] += 1
+    return order
+
+
+@st.composite
+def order_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs and draw(st.booleans()):
+        mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, keep in zip(pairs, mask) if keep]
+    elif pairs:
+        # sparse: most vertices stay isolated
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=n))
+    else:
+        edges = []
+    tiers = draw(st.none() | st.dictionaries(st.integers(0, n - 1), st.integers(0, 3)))
+    return build_graph(n, edges), tiers
+
+
+@given(order_instances())
+@settings(max_examples=300, deadline=None)
+def test_search_order_matches_quadratic_reference(inst):
+    g, tiers = inst
+    assert _search_order(g.n, g.adjacency(), tiers) == \
+        _search_order_reference(g.n, g.adjacency(), tiers)
+
+
+def test_search_order_matches_reference_on_sat_reduction():
+    g = build_sat_reduction(random_formula(random.Random(1), 32, 106)).graph
+    assert g.n > 1_100
+    assert _search_order(g.n, g.adjacency(), {}) == _search_order_reference(g.n, g.adjacency())
+
+
+def test_engine_setup_on_large_sat_reduction():
+    # n = 5,200: the scale at which a quadratic search order took seconds
+    g = build_sat_reduction(random_formula(random.Random(1), 150, 500)).graph
+    assert g.n == 5_200
+    eng = _Engine(SearchProblem(g, uniform_domains(g, (0, 1))), SearchBudget())
+    assert sorted(eng.order) == list(range(g.n))
+    assert all(eng.order[eng.pos[v]] == v for v in range(g.n))
+    assert eng._initial_conflict() is False
