@@ -70,6 +70,14 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
 
 
+def _required(args, flag: str, cmd: str):
+    """The value of a flag that argparse leaves optional but `cmd` cannot run without."""
+    value = getattr(args, flag.replace("-", "_"))
+    if not value:
+        raise ValueError(f"{cmd} requires --{flag}")
+    return value
+
+
 def _seeded_rng(args) -> random.Random:
     """The generator of a randomized sweep, which is only reproducible from a seed."""
     if args.seed is None:
@@ -97,23 +105,19 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 def cmd_solve(args) -> int:
     g = fileio.read_graph(args.graph)
     budget = _budget(args)
-    propagate = not args.no_propagate
     if args.problem == "eta":
-        rep = solve_eta(g, budget, propagate)
+        rep = solve_eta(g, budget)
     elif args.problem == "eta1":
-        rep = solve_eta1(g, budget, propagate)
+        rep = solve_eta1(g, budget)
     elif args.problem == "binary":
-        rep = exists_binary(g, budget, propagate)
+        rep = exists_binary(g, budget)
     elif args.problem == "sigma":
-        rep = solve_sigma(g, budget, propagate)
+        rep = solve_sigma(g, budget)
     elif args.problem == "ptds":
-        rep = min_ptds(g, budget, propagate)
+        rep = min_ptds(g, budget)
     else:  # listdecide
-        if not args.lists:
-            print("listdecide requires --lists", file=sys.stderr)
-            return EXIT_ERROR
-        lists = fileio.read_lists(args.lists)
-        rep = decide_list_additive(g, lists, budget, propagate)
+        lists = fileio.read_lists(_required(args, "lists", "solve listdecide"))
+        rep = decide_list_additive(g, lists, budget)
     _emit(args, rep.to_json_dict(), f"{args.problem}: {rep.status}"
           + (f", value {rep.value}" if rep.value is not None else ""))
     return EXIT_CODE[rep.status]
@@ -141,7 +145,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not violations else EXIT_NEGATIVE
     if args.what == "lists":
         lab = fileio.read_labeling(args.labeling)
-        lists = fileio.read_lists(args.lists)
+        lists = fileio.read_lists(_required(args, "lists", "verify lists"))
         ok = verify_from_lists(lab, lists)
         _emit(args, {"from_lists": ok}, "labels drawn from lists" if ok else "label outside its list")
         return EXIT_OK if ok else EXIT_NEGATIVE
@@ -220,10 +224,7 @@ def cmd_construct(args) -> int:
             "vertex": lambda: build_vertex_gadget(set(int(x) for x in args.lf.split(",")), args.s),
             "amplifier": lambda: build_amplifier_gadget(args.d),
         }
-        if args.gadget_kind not in builders:
-            print(f"unknown gadget kind {args.gadget_kind!r}", file=sys.stderr)
-            return EXIT_ERROR
-        inst = builders[args.gadget_kind]()
+        inst = builders[_required(args, "gadget-kind", "construct gadget")]()
         paths = _write_outputs(args.out, inst.graph, dot=args.dot)
         payload = {"kind": inst.kind, "n": inst.graph.n,
                    "ports": {k: v for k, v in inst.ports.items()}, "paths": paths}
@@ -236,7 +237,7 @@ def cmd_construct(args) -> int:
         _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n} -> {paths['graph']}")
         return EXIT_OK
     if args.kind == "sat":
-        num_vars, clauses = fileio.read_cnf(args.cnf)
+        num_vars, clauses = fileio.read_cnf(_required(args, "cnf", "construct sat"))
         phi = Cnf3Formula(num_vars, tuple(clauses))
         red = build_sat_reduction(phi)
         paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
@@ -249,15 +250,15 @@ def cmd_construct(args) -> int:
         _emit(args, payload, f"sat reduction: n={red.graph.n} -> {paths['graph']}")
         return EXIT_OK
     if args.kind == "inapprox":
-        g = fileio.read_graph(args.graph)
+        g = fileio.read_graph(_required(args, "graph", "construct inapprox"))
         red = build_inapprox_reduction(g, args.d)
         paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
         _emit(args, {"n": red.graph.n, "paths": paths, "d": args.d},
               f"amplifier graph: n={red.graph.n} -> {paths['graph']}")
         return EXIT_OK
     # listcolor
-    g = fileio.read_graph(args.graph)
-    lists = fileio.read_lists(args.lists)
+    g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
+    lists = fileio.read_lists(_required(args, "lists", "construct listcolor"))
     red = build_listcoloring_reduction(g, lists)
     paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
     _emit(args, {"n": red.graph.n, "paths": paths, "s": red.params["s"]},
@@ -303,7 +304,7 @@ def cmd_bounds(args) -> int:
         print(f"bounds sweep: {len(payloads)} graphs, {bad} flag violations",
               file=sys.stderr if args.json else sys.stdout)
         return EXIT_OK if bad == 0 else EXIT_NEGATIVE
-    g = fileio.read_graph(args.graph)
+    g = fileio.read_graph(_required(args, "graph", "bounds"))
     rep = bounds_mod.bounds_report(g, _budget(args))
     _emit(args, rep.to_json_dict(),
           f"n={rep.n} omega={rep.omega} chi={rep.chi} eta={rep.eta} eta1={rep.eta1} "
@@ -420,7 +421,7 @@ def cmd_check(args) -> int:
     if args.target == "listcolor":
         if args.graph:
             g = fileio.read_graph(args.graph)
-            lists = fileio.read_lists(args.lists)
+            lists = fileio.read_lists(_required(args, "lists", "check listcolor"))
             verdict = check_equivalence_listcolor(g, lists, _budget(args))
             _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
             return EXIT_CODE[verdict.status]
@@ -433,7 +434,7 @@ def cmd_check(args) -> int:
         return _summarize_verdicts(args, verdicts, "list-coloring equivalence")
 
     if args.target == "inapprox":
-        g = fileio.read_graph(args.graph)
+        g = fileio.read_graph(_required(args, "graph", "check inapprox"))
         verdict = check_threshold_inapprox(g, args.d, _budget(args))
         _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
         return EXIT_CODE[verdict.status]
@@ -473,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("problem", choices=["eta", "eta1", "binary", "sigma", "ptds", "listdecide"])
     ps.add_argument("--graph", required=True)
     ps.add_argument("--lists")
-    ps.add_argument("--no-propagate", action="store_true")
     _add_budget_flags(ps)
     ps.set_defaults(func=cmd_solve)
 

@@ -34,15 +34,8 @@ class Labeling:
     def get(self, v: int, default=None):
         return self.values.get(v, default)
 
-    def is_binary(self) -> bool:
-        return all(x in (0, 1) for x in self.values.values())
-
     def max_label(self) -> int:
         return max(self.values.values(), default=0)
-
-    def restricted(self, vs: Iterable[int]) -> "Labeling":
-        keep = set(vs)
-        return Labeling({v: x for v, x in self.values.items() if v in keep})
 
 
 @dataclass(frozen=True)

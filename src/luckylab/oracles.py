@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from . import fileio
 from .formula import Cnf3Formula, FormulaError, make_formula
 from .graph import Graph, GraphError, build_graph, chromatic_number
 from .labeling import (
@@ -413,8 +414,6 @@ def format_formula(phi: Cnf3Formula) -> str:
 def check_equivalence_sat(phi: Cnf3Formula,
                           budget: Optional[SearchBudget] = None) -> EquivalenceVerdict:
     """Satisfiability vs existence of a binary additive labeling of the reduction."""
-    from . import fileio
-
     budget = budget or SearchBudget()
     witnesses: dict[str, str] = {}
     gamma = sat_brute(phi)
@@ -442,8 +441,6 @@ def check_equivalence_listcolor(g: Graph, lists: ListAssignment,
     ports must land inside the normalized lists; a violation falsifies the
     construction and is reported as disagreement.
     """
-    from . import fileio
-
     budget = budget or SearchBudget()
     witnesses: dict[str, str] = {}
     coloring = list_color_brute(g, lists)
@@ -485,8 +482,6 @@ def check_threshold_inapprox(g: Graph, d: int,
     cut off and the graph is 3-colorable, the constructive recipe still
     settles the question with a verified labeling.
     """
-    from . import fileio
-
     cap = 5 * g.n
     if d < cap + 1:
         raise GraphError(f"need d >= 5n+1 = {cap + 1} to separate the weight regimes, got {d}")

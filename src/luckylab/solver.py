@@ -4,12 +4,14 @@ One engine drives all of them: depth-first assignment over a fixed vertex
 order (maximum-cardinality search: a vertex whose neighbors are all ordered
 first, then most ordered neighbors, higher degree, lower id; values
 ascending) with sum-interval propagation.  Every vertex carries the
-interval of neighbor sums still reachable given the partial assignment; an
-edge whose two intervals have collapsed to the same singleton can never be
-repaired, so the branch dies.
-Disabling propagation only delays conflict detection until the incident
-neighborhoods are fully assigned; it never changes feasibility, which the
-property tests exercise.
+interval of neighbor sums still reachable given the partial assignment: the
+assigned neighbors' labels plus boundary mass, plus the least and the
+greatest total its unassigned neighbors' domains allow.  The interval
+decides the sum exactly when it is a single point, that is once every
+unassigned neighbor has a one-value domain.  A constrained edge whose two
+endpoints have decided, equal sums can never be repaired, and neither can
+a vertex whose greatest reachable sum lies below a required minimum, so
+either kills the branch.
 
 All searches are complete: "infeasible" always means the whole space was
 exhausted, and budget exhaustion is reported as its own status rather than
@@ -84,51 +86,31 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _twin_predecessors(n, adj, domains, pos):
+def _twin_predecessors(adj, sig, order):
     """For each vertex, its predecessor in a class of interchangeable twins.
 
-    Two vertices with equal domains are interchangeable when their open
-    neighborhoods coincide (non-adjacent twins) or their closed ones do
-    (adjacent twins): swapping their labels maps valid labelings to valid
-    labelings and preserves weight.  Requiring non-increasing labels along
-    the search order within each class keeps one canonical representative
-    per symmetry orbit.  Solution enumeration must not use this.
+    Two vertices with equal signatures (domain, boundary mass, checked
+    status) are interchangeable when their open neighborhoods coincide
+    (non-adjacent twins) or their closed ones do (adjacent twins): swapping
+    their labels maps valid labelings to valid labelings and preserves
+    weight.  Requiring non-increasing labels along the search order within
+    each class keeps one canonical representative per symmetry orbit.
+    Solution enumeration must not use this.
     """
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    open_sig: dict = {}
-    closed_sig: dict = {}
-    for v in range(n):
+    # Each group of equal (sig, N(v)) or equal (sig, N[v]) is a whole class,
+    # because no vertex v has both an open twin a and a closed twin b:
+    # b is in N[b] = N[v], so b is in N(v) = N(a), so a is in N[b] = N[v] and
+    # is adjacent to v; but open twins are never adjacent (v in N(a) = N(v)
+    # would be a loop).  So each group is chained on its own, in search order.
+    prev = [None] * len(order)
+    open_last: dict = {}
+    closed_last: dict = {}
+    for v in order:
         nb = frozenset(adj[v])
-        open_sig.setdefault((domains[v], nb), []).append(v)
-        closed_sig.setdefault((domains[v], nb | {v}), []).append(v)
-    for group in open_sig.values():
-        for u in group[1:]:
-            union(group[0], u)
-    for group in closed_sig.values():
-        for u in group[1:]:
-            union(group[0], u)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    prev = [None] * n
-    for members in classes.values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda v: pos[v])
-        for a, b in zip(members, members[1:]):
-            prev[b] = a
+        for last, key in ((open_last, (sig[v], nb)), (closed_last, (sig[v], nb | {v}))):
+            if key in last:
+                prev[v] = last[key]
+            last[key] = v
     return prev
 
 
@@ -185,7 +167,7 @@ class _Engine:
     """One exhaustive search over the labelings of a SearchProblem."""
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
-                 propagate: bool = True, break_symmetry: bool = True):
+                 break_symmetry: bool = True):
         g = problem.graph
         self.g = g
         n = g.n
@@ -196,8 +178,8 @@ class _Engine:
             if not d:
                 raise GraphError(f"empty domain at vertex {v}")
         self.budget = budget
-        self.propagate = propagate
-        self.weight_cap = problem.weight_cap
+        # the live weight bound; a minimizing leaf hook lowers it
+        self.cap = problem.weight_cap
         self.min_sum = problem.min_sum
         self.distinct_cap = problem.distinct_cap
         self.checked = [v not in problem.unchecked for v in range(n)]
@@ -214,13 +196,12 @@ class _Engine:
         self.asum = [ex.get(v, 0) for v in range(n)]
         self.pmin = [sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
         self.pmax = [sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
-        self.nun = [len(self.adj[v]) for v in range(n)]
         self.future_min = sum(self.dmin)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # boundary mass or unchecked status makes a vertex non-interchangeable
         twin_sig = [(self.domains[v], ex.get(v, 0), self.checked[v]) for v in range(n)]
-        self.twin_prev = _twin_predecessors(n, self.adj, twin_sig, self.pos) \
+        self.twin_prev = _twin_predecessors(self.adj, twin_sig, self.order) \
             if break_symmetry else [None] * n
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
         # exceed their domain minima by one.  Entries are [u, t, culprits, active].
@@ -229,18 +210,12 @@ class _Engine:
         self.bonus_total = 0
         self.nodes = 0
         self.deadline = None
-        self.best_weight: Optional[int] = None
-        self.best_labels: Optional[list[int]] = None
-        self._minimize = False
-        self._on_solution: Optional[Callable[[dict[int, int], list[int]], None]] = None
-        self._found_first: Optional[list[int]] = None
+        self.on_leaf: Optional[Callable[[int], bool]] = None
 
     # -- interval plumbing --------------------------------------------------
 
     def _decided(self, v: int) -> bool:
-        if self.propagate:
-            return self.pmin[v] == self.pmax[v]
-        return self.nun[v] == 0
+        return self.pmin[v] == self.pmax[v]
 
     def _sum_of(self, v: int) -> int:
         return self.asum[v] + self.pmin[v]
@@ -368,39 +343,30 @@ class _Engine:
             raise _BudgetExceeded
 
     def _dfs(self, depth: int, cur_weight: int, used: dict[int, int]) -> Optional[int]:
-        """Search with conflict-directed backjumping.
+        """Search with conflict-directed backjumping, one frame per level.
 
-        Returns None the moment a first-solution search succeeds; otherwise
-        returns the bitmask of assignment levels (< depth) responsible for
-        the subtree failing.  A child whose failure does not involve this
-        level proves the remaining values here futile, so the failure is
-        passed straight up.  Solutions found while enumerating or minimizing
-        return a full mask, which degrades those passes to chronological
-        backtracking and keeps them complete.
+        Every complete labeling the search reaches goes to the leaf hook,
+        which gets its weight and reads its labels from self.label.  Returns
+        None once the hook asks to stop; otherwise returns the bitmask of
+        assignment levels (< depth) responsible for the subtree failing.  A
+        child whose failure does not involve this level proves the remaining
+        values here futile, so the failure is passed straight up.  A leaf the
+        hook lets pass returns a full mask, which degrades the search above
+        it to chronological backtracking and keeps it complete.
+
+        The weight bound self.cap is read once, on entry, so a bound the hook
+        lowers takes effect at the next node entered; reading it afresh in
+        the value loop would prune more and change the node counts.
         """
         below = (1 << depth) - 1
         if depth == self.n:
-            labels = list(self.label)
-            if self._minimize:
-                if self.best_weight is None or cur_weight < self.best_weight:
-                    self.best_weight = cur_weight
-                    self.best_labels = labels
-                return below
-            if self._on_solution is not None:
-                sums = [self.asum[v] + self.pmin[v] for v in range(self.n)]
-                self._on_solution({v: labels[v] for v in range(self.n)}, sums)
-                return below
-            self._found_first = labels
-            return None
+            return None if self.on_leaf(cur_weight) else below
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
         dmin_v, dmax_v = self.dmin[v], self.dmax[v]
         base_future = self.future_min - dmin_v
-        cap = self.weight_cap
-        if self._minimize and self.best_weight is not None:
-            b = self.best_weight - 1
-            cap = b if cap is None else min(cap, b)
+        cap = self.cap
         conf = 0
         twin = self.twin_prev[v]
         bonus_v = self.in_bonus[v]
@@ -439,7 +405,6 @@ class _Engine:
                 self.asum[u] += val
                 self.pmin[u] -= dmin_v
                 self.pmax[u] -= dmax_v
-                self.nun[u] -= 1
             if new_count is not None:
                 used[val] = new_count
             cmask = self._conflict_after(v)
@@ -452,7 +417,7 @@ class _Engine:
             if cmask is None:
                 r = self._dfs(depth + 1, cur_weight + val, used)
                 if r is None:
-                    return None  # success; state intentionally left assigned
+                    return None  # stopped; state intentionally left assigned
                 if not r & bit_d:
                     skip_rest = r & below  # failure below is independent of v
                 else:
@@ -472,7 +437,6 @@ class _Engine:
                 self.asum[u] -= val
                 self.pmin[u] += dmin_v
                 self.pmax[u] += dmax_v
-                self.nun[u] += 1
             self.future_min += dmin_v
             self.assigned[v] = False
             self.ones_mask &= ~bit_d
@@ -480,43 +444,25 @@ class _Engine:
                 return skip_rest
         return conf & below
 
-    def _run(self) -> str:
+    def run(self, on_leaf: Callable[[int], bool]) -> str:
+        """Search the whole space, passing each complete labeling's weight to on_leaf.
+
+        on_leaf returns True to stop the search.  The outcome is "stopped",
+        "done" (the space is exhausted) or "budget-exceeded".
+        """
+        self.on_leaf = on_leaf
         self.deadline = time.monotonic() + self.budget.max_ms / 1000.0
         try:
-            if self.weight_cap is not None and self.future_min > self.weight_cap:
+            if self.cap is not None and self.future_min > self.cap:
                 return "done"
             if self._initial_conflict():
                 return "done"
             self._initial_bonus_scan()
-            if self.weight_cap is not None and self.future_min + self.bonus_total > self.weight_cap:
+            if self.cap is not None and self.future_min + self.bonus_total > self.cap:
                 return "done"
-            self._dfs(0, 0, {})
-            return "done"
+            return "done" if self._dfs(0, 0, {}) is not None else "stopped"
         except _BudgetExceeded:
             return "budget-exceeded"
-
-    def first_solution(self) -> tuple[str, Optional[dict[int, int]]]:
-        outcome = self._run()
-        if self._found_first is not None:
-            return "found", {v: self._found_first[v] for v in range(self.n)}
-        if outcome == "budget-exceeded":
-            return "budget-exceeded", None
-        return "infeasible", None
-
-    def minimize_weight(self) -> tuple[str, Optional[dict[int, int]]]:
-        self._minimize = True
-        outcome = self._run()
-        if outcome == "budget-exceeded":
-            # a budget cut with an incumbent is still not a proven optimum
-            return "budget-exceeded", None
-        if self.best_labels is None:
-            return "infeasible", None
-        return "found", {v: self.best_labels[v] for v in range(self.n)}
-
-    def enumerate_all(self, on_solution: Callable[[dict[int, int], list[int]], None]) -> str:
-        self._on_solution = on_solution
-        outcome = self._run()
-        return "exhausted" if outcome == "done" else "budget-exceeded"
 
 
 @dataclass(frozen=True)
@@ -546,11 +492,22 @@ def uniform_domains(g: Graph, values: Iterable[int]) -> tuple[tuple[int, ...], .
     return tuple(vals for _ in range(g.n))
 
 
-def enumerate_solutions(problem: SearchProblem, budget: SearchBudget, on_solution, propagate: bool = True):
+def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
+                        on_solution: Callable[[dict[int, int], list[int]], None]):
+    """Pass every labeling and its neighbor sums to on_solution; returns (outcome, nodes).
+
+    The outcome is "exhausted" or "budget-exceeded".
+    """
     # enumeration must visit every solution, so symmetry breaking is off
-    eng = _Engine(problem, budget, propagate, break_symmetry=False)
-    outcome = eng.enumerate_all(on_solution)
-    return outcome, eng.nodes
+    eng = _Engine(problem, budget, break_symmetry=False)
+
+    def on_leaf(_weight: int) -> bool:
+        on_solution({v: eng.label[v] for v in range(eng.n)},
+                    [eng.asum[v] + eng.pmin[v] for v in range(eng.n)])
+        return False
+
+    outcome = eng.run(on_leaf)
+    return ("exhausted" if outcome == "done" else outcome), eng.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +524,7 @@ def _finish(report: SolveReport, t0: float) -> SolveReport:
     return report
 
 
-def _search(problem: SearchProblem, budget: Optional[SearchBudget], propagate: bool, mode: str,
+def _search(problem: SearchProblem, budget: Optional[SearchBudget], mode: str,
             minimize: bool = False, value: Callable[[Labeling], int] = weight) -> SolveReport:
     """Run one engine search and report it.
 
@@ -577,11 +534,27 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget], propagate: b
     """
     _require_nonempty(problem.graph)
     t0 = time.monotonic()
-    eng = _Engine(problem, budget or SearchBudget(), propagate)
-    status, sol = eng.minimize_weight() if minimize else eng.first_solution()
+    eng = _Engine(problem, budget or SearchBudget())
+    best: list[int] = []
+
+    def on_leaf(w: int) -> bool:
+        # a node reads the bound on entry, so a leaf below a node entered
+        # before the last improvement can outweigh the incumbent
+        if eng.cap is None or w <= eng.cap:
+            best[:] = eng.label
+            if minimize:
+                eng.cap = w - 1
+        return not minimize
+
+    outcome = eng.run(on_leaf)
+    if outcome == "budget-exceeded":
+        # a budget cut with an incumbent is still not a proven optimum
+        status = outcome
+    else:
+        status = "found" if best else "infeasible"
     rep = SolveReport(status, nodes_explored=eng.nodes)
     if status == "found":
-        rep.certificate = Labeling(sol)
+        rep.certificate = Labeling(dict(enumerate(best)))
         bad = verify_additive(problem.graph, rep.certificate, mode=mode)
         if bad:
             raise AssertionError(f"solver produced a non-additive certificate: {bad[:3]}")
@@ -589,9 +562,8 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget], propagate: b
     return _finish(rep, t0)
 
 
-def _least_feasible(g: Graph, budget: Optional[SearchBudget], propagate: bool,
-                    bounds: Iterable[int], problem_for: Callable[[int], SearchProblem],
-                    decided_key: str) -> SolveReport:
+def _least_feasible(g: Graph, budget: Optional[SearchBudget], bounds: Iterable[int],
+                    problem_for: Callable[[int], SearchProblem], decided_key: str) -> SolveReport:
     """First bound b, in order, whose problem_for(b) has a labeling with labels >= 1.
 
     All bounds share one budget.  A budget cut records the last bound
@@ -607,8 +579,7 @@ def _least_feasible(g: Graph, budget: Optional[SearchBudget], propagate: bool,
         remaining_ms = budget.max_ms - (time.monotonic() - t0) * 1000.0
         if remaining <= 0 or remaining_ms <= 0:
             break
-        rep = _search(problem_for(b), SearchBudget(max_nodes=remaining, max_ms=remaining_ms),
-                      propagate, "positive")
+        rep = _search(problem_for(b), SearchBudget(max_nodes=remaining, max_ms=remaining_ms), "positive")
         spent += rep.nodes_explored
         if rep.status == "budget-exceeded":
             break
@@ -623,18 +594,18 @@ def _least_feasible(g: Graph, budget: Optional[SearchBudget], propagate: bool,
                                detail={decided_key: last_decided}), t0)
 
 
-def solve_eta(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
+def solve_eta(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """Additive number: least k so that labels {1..k} admit an additive labeling.
 
     Iterates k upward; each k is decided exhaustively before moving on, so a
     reported value carries a solver lower bound as well as a certificate.
     """
-    return _least_feasible(g, budget, propagate, itertools.count(1),
+    return _least_feasible(g, budget, itertools.count(1),
                            lambda k: SearchProblem(g, uniform_domains(g, range(1, k + 1))),
                            "last_decided_k")
 
 
-def exists_binary(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True,
+def exists_binary(g: Graph, budget: Optional[SearchBudget] = None,
                   weight_cap: Optional[int] = None,
                   tiers: Optional[Mapping[int, int]] = None) -> SolveReport:
     """Decide whether any (0,1)-additive labeling exists (optionally weight-capped).
@@ -645,25 +616,25 @@ def exists_binary(g: Graph, budget: Optional[SearchBudget] = None, propagate: bo
     """
     problem = SearchProblem(g, uniform_domains(g, (0, 1)), weight_cap=weight_cap,
                             tiers=tuple(sorted(tiers.items())) if tiers else None)
-    rep = _search(problem, budget, propagate, "binary")
+    rep = _search(problem, budget, "binary")
     if weight_cap is not None:
         rep.detail["weight_cap"] = weight_cap
     return rep
 
 
-def solve_eta1(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
+def solve_eta1(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """Minimum total weight over (0,1)-additive labelings, by branch and bound."""
-    return _search(SearchProblem(g, uniform_domains(g, (0, 1))), budget, propagate, "binary",
+    return _search(SearchProblem(g, uniform_domains(g, (0, 1))), budget, "binary",
                    minimize=True)
 
 
 def decide_list_additive(g: Graph, lists: ListAssignment,
-                         budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
+                         budget: Optional[SearchBudget] = None) -> SolveReport:
     """Decide whether an additive labeling exists with every label drawn from its list."""
     _require_nonempty(g)  # before the lists are checked against g
     lists.validate_on(g)
     domains = tuple(tuple(sorted(lists[v])) for v in g.vertices())
-    return _search(SearchProblem(g, domains), budget, propagate, "any", value=Labeling.max_label)
+    return _search(SearchProblem(g, domains), budget, "any", value=Labeling.max_label)
 
 
 @dataclass
@@ -693,9 +664,9 @@ class RefutationResult:
 
 
 def refute_lists(g: Graph, lists: ListAssignment,
-                 budget: Optional[SearchBudget] = None, propagate: bool = True) -> RefutationResult:
+                 budget: Optional[SearchBudget] = None) -> RefutationResult:
     """Certify that a list assignment defeats its list size, or fail with a labeling."""
-    rep = decide_list_additive(g, lists, budget, propagate)
+    rep = decide_list_additive(g, lists, budget)
     k = lists.max_size()
     if rep.status == "infeasible":
         return RefutationResult("refuted", k, k + 1, None, rep)
@@ -712,7 +683,7 @@ def sigma_label_cap(g: Graph) -> int:
     return g.n * g.max_degree() + 1
 
 
-def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
+def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """Minimum number of distinct labels over additive labelings.
 
     Labels are drawn from {1..n*maxdeg+1}; the cap is surfaced in the report
@@ -720,7 +691,7 @@ def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool
     """
     cap = sigma_label_cap(g)
     domains = uniform_domains(g, range(1, cap + 1))
-    rep = _least_feasible(g, budget, propagate, range(1, g.n + 1),
+    rep = _least_feasible(g, budget, range(1, g.n + 1),
                           lambda m: SearchProblem(g, domains, distinct_cap=m), "last_decided_m")
     rep.detail["label_universe_max"] = cap
     if rep.status == "found":
@@ -731,7 +702,7 @@ def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool
     return rep
 
 
-def min_ptds(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = True) -> SolveReport:
+def min_ptds(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """Minimum proper total dominating set.
 
     Encoded as a minimum-weight (0,1)-additive labeling whose neighbor sums
@@ -739,7 +710,7 @@ def min_ptds(g: Graph, budget: Optional[SearchBudget] = None, propagate: bool = 
     indicator labeling of the set.
     """
     problem = SearchProblem(g, uniform_domains(g, (0, 1)), min_sum=1)
-    rep = _search(problem, budget, propagate, "binary", minimize=True)
+    rep = _search(problem, budget, "binary", minimize=True)
     if rep.status == "found":
         rep.detail["set"] = sorted(v for v, x in rep.certificate.values.items() if x == 1)
     return rep
@@ -752,7 +723,6 @@ def complete_partial(
     *,
     values: Iterable[int] = (0, 1),
     weight_cap: Optional[int] = None,
-    propagate: bool = True,
 ) -> SolveReport:
     """Extend a partial labeling to a full additive labeling, or prove it cannot extend.
 
@@ -760,4 +730,4 @@ def complete_partial(
     """
     free = tuple(sorted(set(values)))
     domains = tuple((fixed[v],) if v in fixed else free for v in g.vertices())
-    return _search(SearchProblem(g, domains, weight_cap=weight_cap), budget, propagate, "any")
+    return _search(SearchProblem(g, domains, weight_cap=weight_cap), budget, "any")

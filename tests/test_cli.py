@@ -84,6 +84,28 @@ def test_malformed_graph_exit_two(capsys, tmp_path, name, text, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "sat", "--out", "{out}"], "construct sat requires --cnf"),
+    (["construct", "inapprox", "--out", "{out}"], "construct inapprox requires --graph"),
+    (["construct", "listcolor", "--out", "{out}"], "construct listcolor requires --graph"),
+    (["construct", "listcolor", "--graph", "{g}", "--out", "{out}"],
+     "construct listcolor requires --lists"),
+    (["construct", "gadget", "--out", "{out}"], "construct gadget requires --gadget-kind"),
+    (["check", "inapprox"], "check inapprox requires --graph"),
+    (["check", "listcolor", "--graph", "{g}"], "check listcolor requires --lists"),
+    (["verify", "lists", "--graph", "{g}", "--labeling", "{lab}"], "verify lists requires --lists"),
+    (["solve", "listdecide", "--graph", "{g}"], "solve listdecide requires --lists"),
+    (["bounds"], "bounds requires --graph"),
+])
+def test_missing_file_flag_exit_two(capsys, tmp_path, p3_file, argv, message):
+    lab = tmp_path / "l.lab"
+    lab.write_text("v 1 1\nv 2 1\nv 3 1\n")
+    code = main([a.format(g=p3_file, lab=lab, out=tmp_path / "x") for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_construct_counterexample_verify(capsys, tmp_path):
     out_prefix = str(tmp_path / "ce")
     code, out = run(capsys, "construct", "counterexample", "--k", "1",

@@ -84,11 +84,3 @@ def test_exists_binary_iff_eta1_found(g):
     a = exists_binary(g)
     b = solve_eta1(g)
     assert (a.status == "found") == (b.status == "found")
-
-
-@given(graphs(max_n=5))
-@settings(max_examples=30, deadline=None)
-def test_propagation_never_changes_the_answer(g):
-    on = exists_binary(g, propagate=True)
-    off = exists_binary(g, propagate=False)
-    assert on.status == off.status

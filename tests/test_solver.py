@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luckylab.constructions import build_sat_reduction
+from luckylab import oracles
+from luckylab.constructions import build_amplifier_gadget, build_sat_reduction, counterexample_graph
+from luckylab.formula import Cnf3Formula
 from luckylab.graph import (
     GraphError,
     build_graph,
@@ -15,14 +17,16 @@ from luckylab.graph import (
     path_graph,
     petersen_graph,
 )
-from luckylab.labeling import Labeling, make_lists, verify_additive, verify_ptds
+from luckylab.labeling import Labeling, make_lists, verify_additive, verify_from_lists, verify_ptds
 from luckylab.oracles import random_formula
 from luckylab.solver import (
     SearchBudget,
     SearchProblem,
     _Engine,
     _search_order,
+    complete_partial,
     decide_list_additive,
+    enumerate_solutions,
     exists_binary,
     min_ptds,
     refute_lists,
@@ -125,15 +129,32 @@ def test_budget_exceeded_is_reported():
     assert rep.detail == {"label_universe_max": 31, "last_decided_m": 0}
 
 
-def test_propagation_toggle_statuses(rng):
+def _brute_force_exists(g, domains):
+    return any(not verify_additive(g, Labeling(dict(enumerate(labels))))
+               for labels in itertools.product(*domains))
+
+
+def test_one_value_domains_match_brute_force(rng):
+    # fixed vertices and singleton lists decide a neighbor sum before the
+    # neighborhood is assigned, which is where the sum intervals prune
     from conftest import random_graph
-    for _ in range(30):
-        g = random_graph(rng)
-        for f in (exists_binary, solve_eta1, min_ptds):
-            a = f(g, propagate=True)
-            b = f(g, propagate=False)
-            assert a.status == b.status
-            assert a.value == b.value
+    for _ in range(60):
+        g = random_graph(rng, 1, 7)
+        fixed = {v: rng.randint(0, 1) for v in g.vertices() if rng.random() < 0.4}
+        rep = complete_partial(g, fixed)
+        domains = [(fixed[v],) if v in fixed else (0, 1) for v in g.vertices()]
+        assert (rep.status == "found") == _brute_force_exists(g, domains), (g.edges, fixed)
+        if rep.status == "found":
+            assert verify_additive(g, rep.certificate) == []
+            assert all(rep.certificate[v] in d for v, d in enumerate(domains))
+        lists = make_lists({v: rng.sample(range(1, 4), 1 if rng.random() < 0.4 else 2)
+                            for v in g.vertices()})
+        rep = decide_list_additive(g, lists)
+        domains = [sorted(lists[v]) for v in g.vertices()]
+        assert (rep.status == "found") == _brute_force_exists(g, domains), (g.edges, domains)
+        if rep.status == "found":
+            assert verify_additive(g, rep.certificate) == []
+            assert verify_from_lists(rep.certificate, lists)
 
 
 def test_eta_is_max_over_components(rng):
@@ -261,3 +282,48 @@ def test_engine_setup_on_large_sat_reduction():
     assert sorted(eng.order) == list(range(g.n))
     assert all(eng.order[eng.pos[v]] == v for v in range(g.n))
     assert eng._initial_conflict() is False
+
+
+_PIN_FORMULA = Cnf3Formula(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
+
+
+def _amplifier_enumeration_nodes():
+    inst = build_amplifier_gadget(2)
+    g = inst.graph
+    problem = SearchProblem(g, uniform_domains(g, (0, 1)), extra_sum=((inst.ports["v"], 0),))
+    outcome, nodes = enumerate_solutions(problem, SearchBudget(), lambda labels, sums: None)
+    assert outcome == "exhausted"
+    return nodes
+
+
+def _counterexample_refutation_nodes():
+    g, _labeling, lists = counterexample_graph(2)
+    return refute_lists(g, lists).report.nodes_explored
+
+
+def _recipe_completion_nodes(monkeypatch):
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(complete_partial(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(oracles, "complete_partial", recorded)
+    oracles.labeling_from_assignment(_PIN_FORMULA, {1: True, 2: True, 3: True})
+    return reports[0].nodes_explored
+
+
+@pytest.mark.parametrize("search, nodes", [
+    (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
+    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 149),
+    (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 718),
+    (lambda mp: min_ptds(petersen_graph()).nodes_explored, 563),
+    (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
+    (lambda mp: _counterexample_refutation_nodes(), 251),
+    (lambda mp: _amplifier_enumeration_nodes(), 1_219),
+    (_recipe_completion_nodes, 84),
+], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
+        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2", "recipe-completion"])
+def test_node_counts_pinned(monkeypatch, search, nodes):
+    # node counts are deterministic; a change here changes the search itself
+    assert search(monkeypatch) == nodes
