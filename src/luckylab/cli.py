@@ -413,8 +413,7 @@ def cmd_check(args) -> int:
             instances.extend(random_formula(rng, args.vars, args.clauses)
                              for _ in range(args.random))
         if not instances:
-            print("nothing to check: pass --cnf, --exhaustive or --random", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("nothing to check: pass --cnf, --exhaustive or --random")
         verdicts = _run_sweep(_sat_verdict_payload, instances, args.jobs)
         return _summarize_verdicts(args, verdicts, "sat equivalence")
 
@@ -426,8 +425,7 @@ def cmd_check(args) -> int:
             _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
             return EXIT_CODE[verdict.status]
         if not args.random:
-            print("nothing to check: pass --graph/--lists or --random", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("nothing to check: pass --graph/--lists or --random")
         rng = _seeded_rng(args)
         instances = [random_list_instance(rng, args.max_n) for _ in range(args.random)]
         verdicts = _run_sweep(_lc_verdict_payload, instances, args.jobs)
@@ -549,6 +547,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if getattr(args, "max_n", 1) < 1:
+            raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
     # an invalid budget is a ValueError

@@ -3,15 +3,19 @@
 One engine drives all of them: depth-first assignment over a fixed vertex
 order (maximum-cardinality search: a vertex whose neighbors are all ordered
 first, then most ordered neighbors, higher degree, lower id; values
-ascending) with sum-interval propagation.  Every vertex carries the
-interval of neighbor sums still reachable given the partial assignment: the
-assigned neighbors' labels plus boundary mass, plus the least and the
-greatest total its unassigned neighbors' domains allow.  The interval
-decides the sum exactly when it is a single point, that is once every
-unassigned neighbor has a one-value domain.  A constrained edge whose two
-endpoints have decided, equal sums can never be repaired, and neither can
-a vertex whose greatest reachable sum lies below a required minimum, so
-either kills the branch.
+ascending) with sum-interval propagation.  Every vertex v carries lo[v] and
+hi[v], the least and the greatest neighbor sum still reachable given the
+partial assignment: boundary mass plus the assigned neighbors' labels plus
+the least or the greatest total the unassigned neighbors' domains allow.
+The sum is decided once lo[v] == hi[v], that is once every unassigned
+neighbor has a one-value domain.  A constrained edge whose two endpoints
+have decided, equal sums can never be repaired, and neither can a vertex
+whose hi lies below a required minimum, so either kills the branch.
+
+A weight-bounded search (a weight cap from the start, or branch and bound
+lowering it) also counts forced pairs, edges that must spend one unit above
+their domain minima, into its weight lower bound; other searches never read
+that bound and do not keep it.
 
 All searches are complete: "infeasible" always means the whole space was
 exhausted, and budget exhaustion is reported as its own status rather than
@@ -164,7 +168,12 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
 
 
 class _Engine:
-    """One exhaustive search over the labelings of a SearchProblem."""
+    """One exhaustive search over the labelings of a SearchProblem.
+
+    lo and hi are the sum intervals of the module docstring.  Assigning val
+    to v moves lo[u] by val - dmin[v] and hi[u] by val - dmax[v] at every
+    neighbor u: v's label replaces its domain minimum and maximum.
+    """
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
                  break_symmetry: bool = True):
@@ -183,6 +192,9 @@ class _Engine:
         self.min_sum = problem.min_sum
         self.distinct_cap = problem.distinct_cap
         self.checked = [v not in problem.unchecked for v in range(n)]
+        # the checked neighbors of each vertex, in adjacency order: the only
+        # ones whose sums constrain anything
+        self.cadj = [[u for u in self.adj[v] if self.checked[u]] for v in range(n)]
         self.order = _search_order(n, self.adj, dict(problem.tiers or ()))
         self.pos = [0] * n
         for i, v in enumerate(self.order):
@@ -193,9 +205,8 @@ class _Engine:
         ex = dict(problem.extra_sum or ())
         self.label = [0] * n
         self.assigned = [False] * n
-        self.asum = [ex.get(v, 0) for v in range(n)]
-        self.pmin = [sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
-        self.pmax = [sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
+        self.lo = [ex.get(v, 0) + sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
+        self.hi = [ex.get(v, 0) + sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
         self.future_min = sum(self.dmin)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
@@ -205,20 +216,14 @@ class _Engine:
             if break_symmetry else [None] * n
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
         # exceed their domain minima by one.  Entries are [u, t, culprits, active].
+        # Kept only in a weight-bounded search (see run).
         self.in_bonus = [-1] * n
         self.bonus_stack: list[list] = []
         self.bonus_total = 0
+        self.bounded = False
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
-
-    # -- interval plumbing --------------------------------------------------
-
-    def _decided(self, v: int) -> bool:
-        return self.pmin[v] == self.pmax[v]
-
-    def _sum_of(self, v: int) -> int:
-        return self.asum[v] + self.pmin[v]
 
     def _culprits(self, u: int, t: Optional[int] = None) -> int:
         """Bitmask of assignment levels a conflict at u (and t) depends on.
@@ -242,17 +247,14 @@ class _Engine:
     def _conflict_after(self, v: int) -> Optional[int]:
         """Culprit bitmask for a constraint decided by assigning v, or None."""
         min_sum = self.min_sum
-        for u in self.adj[v]:
-            if not self.checked[u]:
-                continue
-            if min_sum is not None and self.asum[u] + self.pmax[u] < min_sum:
+        lo, hi, cadj = self.lo, self.hi, self.cadj
+        for u in cadj[v]:
+            s = hi[u]
+            if min_sum is not None and s < min_sum:
                 return self._culprits(u)
-            if self._decided(u):
-                su = self.asum[u] + self.pmin[u]
-                if min_sum is not None and su < min_sum:
-                    return self._culprits(u)
-                for t in self.adj[u]:
-                    if self.checked[t] and self._decided(t) and self.asum[t] + self.pmin[t] == su:
+            if lo[u] == s:
+                for t in cadj[u]:
+                    if lo[t] == s and hi[t] == s:
                         return self._culprits(u, t)
         return None
 
@@ -266,15 +268,10 @@ class _Engine:
     # frozen, the condition persists until u or t is assigned, making the
     # count a sound addition to the weight lower bound.
 
-    def _pair_forced(self, u: int, t: int) -> bool:
-        if self.pmax[u] - self.pmin[u] != self.dmax[t] - self.dmin[t]:
-            return False
-        if self.pmax[t] - self.pmin[t] != self.dmax[u] - self.dmin[u]:
-            return False
-        return self.asum[u] + self.pmin[u] == self.asum[t] + self.pmin[t]
-
     def _try_bonus(self, u: int, t: int) -> bool:
-        if self._pair_forced(u, t):
+        lo, hi = self.lo, self.hi
+        if (hi[u] - lo[u] == self.dmax[t] - self.dmin[t]
+                and hi[t] - lo[t] == self.dmax[u] - self.dmin[u] and lo[u] == lo[t]):
             idx = len(self.bonus_stack)
             self.bonus_stack.append([u, t, self._culprits(u, t), True])
             self.in_bonus[u] = idx
@@ -288,12 +285,13 @@ class _Engine:
         added = 0
         assigned = self.assigned
         in_bonus = self.in_bonus
-        checked = self.checked
-        for u in self.adj[v]:
-            if assigned[u] or in_bonus[u] >= 0 or not checked[u]:
+        cadj = self.cadj
+        for u in cadj[v]:
+            if assigned[u] or in_bonus[u] >= 0:
                 continue
-            for t in self.adj[u]:
-                if t == v or assigned[t] or in_bonus[t] >= 0 or not checked[t]:
+            for t in cadj[u]:
+                # v itself is assigned, so it is skipped here
+                if assigned[t] or in_bonus[t] >= 0:
                     continue
                 if self._try_bonus(u, t):
                     added += 1
@@ -322,25 +320,17 @@ class _Engine:
                 self._try_bonus(u, t)
 
     def _initial_conflict(self) -> bool:
+        lo, hi, checked = self.lo, self.hi, self.checked
         if self.min_sum is not None:
             for v in range(self.n):
-                if self.checked[v] and self.asum[v] + self.pmax[v] < self.min_sum:
+                if checked[v] and hi[v] < self.min_sum:
                     return True
         for u, v in self.g.edges:
-            if not (self.checked[u] and self.checked[v]):
-                continue
-            if self._decided(u) and self._decided(v) and self._sum_of(u) == self._sum_of(v):
+            if checked[u] and checked[v] and lo[u] == hi[u] == lo[v] == hi[v]:
                 return True
         return False
 
     # -- search -------------------------------------------------------------
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetExceeded
-        if self.nodes % 2048 == 0 and time.monotonic() >= self.deadline:
-            raise _BudgetExceeded
 
     def _dfs(self, depth: int, cur_weight: int, used: dict[int, int]) -> Optional[int]:
         """Search with conflict-directed backjumping, one frame per level.
@@ -364,15 +354,20 @@ class _Engine:
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
+        lo, hi, label, assigned = self.lo, self.hi, self.label, self.assigned
         dmin_v, dmax_v = self.dmin[v], self.dmax[v]
         base_future = self.future_min - dmin_v
         cap = self.cap
+        bounded = self.bounded
+        distinct_cap = self.distinct_cap
+        max_nodes = self.budget.max_nodes
         conf = 0
         twin = self.twin_prev[v]
         bonus_v = self.in_bonus[v]
         bonus_v_active = bonus_v >= 0 and self.bonus_stack[bonus_v][3]
+        self.future_min = base_future
         for val in self.domains[v]:
-            if twin is not None and val > self.label[twin]:
+            if twin is not None and val > label[twin]:
                 conf |= 1 << self.pos[twin]
                 break  # canonical orbit representative: twins carry non-increasing labels
             if cap is not None:
@@ -386,33 +381,39 @@ class _Engine:
                     conf |= (self.ones_mask | self._bonus_culprits()) & below
                     break  # values ascend, so every later value also blows the cap
             new_count = None
-            if self.distinct_cap is not None:
+            if distinct_cap is not None:
                 c = used.get(val, 0)
-                if c == 0 and len(used) >= self.distinct_cap:
+                if c == 0 and len(used) >= distinct_cap:
                     conf |= below
                     continue
                 new_count = c + 1
-            self._tick()
-            self.label[v] = val
-            self.assigned[v] = True
+            self.nodes += 1
+            if self.nodes > max_nodes or (
+                    self.nodes % 2048 == 0 and time.monotonic() >= self.deadline):
+                raise _BudgetExceeded
+            label[v] = val
+            assigned[v] = True
             if val > dmin_v:
                 self.ones_mask |= bit_d
-            self.future_min -= dmin_v
             if bonus_v_active:
                 self.bonus_stack[bonus_v][3] = False
                 self.bonus_total -= 1
-            for u in adj_v:
-                self.asum[u] += val
-                self.pmin[u] -= dmin_v
-                self.pmax[u] -= dmax_v
+            # with two-value domains one of the two shifts is zero
+            dlo, dhi = val - dmin_v, val - dmax_v
+            if dlo:
+                for u in adj_v:
+                    lo[u] += dlo
+            if dhi:
+                for u in adj_v:
+                    hi[u] += dhi
             if new_count is not None:
                 used[val] = new_count
             cmask = self._conflict_after(v)
             added_bonuses = 0
-            if cmask is None:
+            if cmask is None and bounded:
                 added_bonuses = self._scan_bonuses(v)
-                if cap is not None and cur_weight + val + self.future_min + self.bonus_total > cap:
-                    cmask = (self.ones_mask | self._bonus_culprits()) & ((1 << (depth + 1)) - 1)
+                if cap is not None and cur_weight + val + base_future + self.bonus_total > cap:
+                    cmask = (self.ones_mask | self._bonus_culprits()) & ((bit_d << 1) - 1)
             skip_rest = None
             if cmask is None:
                 r = self._dfs(depth + 1, cur_weight + val, used)
@@ -429,35 +430,44 @@ class _Engine:
                     del used[val]
                 else:
                     used[val] = new_count - 1
-            self._pop_bonuses(added_bonuses)
+            if added_bonuses:
+                self._pop_bonuses(added_bonuses)
             if bonus_v_active:
                 self.bonus_stack[bonus_v][3] = True
                 self.bonus_total += 1
-            for u in adj_v:
-                self.asum[u] -= val
-                self.pmin[u] += dmin_v
-                self.pmax[u] += dmax_v
-            self.future_min += dmin_v
-            self.assigned[v] = False
+            if dlo:
+                for u in adj_v:
+                    lo[u] -= dlo
+            if dhi:
+                for u in adj_v:
+                    hi[u] -= dhi
+            assigned[v] = False
             self.ones_mask &= ~bit_d
             if skip_rest is not None:
-                return skip_rest
+                conf = skip_rest
+                break
+        self.future_min = base_future + dmin_v
         return conf & below
 
-    def run(self, on_leaf: Callable[[int], bool]) -> str:
+    def run(self, on_leaf: Callable[[int], bool], minimize: bool = False) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
 
         on_leaf returns True to stop the search.  The outcome is "stopped",
-        "done" (the space is exhausted) or "budget-exceeded".
+        "done" (the space is exhausted) or "budget-exceeded".  `minimize`
+        says that on_leaf lowers self.cap; the forced-pair bound is kept only
+        when the search is weight-bounded, by a cap or by minimizing, since
+        nothing else reads it.
         """
         self.on_leaf = on_leaf
+        self.bounded = minimize or self.cap is not None
         self.deadline = time.monotonic() + self.budget.max_ms / 1000.0
         try:
             if self.cap is not None and self.future_min > self.cap:
                 return "done"
             if self._initial_conflict():
                 return "done"
-            self._initial_bonus_scan()
+            if self.bounded:
+                self._initial_bonus_scan()
             if self.cap is not None and self.future_min + self.bonus_total > self.cap:
                 return "done"
             return "done" if self._dfs(0, 0, {}) is not None else "stopped"
@@ -502,8 +512,7 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
     eng = _Engine(problem, budget, break_symmetry=False)
 
     def on_leaf(_weight: int) -> bool:
-        on_solution({v: eng.label[v] for v in range(eng.n)},
-                    [eng.asum[v] + eng.pmin[v] for v in range(eng.n)])
+        on_solution({v: eng.label[v] for v in range(eng.n)}, list(eng.lo))
         return False
 
     outcome = eng.run(on_leaf)
@@ -546,7 +555,7 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget], mode: str,
                 eng.cap = w - 1
         return not minimize
 
-    outcome = eng.run(on_leaf)
+    outcome = eng.run(on_leaf, minimize)
     if outcome == "budget-exceeded":
         # a budget cut with an incumbent is still not a proven optimum
         status = outcome

@@ -251,6 +251,34 @@ def test_jobs_below_one_exit_two(capsys, pool_sizes, jobs):
     assert pool_sizes == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--random", "2", "--max-n", "0", "--seed", "1"],
+    ["check", "solvers", "--random", "2", "--max-n", "0", "--seed", "1"],
+    ["check", "listcolor", "--random", "2", "--max-n", "-1", "--seed", "1"],
+], ids=["bounds", "check-solvers", "check-listcolor"])
+def test_max_n_below_one_exit_two(capsys, pool_sizes, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    got = argv[argv.index("--max-n") + 1]
+    assert captured.err == f"error: --max-n must be at least 1, got {got}\n"
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "sat", "--exhaustive", "--max-vars", "0"],
+     "nothing to check: pass --cnf, --exhaustive or --random"),
+    (["check", "listcolor"], "nothing to check: pass --graph/--lists or --random"),
+], ids=["sat", "listcolor"])
+def test_nothing_to_check_exit_two(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("cores, instances, want", [
     (3, 5, [3]),     # capped at the cores
     (8, 2, [2]),     # capped at the instances

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luckylab import oracles
+from luckylab import oracles, solver
 from luckylab.constructions import build_amplifier_gadget, build_sat_reduction, counterexample_graph
 from luckylab.formula import Cnf3Formula
 from luckylab.graph import (
@@ -313,6 +313,13 @@ def _recipe_completion_nodes(monkeypatch):
     return reports[0].nodes_explored
 
 
+def _capped_binary_nodes(cap, status):
+    # a weight cap from the start, without a minimizing hook
+    rep = exists_binary(petersen_graph(), weight_cap=cap)
+    assert rep.status == status
+    return rep.nodes_explored
+
+
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 149),
@@ -322,8 +329,37 @@ def _recipe_completion_nodes(monkeypatch):
     (lambda mp: _counterexample_refutation_nodes(), 251),
     (lambda mp: _amplifier_enumeration_nodes(), 1_219),
     (_recipe_completion_nodes, 84),
+    (lambda mp: _capped_binary_nodes(3, "found"), 33),
+    (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2", "recipe-completion"])
+        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2", "recipe-completion",
+        "binary-cap3-petersen", "binary-cap2-petersen"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
     assert search(monkeypatch) == nodes
+
+
+def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
+    engines = []
+
+    class Recorded(_Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(solver, "_Engine", Recorded)
+    # the edge of K2 is a forced pair from the start: both endpoints at 0
+    # would give both sums 0
+    k2 = complete_graph(2)
+    assert exists_binary(k2).status == "found"
+    assert refute_lists(k2, make_lists({0: {1, 2}, 1: {1, 2}})).status == "beaten"
+    assert refute_lists(path_graph(3), make_lists({0: {1}, 1: {2}, 2: {1}})).status == "refuted"
+    assert len(engines) == 3
+    assert all(eng.bonus_stack == [] and eng.bonus_total == 0 for eng in engines)
+    engines.clear()
+    rep = solve_eta1(k2)
+    assert (rep.status, rep.value) == ("found", 1)
+    assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
+    engines.clear()
+    assert exists_binary(k2, weight_cap=1).status == "found"
+    assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
