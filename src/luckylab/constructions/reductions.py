@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..formula import Cnf3Formula
-from ..graph import Graph, GraphError, is_triangle_free
+from ..graph import Graph, GraphError, is_triangle_free, regularity
 from ..labeling import ListAssignment
 from .gadgets import (
     GadgetBuilder,
@@ -75,11 +75,21 @@ def build_sat_reduction(phi: Cnf3Formula) -> ReductionOutput:
 
 
 def build_inapprox_reduction(g: Graph, d: int) -> ReductionOutput:
-    """One amplifier per vertex; centers inherit the source graph's adjacency."""
+    """One amplifier per vertex; centers inherit the source graph's adjacency.
+
+    The source graph must be regular.  Every center is labeled 1, so a
+    center's neighbor sum is deg(v) plus its selector mass p4 + p5 + p6;
+    only a common degree leaves the selector masses alone to tell adjacent
+    centers apart, which is what makes them encode a proper 3-coloring.
+    With unequal degrees a non-3-colorable graph can reach weight 5n (the
+    5-wheel does), so an irregular source graph raises GraphError.
+    """
     if g.n < 1:
         raise GraphError("source graph must be nonempty")
     if d < 1:
         raise GraphError(f"d must be positive, got {d}")
+    if regularity(g) is None:
+        raise GraphError(f"source graph must be regular, got degrees {sorted(set(g.degrees()))}")
     b = GadgetBuilder()
     provenance: dict[str, tuple[int, ...]] = {}
     center: dict[int, int] = {}

@@ -477,20 +477,22 @@ def check_threshold_inapprox(g: Graph, d: int,
                              budget: Optional[SearchBudget] = None) -> EquivalenceVerdict:
     """3-colorability vs existence of a weight-(5n) labeling of the amplifier graph.
 
-    Requires d >= 5n+1 so the two weight regimes cannot overlap.  The
-    labeling side runs a weight-capped exhaustive search; if that search is
-    cut off and the graph is 3-colorable, the constructive recipe still
-    settles the question with a verified labeling.
+    Requires a regular source graph (see build_inapprox_reduction; an
+    irregular one raises GraphError) and d >= 5n+1 so the two weight
+    regimes cannot overlap.  The labeling side runs a weight-capped
+    exhaustive search; if that search is cut off and the graph is
+    3-colorable, the constructive recipe still settles the question with a
+    verified labeling.
     """
     cap = 5 * g.n
     if d < cap + 1:
         raise GraphError(f"need d >= 5n+1 = {cap + 1} to separate the weight regimes, got {d}")
+    red = build_inapprox_reduction(g, d)
     budget = budget or SearchBudget()
     witnesses: dict[str, str] = {}
     chi, coloring = chromatic_number(g)
     left = chi <= 3
     witnesses["chromatic_number"] = str(chi)
-    red = build_inapprox_reduction(g, d)
     tiers = {v: 1 for v in red.params["pair_vertices"]}
     rep = exists_binary(red.graph, budget, weight_cap=cap, tiers=tiers)
     right: Optional[bool]

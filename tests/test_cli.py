@@ -8,7 +8,7 @@ import pytest
 
 from luckylab import fileio
 from luckylab.cli import main
-from luckylab.graph import cycle_graph, path_graph
+from luckylab.graph import build_graph, complete_graph, complete_multipartite, cycle_graph, path_graph
 
 
 @pytest.fixture
@@ -104,6 +104,41 @@ def test_missing_file_flag_exit_two(capsys, tmp_path, p3_file, argv, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+# the 5-wheel and K4 with one pendant vertex are irregular; before the
+# premise was checked, both printed a "disagree" verdict and exited 1
+_IRREGULAR = {
+    "w5": build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]),
+    "k4-pendant": build_graph(5, [*complete_graph(4).edges, (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IRREGULAR))
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_inapprox_irregular_source_exit_two(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.col"
+    g = _IRREGULAR[name]
+    fileio.write_graph(path, g)
+    argv = [command, "inapprox", "--graph", str(path), "--d", str(5 * g.n + 1)]
+    if command == "construct":
+        argv += ["--out", str(tmp_path / "red")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: source graph must be regular")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), complete_multipartite([2, 2, 2])],
+                         ids=["k3", "k4", "octahedron"])
+def test_inapprox_regular_source_agrees(capsys, tmp_path, g):
+    path = tmp_path / "g.col"
+    fileio.write_graph(path, g)
+    code, out = run(capsys, "check", "inapprox", "--graph", str(path), "--d", str(5 * g.n + 1))
+    assert code == 0
+    assert out.endswith(": agree\n")
 
 
 def test_construct_counterexample_verify(capsys, tmp_path):

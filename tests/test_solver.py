@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -23,7 +25,9 @@ from luckylab.solver import (
     SearchBudget,
     SearchProblem,
     _Engine,
+    _search,
     _search_order,
+    _violations,
     complete_partial,
     decide_list_additive,
     enumerate_solutions,
@@ -121,8 +125,9 @@ def test_budget_exceeded_is_reported():
     rep = solve_eta(g, SearchBudget(max_nodes=5, max_ms=60_000))
     assert rep.status == "budget-exceeded"
     assert rep.detail["last_decided_k"] < 6  # eta(K6) = 6 was never reached
-    # the node total counts the search node that tripped the cap
-    assert (rep.nodes_explored, rep.detail) == (6, {"last_decided_k": 1})
+    # the node total counts the search node that tripped the cap; K6 is one
+    # class of adjacent twins, so k = 2 is refuted within the budget too
+    assert (rep.nodes_explored, rep.detail) == (6, {"last_decided_k": 2})
     rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=40, max_ms=60_000))
     assert rep.status == "budget-exceeded"
     assert rep.nodes_explored == 41
@@ -326,7 +331,7 @@ def _capped_binary_nodes(cap, status):
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 718),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 563),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
-    (lambda mp: _counterexample_refutation_nodes(), 251),
+    (lambda mp: _counterexample_refutation_nodes(), 99),
     (lambda mp: _amplifier_enumeration_nodes(), 1_219),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
@@ -363,3 +368,125 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     engines.clear()
     assert exists_binary(k2, weight_cap=1).status == "found"
     assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
+
+
+def test_violations_cover_every_constraint():
+    # P3 labeled 1 0 1 has neighbor sums 0 2 0, additive on its own
+    p3 = path_graph(3)
+    labels = [1, 0, 1]
+    base = SearchProblem(p3, uniform_domains(p3, (0, 1)))
+    assert _violations(base, labels) == []
+    # boundary mass 2 at vertex 0 makes its sum equal its neighbor's
+    boundary = dataclasses.replace(base, extra_sum=((0, 2),))
+    assert _violations(boundary, labels) == ["edge (0, 1) joins equal sums 2"]
+    assert _violations(dataclasses.replace(boundary, unchecked=frozenset({1})), labels) == []
+    assert _violations(dataclasses.replace(base, domains=((0, 1), (0,), (0,))), labels) == [
+        "label 1 at vertex 2 is outside its domain"]
+    assert _violations(dataclasses.replace(base, min_sum=1), labels) == [
+        "sum 0 at vertex 0 is below 1", "sum 0 at vertex 2 is below 1"]
+    assert _violations(dataclasses.replace(base, min_sum=1, unchecked=frozenset({0, 2})),
+                       labels) == []
+    assert _violations(dataclasses.replace(base, weight_cap=1), labels) == ["weight 2 exceeds 1"]
+    assert _violations(dataclasses.replace(base, distinct_cap=1), labels) == [
+        "2 distinct labels exceed 1"]
+
+
+def test_unchecked_adjacent_twins_may_share_a_label():
+    # the two ends of K2 are adjacent twins; unchecked, their edge is free,
+    # so the one labeling 1 1 is valid and strict twin order must not cut it
+    k2 = complete_graph(2)
+    problem = SearchProblem(k2, ((1,), (1,)), unchecked=frozenset({0, 1}))
+    rep = _search(problem, None)
+    assert rep.status == "found" and rep.certificate.values == {0: 1, 1: 1}
+    assert _search(dataclasses.replace(problem, unchecked=frozenset()), None).status == "infeasible"
+
+
+def _planted_twin_graph(rng):
+    """A random graph plus copies of some vertices: adjacent twins or non-adjacent ones."""
+    from conftest import random_graph
+    g = random_graph(rng, 1, 6)
+    edges = list(g.edges)
+    n = g.n
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        nbrs = {u for e in edges for u in e if v in e} - {v}
+        edges += [(u, n) for u in nbrs]
+        if rng.random() < 0.6:
+            edges.append((v, n))  # equal N[.]
+        n += 1
+    return build_graph(n, edges)
+
+
+def _twin_planted_calls(rng, g):
+    """Every solver entry on g, plus direct searches under boundary mass and caps.
+
+    Returns (call, optimal) pairs: optimal says the reported value is an optimum
+    rather than a property of whichever labeling the search found first.
+    """
+    lists = [rng.sample(range(1, 5), 2)] * 2
+    lists += [rng.sample(range(1, 5), rng.randint(1, 3)) for _ in range(2)]
+    lists = make_lists({v: rng.choice(lists) for v in g.vertices()})
+    fixed = {v: rng.randint(0, 2) for v in g.vertices() if rng.random() < 0.3}
+    calls = [
+        (lambda: solve_eta(g), True),
+        (lambda: exists_binary(g), False),
+        (lambda: exists_binary(g, weight_cap=g.n // 3), False),
+        (lambda: solve_eta1(g), True),
+        (lambda: min_ptds(g), True),
+        (lambda: decide_list_additive(g, lists), False),
+        (lambda: complete_partial(g, fixed, values=(0, 1, 2)), False),
+    ]
+    if g.n <= 6:
+        calls.append((lambda: solve_sigma(g), True))
+    # most vertices share one domain, so most planted copies stay twins
+    shared = tuple(rng.sample(range(4), rng.randint(2, 3)))
+    domains = tuple(shared if rng.random() < 0.8 else tuple(rng.sample(range(4), 2))
+                    for _ in g.vertices())
+    extra = tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3)
+    unchecked = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+    for kw in ({"extra_sum": extra}, {"unchecked": unchecked},
+               {"extra_sum": extra, "unchecked": unchecked, "min_sum": 1},
+               {"weight_cap": g.n}, {"distinct_cap": 3}):
+        problem = SearchProblem(g, domains, **kw)
+        calls.append((functools.partial(_search, problem, None), False))
+        calls.append((functools.partial(_search, problem, None, minimize=True), True))
+    return calls
+
+
+def test_strict_twin_order_keeps_every_answer(monkeypatch):
+    """Strict order for adjacent checked twins changes no answer and adds no node.
+
+    Each call runs three ways: as shipped, with every twin link non-strict
+    (the order before strict links existed) and with no symmetry breaking.
+    Against the non-strict order the status, value and certificate must
+    match and the node count may only fall.  Without symmetry breaking the
+    first labeling found can differ, so the status must match, and the
+    value too where it is an optimum.
+    """
+    rng = random.Random(0x7E1)
+    twins = solver._twin_predecessors
+
+    def non_strict(*args):
+        return twins(*args)[0], [False] * len(args[2])
+
+    def outcome(call):
+        rep = call()
+        cert = rep.certificate.values if rep.certificate is not None else None
+        return rep.status, rep.value, cert, rep.nodes_explored
+
+    fewer = 0
+    for _ in range(40):
+        g = _planted_twin_graph(rng)
+        for call, optimal in _twin_planted_calls(rng, g):
+            strict = outcome(call)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_twin_predecessors", non_strict)
+                loose = outcome(call)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_Engine", functools.partial(_Engine, break_symmetry=False))
+                off = outcome(call)
+            assert strict[:3] == loose[:3], (g.edges, strict, loose)
+            assert strict[3] <= loose[3], (g.edges, strict, loose)
+            assert strict[:2 if optimal else 1] == off[:2 if optimal else 1], (g.edges, strict, off)
+            fewer += strict[3] < loose[3]
+    assert fewer > 100  # strict links do fire on these graphs
