@@ -18,7 +18,7 @@ from luckylab.constructions import (
     counterexample_graph,
     gadget_certification_suite,
 )
-from luckylab.graph import complete_graph, cycle_graph
+from luckylab.graph import build_graph, complete_graph, cycle_graph
 from luckylab.labeling import make_lists, verify_additive
 from luckylab.oracles import (
     check_equivalence_listcolor,
@@ -169,23 +169,30 @@ def test_criterion_5_listcolor_equivalence(capsys):
 
 
 def test_criterion_6_inapprox_threshold(capsys):
-    """Weight threshold: triangle both-yes constructively, K4 both-no by refutation."""
+    """Weight threshold: triangle both-yes constructively; K4 and the complement
+    of C7 (4-regular, chromatic number 4) both-no by refutation."""
     t0 = time.monotonic()
     tri = complete_graph(3)
     verdict = check_threshold_inapprox(tri, 16, ACCEPT_BUDGET)
     assert verdict.status == "agree", verdict.status
     assert verdict.oracle_answer is True and verdict.reduction_answer is True
     assert int(verdict.witnesses["labeling_weight"]) <= 15
-    k4 = complete_graph(4)
-    verdict4 = check_threshold_inapprox(k4, 21, ACCEPT_BUDGET)
-    assert verdict4.status == "agree", verdict4.status
-    assert verdict4.oracle_answer is False and verdict4.reduction_answer is False
-    assert verdict4.stats["nodes"] <= 100_000_000
+    c7 = cycle_graph(7)
+    c7_complement = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                                    if not c7.has_edge(u, v)])
+    refuted = []
+    for g in (complete_graph(4), c7_complement):
+        verdict_no = check_threshold_inapprox(g, 5 * g.n + 1, ACCEPT_BUDGET)
+        assert verdict_no.status == "agree", verdict_no.status
+        assert verdict_no.oracle_answer is False and verdict_no.reduction_answer is False
+        assert verdict_no.stats["nodes"] <= 100_000_000
+        refuted.append(verdict_no.stats["nodes"])
     elapsed = time.monotonic() - t0
     with capsys.disabled():
         report("6 (weight threshold)",
                f"triangle d=16 yes (weight {verdict.witnesses['labeling_weight']}), "
-               f"K4 d=21 refuted with {verdict4.stats['nodes']} nodes in {elapsed:.1f}s")
+               f"K4 d=21 refuted with {refuted[0]} nodes, "
+               f"complement of C7 d=36 refuted with {refuted[1]} nodes in {elapsed:.1f}s")
 
 
 def test_criterion_7_bounds_sweep(capsys):

@@ -131,8 +131,16 @@ def test_inapprox_irregular_source_exit_two(capsys, tmp_path, name, command):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), complete_multipartite([2, 2, 2])],
-                         ids=["k3", "k4", "octahedron"])
+def _complement(g):
+    return build_graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                             if not g.has_edge(u, v)])
+
+
+# the complement of C7 is 4-regular with chromatic number 4: a refuted case
+# besides K4
+@pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), complete_multipartite([2, 2, 2]),
+                               cycle_graph(4), cycle_graph(5), _complement(cycle_graph(7))],
+                         ids=["k3", "k4", "octahedron", "c4", "c5", "c7-complement"])
 def test_inapprox_regular_source_agrees(capsys, tmp_path, g):
     path = tmp_path / "g.col"
     fileio.write_graph(path, g)

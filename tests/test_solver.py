@@ -19,7 +19,14 @@ from luckylab.graph import (
     path_graph,
     petersen_graph,
 )
-from luckylab.labeling import Labeling, make_lists, verify_additive, verify_from_lists, verify_ptds
+from luckylab.labeling import (
+    Labeling,
+    make_lists,
+    verify_additive,
+    verify_from_lists,
+    verify_ptds,
+    weight,
+)
 from luckylab.oracles import random_formula
 from luckylab.solver import (
     SearchBudget,
@@ -102,7 +109,7 @@ def test_sigma_examples():
     assert solve_sigma(complete_graph(4)).value == 4
     rep = solve_sigma(cycle_graph(4))
     assert rep.value == 2
-    assert rep.detail["label_universe_max"] == 4 * 2 + 1
+    assert rep.detail["label_universe_max"] == cycle_graph(4).m + 1
 
 
 def test_ptds_examples():
@@ -131,7 +138,7 @@ def test_budget_exceeded_is_reported():
     rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=40, max_ms=60_000))
     assert rep.status == "budget-exceeded"
     assert rep.nodes_explored == 41
-    assert rep.detail == {"label_universe_max": 31, "last_decided_m": 0}
+    assert rep.detail == {"label_universe_max": 16, "last_decided_m": 0}
 
 
 def _brute_force_exists(g, domains):
@@ -328,7 +335,7 @@ def _capped_binary_nodes(cap, status):
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 149),
-    (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 718),
+    (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 373),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 563),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
     (lambda mp: _counterexample_refutation_nodes(), 99),
@@ -401,6 +408,11 @@ def test_unchecked_adjacent_twins_may_share_a_label():
     assert _search(dataclasses.replace(problem, unchecked=frozenset()), None).status == "infeasible"
 
 
+def _outcome(rep):
+    cert = rep.certificate.values if rep.certificate is not None else None
+    return rep.status, rep.value, cert, rep.nodes_explored
+
+
 def _planted_twin_graph(rng):
     """A random graph plus copies of some vertices: adjacent twins or non-adjacent ones."""
     from conftest import random_graph
@@ -469,24 +481,99 @@ def test_strict_twin_order_keeps_every_answer(monkeypatch):
     def non_strict(*args):
         return twins(*args)[0], [False] * len(args[2])
 
-    def outcome(call):
-        rep = call()
-        cert = rep.certificate.values if rep.certificate is not None else None
-        return rep.status, rep.value, cert, rep.nodes_explored
-
     fewer = 0
     for _ in range(40):
         g = _planted_twin_graph(rng)
         for call, optimal in _twin_planted_calls(rng, g):
-            strict = outcome(call)
+            strict = _outcome(call())
             with monkeypatch.context() as m:
                 m.setattr(solver, "_twin_predecessors", non_strict)
-                loose = outcome(call)
+                loose = _outcome(call())
             with monkeypatch.context() as m:
                 m.setattr(solver, "_Engine", functools.partial(_Engine, break_symmetry=False))
-                off = outcome(call)
+                off = _outcome(call())
             assert strict[:3] == loose[:3], (g.edges, strict, loose)
             assert strict[3] <= loose[3], (g.edges, strict, loose)
             assert strict[:2 if optimal else 1] == off[:2 if optimal else 1], (g.edges, strict, off)
             fewer += strict[3] < loose[3]
     assert fewer > 100  # strict links do fire on these graphs
+
+
+def test_reusable_values_keep_the_search(monkeypatch):
+    """Under a full distinct cap, skipping the unused values changes no node.
+
+    Monkeypatched to return the whole domain, _reusable is the scan it
+    replaced.  On graphs with planted twins, mixed domains, weight caps and
+    branch and bound, both loops must give the same status, value,
+    certificate and node count.
+    """
+    rng = random.Random(0x51C)
+    reusable = _Engine._reusable
+    shortened = 0
+
+    def counted(self, v, used):
+        nonlocal shortened
+        vals = reusable(self, v, used)
+        shortened += len(vals) < len(self.domains[v])
+        return vals
+
+    monkeypatch.setattr(_Engine, "_reusable", counted)
+    for _ in range(40):
+        g = _planted_twin_graph(rng)
+        # most vertices share one domain, so most planted copies stay twins
+        shared = tuple(rng.sample(range(6), rng.randint(3, 5)))
+        domains = tuple(shared if rng.random() < 0.7 else tuple(rng.sample(range(6), rng.randint(1, 4)))
+                        for _ in g.vertices())
+        cap = sum(min(d) for d in domains) + rng.randint(0, g.n)
+        for distinct_cap in (1, 2, 3, 4):
+            for weight_cap in (None, cap):
+                problem = SearchProblem(g, domains, weight_cap=weight_cap, distinct_cap=distinct_cap)
+                for minimize in (False, True):
+                    got = _outcome(_search(problem, None, minimize=minimize))
+                    with monkeypatch.context() as m:
+                        m.setattr(_Engine, "_reusable", lambda self, v, used: self.domains[v])
+                        scan = _outcome(_search(problem, None, minimize=minimize))
+                    assert got == scan, (g.edges, domains, weight_cap, distinct_cap, minimize)
+    assert shortened > 2000  # the full-cap loop does run on these graphs
+
+
+def _wheel(rim):
+    return build_graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)])
+
+
+def test_sigma_cap_keeps_sigma(monkeypatch, rng):
+    """Labels up to |E| + 1 give the same sigma as labels up to n * max_degree + 1."""
+    from conftest import random_graph
+    graphs = [complete_graph(4), complete_graph(5), cycle_graph(5), cycle_graph(7),
+              _wheel(5), _wheel(7), petersen_graph()]
+    graphs += [random_graph(rng, 1, 7) for _ in range(40)]
+    values = []
+    for g in graphs:
+        proven = solve_sigma(g)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "sigma_label_cap", lambda g: g.n * g.max_degree() + 1)
+            wide = solve_sigma(g)
+        assert proven.detail["label_universe_max"] == g.m + 1
+        assert proven.status == wide.status == "found"
+        assert proven.value == wide.value, g.edges
+        assert proven.nodes_explored <= wide.nodes_explored, g.edges
+        values.append(proven.value)
+    assert min(values[:6]) >= 3  # K4, K5, C5, C7 and the odd wheels
+
+
+def test_budget_cut_keeps_the_incumbent():
+    """A minimizing search cut by its budget reports its best labeling, not a value."""
+    rng = random.Random(0)
+    n = 16
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35])
+    rep = solve_eta1(g, SearchBudget(max_nodes=100))
+    assert (rep.status, rep.certificate, rep.detail) == ("budget-exceeded", None, {})
+    for solve, max_nodes in ((solve_eta1, 200), (min_ptds, 400)):
+        rep = solve(g, SearchBudget(max_nodes=max_nodes))
+        assert (rep.status, rep.value) == ("budget-exceeded", None)
+        assert verify_additive(g, rep.certificate, mode="binary") == []
+        assert rep.detail == {"incumbent_weight": weight(rep.certificate)}
+        assert rep.detail["incumbent_weight"] > solve(g).value  # not yet optimal here
+        assert rep.to_json_dict()["certificate"] is not None
+    chosen = [v for v, x in rep.certificate.values.items() if x == 1]
+    assert verify_ptds(g, chosen)
