@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -34,16 +35,24 @@ from .constructions import (
     gadget_certification_suite,
 )
 from .formula import Cnf3Formula
+from .graph import complete_graph
 from .labeling import verify_additive, verify_from_lists, verify_ptds, weight
 from .oracles import (
     check_equivalence_listcolor,
     check_equivalence_sat,
     check_threshold_inapprox,
     exhaustive_small_formulas,
+    naive_eta,
+    naive_eta1,
+    naive_ptds,
+    naive_sigma,
     random_formula,
+    random_graph,
     random_list_instance,
 )
 from .solver import (
+    DEFAULT_MAX_MS,
+    DEFAULT_MAX_NODES,
     SearchBudget,
     decide_list_additive,
     exists_binary,
@@ -64,6 +73,12 @@ EXIT_CODE = {
     "infeasible": EXIT_NEGATIVE, "disagree": EXIT_NEGATIVE, "beaten": EXIT_NEGATIVE,
     "budget-exceeded": EXIT_ERROR, "inconclusive": EXIT_ERROR,
 }
+
+
+def _worst(codes) -> int:
+    """The exit status of several outcomes: a disagreement outranks an inconclusive one."""
+    codes = set(codes)
+    return EXIT_NEGATIVE if EXIT_NEGATIVE in codes else max(codes, default=EXIT_OK)
 
 
 def _budget(args) -> SearchBudget:
@@ -92,9 +107,22 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _emit_verdict(args, verdict) -> int:
+    _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
+    return EXIT_CODE[verdict.status]
+
+
+def _report_sweep(args, payloads: list[dict], summary: str) -> None:
+    """Each payload as a JSON line under --json, then the summary (on stderr under --json)."""
+    if args.json:
+        for payload in payloads:
+            print(json.dumps(payload, sort_keys=True))
+    print(summary, file=sys.stderr if args.json else sys.stdout)
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=100_000_000)
-    p.add_argument("--budget-ms", type=float, default=60_000.0)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--budget-ms", type=float, default=DEFAULT_MAX_MS)
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
 
@@ -102,19 +130,15 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 # solve
 
 
+SOLVERS = {"eta": solve_eta, "eta1": solve_eta1, "binary": exists_binary,
+           "sigma": solve_sigma, "ptds": min_ptds}
+
+
 def cmd_solve(args) -> int:
     g = fileio.read_graph(args.graph)
     budget = _budget(args)
-    if args.problem == "eta":
-        rep = solve_eta(g, budget)
-    elif args.problem == "eta1":
-        rep = solve_eta1(g, budget)
-    elif args.problem == "binary":
-        rep = exists_binary(g, budget)
-    elif args.problem == "sigma":
-        rep = solve_sigma(g, budget)
-    elif args.problem == "ptds":
-        rep = min_ptds(g, budget)
+    if args.problem in SOLVERS:
+        rep = SOLVERS[args.problem](g, budget)
     else:  # listdecide
         lists = fileio.read_lists(_required(args, "lists", "solve listdecide"))
         rep = decide_list_additive(g, lists, budget)
@@ -129,8 +153,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = fileio.read_graph(args.graph)
+    lab = fileio.read_labeling(args.labeling)
     if args.what == "labeling":
-        lab = fileio.read_labeling(args.labeling)
         violations = verify_additive(g, lab, mode=args.mode)
         payload = {
             "valid": not violations,
@@ -144,13 +168,11 @@ def cmd_verify(args) -> int:
               else f"{len(violations)} violated edge(s), first {violations[0]}")
         return EXIT_OK if not violations else EXIT_NEGATIVE
     if args.what == "lists":
-        lab = fileio.read_labeling(args.labeling)
         lists = fileio.read_lists(_required(args, "lists", "verify lists"))
         ok = verify_from_lists(lab, lists)
         _emit(args, {"from_lists": ok}, "labels drawn from lists" if ok else "label outside its list")
         return EXIT_OK if ok else EXIT_NEGATIVE
     # ptds: the candidate set is given as an indicator labeling
-    lab = fileio.read_labeling(args.labeling)
     dom = {v for v, x in lab.values.items() if x == 1}
     ok = verify_ptds(g, dom)
     _emit(args, {"proper_total_dominating": ok, "set": sorted(dom)},
@@ -291,18 +313,11 @@ def _bounds_payload(g) -> dict:
 def cmd_bounds(args) -> int:
     if args.random:
         rng = _seeded_rng(args)
-        from .oracles import random_graph
-
         graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random)]
         payloads = _run_sweep(_bounds_payload, graphs, args.jobs)
-        bad = 0
-        for payload in payloads:
-            if args.json:
-                print(json.dumps(payload, sort_keys=True))
-            if not all(payload["flags"].values()):
-                bad += 1
-        print(f"bounds sweep: {len(payloads)} graphs, {bad} flag violations",
-              file=sys.stderr if args.json else sys.stdout)
+        bad = sum(1 for p in payloads if not all(p["flags"].values()))
+        _report_sweep(args, payloads,
+                      f"bounds sweep: {len(payloads)} graphs, {bad} flag violations")
         return EXIT_OK if bad == 0 else EXIT_NEGATIVE
     g = fileio.read_graph(_required(args, "graph", "bounds"))
     rep = bounds_mod.bounds_report(g, _budget(args))
@@ -326,8 +341,6 @@ def _lc_verdict_payload(inst) -> dict:
 
 
 def _solver_oracle_payload(g) -> dict:
-    from .oracles import naive_eta, naive_eta1, naive_ptds, naive_sigma
-
     eta = solve_eta(g)
     eta1 = solve_eta1(g)
     sigma = solve_sigma(g)
@@ -358,17 +371,10 @@ def _run_sweep(worker, instances, jobs: int) -> list[dict]:
 
 
 def _summarize_verdicts(args, verdicts: list[dict], label: str) -> int:
-    agree = sum(1 for v in verdicts if v["status"] == "agree")
-    disagree = [v for v in verdicts if v["status"] == "disagree"]
-    inconclusive = [v for v in verdicts if v["status"] == "inconclusive"]
-    if args.json:
-        for v in verdicts:
-            print(json.dumps(v, sort_keys=True))
-    print(f"{label}: {agree}/{len(verdicts)} agree, {len(disagree)} disagree, "
-          f"{len(inconclusive)} inconclusive", file=sys.stderr if args.json else sys.stdout)
-    # a disagreement outranks an inconclusive verdict
-    codes = {EXIT_CODE[v["status"]] for v in verdicts}
-    return EXIT_NEGATIVE if EXIT_NEGATIVE in codes else max(codes, default=EXIT_OK)
+    count = Counter(v["status"] for v in verdicts)
+    _report_sweep(args, verdicts, f"{label}: {count['agree']}/{len(verdicts)} agree, "
+                  f"{count['disagree']} disagree, {count['inconclusive']} inconclusive")
+    return _worst(EXIT_CODE[v["status"]] for v in verdicts)
 
 
 def cmd_check(args) -> int:
@@ -386,25 +392,19 @@ def cmd_check(args) -> int:
         return EXIT_OK if all_ok else EXIT_NEGATIVE
 
     if args.target == "solvers":
-        from .oracles import random_graph
-
         rng = _seeded_rng(args)
-        graphs = [random_graph(rng, 1, min(args.max_n, 6)) for _ in range(args.random or 200)]
+        graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random or 200)]
         payloads = _run_sweep(_solver_oracle_payload, graphs, args.jobs)
         bad = sum(1 for p in payloads if not p["agree"])
-        if args.json:
-            for p in payloads:
-                print(json.dumps(p, sort_keys=True))
-        print(f"solver-oracle equivalence: {len(payloads) - bad}/{len(payloads)} agree",
-              file=sys.stderr if args.json else sys.stdout)
+        _report_sweep(args, payloads,
+                      f"solver-oracle equivalence: {len(payloads) - bad}/{len(payloads)} agree")
         return EXIT_OK if bad == 0 else EXIT_NEGATIVE
 
     if args.target == "sat":
         if args.cnf:
             num_vars, clauses = fileio.read_cnf(args.cnf)
-            verdict = check_equivalence_sat(Cnf3Formula(num_vars, tuple(clauses)), _budget(args))
-            _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-            return EXIT_CODE[verdict.status]
+            phi = Cnf3Formula(num_vars, tuple(clauses))
+            return _emit_verdict(args, check_equivalence_sat(phi, _budget(args)))
         instances: list[Cnf3Formula] = []
         if args.exhaustive:
             instances.extend(exhaustive_small_formulas(args.max_vars, args.max_clauses))
@@ -421,9 +421,7 @@ def cmd_check(args) -> int:
         if args.graph:
             g = fileio.read_graph(args.graph)
             lists = fileio.read_lists(_required(args, "lists", "check listcolor"))
-            verdict = check_equivalence_listcolor(g, lists, _budget(args))
-            _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-            return EXIT_CODE[verdict.status]
+            return _emit_verdict(args, check_equivalence_listcolor(g, lists, _budget(args)))
         if not args.random:
             raise ValueError("nothing to check: pass --graph/--lists or --random")
         rng = _seeded_rng(args)
@@ -433,31 +431,27 @@ def cmd_check(args) -> int:
 
     if args.target == "inapprox":
         g = fileio.read_graph(_required(args, "graph", "check inapprox"))
-        verdict = check_threshold_inapprox(g, args.d, _budget(args))
-        _emit(args, verdict.to_json_dict(), f"{verdict.instance}: {verdict.status}")
-        return EXIT_CODE[verdict.status]
+        return _emit_verdict(args, check_threshold_inapprox(g, args.d, _budget(args)))
 
     # all: the desk-scale battery in one shot
     rng = _seeded_rng(args)
-    rc = EXIT_OK
     suite = gadget_certification_suite()
     ok = all(rep.certified for _name, rep in suite)
     print(f"gadget contracts: {'all certified' if ok else 'FAILURES'} ({len(suite)} gadgets)")
-    rc = max(rc, EXIT_OK if ok else EXIT_NEGATIVE)
+    codes = [EXIT_OK if ok else EXIT_NEGATIVE]
     instances = exhaustive_small_formulas(2, 2)
     instances += [random_formula(rng, 3, 3) for _ in range(10)]
     verdicts = _run_sweep(_sat_verdict_payload, instances, args.jobs)
-    rc = max(rc, _summarize_verdicts(args, verdicts, "sat equivalence"))
+    codes.append(_summarize_verdicts(args, verdicts, "sat equivalence"))
     rng = _seeded_rng(args)
     lc = [random_list_instance(rng, 3) for _ in range(8)]
     verdicts = _run_sweep(_lc_verdict_payload, lc, args.jobs)
-    rc = max(rc, _summarize_verdicts(args, verdicts, "list-coloring equivalence"))
-    from .graph import complete_graph
+    codes.append(_summarize_verdicts(args, verdicts, "list-coloring equivalence"))
     for g, d in ((complete_graph(3), 16), (complete_graph(4), 21)):
         verdict = check_threshold_inapprox(g, d, _budget(args))
         print(f"threshold n={g.n} d={d}: {verdict.status}")
-        rc = max(rc, EXIT_CODE[verdict.status])
-    return rc
+        codes.append(EXIT_CODE[verdict.status])
+    return _worst(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run an exact solver")
-    ps.add_argument("problem", choices=["eta", "eta1", "binary", "sigma", "ptds", "listdecide"])
+    ps.add_argument("problem", choices=[*SOLVERS, "listdecide"])
     ps.add_argument("--graph", required=True)
     ps.add_argument("--lists")
     _add_budget_flags(ps)
@@ -551,8 +545,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
-    # an invalid budget is a ValueError
-    except (ValueError, FileNotFoundError) as exc:
+    # an invalid budget is a ValueError; a path that cannot be read or
+    # written is an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

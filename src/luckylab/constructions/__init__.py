@@ -24,7 +24,6 @@ from .reductions import (
     build_listcoloring_reduction,
     build_sat_reduction,
     normalize_lists,
-    paper_amplifier_d,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "counterexample_graph",
     "gadget_certification_suite",
     "normalize_lists",
-    "paper_amplifier_d",
 ]

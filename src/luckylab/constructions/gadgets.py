@@ -62,20 +62,18 @@ class GadgetBuilder:
 
 
 def emit_clause_gadget(b: GadgetBuilder, literal_ports: Sequence[int], prefix: str) -> dict[str, int]:
-    """Five-cycle w1 w2 w4 w5 w3 with w1 joined to each distinct literal port.
+    """Five-cycle w1 w2 w4 w5 w3 with w1 joined to each literal port.
 
     With all attached literals labeled 0 the cycle's sums reduce to the bare
     odd-cycle system, which has no binary additive labeling; any literal
-    labeled 1 unlocks it.
+    labeled 1 unlocks it.  A repeated port adds the same edge again, so a
+    clause may list a literal more than once.
     """
     w = {i: b.add_vertex(f"{prefix}.w{i}") for i in range(1, 6)}
     for a, c in ((1, 2), (2, 4), (4, 5), (5, 3), (3, 1)):
         b.add_edge(w[a], w[c])
-    seen: set[int] = set()
     for port in literal_ports:
-        if port not in seen:
-            seen.add(port)
-            b.add_edge(w[1], port)
+        b.add_edge(w[1], port)
     return {f"w{i}": w[i] for i in range(1, 6)}
 
 
@@ -106,24 +104,25 @@ def emit_variable_gadget(b: GadgetBuilder, var: str) -> dict[str, int]:
     return ports
 
 
-def emit_forced_one_core(b: GadgetBuilder, prefix: str) -> tuple[int, int]:
-    """Triangle plus a pendant: the pendant is forced to 1, the attach vertex to 0.
+def _triangle(b: GadgetBuilder, names: Sequence[str]) -> tuple[int, int, int]:
+    """The forced-one core: a triangle a1 a2 a3, returned as (a1, a2, a3).
 
-    Returns (pendant id, attach id).  The attach vertex's sum is forced to 2.
+    The caller joins the attach vertex a3 to exactly one more vertex x and
+    nothing else to the triangle.  In a binary additive labeling the a1/a2
+    edge then forces l(a1) != l(a2), so sum(a3) = 1 + l(x) while sum(a1)
+    and sum(a2) are l(a3) and l(a3) + 1 in some order.  With l(a3) = 1 one
+    of them equals 1 + l(x) for either l(x), so l(a3) = 0, and then 1 + l(x)
+    avoids {0, 1} only with l(x) = 1: x is forced to 1 and sum(a3) to 2.
     """
-    a1 = b.add_vertex(f"{prefix}.a1")
-    a2 = b.add_vertex(f"{prefix}.a2")
-    a3 = b.add_vertex(f"{prefix}.a3")
-    top = b.add_vertex(f"{prefix}.top")
+    a1, a2, a3 = (b.add_vertex(nm) for nm in names)
     b.add_edge(a1, a2)
     b.add_edge(a1, a3)
     b.add_edge(a2, a3)
-    b.add_edge(a3, top)
-    return top, a3
+    return a1, a2, a3
 
 
-def emit_forcing_unit(b: GadgetBuilder, prefix: str) -> dict[str, int]:
-    """The port-zeroing unit: returns ids including 'w'; caller joins w to the port.
+def emit_forcing_unit(b: GadgetBuilder, prefix: str) -> int:
+    """The port-zeroing unit: returns its vertex w; the caller joins w to the port.
 
     Two triangle cores: the x-core forces w = 1 with its attach sum pinned to
     2, the y-core forces y4 = 1.  w's neighbors are exactly the x-attach
@@ -132,53 +131,38 @@ def emit_forcing_unit(b: GadgetBuilder, prefix: str) -> dict[str, int]:
     the w/y4 and y3/y4 edges satisfiable.
     """
     w = b.add_vertex(f"{prefix}.w")
-    x1 = b.add_vertex(f"{prefix}.x1")
-    x2 = b.add_vertex(f"{prefix}.x2")
-    x3 = b.add_vertex(f"{prefix}.x3")
-    b.add_edge(x1, x2)
-    b.add_edge(x1, x3)
-    b.add_edge(x2, x3)
+    _x1, _x2, x3 = _triangle(b, [f"{prefix}.x{i}" for i in (1, 2, 3)])
     b.add_edge(x3, w)
-    y1 = b.add_vertex(f"{prefix}.y1")
-    y2 = b.add_vertex(f"{prefix}.y2")
-    y3 = b.add_vertex(f"{prefix}.y3")
+    _y1, _y2, y3 = _triangle(b, [f"{prefix}.y{i}" for i in (1, 2, 3)])
     y4 = b.add_vertex(f"{prefix}.y4")
-    b.add_edge(y1, y2)
-    b.add_edge(y1, y3)
-    b.add_edge(y2, y3)
     b.add_edge(y3, y4)
     b.add_edge(w, y4)
-    q1 = b.add_vertex(f"{prefix}.q1")
-    q2 = b.add_vertex(f"{prefix}.q2")
-    b.add_edge(y4, q1)
-    b.add_edge(y4, q2)
-    return {"w": w, "x1": x1, "x2": x2, "x3": x3,
-            "y1": y1, "y2": y2, "y3": y3, "y4": y4, "q1": q1, "q2": q2}
-
-
-def emit_z_unit(b: GadgetBuilder, prefix: str) -> int:
-    """A lightweight forced-one vertex (triangle core); returns the forced vertex."""
-    top, _attach = emit_forced_one_core(b, prefix)
-    return top
+    b.add_edge(y4, b.add_vertex(f"{prefix}.q1"))
+    b.add_edge(y4, b.add_vertex(f"{prefix}.q2"))
+    return w
 
 
 def emit_index_gadget(b: GadgetBuilder, j: int, prefix: str) -> int:
     """Port u with forced sum exactly j (given a forced-0 external neighbor).
 
     u is joined to one forcing unit, which pins u's own label to 0, and to
-    j-1 forced-one vertices; together they contribute exactly j.
+    j-1 forced-one vertices (the pendant top of a triangle core); together
+    they contribute exactly j.
     """
     if j < 2:
         raise GraphError(f"index gadget needs j >= 2, got {j}")
     u = b.add_vertex(f"{prefix}.u{j}")
-    unit = emit_forcing_unit(b, f"{prefix}.t")
-    b.add_edge(u, unit["w"])
+    b.add_edge(u, emit_forcing_unit(b, f"{prefix}.t"))
     for i in range(1, j):
-        b.add_edge(u, emit_z_unit(b, f"{prefix}.z{i}"))
+        z = f"{prefix}.z{i}"
+        _a1, _a2, a3 = _triangle(b, [f"{z}.a{k}" for k in (1, 2, 3)])
+        top = b.add_vertex(f"{z}.top")
+        b.add_edge(a3, top)
+        b.add_edge(u, top)
     return u
 
 
-def emit_vertex_gadget(b: GadgetBuilder, v: int, lf: frozenset[int], s: int, prefix: str) -> dict:
+def emit_vertex_gadget(b: GadgetBuilder, v: int, lf: frozenset[int], s: int, prefix: str) -> None:
     """Constrain an existing vertex v so its neighbor sum lands exactly in lf.
 
     One forcing unit pins v to 0 and contributes 1; an index gadget per
@@ -191,17 +175,13 @@ def emit_vertex_gadget(b: GadgetBuilder, v: int, lf: frozenset[int], s: int, pre
         raise GraphError("list must be nonempty")
     if not lf <= set(range(2, s + 1)):
         raise GraphError(f"list {sorted(lf)} not contained in {{2..{s}}}")
-    unit = emit_forcing_unit(b, f"{prefix}.t")
-    b.add_edge(v, unit["w"])
-    u_ports = {}
+    b.add_edge(v, emit_forcing_unit(b, f"{prefix}.t"))
     for j in sorted(set(range(2, s + 1)) - lf):
-        u_ports[j] = emit_index_gadget(b, j, f"{prefix}.i{j}")
-        b.add_edge(v, u_ports[j])
+        b.add_edge(v, emit_index_gadget(b, j, f"{prefix}.i{j}"))
     pendants = [b.add_vertex(f"{prefix}.f{i}") for i in range(1, s + 1)]
     for p in pendants:
         b.add_edge(v, p)
     b.add_edge(pendants[0], pendants[1])
-    return {"w": unit["w"], "index_ports": u_ports, "pendants": pendants}
 
 
 def emit_amplifier_gadget(b: GadgetBuilder, v: int, d: int, prefix: str) -> dict:
@@ -215,13 +195,7 @@ def emit_amplifier_gadget(b: GadgetBuilder, v: int, d: int, prefix: str) -> dict
     """
     if d < 1:
         raise GraphError(f"amplifier needs d >= 1, got {d}")
-    p = {}
-    p[1] = b.add_vertex(f"{prefix}.p1")
-    p[2] = b.add_vertex(f"{prefix}.p2")
-    p[3] = b.add_vertex(f"{prefix}.p3")
-    b.add_edge(p[1], p[2])
-    b.add_edge(p[1], p[3])
-    b.add_edge(p[2], p[3])
+    p = dict(zip((1, 2, 3), _triangle(b, [f"{prefix}.p{i}" for i in (1, 2, 3)])))
     b.add_edge(p[3], v)
     for i in (4, 5, 6):
         p[i] = b.add_vertex(f"{prefix}.p{i}")
@@ -560,10 +534,7 @@ def build_clause_gadget(literals: Sequence[str] = ("a", "b", "c")) -> GadgetInst
     if not (1 <= len(literals) <= 3):
         raise GraphError("a clause carries 1..3 literals")
     b = GadgetBuilder()
-    distinct: list[str] = []
-    for nm in literals:
-        if nm not in distinct:
-            distinct.append(nm)
+    distinct = list(dict.fromkeys(literals))
     port_ids = {f"lit{i}": b.add_vertex(nm) for i, nm in enumerate(distinct)}
     emit_clause_gadget(b, list(port_ids.values()), "c")
     inst = GadgetInstance(b.build(), port_ids, "A", {"num_literals": len(distinct)})
@@ -582,10 +553,9 @@ def build_forcing_gadget() -> GadgetInstance:
     """T(w)-style unit: forces its port to 0, its w to 1, and w's sum to 1."""
     b = GadgetBuilder()
     v = b.add_vertex("v")
-    ids = emit_forcing_unit(b, "t")
-    b.add_edge(v, ids["w"])
-    ports = {"v": v, "w": ids["w"]}
-    inst = GadgetInstance(b.build(), ports, "T", {})
+    w = emit_forcing_unit(b, "t")
+    b.add_edge(v, w)
+    inst = GadgetInstance(b.build(), {"v": v, "w": w}, "T", {})
     return _certified(inst)
 
 

@@ -25,9 +25,6 @@ class ReductionOutput:
     provenance: dict[str, tuple[int, ...]]
     params: dict
 
-    def vertices_of(self, source: str) -> tuple[int, ...]:
-        return self.provenance[source]
-
     def covers_all_vertices(self) -> bool:
         covered = set()
         for ids in self.provenance.values():
@@ -49,8 +46,8 @@ def _span(b: GadgetBuilder, start: int) -> tuple[int, ...]:
 def build_sat_reduction(phi: Cnf3Formula) -> ReductionOutput:
     """One variable gadget per variable, one clause gadget per clause.
 
-    The clause cycle's w1 is joined to the port of each distinct literal the
-    clause contains.  The output is triangle-free, and that is checked here
+    The clause cycle's w1 is joined to the port of each literal the clause
+    contains.  The output is triangle-free, and that is checked here
     rather than assumed.
     """
     b = GadgetBuilder()
@@ -64,8 +61,7 @@ def build_sat_reduction(phi: Cnf3Formula) -> ReductionOutput:
         provenance[f"x{i}"] = _span(b, start)
     for ci, clause in enumerate(phi.clauses):
         start = len(b)
-        ports = [lit_port[lit] for lit in phi.distinct_literals(clause)]
-        emit_clause_gadget(b, ports, f"c{ci}")
+        emit_clause_gadget(b, [lit_port[lit] for lit in clause], f"c{ci}")
         provenance[f"c{ci}"] = _span(b, start)
     g = b.build()
     if not is_triangle_free(g):
@@ -83,6 +79,11 @@ def build_inapprox_reduction(g: Graph, d: int) -> ReductionOutput:
     centers apart, which is what makes them encode a proper 3-coloring.
     With unequal degrees a non-3-colorable graph can reach weight 5n (the
     5-wheel does), so an irregular source graph raises GraphError.
+
+    The inapproximability argument takes d = 5 * k^(ceil(3/eps)+1), which is
+    astronomically large for any interesting eps; here d is a parameter, and
+    check_threshold_inapprox needs only d >= 5n+1 to keep the two weight
+    regimes apart.
     """
     if g.n < 1:
         raise GraphError("source graph must be nonempty")
@@ -107,18 +108,6 @@ def build_inapprox_reduction(g: Graph, d: int) -> ReductionOutput:
     return ReductionOutput(out, provenance, {"d": d, "source_n": g.n,
                                              "centers": tuple(center[v] for v in g.vertices()),
                                              "pair_vertices": tuple(pair_vertices)})
-
-
-def paper_amplifier_d(k: int, epsilon: float) -> int:
-    """The amplifier size the inapproximability argument uses: 5 * k^(ceil(3/eps)+1).
-
-    Exposed for reference only; it is astronomically large for any
-    interesting epsilon and is never instantiated at full scale here.
-    """
-    import math
-    if k < 1 or epsilon <= 0:
-        raise ValueError("need k >= 1 and epsilon > 0")
-    return 5 * k ** (math.ceil(3.0 / epsilon) + 1)
 
 
 def normalize_lists(lists: ListAssignment) -> tuple[ListAssignment, dict[int, int]]:

@@ -29,14 +29,6 @@ class Cnf3Formula:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise FormulaError(f"literal {lit} out of range in clause {cl}")
 
-    def distinct_literals(self, clause: Sequence[int]) -> tuple[int, ...]:
-        """Clause literals deduplicated, first occurrence order preserved."""
-        seen: list[int] = []
-        for lit in clause:
-            if lit not in seen:
-                seen.append(lit)
-        return tuple(seen)
-
     def satisfies(self, assignment: Mapping[int, bool]) -> bool:
         for cl in self.clauses:
             if not any(assignment[abs(l)] == (l > 0) for l in cl):

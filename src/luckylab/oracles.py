@@ -404,6 +404,18 @@ def _verdict(instance: str, oracle: Optional[bool], reduction: Optional[bool],
     return EquivalenceVerdict(instance, oracle, reduction, status, witnesses, stats)
 
 
+def _reduction_answer(rep, witnesses: dict[str, str]) -> Optional[bool]:
+    """The reduction side of a check: None on a budget cut, else whether a labeling exists.
+
+    A found labeling is recorded as the "labeling" witness.
+    """
+    if rep.status == "budget-exceeded":
+        return None
+    if rep.certificate is not None:
+        witnesses["labeling"] = fileio.labeling_to_text(rep.certificate)
+    return rep.status == "found"
+
+
 def format_formula(phi: Cnf3Formula) -> str:
     def lit(l: int) -> str:
         return f"x{l}" if l > 0 else f"!x{-l}"
@@ -422,13 +434,7 @@ def check_equivalence_sat(phi: Cnf3Formula,
         witnesses["assignment"] = " ".join(f"x{v}={int(b)}" for v, b in sorted(gamma.items()))
     red = build_sat_reduction(phi)
     rep = exists_binary(red.graph, budget)
-    reduction: Optional[bool]
-    if rep.status == "budget-exceeded":
-        reduction = None
-    else:
-        reduction = rep.status == "found"
-        if rep.certificate is not None:
-            witnesses["labeling"] = fileio.labeling_to_text(rep.certificate)
+    reduction = _reduction_answer(rep, witnesses)
     stats = {"graph_n": red.graph.n, "nodes": rep.nodes_explored, "solver_status": rep.status}
     return _verdict(format_formula(phi), oracle, reduction, witnesses, stats)
 
@@ -449,20 +455,16 @@ def check_equivalence_listcolor(g: Graph, lists: ListAssignment,
         witnesses["coloring"] = " ".join(f"{v}->{c}" for v, c in sorted(coloring.items()))
     red = build_listcoloring_reduction(g, lists)
     rep = exists_binary(red.graph, budget)
+    reduction = _reduction_answer(rep, witnesses)
     extraction_bad = None
-    if rep.status == "budget-exceeded":
-        reduction = None
-    else:
-        reduction = rep.status == "found"
-        if rep.certificate is not None:
-            witnesses["labeling"] = fileio.labeling_to_text(rep.certificate)
-            induced = induced_coloring(red.graph, rep.certificate)
-            ports = red.params["ports"]
-            lf = red.params["lf"]
-            for v in g.vertices():
-                if induced[ports[v]] not in lf[v]:
-                    extraction_bad = f"port {v} got sum {induced[ports[v]]}, list {lf[v]}"
-                    break
+    if reduction:
+        induced = induced_coloring(red.graph, rep.certificate)
+        ports = red.params["ports"]
+        lf = red.params["lf"]
+        for v in g.vertices():
+            if induced[ports[v]] not in lf[v]:
+                extraction_bad = f"port {v} got sum {induced[ports[v]]}, list {lf[v]}"
+                break
     stats = {"graph_n": red.graph.n, "nodes": rep.nodes_explored, "solver_status": rep.status}
     verdict = _verdict(f"n={g.n} edges={list(g.edges)} lists=" +
                        str({v: sorted(lists[v]) for v in g.vertices()}),
@@ -495,22 +497,17 @@ def check_threshold_inapprox(g: Graph, d: int,
     witnesses["chromatic_number"] = str(chi)
     tiers = {v: 1 for v in red.params["pair_vertices"]}
     rep = exists_binary(red.graph, budget, weight_cap=cap, tiers=tiers)
-    right: Optional[bool]
-    if rep.status == "budget-exceeded":
-        right = None
-        if left:
-            try:
-                lab, _ = labeling_from_coloring(g, coloring, d, budget, reduction=red)
-                right = True
-                witnesses["labeling"] = fileio.labeling_to_text(lab)
-                witnesses["labeling_weight"] = str(weight(lab))
-            except ReconstructionDefect:
-                right = None
-    else:
-        right = rep.status == "found"
-        if rep.certificate is not None:
-            witnesses["labeling"] = fileio.labeling_to_text(rep.certificate)
-            witnesses["labeling_weight"] = str(rep.value)
+    right = _reduction_answer(rep, witnesses)
+    if right:
+        witnesses["labeling_weight"] = str(rep.value)
+    elif right is None and left:
+        try:
+            lab, _ = labeling_from_coloring(g, coloring, d, budget, reduction=red)
+            right = True
+            witnesses["labeling"] = fileio.labeling_to_text(lab)
+            witnesses["labeling_weight"] = str(weight(lab))
+        except ReconstructionDefect:
+            pass
     stats = {"graph_n": red.graph.n, "d": d, "weight_cap": cap,
              "nodes": rep.nodes_explored, "solver_status": rep.status}
     return _verdict(f"n={g.n} edges={list(g.edges)} d={d}", left, right, witnesses, stats)
@@ -534,11 +531,9 @@ def random_formula(rng, num_vars: int, num_clauses: int) -> Cnf3Formula:
 
 
 def random_list_instance(rng, n_max: int, universe: Sequence[int] = (1, 2, 3)):
-    n = rng.randint(1, n_max)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    g = build_graph(n, edges)
+    g = random_graph(rng, 1, n_max)
     lists = make_lists({v: rng.sample(list(universe), rng.randint(1, len(universe)))
-                        for v in range(n)})
+                        for v in g.vertices()})
     return g, lists
 
 

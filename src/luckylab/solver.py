@@ -520,8 +520,6 @@ class _Engine:
         self.bounded = minimize or self.cap is not None
         self.deadline = time.monotonic() + self.budget.max_ms / 1000.0
         try:
-            if self.cap is not None and self.future_min > self.cap:
-                return "done"
             if self._initial_conflict():
                 return "done"
             if self.bounded:

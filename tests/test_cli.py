@@ -225,7 +225,12 @@ def test_check_random_requires_seed(capsys):
     assert code == 2
 
 
-def test_check_all_threshold_disagreement_exit_one(capsys, monkeypatch):
+@pytest.mark.parametrize("sat, threshold", [
+    ("agree", "disagree"),
+    # a disagreement outranks an inconclusive verdict across batteries too
+    ("disagree", "inconclusive"),
+], ids=["threshold-disagree", "sat-disagree-threshold-inconclusive"])
+def test_check_all_threshold_disagreement_exit_one(capsys, monkeypatch, sat, threshold):
     from luckylab import cli
     from luckylab.oracles import EquivalenceVerdict
 
@@ -233,12 +238,20 @@ def test_check_all_threshold_disagreement_exit_one(capsys, monkeypatch):
         return lambda *args, **kwargs: EquivalenceVerdict("stub", True, status == "agree", status)
 
     monkeypatch.setattr(cli, "gadget_certification_suite", lambda: [])
-    monkeypatch.setattr(cli, "check_equivalence_sat", harness("agree"))
+    monkeypatch.setattr(cli, "check_equivalence_sat", harness(sat))
     monkeypatch.setattr(cli, "check_equivalence_listcolor", harness("agree"))
-    monkeypatch.setattr(cli, "check_threshold_inapprox", harness("disagree"))
+    monkeypatch.setattr(cli, "check_threshold_inapprox", harness(threshold))
     code, out = run(capsys, "check", "all", "--seed", "1")
     assert code == 1
-    assert "threshold n=4 d=21: disagree" in out
+    assert f"threshold n=4 d=21: {threshold}" in out
+
+
+def test_os_error_is_usage_error(capsys, tmp_path):
+    code = main(["solve", "eta", "--graph", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_imports_without_numpy():
@@ -351,6 +364,15 @@ def test_check_solvers_cli(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert len(lines) == 6 and all(l["agree"] for l in lines)
+
+
+def test_check_solvers_honours_max_n(capsys):
+    code, out = run(capsys, "check", "solvers", "--random", "40", "--max-n", "8",
+                    "--seed", "1", "--json")
+    assert code == 0
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert len(lines) == 40 and all(l["agree"] for l in lines)
+    assert max(l["n"] for l in lines) > 6
 
 
 def test_cli_byte_identical_reruns(capsys, p3_file):

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from luckylab import fileio
 from luckylab.formula import make_formula
-from luckylab.graph import GraphError, complete_graph, is_triangle_free, max_clique
+from luckylab.graph import GraphError, complete_graph, is_triangle_free, max_clique, path_graph
 from luckylab.labeling import make_lists, verify_additive, verify_from_lists
 from luckylab.solver import exists_binary, solve_eta
 from luckylab.constructions import (
@@ -278,6 +279,53 @@ def test_inapprox_reduction_shape():
     c0, c1 = red.params["centers"]
     assert red.graph.has_edge(c0, c1)
     assert red.covers_all_vertices()
+
+
+# (n, m, sha256 of graph_to_text) of every standalone gadget and of one
+# instance of each reduction: pins vertex creation order and names, which
+# the contracts and digest-free shape tests do not see
+_GOLDEN = {
+    "clause-abc": (8, 8, "be4bbf5ba5067939725983bbf2c799f96dd06f7012da60fda28752394580b034"),
+    "clause-xxx": (6, 6, "8a6c1746f1d545414868de2374d8639c392780dfb942998efc580e21e0af74e6"),
+    "variable": (18, 18, "9dd1864e9fde682baa7d639fd1c79926077bf79d52b68fc473e6e9545c9423f4"),
+    "forcing": (11, 12, "63835eb9f9ea6675b3804b6cb8eb8fb1cb00d433d7f3217e42c800e54ff77cfe"),
+    "index-2": (15, 17, "d76fc92e0ae69d84ad78974a032c8b2cd78931dd05360ae61433639b11e064e3"),
+    "index-3": (19, 22, "39ea73faf1c321aa576cd6747a12be194396b9fc456d9d6b4ce2f2d870bc7856"),
+    "index-4": (23, 27, "972376d0ebb800acae7eb9c2d2e55b0a329ad0a78e96e67194868003a55725b3"),
+    "vertex-2-3": (33, 39, "baaa33ec755ab1ff8c76161a9699ecb7c4cfaae5d388a27b3adf08b43c46f405"),
+    "amplifier-1": (10, 14, "20c39a0b11cbdde3afbda437f8d5c3c379198c1e7bc25d01b0e86f4bed41d4ae"),
+    "amplifier-2": (12, 18, "2d511fb4320885f69cbd4ecf1cc6bd493257090af2c79277203f0c17c31fbde3"),
+    "amplifier-3": (14, 22, "e1f6a9f9c9ba1c1653df4bdbf8aafd98c636efade74f99ee56ca54baa6236916"),
+    "sat-repeats": (74, 81, "d80188071a75f7274ff9d8263d49524b78140f0c35d01e50637179495d065379"),
+    "inapprox-k4-d21": (200, 382, "b28c694ac7993798cf7c3b7281878eda2e54ea70c3cb12a97fdb8eb4ee2b6924"),
+    "listcolor-p3": (102, 122, "7d1a78075b085991053985e84d6406a2ff04c0cfc0bda8fdaa1290ee278feb67"),
+}
+
+_EMITTED = {
+    "clause-abc": lambda: build_clause_gadget().graph,
+    "clause-xxx": lambda: build_clause_gadget(("x", "x", "x")).graph,
+    "variable": lambda: build_variable_gadget().graph,
+    "forcing": lambda: build_forcing_gadget().graph,
+    "index-2": lambda: build_index_gadget(2).graph,
+    "index-3": lambda: build_index_gadget(3).graph,
+    "index-4": lambda: build_index_gadget(4).graph,
+    "vertex-2-3": lambda: build_vertex_gadget({2}, 3).graph,
+    "amplifier-1": lambda: build_amplifier_gadget(1).graph,
+    "amplifier-2": lambda: build_amplifier_gadget(2).graph,
+    "amplifier-3": lambda: build_amplifier_gadget(3).graph,
+    "sat-repeats": lambda: build_sat_reduction(
+        make_formula(3, [(1, 1, -2), (2, -3), (-1, -1, -1), (3, -2, 3)])).graph,
+    "inapprox-k4-d21": lambda: build_inapprox_reduction(complete_graph(4), 21).graph,
+    "listcolor-p3": lambda: build_listcoloring_reduction(
+        path_graph(3), make_lists({0: [1, 2], 1: [2, 3], 2: [1, 3]})).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_emitted_graph_golden(name):
+    g = _EMITTED[name]()
+    digest = hashlib.sha256(fileio.graph_to_text(g).encode()).hexdigest()
+    assert (g.n, g.m, digest) == _GOLDEN[name]
 
 
 def test_certification_counts_match_raw_enumeration():
