@@ -36,7 +36,13 @@ from .constructions import (
 )
 from .formula import Cnf3Formula
 from .graph import complete_graph
-from .labeling import verify_additive, verify_from_lists, verify_ptds, weight
+from .labeling import (
+    labels_outside_mode,
+    verify_additive,
+    verify_from_lists,
+    verify_ptds,
+    weight,
+)
 from .oracles import (
     check_equivalence_listcolor,
     check_equivalence_sat,
@@ -155,18 +161,26 @@ def cmd_verify(args) -> int:
     g = fileio.read_graph(args.graph)
     lab = fileio.read_labeling(args.labeling)
     if args.what == "labeling":
-        violations = verify_additive(g, lab, mode=args.mode)
+        # a label outside --mode answers "no" before any edge is looked at
+        outside = labels_outside_mode(g, lab, args.mode)
+        violations = [] if outside else verify_additive(g, lab, mode=args.mode)
         payload = {
-            "valid": not violations,
+            "valid": not (outside or violations),
             "violations": [
                 {"edge": list(v.edge), "sum_u": v.sum_u, "sum_v": v.sum_v}
                 for v in violations
             ],
             "weight": weight(lab),
         }
-        _emit(args, payload, "additive" if not violations
-              else f"{len(violations)} violated edge(s), first {violations[0]}")
-        return EXIT_OK if not violations else EXIT_NEGATIVE
+        if outside:
+            # vertices named by their 1-based file ids
+            payload["outside_mode"] = [{"vertex": v + 1, "label": lab[v]} for v in outside]
+            human = f"label {lab[outside[0]]} at vertex {outside[0] + 1} is outside --mode {args.mode}"
+        else:
+            human = ("additive" if not violations
+                     else f"{len(violations)} violated edge(s), first {violations[0]}")
+        _emit(args, payload, human)
+        return EXIT_OK if payload["valid"] else EXIT_NEGATIVE
     if args.what == "lists":
         lists = fileio.read_lists(_required(args, "lists", "verify lists"))
         ok = verify_from_lists(lab, lists)
@@ -251,10 +265,13 @@ def cmd_construct(args) -> int:
         payload = {"kind": inst.kind, "n": inst.graph.n,
                    "ports": {k: v for k, v in inst.ports.items()}, "paths": paths}
         if args.verify:
-            rep = certify_gadget(inst, cap=max(40, inst.graph.n))
+            rep = certify_gadget(inst, cap=max(40, inst.graph.n), budget=budget)
             payload["certification"] = rep.to_json_dict()
             _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n}, "
-                  f"certified={rep.certified}")
+                  f"certified={rep.certified}"
+                  + ("  [budget exceeded]" if rep.budget_cut else ""))
+            if rep.budget_cut:
+                return EXIT_ERROR
             return EXIT_OK if rep.certified else EXIT_NEGATIVE
         _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n} -> {paths['graph']}")
         return EXIT_OK

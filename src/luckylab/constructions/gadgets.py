@@ -255,6 +255,9 @@ class GadgetContract:
     aggregate_checks: tuple[tuple[str, AggregateCheck], ...] = ()
 
 
+_BUDGET_CUT = "search budget exhausted; certification incomplete"
+
+
 @dataclass
 class CaseReport:
     name: str
@@ -277,6 +280,11 @@ class CertificationReport:
     @property
     def certified(self) -> bool:
         return all(c.ok for c in self.cases)
+
+    @property
+    def budget_cut(self) -> bool:
+        """True when the budget stopped some case short, so the report decides nothing."""
+        return any(_BUDGET_CUT in c.countermodels for c in self.cases)
 
     def countermodels(self) -> list[str]:
         return [f"{c.name}: {m}" for c in self.cases for m in c.countermodels]
@@ -474,7 +482,7 @@ def certify_gadget(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP,
         outcome, _nodes = enumerate_solutions(problem, budget, keep)
         case_rep = CaseReport(case.name, case.expect_feasible, len(solutions))
         if outcome != "exhausted":
-            case_rep.countermodels.append("search budget exhausted; certification incomplete")
+            case_rep.countermodels.append(_BUDGET_CUT)
         else:
             if case.expect_feasible and not solutions:
                 case_rep.countermodels.append("expected a feasible labeling, none exists")

@@ -103,24 +103,34 @@ def all_neighbor_sums(g: Graph, lab: Labeling) -> list[int]:
     return [sum(vals[u] for u in g.neighbors(v)) for v in g.vertices()]
 
 
-def verify_additive(g: Graph, lab: Labeling, mode: str = "any") -> list[Violation]:
-    """All edges with equal endpoint sums; empty list iff lab is additive.
+# each labeling mode's label range: (least, greatest or None)
+_MODES = {"any": (0, None), "positive": (1, None), "binary": (0, 1)}
+
+
+def labels_outside_mode(g: Graph, lab: Labeling, mode: str) -> list[int]:
+    """The vertices, ascending, whose label lies outside the mode's range.
 
     mode selects the label constraint: "any" (nonnegative integers),
     "positive" (the general additive problem, labels >= 1) or "binary"
-    (labels in {0, 1}).  A label outside the mode's range raises.
+    (labels in {0, 1}).  A labeling that is not total raises.
     """
     _require_total(g, lab)
-    if mode not in ("any", "positive", "binary"):
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    for v in g.vertices():
-        x = lab[v]
-        if x < 0:
-            raise LabelingError(f"negative label {x} at vertex {v}")
-        if mode == "positive" and x < 1:
-            raise LabelingError(f"label {x} at vertex {v} not allowed; positive labels required")
-        if mode == "binary" and x not in (0, 1):
-            raise LabelingError(f"label {x} at vertex {v} not allowed; binary labels required")
+    least, greatest = _MODES[mode]
+    return [v for v in g.vertices()
+            if lab[v] < least or (greatest is not None and lab[v] > greatest)]
+
+
+def verify_additive(g: Graph, lab: Labeling, mode: str = "any") -> list[Violation]:
+    """All edges with equal endpoint sums; empty list iff lab is additive.
+
+    A label outside the mode's range (see labels_outside_mode) raises.
+    """
+    outside = labels_outside_mode(g, lab, mode)
+    if outside:
+        v = outside[0]
+        raise LabelingError(f"label {lab[v]} at vertex {v} is outside mode {mode!r}")
     sums = all_neighbor_sums(g, lab)
     return [
         Violation((u, v), sums[u], sums[v])

@@ -69,6 +69,36 @@ def test_verify_labeling_violation(capsys, tmp_path):
     assert json.loads(out)["violations"]
 
 
+@pytest.mark.parametrize("mode, labels, outside", [
+    ("binary", "v 1 1\nv 2 1\nv 3 2\n", [{"vertex": 3, "label": 2}]),
+    ("positive", "v 1 0\nv 2 1\nv 3 1\n", [{"vertex": 1, "label": 0}]),
+    ("any", "v 1 1\nv 2 -1\nv 3 1\n", [{"vertex": 2, "label": -1}]),
+])
+def test_verify_labeling_outside_mode_is_negative(capsys, tmp_path, p3_file, mode, labels,
+                                                  outside):
+    # a label the mode forbids is a "no", named by its 1-based file id
+    lab = tmp_path / "l.lab"
+    lab.write_text(labels)
+    code, out = run(capsys, "verify", "labeling", "--graph", p3_file,
+                    "--labeling", str(lab), "--mode", mode, "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["valid"] is False
+    assert payload["outside_mode"] == outside
+    code, out = run(capsys, "verify", "labeling", "--graph", p3_file,
+                    "--labeling", str(lab), "--mode", mode)
+    assert code == 1 and f"at vertex {outside[0]['vertex']} is outside --mode {mode}" in out
+
+
+def test_verify_labeling_not_total_exit_two(capsys, tmp_path, p3_file):
+    lab = tmp_path / "l.lab"
+    lab.write_text("v 1 1\nv 2 1\n")
+    code = main(["verify", "labeling", "--graph", p3_file, "--labeling", str(lab),
+                 "--mode", "binary", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: labeling is not total")
+
+
 @pytest.mark.parametrize("name, text, argv", [
     ("bad.col", "what is this\n", ["solve", "eta", "--graph"]),
     ("empty.cnf", "p cnf 2 0\n", ["check", "sat", "--cnf"]),
@@ -173,6 +203,15 @@ def test_construct_gadget(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["certification"]["certified"]
     assert (tmp_path / "t.dot").exists()
+
+
+def test_construct_gadget_verify_budget_cut_exit_two(capsys, tmp_path):
+    # a certification the budget cut short decides nothing
+    code, out = run(capsys, "construct", "gadget", "--gadget-kind", "amplifier", "--d", "3",
+                    "--out", str(tmp_path / "amp"), "--verify", "--budget-nodes", "5", "--json")
+    certification = json.loads(out)["certification"]
+    assert code == 2 and certification["certified"] is False
+    assert any("budget exhausted" in m for c in certification["cases"] for m in c["countermodels"])
 
 
 def test_construct_sat_with_check(capsys, tmp_path):

@@ -334,18 +334,19 @@ def _capped_binary_nodes(cap, status):
 
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
-    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 149),
+    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 155),
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 373),
-    (lambda mp: min_ptds(petersen_graph()).nodes_explored, 563),
+    (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
     (lambda mp: _counterexample_refutation_nodes(), 99),
     (lambda mp: _amplifier_enumeration_nodes(), 1_219),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
+    (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 3_806),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
         "binary-sat3", "refute-counterexample2", "enumerate-amplifier2", "recipe-completion",
-        "binary-cap3-petersen", "binary-cap2-petersen"])
+        "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
     assert search(monkeypatch) == nodes
@@ -366,12 +367,11 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     assert exists_binary(k2).status == "found"
     assert refute_lists(k2, make_lists({0: {1, 2}, 1: {1, 2}})).status == "beaten"
     assert refute_lists(path_graph(3), make_lists({0: {1}, 1: {2}, 2: {1}})).status == "refuted"
-    assert len(engines) == 3
-    assert all(eng.bonus_stack == [] and eng.bonus_total == 0 for eng in engines)
-    engines.clear()
+    # branch and bound starts without a cap, so it keeps no pairs either
     rep = solve_eta1(k2)
     assert (rep.status, rep.value) == ("found", 1)
-    assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
+    assert len(engines) == 4
+    assert all(eng.bonus_stack == [] and eng.bonus_total == 0 for eng in engines)
     engines.clear()
     assert exists_binary(k2, weight_cap=1).status == "found"
     assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
