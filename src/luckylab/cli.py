@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -88,7 +89,25 @@ def _worst(codes) -> int:
 
 
 def _budget(args) -> SearchBudget:
+    """The one budget of a command; every search the command starts gets all of it."""
     return SearchBudget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
+
+
+def _certification_code(rep) -> int:
+    """2 when the budget cut a boundary case short, else 0 when certified, else 1."""
+    return EXIT_ERROR if rep.budget_cut else EXIT_OK if rep.certified else EXIT_NEGATIVE
+
+
+def _bounds_code(flags: dict, notes: dict) -> int:
+    """1 when a bound fails, else 2 when the budget cut a solver, else 0."""
+    if not all(flags.values()):
+        return EXIT_NEGATIVE
+    return EXIT_ERROR if "budget-exceeded" in notes.values() else EXIT_OK
+
+
+def _cut_note(cut) -> str:
+    """The human suffix of an outcome in which the budget cut some search short."""
+    return "  [budget exceeded]" if cut else ""
 
 
 def _required(args, flag: str, cmd: str):
@@ -161,24 +180,30 @@ def cmd_verify(args) -> int:
     g = fileio.read_graph(args.graph)
     lab = fileio.read_labeling(args.labeling)
     if args.what == "labeling":
+        # vertices are named by their 1-based file ids throughout
+        missing = next((v for v in g.vertices() if v not in lab), None)
+        if missing is not None:
+            raise ValueError(f"labeling is not total: vertex {missing + 1} has no label")
         # a label outside --mode answers "no" before any edge is looked at
         outside = labels_outside_mode(g, lab, args.mode)
         violations = [] if outside else verify_additive(g, lab, mode=args.mode)
         payload = {
             "valid": not (outside or violations),
             "violations": [
-                {"edge": list(v.edge), "sum_u": v.sum_u, "sum_v": v.sum_v}
+                {"edge": [v.edge[0] + 1, v.edge[1] + 1], "sum_u": v.sum_u, "sum_v": v.sum_v}
                 for v in violations
             ],
             "weight": weight(lab),
         }
         if outside:
-            # vertices named by their 1-based file ids
             payload["outside_mode"] = [{"vertex": v + 1, "label": lab[v]} for v in outside]
             human = f"label {lab[outside[0]]} at vertex {outside[0] + 1} is outside --mode {args.mode}"
         else:
-            human = ("additive" if not violations
-                     else f"{len(violations)} violated edge(s), first {violations[0]}")
+            human = "additive"
+            if violations:
+                first = payload["violations"][0]
+                human = (f"{len(violations)} violated edge(s), first {first['edge'][0]}-"
+                         f"{first['edge'][1]} with both sums {first['sum_u']}")
         _emit(args, payload, human)
         return EXIT_OK if payload["valid"] else EXIT_NEGATIVE
     if args.what == "lists":
@@ -268,11 +293,8 @@ def cmd_construct(args) -> int:
             rep = certify_gadget(inst, cap=max(40, inst.graph.n), budget=budget)
             payload["certification"] = rep.to_json_dict()
             _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n}, "
-                  f"certified={rep.certified}"
-                  + ("  [budget exceeded]" if rep.budget_cut else ""))
-            if rep.budget_cut:
-                return EXIT_ERROR
-            return EXIT_OK if rep.certified else EXIT_NEGATIVE
+                  f"certified={rep.certified}" + _cut_note(rep.budget_cut))
+            return _certification_code(rep)
         _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n} -> {paths['graph']}")
         return EXIT_OK
     if args.kind == "sat":
@@ -320,8 +342,8 @@ def cmd_refute_lists(args) -> int:
     return EXIT_CODE[res.status]
 
 
-def _bounds_payload(g) -> dict:
-    rep = bounds_mod.bounds_report(g, SearchBudget(max_nodes=20_000_000, max_ms=10_000))
+def _bounds_payload(g, budget: SearchBudget) -> dict:
+    rep = bounds_mod.bounds_report(g, budget)
     payload = rep.to_json_dict()
     payload["edges"] = [list(e) for e in g.edges]
     return payload
@@ -331,37 +353,39 @@ def cmd_bounds(args) -> int:
     if args.random:
         rng = _seeded_rng(args)
         graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random)]
-        payloads = _run_sweep(_bounds_payload, graphs, args.jobs)
-        bad = sum(1 for p in payloads if not all(p["flags"].values()))
-        _report_sweep(args, payloads,
-                      f"bounds sweep: {len(payloads)} graphs, {bad} flag violations")
-        return EXIT_OK if bad == 0 else EXIT_NEGATIVE
+        payloads = _run_sweep(args, _bounds_payload, graphs)
+        codes = Counter(_bounds_code(p["flags"], p["notes"]) for p in payloads)
+        _report_sweep(args, payloads, f"bounds sweep: {len(payloads)} graphs, "
+                      f"{codes[EXIT_NEGATIVE]} flag violations" + _cut_note(codes[EXIT_ERROR]))
+        return _worst(codes)
     g = fileio.read_graph(_required(args, "graph", "bounds"))
     rep = bounds_mod.bounds_report(g, _budget(args))
+    code = _bounds_code(rep.flags, rep.notes)
     _emit(args, rep.to_json_dict(),
           f"n={rep.n} omega={rep.omega} chi={rep.chi} eta={rep.eta} eta1={rep.eta1} "
-          f"sigma={rep.sigma} flags={'all hold' if rep.all_flags_hold() else rep.flags}")
-    return EXIT_OK if rep.all_flags_hold() else EXIT_NEGATIVE
+          f"sigma={rep.sigma} flags={'all hold' if rep.all_flags_hold() else rep.flags}"
+          + _cut_note(code == EXIT_ERROR))
+    return code
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def _sat_verdict_payload(phi: Cnf3Formula) -> dict:
-    return check_equivalence_sat(phi).to_json_dict()
+def _sat_verdict_payload(phi: Cnf3Formula, budget: SearchBudget) -> dict:
+    return check_equivalence_sat(phi, budget).to_json_dict()
 
 
-def _lc_verdict_payload(inst) -> dict:
+def _lc_verdict_payload(inst, budget: SearchBudget) -> dict:
     g, lists = inst
-    return check_equivalence_listcolor(g, lists).to_json_dict()
+    return check_equivalence_listcolor(g, lists, budget).to_json_dict()
 
 
-def _solver_oracle_payload(g) -> dict:
-    eta = solve_eta(g)
-    eta1 = solve_eta1(g)
-    sigma = solve_sigma(g)
-    ptds = min_ptds(g)
+def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
+    eta = solve_eta(g, budget)
+    eta1 = solve_eta1(g, budget)
+    sigma = solve_sigma(g, budget)
+    ptds = min_ptds(g, budget)
     got = {
         "eta": eta.value,
         "eta1": eta1.value if eta1.status == "found" else None,
@@ -374,17 +398,20 @@ def _solver_oracle_payload(g) -> dict:
         "sigma": naive_sigma(g),
         "ptds": naive_ptds(g),
     }
-    return {"edges": [list(e) for e in g.edges], "n": g.n,
-            "solver": got, "oracle": want, "agree": got == want}
+    cut = [k for k, rep in zip(got, (eta, eta1, sigma, ptds)) if rep.status == "budget-exceeded"]
+    return {"edges": [list(e) for e in g.edges], "n": g.n, "solver": got, "oracle": want,
+            "agree": not cut and got == want, **({"cut": cut} if cut else {})}
 
 
-def _run_sweep(worker, instances, jobs: int) -> list[dict]:
+def _run_sweep(args, worker, instances) -> list[dict]:
+    """worker(instance, budget) on each instance, each under the command's whole budget."""
+    work = partial(worker, budget=_budget(args))
     # workers beyond the instances or the cores only add start-up cost
-    jobs = min(jobs, len(instances), os.cpu_count() or 1)
+    jobs = min(args.jobs, len(instances), os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
-            return pool.map(worker, instances)
-    return [worker(i) for i in instances]
+            return pool.map(work, instances)
+    return [work(i) for i in instances]
 
 
 def _summarize_verdicts(args, verdicts: list[dict], label: str) -> int:
@@ -396,26 +423,23 @@ def _summarize_verdicts(args, verdicts: list[dict], label: str) -> int:
 
 def cmd_check(args) -> int:
     if args.target == "gadgets":
-        suite = gadget_certification_suite()
-        all_ok = True
+        suite = gadget_certification_suite(_budget(args))
         for name, rep in suite:
-            line = {"gadget": name, **rep.to_json_dict()}
-            if args.json:
-                print(json.dumps(line, sort_keys=True))
-            else:
-                print(f"{name}: certified={rep.certified} "
-                      f"({len(rep.cases)} boundary cases, n={rep.internal_size})")
-            all_ok = all_ok and rep.certified
-        return EXIT_OK if all_ok else EXIT_NEGATIVE
+            _emit(args, {"gadget": name, **rep.to_json_dict()},
+                  f"{name}: certified={rep.certified} ({len(rep.cases)} boundary cases, "
+                  f"n={rep.internal_size})" + _cut_note(rep.budget_cut))
+        return _worst(_certification_code(rep) for _name, rep in suite)
 
     if args.target == "solvers":
         rng = _seeded_rng(args)
         graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random or 200)]
-        payloads = _run_sweep(_solver_oracle_payload, graphs, args.jobs)
-        bad = sum(1 for p in payloads if not p["agree"])
-        _report_sweep(args, payloads,
-                      f"solver-oracle equivalence: {len(payloads) - bad}/{len(payloads)} agree")
-        return EXIT_OK if bad == 0 else EXIT_NEGATIVE
+        payloads = _run_sweep(args, _solver_oracle_payload, graphs)
+        # a graph with a cut solver decides nothing
+        codes = Counter(EXIT_ERROR if "cut" in p else EXIT_OK if p["agree"] else EXIT_NEGATIVE
+                        for p in payloads)
+        _report_sweep(args, payloads, f"solver-oracle equivalence: "
+                      f"{codes[EXIT_OK]}/{len(payloads)} agree" + _cut_note(codes[EXIT_ERROR]))
+        return _worst(codes)
 
     if args.target == "sat":
         if args.cnf:
@@ -431,7 +455,7 @@ def cmd_check(args) -> int:
                              for _ in range(args.random))
         if not instances:
             raise ValueError("nothing to check: pass --cnf, --exhaustive or --random")
-        verdicts = _run_sweep(_sat_verdict_payload, instances, args.jobs)
+        verdicts = _run_sweep(args, _sat_verdict_payload, instances)
         return _summarize_verdicts(args, verdicts, "sat equivalence")
 
     if args.target == "listcolor":
@@ -443,7 +467,7 @@ def cmd_check(args) -> int:
             raise ValueError("nothing to check: pass --graph/--lists or --random")
         rng = _seeded_rng(args)
         instances = [random_list_instance(rng, args.max_n) for _ in range(args.random)]
-        verdicts = _run_sweep(_lc_verdict_payload, instances, args.jobs)
+        verdicts = _run_sweep(args, _lc_verdict_payload, instances)
         return _summarize_verdicts(args, verdicts, "list-coloring equivalence")
 
     if args.target == "inapprox":
@@ -452,17 +476,18 @@ def cmd_check(args) -> int:
 
     # all: the desk-scale battery in one shot
     rng = _seeded_rng(args)
-    suite = gadget_certification_suite()
-    ok = all(rep.certified for _name, rep in suite)
-    print(f"gadget contracts: {'all certified' if ok else 'FAILURES'} ({len(suite)} gadgets)")
-    codes = [EXIT_OK if ok else EXIT_NEGATIVE]
+    suite = gadget_certification_suite(_budget(args))
+    code = _worst(_certification_code(rep) for _name, rep in suite)
+    outcome = {EXIT_OK: "all certified", EXIT_NEGATIVE: "FAILURES"}.get(code, "budget exceeded")
+    print(f"gadget contracts: {outcome} ({len(suite)} gadgets)")
+    codes = [code]
     instances = exhaustive_small_formulas(2, 2)
     instances += [random_formula(rng, 3, 3) for _ in range(10)]
-    verdicts = _run_sweep(_sat_verdict_payload, instances, args.jobs)
+    verdicts = _run_sweep(args, _sat_verdict_payload, instances)
     codes.append(_summarize_verdicts(args, verdicts, "sat equivalence"))
     rng = _seeded_rng(args)
     lc = [random_list_instance(rng, 3) for _ in range(8)]
-    verdicts = _run_sweep(_lc_verdict_payload, lc, args.jobs)
+    verdicts = _run_sweep(args, _lc_verdict_payload, lc)
     codes.append(_summarize_verdicts(args, verdicts, "list-coloring equivalence"))
     for g, d in ((complete_graph(3), 16), (complete_graph(4), 21)):
         verdict = check_threshold_inapprox(g, d, _budget(args))

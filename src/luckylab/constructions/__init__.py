@@ -3,7 +3,6 @@
 from .families import clique_eta_one, counterexample_graph
 from .gadgets import (
     BoundaryCase,
-    CertificationError,
     CertificationReport,
     GadgetBuilder,
     GadgetContract,
@@ -28,7 +27,6 @@ from .reductions import (
 
 __all__ = [
     "BoundaryCase",
-    "CertificationError",
     "CertificationReport",
     "GadgetBuilder",
     "GadgetContract",

@@ -4,8 +4,9 @@ The source figures for these gadgets are unavailable, so each gadget is
 reconstructed as the smallest edge set consistent with every neighbor-sum
 identity its correctness argument states, then repaired where necessary and
 certified exhaustively.  The edge sets written in the emitters below are
-the canonical records of those reconstructions; `certify_gadget` replays
-the certification at any time.
+the canonical records of those reconstructions.  Builders only build;
+`certify_gadget` checks one gadget and `gadget_certification_suite` checks
+every shipped one, each under the caller's search budget.
 
 Certification model: the gadget's port may have external neighbors in a
 host.  A boundary case fixes port labels and/or declares the total label
@@ -442,17 +443,14 @@ _CONTRACTS: dict[str, GadgetContract] = {
 }
 
 
-class CertificationError(RuntimeError):
-    """A gadget failed its contract at build time."""
-
-
 def certify_gadget(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP,
                    budget: Optional[SearchBudget] = None) -> CertificationReport:
     """Exhaustively check a gadget's contract under its boundary model.
 
     Enumerates every binary labeling of the non-fixed vertices per boundary
-    case (complete backtracking search) and evaluates the contract on each;
-    any countermodel is reported verbatim.
+    case (complete backtracking search, each case under the whole budget)
+    and evaluates the contract on each; any countermodel is reported
+    verbatim, and a case the budget cut short reports the cut.
     """
     contract = _CONTRACTS.get(instance.kind)
     if contract is None:
@@ -512,29 +510,9 @@ def _render_labels(instance: GadgetInstance, labels: dict[int, int]) -> str:
     return "{1-labeled: " + ", ".join(ones) + "}"
 
 
-_CERT_CACHE: dict = {}
-
-
-def _certified(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP) -> GadgetInstance:
-    key = (instance.kind, tuple(sorted(
-        (k, tuple(sorted(v)) if isinstance(v, (set, frozenset)) else
-         (tuple(v) if isinstance(v, list) else v))
-        for k, v in instance.params.items() if k != "pairs")))
-    if key not in _CERT_CACHE:
-        internal = instance.graph.n
-        if internal <= cap:
-            rep = certify_gadget(instance, cap=cap)
-            if not rep.certified:
-                raise CertificationError(
-                    f"gadget {instance.kind}{instance.params} failed its contract: "
-                    + "; ".join(rep.countermodels()))
-        _CERT_CACHE[key] = True
-    return instance
-
-
 # ---------------------------------------------------------------------------
-# Standalone builders (ports included as stub vertices, certified on build
-# whenever they fit under the enumeration cap).
+# Standalone builders (ports included as stub vertices; certification is
+# left to certify_gadget).
 
 
 def build_clause_gadget(literals: Sequence[str] = ("a", "b", "c")) -> GadgetInstance:
@@ -545,16 +523,14 @@ def build_clause_gadget(literals: Sequence[str] = ("a", "b", "c")) -> GadgetInst
     distinct = list(dict.fromkeys(literals))
     port_ids = {f"lit{i}": b.add_vertex(nm) for i, nm in enumerate(distinct)}
     emit_clause_gadget(b, list(port_ids.values()), "c")
-    inst = GadgetInstance(b.build(), port_ids, "A", {"num_literals": len(distinct)})
-    return _certified(inst)
+    return GadgetInstance(b.build(), port_ids, "A", {"num_literals": len(distinct)})
 
 
 def build_variable_gadget() -> GadgetInstance:
     """B(x)-style variable gadget with ports for the literal and its negation."""
     b = GadgetBuilder()
     ids = emit_variable_gadget(b, "x")
-    inst = GadgetInstance(b.build(), {"x": ids["x"], "not_x": ids["not_x"]}, "B", {})
-    return _certified(inst)
+    return GadgetInstance(b.build(), {"x": ids["x"], "not_x": ids["not_x"]}, "B", {})
 
 
 def build_forcing_gadget() -> GadgetInstance:
@@ -563,16 +539,14 @@ def build_forcing_gadget() -> GadgetInstance:
     v = b.add_vertex("v")
     w = emit_forcing_unit(b, "t")
     b.add_edge(v, w)
-    inst = GadgetInstance(b.build(), {"v": v, "w": w}, "T", {})
-    return _certified(inst)
+    return GadgetInstance(b.build(), {"v": v, "w": w}, "T", {})
 
 
 def build_index_gadget(j: int) -> GadgetInstance:
     """I(j)-style unit: port u with sum pinned to j plus its external mass."""
     b = GadgetBuilder()
     u = emit_index_gadget(b, j, "i")
-    inst = GadgetInstance(b.build(), {"u": u}, "I", {"j": j})
-    return _certified(inst, cap=max(DEFAULT_ENUM_CAP, 7 + 4 * j))
+    return GadgetInstance(b.build(), {"u": u}, "I", {"j": j})
 
 
 def build_vertex_gadget(lf: Iterable[int], s: int) -> GadgetInstance:
@@ -581,8 +555,7 @@ def build_vertex_gadget(lf: Iterable[int], s: int) -> GadgetInstance:
     b = GadgetBuilder()
     v = b.add_vertex("v")
     emit_vertex_gadget(b, v, lf, s, "g")
-    inst = GadgetInstance(b.build(), {"v": v}, "G", {"lf": lf, "s": s})
-    return _certified(inst, cap=max(DEFAULT_ENUM_CAP, inst.graph.n))
+    return GadgetInstance(b.build(), {"v": v}, "G", {"lf": lf, "s": s})
 
 
 def build_amplifier_gadget(d: int) -> GadgetInstance:
@@ -596,8 +569,7 @@ def build_amplifier_gadget(d: int) -> GadgetInstance:
     ids = emit_amplifier_gadget(b, v, d, "d")
     ports = {"v": v, "r": ids["r"]}
     ports.update({f"p{i}": ids["p"][i] for i in range(1, 7)})
-    inst = GadgetInstance(b.build(), ports, "D", {"d": d, "pairs": ids["pairs"]})
-    return _certified(inst)
+    return GadgetInstance(b.build(), ports, "D", {"d": d, "pairs": ids["pairs"]})
 
 
 def corrupted_variable_gadget() -> GadgetInstance:
@@ -616,16 +588,19 @@ def corrupted_variable_gadget() -> GadgetInstance:
     return GadgetInstance(broken, {"x": ids["x"], "not_x": ids["not_x"]}, "B", {"corrupted": True})
 
 
-def gadget_certification_suite(cap: int = 40) -> list[tuple[str, CertificationReport]]:
-    """The full desk-scale contract suite, one report per shipped gadget."""
-    suite: list[tuple[str, CertificationReport]] = []
-    suite.append(("A(c) three literals", certify_gadget(build_clause_gadget(), cap=cap)))
-    suite.append(("A(c) collapsed literal", certify_gadget(build_clause_gadget(("x", "x", "x")), cap=cap)))
-    suite.append(("B(x)", certify_gadget(build_variable_gadget(), cap=cap)))
-    suite.append(("T(w)", certify_gadget(build_forcing_gadget(), cap=cap)))
-    for j in (2, 3, 4):
-        suite.append((f"I({j})", certify_gadget(build_index_gadget(j), cap=max(cap, 7 + 4 * j))))
-    suite.append(("G(v,{2},3)", certify_gadget(build_vertex_gadget({2}, 3), cap=max(cap, 34))))
-    for d in (1, 2, 3):
-        suite.append((f"D(v) d={d}", certify_gadget(build_amplifier_gadget(d), cap=cap)))
-    return suite
+def gadget_certification_suite(budget: Optional[SearchBudget] = None
+                               ) -> list[tuple[str, CertificationReport]]:
+    """The full desk-scale contract suite, one report per shipped gadget.
+
+    Every boundary case of every gadget runs under the whole budget.
+    """
+    gadgets = [
+        ("A(c) three literals", build_clause_gadget()),
+        ("A(c) collapsed literal", build_clause_gadget(("x", "x", "x"))),
+        ("B(x)", build_variable_gadget()),
+        ("T(w)", build_forcing_gadget()),
+        *((f"I({j})", build_index_gadget(j)) for j in (2, 3, 4)),
+        ("G(v,{2},3)", build_vertex_gadget({2}, 3)),
+        *((f"D(v) d={d}", build_amplifier_gadget(d)) for d in (1, 2, 3)),
+    ]
+    return [(name, certify_gadget(inst, cap=40, budget=budget)) for name, inst in gadgets]

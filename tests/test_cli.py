@@ -8,7 +8,14 @@ import pytest
 
 from luckylab import fileio
 from luckylab.cli import main
-from luckylab.graph import build_graph, complete_graph, complete_multipartite, cycle_graph, path_graph
+from luckylab.graph import (
+    build_graph,
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+)
 
 
 @pytest.fixture
@@ -96,7 +103,20 @@ def test_verify_labeling_not_total_exit_two(capsys, tmp_path, p3_file):
                  "--mode", "binary", "--json"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: labeling is not total")
+    # the missing vertex is named by its 1-based file id
+    assert captured.err == "error: labeling is not total: vertex 3 has no label\n"
+
+
+def test_verify_labeling_violation_uses_file_ids(capsys, tmp_path, p3_file):
+    # labels 0 1 1 give every vertex sum 1, so both file edges are violated
+    lab = tmp_path / "l.lab"
+    lab.write_text("v 1 0\nv 2 1\nv 3 1\n")
+    argv = ["verify", "labeling", "--graph", p3_file, "--labeling", str(lab), "--mode", "binary"]
+    code, out = run(capsys, *argv, "--json")
+    assert code == 1
+    assert [v["edge"] for v in json.loads(out)["violations"]] == [[1, 2], [2, 3]]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out == "2 violated edge(s), first 1-2 with both sums 1\n"
 
 
 @pytest.mark.parametrize("name, text, argv", [
@@ -276,13 +296,43 @@ def test_check_all_threshold_disagreement_exit_one(capsys, monkeypatch, sat, thr
     def harness(status):
         return lambda *args, **kwargs: EquivalenceVerdict("stub", True, status == "agree", status)
 
-    monkeypatch.setattr(cli, "gadget_certification_suite", lambda: [])
+    monkeypatch.setattr(cli, "gadget_certification_suite", lambda budget: [])
     monkeypatch.setattr(cli, "check_equivalence_sat", harness(sat))
     monkeypatch.setattr(cli, "check_equivalence_listcolor", harness("agree"))
     monkeypatch.setattr(cli, "check_threshold_inapprox", harness(threshold))
     code, out = run(capsys, "check", "all", "--seed", "1")
     assert code == 1
     assert f"threshold n=4 d=21: {threshold}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "gadgets"],
+    ["check", "sat", "--exhaustive"],
+    ["check", "listcolor", "--random", "5", "--seed", "1"],
+    ["check", "solvers", "--random", "5", "--seed", "1"],
+    ["bounds", "--random", "5", "--seed", "1"],
+    ["bounds", "--graph", "petersen.col"],
+    ["check", "all", "--seed", "1"],
+], ids=["gadgets", "sat", "listcolor", "solvers", "bounds-random", "bounds-graph", "all"])
+def test_budget_cut_is_inconclusive(capsys, tmp_path, monkeypatch, argv):
+    # every search a command starts runs under the budget flags, and a cut
+    # is never reported as agreement or success
+    monkeypatch.chdir(tmp_path)
+    fileio.write_graph(tmp_path / "petersen.col", petersen_graph())
+    code, _ = run(capsys, *argv, "--budget-nodes", "1")
+    assert code == 2
+
+
+def test_budget_cut_sweep_identical_across_jobs(capsys):
+    args = ["check", "solvers", "--random", "6", "--max-n", "5", "--seed", "1",
+            "--budget-nodes", "1", "--json"]
+    code1, out1 = run(capsys, *args, "--jobs", "1")
+    code2, out2 = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 2
+    assert out1 == out2
+    lines = [json.loads(line) for line in out1.splitlines()]
+    assert any(line.get("cut") for line in lines)
+    assert not any(line["agree"] for line in lines if line.get("cut"))
 
 
 def test_os_error_is_usage_error(capsys, tmp_path):

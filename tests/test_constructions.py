@@ -1,13 +1,16 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from luckylab import fileio
+from luckylab.cli import main
 from luckylab.formula import make_formula
 from luckylab.graph import GraphError, complete_graph, is_triangle_free, max_clique, path_graph
 from luckylab.labeling import make_lists, verify_additive, verify_from_lists
 from luckylab.solver import exists_binary, solve_eta
+from luckylab.constructions import gadgets
 from luckylab.constructions import (
     build_amplifier_gadget,
     build_clause_gadget,
@@ -208,6 +211,30 @@ def test_certification_cap():
 def test_suite_all_certified():
     for name, rep in gadget_certification_suite():
         assert rep.certified, (name, rep.countermodels())
+
+
+def test_builders_do_not_enumerate(monkeypatch, tmp_path):
+    # building a gadget, alone or through `construct gadget`, runs no search;
+    # only certification (here `--verify`) enumerates, under the budget flags
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a builder enumerated solutions")
+
+    monkeypatch.setattr(gadgets, "enumerate_solutions", forbidden)
+    build_clause_gadget()
+    build_clause_gadget(("x", "x", "x"))
+    build_variable_gadget()
+    build_forcing_gadget()
+    build_index_gadget(4)
+    build_vertex_gadget({2}, 3)
+    build_vertex_gadget({2}, 5)
+    build_amplifier_gadget(3)
+    argv = ["construct", "gadget", "--gadget-kind", "vertex", "--lf", "2", "--s", "5",
+            "--out", str(tmp_path / "g5")]
+    assert main(argv) == 0
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert main([*argv, "--verify", "--budget-nodes", "5"]) == 2
+    assert time.perf_counter() - start < 5
 
 
 # -- reductions ---------------------------------------------------------------
