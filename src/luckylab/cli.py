@@ -167,7 +167,11 @@ def cmd_solve(args) -> int:
     else:  # listdecide
         lists = fileio.read_lists(_required(args, "lists", "solve listdecide"))
         rep = decide_list_additive(g, lists, budget)
-    _emit(args, rep.to_json_dict(), f"{args.problem}: {rep.status}"
+    payload = rep.to_json_dict()
+    if "set" in rep.detail:
+        # the PTDS set in 1-based file ids; the report itself stays 0-based
+        payload["detail"] = {**rep.detail, "set": [v + 1 for v in rep.detail["set"]]}
+    _emit(args, payload, f"{args.problem}: {rep.status}"
           + (f", value {rep.value}" if rep.value is not None else ""))
     return EXIT_CODE[rep.status]
 
@@ -214,7 +218,7 @@ def cmd_verify(args) -> int:
     # ptds: the candidate set is given as an indicator labeling
     dom = {v for v, x in lab.values.items() if x == 1}
     ok = verify_ptds(g, dom)
-    _emit(args, {"proper_total_dominating": ok, "set": sorted(dom)},
+    _emit(args, {"proper_total_dominating": ok, "set": [v + 1 for v in sorted(dom)]},
           "proper total dominating set" if ok else "not a proper total dominating set")
     return EXIT_OK if ok else EXIT_NEGATIVE
 

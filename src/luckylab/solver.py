@@ -3,14 +3,20 @@
 One engine drives all of them: depth-first assignment over a fixed vertex
 order (maximum-cardinality search: a vertex whose neighbors are all ordered
 first, then most ordered neighbors, higher degree, lower id; values
-ascending) with sum-interval propagation.  Every vertex v carries lo[v] and
-hi[v], the least and the greatest neighbor sum still reachable given the
-partial assignment: boundary mass plus the assigned neighbors' labels plus
-the least or the greatest total the unassigned neighbors' domains allow.
-The sum is decided once lo[v] == hi[v], that is once every unassigned
-neighbor has a one-value domain.  A constrained edge whose two endpoints
-have decided, equal sums can never be repaired, and neither can a vertex
-whose hi lies below a required minimum, so either kills the branch.
+ascending) with sum-interval propagation.  Free vertices, whose labels reach
+only sums that no constraint reads (isolated vertices among them), come
+after all others: placed early, they would make the search repeat the
+constrained part under every combination of their labels, as the ten slack
+pendants on the variable gadget's unchecked ports would.
+
+Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
+sum still reachable given the partial assignment: boundary mass plus the
+assigned neighbors' labels plus the least or the greatest total the
+unassigned neighbors' domains allow.  The sum is decided once
+lo[v] == hi[v], that is once every unassigned neighbor has a one-value
+domain.  A constrained edge whose two endpoints have decided, equal sums
+can never be repaired, and neither can a vertex whose hi lies below a
+required minimum, so either kills the branch.
 
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
@@ -154,7 +160,10 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     An optional tier map partitions the vertices into priority classes;
     lower tiers are exhausted first.  Constructions with large repeated
     appendages (the amplifier's pendant pairs) use it to put the globally
-    constrained skeleton ahead of the appendages.
+    constrained skeleton ahead of the appendages, and the engine puts its
+    free vertices into a last tier of their own.  Within a tier an isolated
+    vertex sorts first (all of its zero neighbors are ordered); being free,
+    it sits in the engine's last tier, so in a search it comes last.
 
     The selection runs on a lazy-deletion heap (Tarjan & Yannakakis, SIAM J.
     Comput. 1984): each change of a vertex's ordered-neighbor count pushes a
@@ -217,7 +226,22 @@ class _Engine:
         # the checked neighbors of each vertex, in adjacency order: the only
         # ones whose sums constrain anything
         self.cadj = [[u for u in self.adj[v] if self.checked[u]] for v in range(n)]
-        self.order = _search_order(n, self.adj, dict(problem.tiers or ()))
+        # free vertices (module docstring) go into a tier after all others.
+        # A sum is read by a constraint when its vertex is checked and has a
+        # checked neighbor or a min_sum to meet; a vertex is free when no
+        # neighbor's sum is read.
+        constrained = [self.checked[v] and (self.min_sum is not None or bool(self.cadj[v]))
+                       for v in range(n)]
+        free = [True] * n
+        for u, w in g.edges:
+            if constrained[u]:
+                free[w] = False
+            if constrained[w]:
+                free[u] = False
+        tiers = dict(problem.tiers or ())
+        last = max([0, *tiers.values()]) + 1  # untiered vertices sit in tier 0
+        tiers.update((v, last) for v in range(n) if free[v])
+        self.order = _search_order(n, self.adj, tiers)
         self.pos = [0] * n
         for i, v in enumerate(self.order):
             self.pos[v] = i
@@ -543,7 +567,7 @@ class SearchProblem:
     (the boundary model for gadget certification); vertices in `unchecked`
     have host-dependent sums, so edges touching them are not constrained.
     `tiers` partitions the vertices into assignment-priority classes, lower
-    first.
+    first; the engine puts free vertices after every tier.
     """
 
     graph: Graph
@@ -571,7 +595,7 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
     eng = _Engine(problem, budget, break_symmetry=False)
 
     def on_leaf(_weight: int) -> bool:
-        on_solution({v: eng.label[v] for v in range(eng.n)}, list(eng.lo))
+        on_solution(dict(enumerate(eng.label)), eng.lo[:])
         return False
 
     outcome = eng.run(on_leaf)

@@ -119,6 +119,29 @@ def test_verify_labeling_violation_uses_file_ids(capsys, tmp_path, p3_file):
     assert code == 1 and out == "2 violated edge(s), first 1-2 with both sums 1\n"
 
 
+def test_verify_ptds_uses_file_ids(capsys, tmp_path, p3_file):
+    # the set names file vertices 1 and 3, not the library's 0 and 2
+    lab = tmp_path / "s.lab"
+    lab.write_text("v 1 1\nv 2 0\nv 3 1\n")
+    code, out = run(capsys, "verify", "ptds", "--graph", p3_file, "--labeling", str(lab), "--json")
+    assert code == 1  # file vertex 1's one neighbor, 2, is not in the set
+    assert json.loads(out) == {"proper_total_dominating": False, "set": [1, 3]}
+
+
+def test_solve_ptds_set_uses_file_ids(capsys, tmp_path):
+    # the least PTDS of this graph is library vertices {1, 2, 3}
+    g = tmp_path / "g.col"
+    g.write_text("p edge 5 5\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 4 5\n")
+    code, out = run(capsys, "solve", "ptds", "--graph", str(g), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == 3
+    assert payload["detail"]["set"] == [2, 3, 4]
+    # the same ids the certificate uses
+    chosen = [int(line.split()[1]) for line in payload["certificate"].splitlines()
+              if line.split()[2] == "1"]
+    assert chosen == [2, 3, 4]
+
+
 @pytest.mark.parametrize("name, text, argv", [
     ("bad.col", "what is this\n", ["solve", "eta", "--graph"]),
     ("empty.cnf", "p cnf 2 0\n", ["check", "sat", "--cnf"]),

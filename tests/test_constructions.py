@@ -1,6 +1,8 @@
 import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -199,7 +201,11 @@ def test_amplifier_pair_weight_forced_when_selectors_zero():
 def test_corrupted_gadget_emits_countermodel():
     rep = certify_gadget(corrupted_variable_gadget())
     assert not rep.certified
-    assert any("expected infeasible" in m for m in rep.countermodels())
+    # the first labeling the enumeration reaches is the one rendered, so a
+    # change of search order must not change it
+    assert [c.solutions for c in rep.cases] == [8192, 11264, 11264, 13312]
+    assert rep.countermodels() == [
+        "x=1,!x=1: expected infeasible, found labeling {1-labeled: x, !x, x.y2}"]
 
 
 def test_certification_cap():
@@ -209,8 +215,14 @@ def test_certification_cap():
 
 
 def test_suite_all_certified():
-    for name, rep in gadget_certification_suite():
+    # tests/data/check_gadgets.jsonl is `luckylab check gadgets --json` as
+    # shipped: every solution count and countermodel, byte for byte
+    golden = (Path(__file__).parent / "data" / "check_gadgets.jsonl").read_text().splitlines()
+    suite = gadget_certification_suite()
+    for name, rep in suite:
         assert rep.certified, (name, rep.countermodels())
+    assert [json.dumps({"gadget": name, **rep.to_json_dict()}, sort_keys=True)
+            for name, rep in suite] == golden
 
 
 def test_builders_do_not_enumerate(monkeypatch, tmp_path):

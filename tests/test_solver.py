@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luckylab import oracles, solver
-from luckylab.constructions import build_amplifier_gadget, build_sat_reduction, counterexample_graph
+from luckylab.constructions import (
+    build_amplifier_gadget,
+    build_sat_reduction,
+    build_variable_gadget,
+    counterexample_graph,
+)
 from luckylab.formula import Cnf3Formula
 from luckylab.graph import (
     GraphError,
@@ -308,6 +313,18 @@ def _amplifier_enumeration_nodes():
     return nodes
 
 
+def _variable_gadget_enumeration_nodes():
+    # boundary case x=0,!x=0 of B(x): the ten pendants z1..z10 are free
+    inst = build_variable_gadget()
+    g = inst.graph
+    ports = (inst.ports["x"], inst.ports["not_x"])
+    domains = tuple((0,) if v in ports else (0, 1) for v in g.vertices())
+    problem = SearchProblem(g, domains, unchecked=frozenset(ports))
+    outcome, nodes = enumerate_solutions(problem, SearchBudget(), lambda labels, sums: None)
+    assert outcome == "exhausted"
+    return nodes
+
+
 def _counterexample_refutation_nodes():
     g, _labeling, lists = counterexample_graph(2)
     return refute_lists(g, lists).report.nodes_explored
@@ -340,12 +357,14 @@ def _capped_binary_nodes(cap, status):
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
     (lambda mp: _counterexample_refutation_nodes(), 99),
     (lambda mp: _amplifier_enumeration_nodes(), 1_219),
+    (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
     (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 3_806),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2", "recipe-completion",
+        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2",
+        "enumerate-variable-gadget", "recipe-completion",
         "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
@@ -535,6 +554,85 @@ def test_reusable_values_keep_the_search(monkeypatch):
                         scan = _outcome(_search(problem, None, minimize=minimize))
                     assert got == scan, (g.edges, domains, weight_cap, distinct_cap, minimize)
     assert shortened > 2000  # the full-cap loop does run on these graphs
+
+
+def test_free_vertices_last_keeps_every_answer(monkeypatch):
+    """Searching free vertices last changes no answer and no solution set.
+
+    A free vertex has no neighbor whose sum a constraint reads; isolated
+    vertices are planted so that every graph may have some.  Each call runs
+    as shipped and with the free tier off (the plain maximum-cardinality
+    order).  Status and value must match, and enumeration must reach the
+    same set of (labels, sums).  Node counts may move either way: a branch
+    and bound visits a free vertex at each of its leaves.
+    """
+    from conftest import random_graph
+    rng = random.Random(0xF4EE)
+    order = solver._search_order
+    fewer = 0
+    for _ in range(300):
+        h = random_graph(rng, 1, 8)
+        g = build_graph(h.n + rng.randint(0, 2), h.edges)
+        unchecked = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+        binary = uniform_domains(g, (0, 1))
+        cap = rng.randint(0, g.n)
+        calls = [
+            lambda: solve_eta(g),
+            lambda: solve_eta1(g),
+            lambda: exists_binary(g),
+            lambda: exists_binary(g, weight_cap=cap),
+            lambda: min_ptds(g),
+            lambda: solve_sigma(g),
+            lambda: _search(SearchProblem(g, binary, unchecked=unchecked), None, minimize=True),
+            lambda: _search(SearchProblem(g, binary, unchecked=unchecked, min_sum=1), None,
+                            minimize=True),
+        ]
+
+        def enumerated():
+            sols = set()
+            outcome, nodes = enumerate_solutions(
+                SearchProblem(g, binary, unchecked=unchecked), SearchBudget(),
+                lambda labels, sums: sols.add((tuple(sorted(labels.items())), tuple(sums))))
+            assert outcome == "exhausted"
+            return sols, nodes
+
+        for call in calls:
+            got = call()
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_search_order", lambda n, adj, tiers=None: order(n, adj))
+                old = call()
+            assert (got.status, got.value) == (old.status, old.value), (g.n, g.edges, unchecked)
+            fewer += got.nodes_explored < old.nodes_explored
+        got, nodes = enumerated()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_search_order", lambda n, adj, tiers=None: order(n, adj))
+            old, old_nodes = enumerated()
+        assert got == old, (g.n, g.edges, unchecked)
+        fewer += nodes < old_nodes
+    assert fewer > 300  # the free tier does move these searches
+
+
+def test_enumeration_hands_out_fresh_copies():
+    # a callback that keeps and mutates what it is given must change neither
+    # later solutions nor the search
+    c5 = cycle_graph(5)
+    problem = SearchProblem(c5, uniform_domains(c5, (0, 1)), unchecked=frozenset({0}))
+    plain = []
+    outcome, nodes = enumerate_solutions(problem, SearchBudget(),
+                                         lambda labels, sums: plain.append((dict(labels), list(sums))))
+    kept = []
+
+    def mutate(labels, sums):
+        kept.append((labels, sums, dict(labels), list(sums)))
+        labels.clear()
+        sums[:] = [-1] * len(sums)
+
+    assert enumerate_solutions(problem, SearchBudget(), mutate) == (outcome, nodes)
+    assert outcome == "exhausted" and len(plain) > 1
+    assert [(labels, sums) for _l, _s, labels, sums in kept] == plain
+    assert all(type(labels) is dict and type(sums) is list for labels, sums, _l, _s in kept)
+    assert len({id(labels) for labels, *_ in kept}) == len({id(sums) for _l, sums, *_ in kept}) \
+        == len(kept)
 
 
 def _wheel(rim):
