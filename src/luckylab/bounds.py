@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import Graph, chromatic_number, max_clique, regularity
+from .graph import BudgetExceeded, Graph, chromatic_number, max_clique, regularity
 from .solver import SearchBudget, solve_eta, solve_eta1, solve_sigma
 
 
@@ -43,10 +43,10 @@ class BoundsReport:
     """
 
     n: int
-    omega: int
-    chi: int
-    clique_ratio: int
-    regular: Optional[int]
+    omega: Optional[int] = None
+    chi: Optional[int] = None
+    clique_ratio: Optional[int] = None
+    regular: Optional[int] = None
     eta: Optional[int] = None
     eta1: Optional[int] = None
     eta1_infeasible: bool = False
@@ -79,19 +79,22 @@ class BoundsReport:
 def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsReport:
     """Compute the exact values within budget and evaluate every inequality flag.
 
-    Fields whose solver run exhausts the budget stay absent and their flags
-    are skipped (recorded in notes) rather than guessed.
+    Every search, the clique and colouring searches among them, gets the
+    whole budget.  Fields whose search exhausts it stay absent and their
+    flags are skipped (recorded in notes) rather than guessed.
     """
     budget = budget or SearchBudget()
-    omega, _ = max_clique(g)
-    chi, _ = chromatic_number(g)
-    rep = BoundsReport(
-        n=g.n,
-        omega=omega,
-        chi=chi,
-        clique_ratio=_clique_ratio(g, omega),
-        regular=_regular(g, omega),
-    )
+    rep = BoundsReport(n=g.n)
+    try:
+        rep.omega = max_clique(g, budget)[0]
+        rep.clique_ratio = _clique_ratio(g, rep.omega)
+        rep.regular = _regular(g, rep.omega)
+    except BudgetExceeded:
+        rep.notes["omega"] = "budget-exceeded"
+    try:
+        rep.chi = chromatic_number(g, budget)[0]
+    except BudgetExceeded:
+        rep.notes["chi"] = "budget-exceeded"
 
     r_eta = solve_eta(g, budget)
     if r_eta.status == "found":
@@ -114,13 +117,17 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
     else:
         rep.notes["sigma"] = r_sigma.status
 
+    chi = rep.chi
     if rep.eta is not None:
-        rep.flags["eta_ge_clique_ratio"] = rep.eta >= rep.clique_ratio
+        if rep.clique_ratio is not None:
+            rep.flags["eta_ge_clique_ratio"] = rep.eta >= rep.clique_ratio
         if rep.regular is not None:
             rep.flags["eta_ge_regular_bound"] = rep.eta >= rep.regular
-        rep.flags["eta_le_chi_conjecture"] = rep.eta <= chi
-    if rep.eta1 is not None:
-        rep.flags["eta1_ge_chi_minus_1"] = rep.eta1 >= chi - 1
-    if rep.sigma is not None:
-        rep.flags["sigma_le_chi"] = rep.sigma <= chi
+        if chi is not None:
+            rep.flags["eta_le_chi_conjecture"] = rep.eta <= chi
+    if chi is not None:
+        if rep.eta1 is not None:
+            rep.flags["eta1_ge_chi_minus_1"] = rep.eta1 >= chi - 1
+        if rep.sigma is not None:
+            rep.flags["sigma_le_chi"] = rep.sigma <= chi
     return rep

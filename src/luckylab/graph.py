@@ -7,12 +7,41 @@ traversal in the package is reproducible.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .solver import SearchBudget
 
 
 class GraphError(ValueError):
     """A construction request violates the simple-graph invariants."""
+
+
+class BudgetExceeded(Exception):
+    """A search ran out of its node or millisecond budget."""
+
+
+def _node_counter(budget: Optional[SearchBudget]) -> Callable[[], None]:
+    """A function to call once per search node; it raises BudgetExceeded past the caps.
+
+    Like the solver engine, it reads the clock only every 2,048 nodes.  No
+    budget means no cap.
+    """
+    if budget is None:
+        return lambda: None
+    max_nodes = budget.max_nodes
+    deadline = time.monotonic() + budget.max_ms / 1000.0
+    nodes = 0
+
+    def count() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes or (nodes % 2048 == 0 and time.monotonic() >= deadline):
+            raise BudgetExceeded
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -121,11 +150,12 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def max_clique(g: Graph) -> tuple[int, list[int]]:
+def max_clique(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[int, list[int]]:
     """Exact maximum clique via branch and bound on bitset candidate sets.
 
     Exponential worst case; intended for n up to ~50.  Returns the clique
-    number and a sorted witness clique.
+    number and a sorted witness clique.  Each branch-and-bound call counts
+    as a node of `budget`; running out raises BudgetExceeded.
     """
     if g.n < 1:
         raise GraphError("max_clique requires n >= 1")
@@ -137,9 +167,11 @@ def max_clique(g: Graph) -> tuple[int, list[int]]:
 
     best_size = 0
     best_set = 0
+    count_node = _node_counter(budget)
 
     def expand(r: int, r_size: int, p: int):
         nonlocal best_size, best_set
+        count_node()
         if p == 0:
             if r_size > best_size:
                 best_size = r_size
@@ -168,22 +200,25 @@ def max_clique(g: Graph) -> tuple[int, list[int]]:
     return best_size, witness
 
 
-def chromatic_number(g: Graph) -> tuple[int, dict[int, int]]:
+def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[int, dict[int, int]]:
     """Exact chromatic number with a witness coloring (colors 1..chi).
 
     Tries k = 1, 2, ... and proves each failing k infeasible by exhaustive
-    backtracking.  Intended for n up to ~20.
+    backtracking.  Intended for n up to ~20.  Every placement call, over
+    all k, counts as a node of `budget`; running out raises BudgetExceeded.
     """
     if g.n < 1:
         raise GraphError("chromatic_number requires n >= 1")
     n = g.n
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     adj = g.adjacency()
+    count_node = _node_counter(budget)
 
     for k in range(1, n + 1):
         color = [0] * n  # 0 = unassigned, colors are 1..k
 
         def place(i: int) -> bool:
+            count_node()
             if i == n:
                 return True
             v = order[i]

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import fileio
 from .formula import Cnf3Formula, FormulaError, make_formula
-from .graph import Graph, GraphError, build_graph, chromatic_number
+from .graph import BudgetExceeded, Graph, GraphError, build_graph, chromatic_number
 from .labeling import (
     Labeling,
     ListAssignment,
@@ -484,7 +484,8 @@ def check_threshold_inapprox(g: Graph, d: int,
     regimes cannot overlap.  The labeling side runs a weight-capped
     exhaustive search; if that search is cut off and the graph is
     3-colorable, the constructive recipe still settles the question with a
-    verified labeling.
+    verified labeling.  The chromatic number is searched under the same
+    budget; a cut there leaves the verdict inconclusive.
     """
     cap = 5 * g.n
     if d < cap + 1:
@@ -492,9 +493,12 @@ def check_threshold_inapprox(g: Graph, d: int,
     red = build_inapprox_reduction(g, d)
     budget = budget or SearchBudget()
     witnesses: dict[str, str] = {}
-    chi, coloring = chromatic_number(g)
-    left = chi <= 3
-    witnesses["chromatic_number"] = str(chi)
+    try:
+        chi, coloring = chromatic_number(g, budget)
+        left = chi <= 3
+        witnesses["chromatic_number"] = str(chi)
+    except BudgetExceeded:
+        left = None  # the colouring side is inconclusive
     tiers = {v: 1 for v in red.params["pair_vertices"]}
     rep = exists_binary(red.graph, budget, weight_cap=cap, tiers=tiers)
     right = _reduction_answer(rep, witnesses)

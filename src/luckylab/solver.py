@@ -18,11 +18,25 @@ domain.  A constrained edge whose two endpoints have decided, equal sums
 can never be repaired, and neither can a vertex whose hi lies below a
 required minimum, so either kills the branch.
 
+An edge can be decided before either sum is.  The common neighbors of u
+and w add the same labels to both sums, so sum(u) - sum(w) is fixed once u,
+w and the symmetric difference of their neighborhoods are assigned.  For
+an edge inside a clique that difference holds only the outside neighbors
+the two endpoints do not share, while the intervals wait for the whole
+clique.  Such an edge is watched at the vertex that completes that set, a
+sum-level analogue of the watched literals of Chaff (Moskewicz et al., DAC
+2001), and a zero difference kills the branch with only that set as its
+culprits; triangle-free graphs have no watched edge.  Culprits feed
+conflict-directed backjumping (Prosser, Comput. Intell. 1993).  Each is a
+bitmask of search positions: nbmask[v] holds the positions of v's
+neighbors, and at depth d exactly the first d + 1 vertices of the order
+are assigned, so a conflict's culprits are one mask operation.
+
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
 its weight lower bound.  Refuting a capped labeling needs that bound: the
-inapproximability check on K4 at d = 21 takes 3,806 nodes with it and
-192,246 with pairs counted at the root only.  Branch and bound, whose cap
+inapproximability check on K4 at d = 21 takes 3,782 nodes with it and
+192,210 with pairs counted at the root only.  Branch and bound, whose cap
 starts unset and only falls as leaves improve it, does not keep the bound:
 it explores about 4 % more nodes without it but finishes sooner, since each
 node skips the pair scan.
@@ -42,7 +56,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-from .graph import Graph, GraphError
+from .graph import BudgetExceeded, Graph, GraphError
 from .labeling import Labeling, ListAssignment, weight
 # not called here; kept as a module attribute because layer tracing that
 # wraps solver.verify_additive looks it up by that name
@@ -100,10 +114,6 @@ class SolveReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _twin_predecessors(adj, sig, order, checked):
     """For each vertex, its predecessor in a class of interchangeable twins.
 
@@ -144,6 +154,44 @@ def _twin_predecessors(adj, sig, order, checked):
             strict[v] = checked[v]
         closed_last[key] = v
     return prev, strict
+
+
+def _edge_watchers(edges, adj, pos, nbmask, checked, fixed, extra):
+    """For each vertex, the checked edges that its assignment decides early.
+
+    For a checked edge (u, w), the common neighbors cancel out of
+    sum(u) - sum(w), which is
+
+        l(w) - l(u) + sum over N(u) - N[w] of l - sum over N(w) - N[u] of l
+        + extra(u) - extra(w).
+
+    So the edge is decided once u, w and D = N(u) ^ N(w) - {u, w} are
+    assigned, at the decisive depth, the largest search position in
+    D + {u, w}.  The sum intervals decide it at the last position in
+    N(u) + N(w) that holds a vertex with more than one value.  An edge is
+    watched, at the vertex of its decisive depth, only when that depth
+    comes first.  A one-value vertex stays in D: its label is read only
+    once it is assigned.  Without a common neighbor D + {u, w} is all of
+    N(u) + N(w), so such an edge (every edge of a triangle-free graph) is
+    skipped on a test of nbmask[u] & nbmask[w] alone.
+
+    Returns watch, where watch[v] lists (plus, minus, const, mask) in edge
+    order: the edge is violated when const plus the labels of plus equals
+    the labels of minus, and mask holds the positions of D + {u, w}.
+    """
+    watch: list[list] = [[] for _ in adj]
+    for u, w in edges:
+        if not (checked[u] and checked[w] and nbmask[u] & nbmask[w]):
+            continue
+        nu, nw = set(adj[u]), set(adj[w])
+        plus = (w, *(x for x in adj[u] if x != w and x not in nw))
+        minus = (u, *(x for x in adj[w] if x != u and x not in nu))
+        last = max(plus + minus, key=pos.__getitem__)
+        decided = max((pos[x] for x in nu | nw if not fixed[x]), default=-1)
+        if pos[last] < decided:
+            mask = sum(1 << pos[x] for x in plus + minus)
+            watch[last].append((plus, minus, extra.get(u, 0) - extra.get(w, 0), mask))
+    return watch
 
 
 def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> list[int]:
@@ -245,6 +293,13 @@ class _Engine:
         self.pos = [0] * n
         for i, v in enumerate(self.order):
             self.pos[v] = i
+        # the search positions of each vertex's neighbors, one bit each; at
+        # depth d exactly order[0..d] is assigned, so v's assigned neighbors
+        # are nbmask[v] & ((2 << d) - 1)
+        self.nbmask = [0] * n
+        for u, w in g.edges:
+            self.nbmask[u] |= 1 << self.pos[w]
+            self.nbmask[w] |= 1 << self.pos[u]
 
         self.dmin = [d[0] for d in self.domains]
         self.dmax = [d[-1] for d in self.domains]
@@ -254,6 +309,8 @@ class _Engine:
         self.lo = [ex.get(v, 0) + sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
         self.hi = [ex.get(v, 0) + sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
         self.future_min = sum(self.dmin)
+        self.watch = _edge_watchers(g.edges, self.adj, self.pos, self.nbmask, self.checked,
+                                    [len(d) == 1 for d in self.domains], ex)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # boundary mass or unchecked status makes a vertex non-interchangeable
@@ -274,37 +331,35 @@ class _Engine:
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
 
-    def _culprits(self, u: int, t: Optional[int] = None) -> int:
-        """Bitmask of assignment levels a conflict at u (and t) depends on.
-
-        The sums at u and t are functions of their assigned neighbors'
-        labels plus constants (singleton domains, boundary mass), so the
-        conflict persists until one of those neighbors is unassigned.
-        """
-        mask = 0
-        pos = self.pos
-        assigned = self.assigned
-        for w in self.adj[u]:
-            if assigned[w]:
-                mask |= 1 << pos[w]
-        if t is not None:
-            for w in self.adj[t]:
-                if assigned[w]:
-                    mask |= 1 << pos[w]
-        return mask
-
     def _conflict_after(self, v: int) -> Optional[int]:
-        """Culprit bitmask for a constraint decided by assigning v, or None."""
+        """Culprit bitmask for a constraint decided by assigning v, or None.
+
+        A sum is a function of its assigned neighbors' labels plus constants
+        (singleton domains, boundary mass), so a conflict at u (and t)
+        persists until one of those neighbors is unassigned: its culprits
+        are the assigned part of nbmask[u] | nbmask[t].  The sum intervals
+        are scanned first, then the edges whose neighborhood difference
+        assigning v decides (module docstring).
+        """
         min_sum = self.min_sum
-        lo, hi, cadj = self.lo, self.hi, self.cadj
+        lo, hi, cadj, nbmask = self.lo, self.hi, self.cadj, self.nbmask
         for u in cadj[v]:
             s = hi[u]
             if min_sum is not None and s < min_sum:
-                return self._culprits(u)
+                return nbmask[u] & ((2 << self.pos[v]) - 1)
             if lo[u] == s:
                 for t in cadj[u]:
                     if lo[t] == s and hi[t] == s:
-                        return self._culprits(u, t)
+                        return (nbmask[u] | nbmask[t]) & ((2 << self.pos[v]) - 1)
+        label = self.label
+        for plus, minus, diff, mask in self.watch[v]:
+            # plain loops: these sets hold a few vertices each
+            for x in plus:
+                diff += label[x]
+            for x in minus:
+                diff -= label[x]
+            if not diff:
+                return mask
         return None
 
     # -- forced-pair weight bound --------------------------------------------
@@ -317,12 +372,13 @@ class _Engine:
     # frozen, the condition persists until u or t is assigned, making the
     # count a sound addition to the weight lower bound.
 
-    def _try_bonus(self, u: int, t: int) -> bool:
+    def _try_bonus(self, u: int, t: int, assigned_mask: int) -> bool:
         lo, hi = self.lo, self.hi
         if (hi[u] - lo[u] == self.dmax[t] - self.dmin[t]
                 and hi[t] - lo[t] == self.dmax[u] - self.dmin[u] and lo[u] == lo[t]):
             idx = len(self.bonus_stack)
-            self.bonus_stack.append([u, t, self._culprits(u, t), True])
+            culprits = (self.nbmask[u] | self.nbmask[t]) & assigned_mask
+            self.bonus_stack.append([u, t, culprits, True])
             self.in_bonus[u] = idx
             self.in_bonus[t] = idx
             self.bonus_total += 1
@@ -335,6 +391,7 @@ class _Engine:
         assigned = self.assigned
         in_bonus = self.in_bonus
         cadj = self.cadj
+        assigned_mask = (2 << self.pos[v]) - 1
         for u in cadj[v]:
             if assigned[u] or in_bonus[u] >= 0:
                 continue
@@ -342,7 +399,7 @@ class _Engine:
                 # v itself is assigned, so it is skipped here
                 if assigned[t] or in_bonus[t] >= 0:
                     continue
-                if self._try_bonus(u, t):
+                if self._try_bonus(u, t, assigned_mask):
                     added += 1
                     break
         return added
@@ -366,7 +423,7 @@ class _Engine:
             if not (self.checked[u] and self.checked[t]):
                 continue
             if self.in_bonus[u] < 0 and self.in_bonus[t] < 0:
-                self._try_bonus(u, t)
+                self._try_bonus(u, t, 0)  # nothing is assigned yet
 
     def _initial_conflict(self) -> bool:
         lo, hi, checked = self.lo, self.hi, self.checked
@@ -428,7 +485,8 @@ class _Engine:
         The frame keeps 34 local slots.  Under CPython 3.11 one more slot
         (an unused local was enough) slowed the SAT sweep by about 7 % at
         equal node counts, so self.bounded is read where it is used rather
-        than bound to a local.
+        than bound to a local, and the culprit masks and the edge watchers
+        live in __init__ and _conflict_after, not in this frame.
         """
         below = (1 << depth) - 1
         if depth == self.n:
@@ -476,7 +534,7 @@ class _Engine:
             self.nodes += 1
             if self.nodes > max_nodes or (
                     self.nodes % 2048 == 0 and time.monotonic() >= self.deadline):
-                raise _BudgetExceeded
+                raise BudgetExceeded
             label[v] = val
             assigned[v] = True
             if val > dmin_v:
@@ -554,7 +612,7 @@ class _Engine:
             if self.cap is not None and self.future_min + self.bonus_total > self.cap:
                 return "done"
             return "done" if self._dfs(0, 0, {}) is not None else "stopped"
-        except _BudgetExceeded:
+        except BudgetExceeded:
             return "budget-exceeded"
 
 

@@ -50,10 +50,10 @@ def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def test_criterion_1_counterexample_k1_and_k2(capsys, tmp_path):
-    """Separation at k = 1 to 4: eta proven exactly, adversarial lists refuted."""
+def test_criterion_1_counterexample_k1_to_k5(capsys, tmp_path):
+    """Separation at k = 1 to 5: eta proven exactly, adversarial lists refuted."""
     timings = []
-    for k, limit in ((1, 1.0), (2, 300.0), (3, 300.0), (4, 300.0)):
+    for k, limit in ((1, 1.0), (2, 300.0), (3, 300.0), (4, 300.0), (5, 300.0)):
         t0 = time.monotonic()
         out_prefix = str(tmp_path / f"ce{k}")
         code = cli_main(["construct", "counterexample", "--k", str(k),

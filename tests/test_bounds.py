@@ -62,9 +62,9 @@ def test_bounds_report_computes_omega_once(monkeypatch):
     calls = []
     real = bounds_mod.max_clique
 
-    def counting(g):
+    def counting(g, budget=None):
         calls.append(g)
-        return real(g)
+        return real(g, budget)
 
     monkeypatch.setattr(bounds_mod, "max_clique", counting)
     for g in (complete_graph(4), petersen_graph(), path_graph(3)):

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -292,6 +294,25 @@ def test_bounds_cli(capsys, p3_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["eta"] == 1 and payload["flags"]["eta_le_chi_conjecture"]
+
+
+def test_bounds_budget_cuts_clique_and_colouring(capsys, tmp_path):
+    # the clique and colouring searches run under the command's budget: on
+    # this G(60, 0.5) they used to run unbounded, past 30 s
+    rng = random.Random(3)
+    n = 60
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    path = tmp_path / "g60.col"
+    fileio.write_graph(path, g)
+    t0 = time.monotonic()
+    code, out = run(capsys, "bounds", "--graph", str(path), "--budget-nodes", "1",
+                    "--budget-ms", "1", "--json")
+    assert time.monotonic() - t0 < 10
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["notes"]["omega"] == payload["notes"]["chi"] == "budget-exceeded"
+    assert (payload["omega"], payload["chi"], payload["clique_ratio_bound"]) == (None, None, None)
+    assert payload["flags"] == {}
 
 
 def test_check_sat_single(capsys, tmp_path):

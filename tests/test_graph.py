@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from luckylab.graph import (
+    BudgetExceeded,
     GraphError,
     build_graph,
     chromatic_number,
@@ -17,6 +19,7 @@ from luckylab.graph import (
     petersen_graph,
     regularity,
 )
+from luckylab.solver import SearchBudget
 
 
 def test_build_path():
@@ -122,3 +125,18 @@ def test_regularity():
 def test_components():
     g = build_graph(5, [(0, 1), (3, 4)])
     assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+
+def test_clique_and_colouring_searches_honour_the_budget():
+    rng = random.Random(3)
+    n = 60
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    for search in (max_clique, chromatic_number):
+        # the node cap alone, and the clock alone, read every 2,048 nodes
+        for budget in (SearchBudget(max_nodes=50), SearchBudget(max_ms=1)):
+            with pytest.raises(BudgetExceeded):
+                search(g, budget)
+    # a budget that suffices changes nothing
+    c5 = cycle_graph(5)
+    assert chromatic_number(c5, SearchBudget(max_nodes=100)) == chromatic_number(c5)
+    assert max_clique(c5, SearchBudget(max_nodes=100)) == max_clique(c5)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -325,9 +326,19 @@ def _variable_gadget_enumeration_nodes():
     return nodes
 
 
-def _counterexample_refutation_nodes():
-    g, _labeling, lists = counterexample_graph(2)
+def _counterexample_refutation_nodes(k):
+    g, _labeling, lists = counterexample_graph(k)
     return refute_lists(g, lists).report.nodes_explored
+
+
+def _gnp_eta1_nodes():
+    # G(18, 0.3) has triangles, so edge watchers fire; Petersen has none
+    rng = random.Random(2)
+    n = 18
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    rep = solve_eta1(g)
+    assert (rep.status, rep.value) == ("found", 8)
+    return rep.nodes_explored
 
 
 def _recipe_completion_nodes(monkeypatch):
@@ -355,15 +366,18 @@ def _capped_binary_nodes(cap, status):
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 373),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
-    (lambda mp: _counterexample_refutation_nodes(), 99),
-    (lambda mp: _amplifier_enumeration_nodes(), 1_219),
+    (lambda mp: _counterexample_refutation_nodes(2), 81),
+    (lambda mp: _counterexample_refutation_nodes(4), 7_193),
+    (lambda mp: _gnp_eta1_nodes(), 8_080),
+    (lambda mp: _amplifier_enumeration_nodes(), 1_093),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
-    (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 3_806),
+    (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 3_782),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "refute-counterexample2", "enumerate-amplifier2",
+        "binary-sat3", "refute-counterexample2", "refute-counterexample4", "eta1-gnp18",
+        "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
         "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
@@ -675,3 +689,132 @@ def test_budget_cut_keeps_the_incumbent():
         assert rep.to_json_dict()["certificate"] is not None
     chosen = [v for v, x in rep.certificate.values.items() if x == 1]
     assert verify_ptds(g, chosen)
+
+
+def _watchers_off(_edges, adj, *_rest):
+    return [[] for _ in adj]
+
+
+def _random_watch_problem(rng):
+    """A random problem with n <= 9 under the side constraints the watchers must respect.
+
+    Dense graphs have triangles, so edges get watched.  Domains are one,
+    two or three values up to {1..3}; boundary mass, unchecked vertices,
+    min_sum and the two caps are each drawn at random.  The labelings number
+    at most 2,048, so brute force can list them all.
+    """
+    from conftest import random_graph
+    g = random_graph(rng, 3, 9, p=rng.choice((0.4, 0.6, 0.8)))
+    choices = ((0,), (1,), (2,), (0, 1), (0, 1), (1, 2), (0, 2), (1, 2, 3))
+    domains = [rng.choice(choices) for _ in g.vertices()]
+    while math.prod(map(len, domains)) > 2_048:
+        v = rng.choice([v for v, d in enumerate(domains) if len(d) > 1])
+        domains[v] = (rng.choice(domains[v]),)
+    return SearchProblem(
+        g, tuple(domains),
+        weight_cap=rng.choice((None, None, sum(min(d) for d in domains) + rng.randint(0, 3))),
+        min_sum=rng.choice((None, None, None, 1, 2)),
+        distinct_cap=rng.choice((None, None, None, 2)),
+        extra_sum=tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.2),
+    )
+
+
+def _brute_force_solutions(problem):
+    """Every (labels, sums) pair of a valid labeling, by listing all labelings."""
+    g = problem.graph
+    extra = dict(problem.extra_sum or ())
+    checked = [v not in problem.unchecked for v in g.vertices()]
+    found = set()
+    for labels in itertools.product(*problem.domains):
+        sums = [extra.get(v, 0) + sum(labels[u] for u in g.neighbors(v)) for v in g.vertices()]
+        if any(checked[u] and checked[v] and sums[u] == sums[v] for u, v in g.edges):
+            continue
+        if problem.min_sum is not None and any(
+                checked[v] and sums[v] < problem.min_sum for v in g.vertices()):
+            continue
+        if problem.weight_cap is not None and sum(labels) > problem.weight_cap:
+            continue
+        if problem.distinct_cap is not None and len(set(labels)) > problem.distinct_cap:
+            continue
+        found.add((labels, tuple(sums)))
+    return found
+
+
+def _enumerated(problem):
+    sols = set()
+    outcome, nodes = enumerate_solutions(
+        problem, SearchBudget(),
+        lambda labels, sums: sols.add((tuple(labels[v] for v in range(len(labels))), tuple(sums))))
+    assert outcome == "exhausted"
+    return sols, nodes
+
+
+def test_edge_watchers_match_brute_force():
+    """With edge watchers on, the engine agrees with a listing of every labeling.
+
+    On 300 random problems, enumeration must reach exactly the valid
+    (labels, sums) pairs, a first-solution search must find one exactly
+    when one exists, and branch and bound must reach the least weight.
+    """
+    rng = random.Random(0x3A7C)
+    watched = 0
+    for _ in range(300):
+        problem = _random_watch_problem(rng)
+        want = _brute_force_solutions(problem)
+        eng = _Engine(problem, SearchBudget())
+        watched += any(eng.watch)
+        assert _enumerated(problem)[0] == want, problem
+        rep = _search(problem, None)
+        assert (rep.status == "found") == bool(want), problem
+        rep = _search(problem, None, minimize=True)
+        assert rep.value == (min(sum(labels) for labels, _ in want) if want else None), problem
+    assert watched > 100  # these problems do have watched edges
+
+
+def test_edge_watchers_keep_every_answer(monkeypatch):
+    """Edge watchers change no answer and no solution set, and cut nodes overall.
+
+    Each solver entry runs on 300 random graphs with watchers on and with
+    them monkeypatched off; status and value must match.  Enumeration under
+    boundary mass and unchecked vertices must reach the same solutions.
+    Node counts may rise where a different first conflict changes a
+    backjump, so only the total is required to fall; the calls that rose
+    are listed in the failure message.
+    """
+    from conftest import random_graph
+    rng = random.Random(0xED6E)
+    totals = [0, 0]
+    rose = []
+    for i in range(300):
+        g = random_graph(rng, 1, 9 if i % 3 else 7, p=rng.choice((0.4, 0.6)))
+        cap = rng.randint(0, g.n)
+        lists = make_lists({v: rng.sample(range(1, 5), rng.randint(1, 3)) for v in g.vertices()})
+        problem = _random_watch_problem(rng)
+        calls = [
+            ("eta", lambda: solve_eta(g)),
+            ("eta1", lambda: solve_eta1(g)),
+            ("binary", lambda: exists_binary(g)),
+            ("binary-cap", lambda: exists_binary(g, weight_cap=cap)),
+            ("ptds", lambda: min_ptds(g)),
+            ("lists", lambda: decide_list_additive(g, lists)),
+        ]
+        if g.n <= 7:
+            calls.append(("sigma", lambda: solve_sigma(g)))
+        runs = []
+        for watch in (solver._edge_watchers, _watchers_off):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_edge_watchers", watch)
+                reps = [(name, call()) for name, call in calls]
+                sols, nodes = _enumerated(problem)
+            runs.append(([(name, r.status, r.value, r.nodes_explored) for name, r in reps]
+                         + [("enumerate", None, None, nodes)], sols))
+        (on, on_sols), (off, off_sols) = runs
+        assert on_sols == off_sols, problem
+        for (name, *answer, nodes), (_, *old_answer, old_nodes) in zip(on, off):
+            assert answer == old_answer, (name, g.edges)
+            totals[0] += nodes
+            totals[1] += old_nodes
+            if nodes > old_nodes:
+                rose.append((i, name, old_nodes, nodes))
+    assert totals[0] < totals[1], rose
