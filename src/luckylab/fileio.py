@@ -25,6 +25,12 @@ class FileFormatError(ValueError):
 # Graph files: `p edge <n> <m>`, then `c name <u> <string>` lines, then
 # `e <u> <v>` lines, all ids 1-based.
 
+# the most vertices a graph file may declare; a larger count is rejected
+# before anything is allocated for it, since every consumer of a graph builds
+# per-vertex arrays
+MAX_VERTICES = 1_000_000
+
+
 def graph_to_text(g: Graph) -> str:
     out = [f"p edge {g.n} {g.m}"]
     if g.names:
@@ -54,6 +60,9 @@ def graph_from_text(text: str) -> Graph:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FileFormatError(line_no, f"non-integer counts in {line!r}") from None
+            if n > MAX_VERTICES:
+                raise FileFormatError(line_no,
+                                      f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")
         elif parts[0] == "c":
             if len(parts) >= 4 and parts[1] == "name":
                 try:

@@ -34,12 +34,48 @@ are assigned, so a conflict's culprits are one mask operation.
 
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
-its weight lower bound.  Refuting a capped labeling needs that bound: the
-inapproximability check on K4 at d = 21 takes 3,782 nodes with it and
-192,210 with pairs counted at the root only.  Branch and bound, whose cap
-starts unset and only falls as leaves improve it, does not keep the bound:
-it explores about 4 % more nodes without it but finishes sooner, since each
-node skips the pair scan.
+its weight lower bound.  Refuting a capped labeling needs that bound, even
+with the nogoods below: the inapproximability check on K4 at d = 21 takes
+928 nodes with it and 186,216 with pairs counted at the root only, and on
+the complement of C7 at d = 36 it takes 3,183 nodes with it and is cut at
+3 M without.  Branch and bound, whose cap starts unset and only falls as
+leaves improve it, does not keep the bound: it explores about 4 % more nodes
+without it but finishes sooner, since each node skips the pair scan.
+
+A search that stops at its first leaf also learns ("dead-end driven
+learning", Frost & Dechter, AAAI 1994).  When a frame has tried every
+value, its culprit mask M is a nogood: the positions in M, at their current
+values, have no completion under the search's constraints, its twin order
+and weight cap among them, which stay fixed while the search runs.  The
+nogood keeps the pattern of which of those positions sit above their domain
+minimum.  That pattern names each value only where a domain has at most two
+values, so a mask touching a wider domain (list sizes of three or more, eta
+with k >= 3, sigma) is not recorded.  Neither is a whole prefix, the mask
+of a subtree that let a leaf pass, since that prefix never recurs.  A
+nogood waits for one position to take one bit, so an assignment visits only
+the nogoods waiting for it.  One that agrees with the path up to the
+position just assigned waits next at the second-highest position of M, then
+at the top one, and fires there with M as its culprit mask; this is checked
+after the conflict scan, so every earlier conflict and its mask stay as
+they were.  One that disagrees at one position waits for that position to
+change; one that disagrees at two is forgotten (relevance-bounded learning
+with bound 1, Bayardo & Miranker, AAAI 1996).  Kept instead, the nogoods of
+the inapproximability check on the Wagner graph at d = 41 (3 M nodes) grew
+the process from 20 MB to 216 MB and its time from 14 s to 33 s.  A
+search that has recorded more than LEARN_TRIAL (4,096) nogoods stops
+learning, and drops its nogoods, while fewer than one in LEARN_FIRE_RATE
+(64) of them has fired.  On the SAT reductions and the refuted
+inapproximability checks nogoods fire about as often as they are recorded;
+the octahedron K(2,2,2) at d = 31 recorded 490,418 and fired 1,130 in 1 M
+nodes, and ran about 20 % slower than without learning, until this rule
+switched learning off after 11,137 records (23k nodes).  The nogoods die
+with their search.  Learning cut the 138 SAT-equivalence
+formulas of the benchmark from 754,662 to 94,075 nodes.  Branch and bound
+(eta1, PTDS) does not learn: on the twelve G(n, 0.3) graphs of the
+benchmark it cut their nodes by 12 % but made the whole bounds workload
+17 % slower.  Enumeration does not learn either, so gadget certification
+keeps its node counts; learning there gave the same `check gadgets` output
+in 48,167 nodes instead of 59,113.
 
 All searches are complete: "infeasible" always means the whole space was
 exhausted, and budget exhaustion is reported as its own status rather than
@@ -65,6 +101,11 @@ from . import fileio
 
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_MS = 60_000
+
+# a learning search that has recorded more than LEARN_TRIAL nogoods stops
+# learning while fewer than one in LEARN_FIRE_RATE of them has fired
+LEARN_TRIAL = 4096
+LEARN_FIRE_RATE = 64
 
 
 @dataclass(frozen=True)
@@ -255,7 +296,7 @@ class _Engine:
     """
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
-                 break_symmetry: bool = True):
+                 break_symmetry: bool = True, learn: bool = False):
         g = problem.graph
         self.g = g
         n = g.n
@@ -327,6 +368,14 @@ class _Engine:
         self.bonus_stack: list[list] = []
         self.bonus_total = 0
         self.bounded = problem.weight_cap is not None
+        # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
+        # pattern, top) triples waiting for position p to take bit bit;
+        # wide holds the positions whose domains have more than two values;
+        # ng_stored and ng_fired count recorded and fired nogoods
+        self.learn = learn
+        self.ng_stored = self.ng_fired = 0
+        self.ng_watch = [([], []) for _ in range(n)]
+        self.wide = sum(1 << self.pos[v] for v in range(n) if len(self.domains[v]) > 2)
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
@@ -360,6 +409,62 @@ class _Engine:
                 diff -= label[x]
             if not diff:
                 return mask
+        return None
+
+    # -- nogoods ---------------------------------------------------------------
+
+    def _learn(self, mask: int) -> None:
+        """Record the culprit mask of an exhausted frame as a nogood.
+
+        The positions in mask, at their current values, have no completion.
+        The pattern keeps which of them sit above their domain minimum; that
+        names each value only on a domain of at most two values, so a mask
+        touching a wider domain is not recorded.  Neither is a whole prefix
+        0..k, the mask of a subtree that let a leaf pass: its prefix is never
+        assigned again.  The nogood waits at its top position k.  Past
+        LEARN_TRIAL records, a search whose nogoods fire less than once per
+        LEARN_FIRE_RATE records stops learning for good.
+        """
+        if mask & (mask + 1) and not mask & self.wide:
+            k = mask.bit_length() - 1
+            pattern = self.ones_mask & mask
+            self.ng_watch[k][pattern >> k & 1].append((mask, pattern, k))
+            self.ng_stored += 1
+            if (self.ng_stored > LEARN_TRIAL
+                    and self.ng_fired * LEARN_FIRE_RATE < self.ng_stored):
+                self.learn = False
+                self.ng_watch = [([], []) for _ in self.ng_watch]
+
+    def _nogood_after(self, depth: int, bit: int) -> Optional[int]:
+        """Culprit mask of a nogood that the assignment at depth completes, or None.
+
+        Only the nogoods waiting for this position and this bit are visited.
+        One whose assigned positions all agree with the path fires if depth is
+        its top position k; otherwise it waits at its second-highest position,
+        or at k once depth has reached that.  One that disagrees at a single
+        position q waits for q to change.  One that disagrees at two or more
+        is forgotten (relevance bound 1).
+        """
+        watch = self.ng_watch
+        waiting = watch[depth][bit]
+        ones = self.ones_mask
+        low = (2 << depth) - 1
+        for i, ng in enumerate(waiting):
+            mask, pattern, k = ng
+            diff = (ones ^ pattern) & mask & low
+            if not diff:
+                if k == depth:
+                    del waiting[:i]
+                    self.ng_fired += 1
+                    return mask
+                t = (mask ^ 1 << k).bit_length() - 1
+                if depth >= t:
+                    t = k
+                watch[t][pattern >> t & 1].append(ng)
+            elif not diff & (diff - 1):
+                q = diff.bit_length() - 1
+                watch[q][pattern >> q & 1].append(ng)
+        waiting.clear()
         return None
 
     # -- forced-pair weight bound --------------------------------------------
@@ -482,11 +587,17 @@ class _Engine:
         record the failure: on sigma's wide domains that skips most of the
         domain at every node without changing a single node or mask.
 
+        In a learning search, a frame that tried every value hands its
+        culprit mask to _learn, and a node that passes the conflict scan asks
+        _nogood_after whether a nogood fires, but only when one waits for its
+        position and bit.
+
         The frame keeps 34 local slots.  Under CPython 3.11 one more slot
         (an unused local was enough) slowed the SAT sweep by about 7 % at
-        equal node counts, so self.bounded is read where it is used rather
-        than bound to a local, and the culprit masks and the edge watchers
-        live in __init__ and _conflict_after, not in this frame.
+        equal node counts, so self.bounded and self.learn are read where
+        they are used rather than bound to locals, and the culprit masks,
+        the edge watchers and the nogoods live in __init__, _conflict_after,
+        _learn and _nogood_after, not in this frame.
         """
         below = (1 << depth) - 1
         if depth == self.n:
@@ -553,6 +664,9 @@ class _Engine:
             if new_count is not None:
                 used[val] = new_count
             cmask = self._conflict_after(v)
+            # the flag first: branch and bound and enumeration skip the lookup
+            if cmask is None and self.learn and self.ng_watch[depth][val > dmin_v]:
+                cmask = self._nogood_after(depth, val > dmin_v)
             added_bonuses = 0
             if cmask is None and self.bounded:
                 added_bonuses = self._scan_bonuses(v)
@@ -588,10 +702,13 @@ class _Engine:
             assigned[v] = False
             self.ones_mask &= ~bit_d
             if skip_rest is not None:
-                conf = skip_rest
-                break
+                self.future_min = base_future + dmin_v
+                return skip_rest
         self.future_min = base_future + dmin_v
-        return conf & below
+        conf &= below
+        if self.learn:
+            self._learn(conf)
+        return conf
 
     def run(self, on_leaf: Callable[[int], bool]) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
@@ -600,7 +717,9 @@ class _Engine:
         The outcome is "stopped", "done" (the space is exhausted) or
         "budget-exceeded".  The forced-pair bound is kept only when the
         problem itself carries a weight cap (module docstring): a cap fixed
-        up front is what makes the bound pay.
+        up front is what makes the bound pay.  The hook is dropped on
+        return: it usually refers to the engine, and that cycle would keep
+        the engine and its nogoods alive until the cyclic collector ran.
         """
         self.on_leaf = on_leaf
         self.deadline = time.monotonic() + self.budget.max_ms / 1000.0
@@ -614,6 +733,8 @@ class _Engine:
             return "done" if self._dfs(0, 0, {}) is not None else "stopped"
         except BudgetExceeded:
             return "budget-exceeded"
+        finally:
+            self.on_leaf = None
 
 
 @dataclass(frozen=True)
@@ -721,7 +842,7 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget],
     """
     _require_nonempty(problem.graph)
     t0 = time.monotonic()
-    eng = _Engine(problem, budget or SearchBudget())
+    eng = _Engine(problem, budget or SearchBudget(), learn=not minimize)
     best: list[int] = []
 
     def on_leaf(w: int) -> bool:

@@ -149,7 +149,9 @@ def test_solve_ptds_set_uses_file_ids(capsys, tmp_path):
     ("empty.cnf", "p cnf 2 0\n", ["check", "sat", "--cnf"]),
     ("p3.col", "p edge 3 2\ne 1 2\ne 2 3\n", ["solve", "eta", "--budget-nodes", "0", "--graph"]),
     ("p3.col", "p edge 3 2\ne 1 2\ne 2 3\n", ["solve", "eta", "--budget-ms", "0", "--graph"]),
-], ids=["graph", "cnf-without-clauses", "budget-nodes-0", "budget-ms-0"])
+    # rejected on the header alone, before any per-vertex array is built
+    ("huge.col", "p edge 300000000 0\n", ["solve", "eta", "--graph"]),
+], ids=["graph", "cnf-without-clauses", "budget-nodes-0", "budget-ms-0", "absurd-vertex-count"])
 def test_malformed_graph_exit_two(capsys, tmp_path, name, text, argv):
     path = tmp_path / name
     path.write_text(text)
@@ -211,17 +213,31 @@ def _complement(g):
                              if not g.has_edge(u, v)])
 
 
-# the complement of C7 is 4-regular with chromatic number 4: a refuted case
-# besides K4
-@pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), complete_multipartite([2, 2, 2]),
-                               cycle_graph(4), cycle_graph(5), _complement(cycle_graph(7))],
-                         ids=["k3", "k4", "octahedron", "c4", "c5", "c7-complement"])
-def test_inapprox_regular_source_agrees(capsys, tmp_path, g):
+def _circulant(n, steps):
+    return build_graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+# the complement of C7 and the circulants C10(1,2) and C11(1,2) are 4-regular
+# with chromatic number 4: refuted cases besides K4, which the weight-capped
+# search itself must decide
+@pytest.mark.parametrize("g, refuted_by_search", [
+    (complete_graph(3), False), (complete_graph(4), True),
+    (complete_multipartite([2, 2, 2]), False), (cycle_graph(4), False), (cycle_graph(5), False),
+    (_complement(cycle_graph(7)), True), (_circulant(10, (1, 2)), True),
+    (_circulant(11, (1, 2)), True),
+], ids=["k3", "k4", "octahedron", "c4", "c5", "c7-complement", "c10-1-2", "c11-1-2"])
+def test_inapprox_regular_source_agrees(capsys, tmp_path, g, refuted_by_search):
     path = tmp_path / "g.col"
     fileio.write_graph(path, g)
-    code, out = run(capsys, "check", "inapprox", "--graph", str(path), "--d", str(5 * g.n + 1))
+    argv = ["check", "inapprox", "--graph", str(path), "--d", str(5 * g.n + 1)]
+    code, out = run(capsys, *argv)
     assert code == 0
     assert out.endswith(": agree\n")
+    if refuted_by_search:
+        code, out = run(capsys, *argv, "--json")
+        verdict = json.loads(out)
+        assert code == 0 and verdict["status"] == "agree"
+        assert verdict["stats"]["solver_status"] == "infeasible"
 
 
 def test_construct_counterexample_verify(capsys, tmp_path):

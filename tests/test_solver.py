@@ -19,6 +19,7 @@ from luckylab.graph import (
     GraphError,
     build_graph,
     complete_graph,
+    complete_multipartite,
     connected_components,
     cycle_graph,
     empty_graph,
@@ -353,6 +354,24 @@ def _recipe_completion_nodes(monkeypatch):
     return reports[0].nodes_explored
 
 
+def _sat5_binary_nodes():
+    # the first 5-variable, 10-clause formula of random.Random(5): n = 140,
+    # satisfiable; without nogoods the search is cut at 2 M nodes
+    red = build_sat_reduction(random_formula(random.Random(5), 5, 10))
+    rep = exists_binary(red.graph, SearchBudget(max_nodes=2_000_000))
+    assert (red.graph.n, rep.status) == (140, "found")
+    return rep.nodes_explored
+
+
+def _c7_complement_inapprox_nodes():
+    # 4-regular with chromatic number 4, refuted by the weight-capped search
+    c7 = cycle_graph(7)
+    g = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if not c7.has_edge(u, v)])
+    verdict = oracles.check_threshold_inapprox(g, 36)
+    assert (verdict.status, verdict.stats["solver_status"]) == ("agree", "infeasible")
+    return verdict.stats["nodes"]
+
+
 def _capped_binary_nodes(cap, status):
     # a weight cap from the start, without a minimizing hook
     rep = exists_binary(petersen_graph(), weight_cap=cap)
@@ -365,7 +384,8 @@ def _capped_binary_nodes(cap, status):
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 155),
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 373),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
-    (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 10_848),
+    (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 1_262),
+    (lambda mp: _sat5_binary_nodes(), 19_427),
     (lambda mp: _counterexample_refutation_nodes(2), 81),
     (lambda mp: _counterexample_refutation_nodes(4), 7_193),
     (lambda mp: _gnp_eta1_nodes(), 8_080),
@@ -374,12 +394,15 @@ def _capped_binary_nodes(cap, status):
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
-    (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 3_782),
+    (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 928),
+    (lambda mp: _c7_complement_inapprox_nodes(), 3_183),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "refute-counterexample2", "refute-counterexample4", "eta1-gnp18",
+        "binary-sat3", "binary-sat5", "refute-counterexample2", "refute-counterexample4",
+        "eta1-gnp18",
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
-        "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21"])
+        "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21",
+        "inapprox-c7-complement-d36"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
     assert search(monkeypatch) == nodes
@@ -818,3 +841,132 @@ def test_edge_watchers_keep_every_answer(monkeypatch):
             if nodes > old_nodes:
                 rose.append((i, name, old_nodes, nodes))
     assert totals[0] < totals[1], rose
+
+
+def _random_learning_problem(rng):
+    """A random problem with n <= 9 whose domains mostly hold one or two values.
+
+    The two-value domains include pairs other than {0, 1}.  One problem in
+    four also gives one vertex three values, a position that learning must
+    leave out.  Boundary mass, unchecked vertices, min_sum and a weight cap
+    are each drawn at random.
+    """
+    from conftest import random_graph
+    g = random_graph(rng, 3, 9, p=rng.choice((0.5, 0.6, 0.7)))
+    choices = ((0,), (1,), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (1, 2), (0, 2), (2, 5))
+    domains = [rng.choice(choices) for _ in g.vertices()]
+    if rng.random() < 0.25:
+        domains[rng.randrange(g.n)] = (0, 1, 2)
+    return SearchProblem(
+        g, tuple(domains),
+        weight_cap=rng.choice((None, None, None, sum(min(d) for d in domains) + rng.randint(0, 3))),
+        min_sum=rng.choice((None, None, None, 1, 2)),
+        extra_sum=tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.1),
+    )
+
+
+class _CheckedLearning(_Engine):
+    """An engine that checks every nogood it records and every one it visits."""
+
+    fired = 0
+
+    def _stored(self):
+        return [ng for pair in self.ng_watch for waiting in pair for ng in waiting]
+
+    def _learn(self, mask):
+        before = len(self._stored())
+        super()._learn(mask)
+        if len(self._stored()) > before:
+            wide = sum(1 << self.pos[v] for v, d in enumerate(self.domains) if len(d) > 2)
+            assert mask & (mask + 1), f"whole prefix {mask:b} recorded"
+            assert not mask & wide, f"{mask:b} touches a domain of more than two values"
+
+    def _nogood_after(self, depth, bit):
+        waiting = list(self.ng_watch[depth][bit])
+        ones, low = self.ones_mask, (2 << depth) - 1
+        mask = super()._nogood_after(depth, bit)
+        if mask is not None:
+            _CheckedLearning.fired += 1
+            # the visit stops at the nogood that fires, which stays
+            waiting = waiting[:len(waiting) - len(self.ng_watch[depth][bit]) + 1]
+        kept = {id(ng) for ng in self._stored()}
+        for ng in waiting:
+            m, pattern, _k = ng
+            diff = (ones ^ pattern) & m & low
+            if diff & (diff - 1):
+                assert id(ng) not in kept, f"nogood {m:b} kept past two mismatches"
+            elif diff:
+                q = diff.bit_length() - 1
+                assert any(x is ng for x in self.ng_watch[q][pattern >> q & 1])
+        return mask
+
+
+def test_nogood_learning_keeps_every_answer(monkeypatch):
+    """Nogood learning changes no answer, and only first-solution searches learn.
+
+    300 random problems run with learning on, under an engine that checks
+    each recorded and each visited nogood, and with it monkeypatched off.
+    The first-solution search must give the same status and certificate
+    both ways, found exactly when a listing of every labeling finds one;
+    branch and bound, eta1, PTDS and enumeration must explore exactly the
+    same nodes.
+    """
+    rng = random.Random(0x90D)
+    _CheckedLearning.fired = 0
+    totals = [0, 0]
+    for _ in range(300):
+        problem = _random_learning_problem(rng)
+        g = problem.graph
+        runs = []
+        for learn in (True, False):
+            with monkeypatch.context() as m:
+                if learn:
+                    m.setattr(solver, "_Engine", _CheckedLearning)
+                else:
+                    m.setattr(_Engine, "_learn", lambda self, mask: None)
+                first = _search(problem, None)
+                others = [_search(problem, None, minimize=True), solve_eta1(g), min_ptds(g)]
+                _sols, enum_nodes = _enumerated(problem)
+            runs.append(first)
+            totals[not learn] += first.nodes_explored
+            runs.append([r.nodes_explored for r in others] + [enum_nodes])
+        on, on_nodes, off, off_nodes = runs
+        assert _outcome(on)[:3] == _outcome(off)[:3], problem
+        assert (on.status == "found") == bool(_brute_force_solutions(problem)), problem
+        if on.certificate is not None:
+            assert _violations(problem, [on.certificate[v] for v in g.vertices()]) == []
+        assert on_nodes == off_nodes, problem
+    # nogoods do fire on these problems, and they cut nodes overall
+    assert _CheckedLearning.fired > 20 and totals[0] < totals[1], (_CheckedLearning.fired, totals)
+
+
+def test_learning_stops_when_nogoods_do_not_fire(monkeypatch):
+    """A search whose nogoods rarely fire stops learning and drops them.
+
+    The weight-capped search of the octahedron K(2,2,2) at d = 31 records
+    thousands of nogoods and fires few of them (learning switches off after
+    about 23k nodes).  The 5-variable SAT reduction of the binary-sat5 pin
+    fires its nogoods about as often as it records them, so it keeps
+    learning, and keeps its pinned node count, even when the trial is cut
+    from 4,096 records to 256.
+    """
+    engines = []
+
+    class Recording(_Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(solver, "_Engine", Recording)
+    oracles.check_threshold_inapprox(complete_multipartite([2, 2, 2]), 31,
+                                     SearchBudget(max_nodes=40_000))
+    eng = engines[0]
+    assert not eng.learn and eng.ng_stored > solver.LEARN_TRIAL
+    assert eng.ng_fired * solver.LEARN_FIRE_RATE < eng.ng_stored
+    assert not any(waiting for pair in eng.ng_watch for waiting in pair)
+    engines.clear()
+    monkeypatch.setattr(solver, "LEARN_TRIAL", 256)
+    assert _sat5_binary_nodes() == 19_427
+    (eng,) = engines
+    assert eng.learn and eng.ng_stored > solver.LEARN_TRIAL, eng.ng_stored
