@@ -183,6 +183,11 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = fileio.read_graph(args.graph)
     lab = fileio.read_labeling(args.labeling)
+    # each check reads the labeling against this graph, so a label on a
+    # vertex the graph lacks is an input error, named by its file id
+    unknown = next((v for v in sorted(lab.values) if not 0 <= v < g.n), None)
+    if unknown is not None:
+        raise ValueError(f"label attached to unknown vertex {unknown + 1}")
     if args.what == "labeling":
         # vertices are named by their 1-based file ids throughout
         missing = next((v for v in g.vertices() if v not in lab), None)
@@ -212,6 +217,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if payload["valid"] else EXIT_NEGATIVE
     if args.what == "lists":
         lists = fileio.read_lists(_required(args, "lists", "verify lists"))
+        lists.validate_on(g)
         ok = verify_from_lists(lab, lists)
         _emit(args, {"from_lists": ok}, "labels drawn from lists" if ok else "label outside its list")
         return EXIT_OK if ok else EXIT_NEGATIVE

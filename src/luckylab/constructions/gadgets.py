@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..graph import Graph, GraphError, build_graph
 from ..solver import SearchBudget, SearchProblem, enumerate_solutions
@@ -244,16 +244,22 @@ class BoundaryCase:
 
 
 SolutionCheck = Callable[[GadgetInstance, BoundaryCase, dict[int, int], list[int]], Optional[str]]
-AggregateCheck = Callable[[GadgetInstance, BoundaryCase, list[tuple[dict[int, int], list[int]]]], Optional[str]]
+Observe = Callable[[GadgetInstance, dict[int, int], list[int]], Hashable]
+Judge = Callable[[GadgetInstance, BoundaryCase, set], Optional[str]]
 
 
 @dataclass(frozen=True)
 class GadgetContract:
-    """Decidable form of a gadget's correctness fact."""
+    """Decidable form of a gadget's correctness fact.
+
+    A solution check judges one solution.  An aggregate check (name,
+    observe, judge) reads one value from every solution and judges the set
+    of values seen, so certification never holds the solutions themselves.
+    """
 
     boundary_cases: Callable[[GadgetInstance], list[BoundaryCase]]
     solution_checks: tuple[tuple[str, SolutionCheck], ...] = ()
-    aggregate_checks: tuple[tuple[str, AggregateCheck], ...] = ()
+    aggregate_checks: tuple[tuple[str, Observe, Judge], ...] = ()
 
 
 _BUDGET_CUT = "search budget exhausted; certification incomplete"
@@ -377,9 +383,11 @@ def _g_check(inst, case, labels, sums):
     return None
 
 
-def _g_attainable(inst, case, solutions):
-    v = inst.ports["v"]
-    got = {sums[v] for _labels, sums in solutions}
+def _g_port_sum(inst, labels, sums):
+    return sums[inst.ports["v"]]
+
+
+def _g_attainable(inst, case, got):
     lf = set(inst.params["lf"])
     if got != lf:
         return f"port sums attained {sorted(got)}, list is {sorted(lf)}"
@@ -434,7 +442,7 @@ _CONTRACTS: dict[str, GadgetContract] = {
     "T": GadgetContract(_t_cases, solution_checks=(("w-forced", _t_check_w),)),
     "I": GadgetContract(_i_cases, solution_checks=(("u-forced-and-sum", _i_checks),)),
     "G": GadgetContract(_g_cases, solution_checks=(("port-sum-in-list", _g_check),),
-                        aggregate_checks=(("list-attainable", _g_attainable),)),
+                        aggregate_checks=(("list-attainable", _g_port_sum, _g_attainable),)),
     "D": GadgetContract(_d_cases, solution_checks=(
         ("center-forced", _d_check_forced),
         ("sum-identity", _d_check_sum_identity),
@@ -450,7 +458,9 @@ def certify_gadget(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP,
     Enumerates every binary labeling of the non-fixed vertices per boundary
     case (complete backtracking search, each case under the whole budget)
     and evaluates the contract on each; any countermodel is reported
-    verbatim, and a case the budget cut short reports the cut.
+    verbatim, and a case the budget cut short reports the cut.  The
+    solutions stream through the contract as the search hands them out
+    (_certify_case), so memory does not grow with their number.
     """
     contract = _CONTRACTS.get(instance.kind)
     if contract is None:
@@ -464,44 +474,64 @@ def certify_gadget(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP,
             f"gadget has {internal} internal vertices, above the enumeration cap {cap}; "
             f"raise cap= to certify anyway")
     report = CertificationReport(instance.kind, dict(instance.params), internal)
-    for case in cases:
-        fixed = {instance.ports[nm]: val for nm, val in case.fixed}
-        extra = {instance.ports[nm]: val for nm, val in case.extra}
-        unchecked = frozenset(instance.ports[nm] for nm in case.unknown_sums)
-        domains = tuple((fixed[v],) if v in fixed else (0, 1) for v in g.vertices())
-        problem = SearchProblem(g, domains,
-                                extra_sum=tuple(sorted(extra.items())) or None,
-                                unchecked=unchecked)
-        solutions: list[tuple[dict[int, int], list[int]]] = []
-
-        def keep(labels, sums, _acc=solutions):
-            _acc.append((labels, sums))
-
-        outcome, _nodes = enumerate_solutions(problem, budget, keep)
-        case_rep = CaseReport(case.name, case.expect_feasible, len(solutions))
-        if outcome != "exhausted":
-            case_rep.countermodels.append(_BUDGET_CUT)
-        else:
-            if case.expect_feasible and not solutions:
-                case_rep.countermodels.append("expected a feasible labeling, none exists")
-            if not case.expect_feasible and solutions:
-                labels, _ = solutions[0]
-                case_rep.countermodels.append(
-                    "expected infeasible, found labeling "
-                    + _render_labels(instance, labels))
-            for check_name, fn in contract.solution_checks:
-                for labels, sums in solutions:
-                    err = fn(instance, case, labels, sums)
-                    if err:
-                        case_rep.countermodels.append(
-                            f"{check_name}: {err} in " + _render_labels(instance, labels))
-                        break
-            for check_name, fn in contract.aggregate_checks:
-                err = fn(instance, case, solutions)
-                if err:
-                    case_rep.countermodels.append(f"{check_name}: {err}")
-        report.cases.append(case_rep)
+    report.cases = [_certify_case(instance, contract, case, budget) for case in cases]
     return report
+
+
+def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: BoundaryCase,
+                  budget: SearchBudget) -> CaseReport:
+    """One boundary case: enumerate its solutions and judge each as it arrives.
+
+    Kept per case: the solution count, the first solution (the one shown
+    when an infeasible case has solutions), each solution check's first
+    failure (a check that failed is not run again) and each aggregate
+    check's set of observed values.
+    """
+    g = instance.graph
+    fixed = {instance.ports[nm]: val for nm, val in case.fixed}
+    extra = {instance.ports[nm]: val for nm, val in case.extra}
+    unchecked = frozenset(instance.ports[nm] for nm in case.unknown_sums)
+    domains = tuple((fixed[v],) if v in fixed else (0, 1) for v in g.vertices())
+    problem = SearchProblem(g, domains,
+                            extra_sum=tuple(sorted(extra.items())) or None,
+                            unchecked=unchecked)
+    first: list[dict[int, int]] = []
+    failed: dict[str, str] = {}
+    live = contract.solution_checks
+    observed = [(observe, set()) for _name, observe, _judge in contract.aggregate_checks]
+    count = 0
+
+    def on_solution(labels, sums):
+        nonlocal count, live
+        if not count:
+            first.append(labels)
+        count += 1
+        for name, fn in live:
+            err = fn(instance, case, labels, sums)
+            if err:
+                failed[name] = f"{name}: {err} in " + _render_labels(instance, labels)
+                # the loop goes on over the tuple it started with
+                live = tuple(check for check in live if check[0] != name)
+        for observe, seen in observed:
+            seen.add(observe(instance, labels, sums))
+
+    outcome, _nodes = enumerate_solutions(problem, budget, on_solution)
+    case_rep = CaseReport(case.name, case.expect_feasible, count)
+    if outcome != "exhausted":
+        case_rep.countermodels.append(_BUDGET_CUT)
+        return case_rep
+    if case.expect_feasible and not count:
+        case_rep.countermodels.append("expected a feasible labeling, none exists")
+    if not case.expect_feasible and count:
+        case_rep.countermodels.append(
+            "expected infeasible, found labeling " + _render_labels(instance, first[0]))
+    case_rep.countermodels += [failed[name] for name, _fn in contract.solution_checks
+                               if name in failed]
+    for (name, _observe, judge), (_o, seen) in zip(contract.aggregate_checks, observed):
+        err = judge(instance, case, seen)
+        if err:
+            case_rep.countermodels.append(f"{name}: {err}")
+    return case_rep
 
 
 def _render_labels(instance: GadgetInstance, labels: dict[int, int]) -> str:

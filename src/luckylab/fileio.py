@@ -164,6 +164,8 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         if not line or line.startswith(("c", "%")):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise FileFormatError(line_no, "duplicate problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FileFormatError(line_no, f"expected 'p cnf <vars> <clauses>', got {line!r}")

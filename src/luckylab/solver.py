@@ -9,6 +9,24 @@ after all others: placed early, they would make the search repeat the
 constrained part under every combination of their labels, as the ten slack
 pendants on the variable gadget's unchecked ports would.
 
+Below the first free position F no constraint can fail.  No conflict, edge
+watcher or nogood involves a free position, no forced pair is left (its
+ends are adjacent checked vertices, so neither is free) and no strict twin
+link joins free vertices (for the same reason).  Frames there would only
+list the tail's labelings, so _free_tail lists them in one loop (mixed-radix
+generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
+one node per (re)assignment with the same budget checks, returning the mask
+frame F would.  Node counts, the leaves and the leaf at which a budget cut
+lands stay as they were; only a minimizing hook, which lowers the cap below
+every other leaf of the tail once it has seen the all-minimum one, lets the
+walk stop where stale-cap frames would go on.  A distinct cap (sigma) keeps
+its frames, since _reusable picks the free labels under that cap.  In the
+benchmark's gadget certification 112,530 of 155,464 nodes fall in free
+tails: every core solution of the variable gadget repeats under the 1,024
+labelings of its pendants.  The walk, with certification streaming its
+solutions (gadgets.certify_gadget), cut that workload's wall time from
+about 0.38 s to 0.26 s.
+
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
 sum still reachable given the partial assignment: boundary mass plus the
 assigned neighbors' labels plus the least or the greatest total the
@@ -361,6 +379,19 @@ class _Engine:
                 self.adj, twin_sig, self.order, self.checked)
         else:
             self.twin_prev, self.twin_strict = [None] * n, [False] * n
+        # the free tail order[free_start:], walked by _free_tail (module
+        # docstring); a distinct cap keeps its frames.  A twin precedes its
+        # vertex, so the walk reads an assigned label for it.
+        self.free_start = n
+        if self.distinct_cap is None:
+            while self.free_start and free[self.order[self.free_start - 1]]:
+                self.free_start -= 1
+        self.tail = self.order[self.free_start:]
+        self.tail_domains = [self.domains[v] for v in self.tail]
+        self.tail_twin = [self.twin_prev[v] for v in self.tail]
+        # each tail position's least value, and a 0 past the end
+        self.tail_mins = [d[0] for d in self.tail_domains] + [0]
+        self.tail_min = sum(self.tail_mins)
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
         # exceed their domain minima by one.  Entries are [u, t, culprits, active].
         # Kept only under the problem's own weight cap (module docstring).
@@ -569,7 +600,10 @@ class _Engine:
     def _dfs(self, depth: int, cur_weight: int, used: dict[int, int]) -> Optional[int]:
         """Search with conflict-directed backjumping, one frame per level.
 
-        Every complete labeling the search reaches goes to the leaf hook,
+        At the first free position the search goes on in _free_tail, which
+        walks the rest without frames; with no free vertex the leaf is
+        handled here, at depth n, so no frame is added.  Every complete
+        labeling the search reaches goes to the leaf hook,
         which gets its weight and reads its labels from self.label.  Returns
         None once the hook asks to stop; otherwise returns the bitmask of
         assignment levels (< depth) responsible for the subtree failing.  A
@@ -600,8 +634,10 @@ class _Engine:
         _learn and _nogood_after, not in this frame.
         """
         below = (1 << depth) - 1
-        if depth == self.n:
-            return None if self.on_leaf(cur_weight) else below
+        if depth == self.free_start:
+            if depth == self.n:
+                return None if self.on_leaf(cur_weight) else below
+            return self._free_tail(cur_weight)
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
@@ -710,6 +746,93 @@ class _Engine:
             self._learn(conf)
         return conf
 
+    def _free_tail(self, weight: int) -> Optional[int]:
+        """The search below the first free position F, walked without frames.
+
+        Below F no constraint can fail (module docstring), so frames there
+        would only list the tail's labelings: values ascending, the last
+        position fastest, each value under the weight cap and the twin
+        order.  This loop lists them in that order, counting one node and
+        making the budget check per (re)assignment, and hands each leaf and
+        its weight to the hook.  It returns what frame F would: None on a
+        stop, the cut of F's first value with its mask (and _learn call)
+        when the cap forbids even the least tail, and otherwise
+        (1 << F) - 1, since a leaf passed.
+
+        The cap is read afresh before each step.  Under a constant cap that
+        is what the frames see; a minimizing hook lowers it below the
+        first, all-minimum leaf, so the walk stops where stale-cap frames
+        would go on visiting heavier leaves the hook rejects.
+
+        Only label, lo and hi follow the walk, since a leaf hook reads
+        nothing else; they are restored on return and left at the leaf on
+        a stop, as the frames leave them.
+        """
+        first = self.free_start
+        below = (1 << first) - 1
+        cap = self.cap
+        if cap is not None and weight + self.tail_min > cap:
+            conf = self.ones_mask & below  # no forced pair is left below F
+            if self.learn:
+                self._learn(conf)
+            return conf
+        tail, doms, twins, mins = self.tail, self.tail_domains, self.tail_twin, self.tail_mins
+        label, lo, hi, adj, dmax = self.label, self.lo, self.hi, self.adj, self.dmax
+        k = len(tail)
+        idx = [0] * k  # each position's value, as an index into its domain
+        for q, v in enumerate(tail):
+            # at its least value; the nodes are counted below
+            label[v] = mins[q]
+            d = mins[q] - dmax[v]
+            if d:
+                for u in adj[v]:
+                    hi[u] += d
+        weight += self.tail_min
+        nodes, max_nodes, deadline = self.nodes, self.budget.max_nodes, self.deadline
+        p, i, val = 0, 0, mins[0]
+        while True:
+            # position p takes value val, every later one its least value
+            for q in range(p, k):
+                nodes += 1
+                if nodes > max_nodes or (nodes % 2048 == 0 and time.monotonic() >= deadline):
+                    self.nodes = nodes
+                    raise BudgetExceeded
+                v = tail[q]
+                d = val - label[v]
+                if d:
+                    label[v] = val
+                    weight += d
+                    for u in adj[v]:
+                        lo[u] += d
+                        hi[u] += d
+                idx[q] = i
+                i, val = 0, mins[q + 1]
+            self.nodes = nodes
+            if self.on_leaf(weight):
+                return None
+            # the last position whose next value the cap and the twin order
+            # allow; excess is the weight above the least values after it
+            cap = self.cap
+            excess = 0
+            for p in range(k - 1, -1, -1):
+                v = tail[p]
+                dom = doms[p]
+                i = idx[p] + 1
+                if i < len(dom):
+                    val = dom[i]
+                    if ((cap is None or weight + val - label[v] - excess <= cap)
+                            and (twins[p] is None or val <= label[twins[p]])):
+                        break
+                excess += label[v] - dom[0]
+            else:
+                break
+        for q, v in enumerate(tail):
+            dl, dh = label[v] - mins[q], label[v] - dmax[v]
+            for u in adj[v]:
+                lo[u] -= dl
+                hi[u] -= dh
+        return below
+
     def run(self, on_leaf: Callable[[int], bool]) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
 
@@ -768,7 +891,12 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
                         on_solution: Callable[[dict[int, int], list[int]], None]):
     """Pass every labeling and its neighbor sums to on_solution; returns (outcome, nodes).
 
-    The outcome is "exhausted" or "budget-exceeded".
+    The solutions come in lexicographic order over the engine's search
+    order (free vertices last): the vertices in that order, each one's
+    values ascending, the last vertex changing fastest.  Each call gets a
+    fresh labels dict and sums list.  The outcome is "exhausted" or
+    "budget-exceeded"; a cut hands out exactly the solutions reached before
+    it.
     """
     # enumeration must visit every solution, so symmetry breaking is off
     eng = _Engine(problem, budget, break_symmetry=False)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,38 @@ def test_corrupted_gadget_emits_countermodel():
     assert [c.solutions for c in rep.cases] == [8192, 11264, 11264, 13312]
     assert rep.countermodels() == [
         "x=1,!x=1: expected infeasible, found labeling {1-labeled: x, !x, x.y2}"]
+
+
+def test_certification_streams_its_solutions():
+    # the corrupted gadget has 44,032 solutions; held in a list they took
+    # 11.4 MiB of traced memory, streamed the whole certification stays small
+    tracemalloc.start()
+    try:
+        rep = certify_gadget(corrupted_variable_gadget())
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(c.solutions for c in rep.cases) == 44_032
+    assert peak < 1_000_000, peak
+
+
+def test_list_attainable_catches_an_unreached_list_value():
+    # every port sum lies in {2, 3} but only 2 is attained: the per-solution
+    # check passes, and only the set of sums seen can tell
+    inst = build_vertex_gadget({2}, 3)
+    inst.params["lf"] = frozenset({2, 3})
+    rep = certify_gadget(inst, cap=40)
+    assert rep.countermodels() == [
+        "externals-forced-0: list-attainable: port sums attained [2], list is [2, 3]"]
+
+
+def test_suite_budget_cut_output(capsys):
+    # tests/data/check_gadgets_cut5000.jsonl is `luckylab check gadgets --json
+    # --budget-nodes 5000`: every B(x) case is cut inside its free tail, after
+    # 2,450 solutions, so the count pins where the cut lands
+    golden = (Path(__file__).parent / "data" / "check_gadgets_cut5000.jsonl").read_text()
+    assert main(["check", "gadgets", "--json", "--budget-nodes", "5000"]) == 2
+    assert capsys.readouterr().out == golden
 
 
 def test_certification_cap():

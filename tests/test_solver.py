@@ -970,3 +970,142 @@ def test_learning_stops_when_nogoods_do_not_fire(monkeypatch):
     assert _sat5_binary_nodes() == 19_427
     (eng,) = engines
     assert eng.learn and eng.ng_stored > solver.LEARN_TRIAL, eng.ng_stored
+
+
+def _random_tail_problem(rng):
+    """A random problem with n from 3 to 10 whose last positions are often free.
+
+    Pendants hang on unchecked vertices and isolated vertices are added, so
+    many problems end in free vertices.  Domains hold one to three values;
+    boundary mass, unchecked vertices, min_sum and a weight cap are each
+    drawn at random.  The labelings number at most 4,096.
+    """
+    from conftest import random_graph
+    h = random_graph(rng, 3, 7)
+    n, edges = h.n, list(h.edges)
+    unchecked = {v for v in range(n) if rng.random() < 0.4}
+    for _ in range(rng.randint(1, 10 - n) if rng.random() < 0.7 else 0):
+        if unchecked and rng.random() < 0.7:
+            edges.append((rng.choice(sorted(unchecked)), n))
+        n += 1
+    g = build_graph(n, edges)
+    choices = ((0,), (1,), (0, 1), (0, 1), (0, 1), (0, 1), (1, 2), (0, 2), (0, 1, 2), (1, 2, 4))
+    domains = [rng.choice(choices) for _ in g.vertices()]
+    while math.prod(map(len, domains)) > 4_096:
+        v = rng.choice([v for v, d in enumerate(domains) if len(d) > 1])
+        domains[v] = (rng.choice(domains[v]),)
+    return SearchProblem(
+        g, tuple(domains),
+        weight_cap=rng.choice((None, None, sum(min(d) for d in domains) + rng.randint(0, 4))),
+        min_sum=rng.choice((None, None, None, 1)),
+        extra_sum=tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(unchecked | {v for v in g.vertices() if rng.random() < 0.1}),
+    )
+
+
+class _TailChecked(_Engine):
+    """The shipped engine, checking why no constraint can fail on its free tail.
+
+    It also logs each walk in tail_log: the weight and cap it starts under
+    and the mask it returns.
+    """
+
+    tail_log: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        tail = set(self.tail)
+        assert not any(self.watch[v] for v in tail)
+        assert not any(self.twin_strict[v] for v in tail)
+        assert all(self.pos[t] < self.pos[v] for v in tail if (t := self.twin_prev[v]) is not None)
+        for v in tail:
+            # no constrained neighbor: no checked neighbor with a checked
+            # neighbor of its own, nor, under min_sum, any checked neighbor
+            for u in self.cadj[v]:
+                assert self.min_sum is None and not self.cadj[u]
+
+    def _free_tail(self, weight):
+        cap, before = self.cap, (self.lo[:], self.hi[:])
+        mask = super()._free_tail(weight)
+        self.tail_log.append((weight, cap, mask))
+        assert mask is None or (self.lo, self.hi) == before  # restored unless stopped
+        return mask
+
+
+class _Frames(_Engine):
+    """The engine with one frame per free vertex, logging the frames at the first free position."""
+
+    tail_log: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.free_start = self.n
+
+    def _dfs(self, depth, cur_weight, used):
+        cap = self.cap
+        mask = super()._dfs(depth, cur_weight, used)
+        if depth == self.n - len(self.tail) < self.n:
+            self.tail_log.append((cur_weight, cap, mask))
+        return mask
+
+
+def _tail_runs(problem):
+    """What each kind of search hands out on problem, under the current _Engine."""
+    runs = {}
+    sols = []
+    runs["enumerated"] = enumerate_solutions(
+        problem, SearchBudget(), lambda labels, sums: sols.append((labels, sums))), sols
+    nodes = runs["enumerated"][0][1]
+    runs["cut"] = []
+    for max_nodes in (1, 5, 17, 60, max(1, nodes // 2), max(1, nodes - 1)):
+        got = []
+        outcome = enumerate_solutions(problem, SearchBudget(max_nodes=max_nodes),
+                                      lambda labels, sums: got.append(labels))
+        runs["cut"].append((outcome, len(got)))
+    # every leaf under twin order: a hook that neither stops nor lowers the
+    # cap; at a leaf every sum interval is one point
+    eng = solver._Engine(problem, SearchBudget())
+    leaves = []
+    eng.run(lambda w: leaves.append((eng.label[:], w, eng.lo == eng.hi)) is None and False)
+    runs["leaves"] = leaves, eng.nodes
+    runs["first"] = _outcome(_search(problem, None))
+    solver._Engine.tail_log = []
+    runs["bnb"] = _outcome(_search(problem, None, minimize=True))
+    runs["bnb-tails"] = solver._Engine.tail_log
+    return runs
+
+
+def test_free_tail_walk_matches_frames(monkeypatch):
+    """The free-tail walk hands out the frames' leaves, in order, at equal nodes.
+
+    300 random problems run with the walk and with one frame per free
+    vertex.  Enumeration must give the same (labels, sums) sequence and
+    node count, and the same number of solutions under node budgets that
+    cut it; a first-solution search the same status, value, certificate
+    and nodes; a hook that neither stops nor lowers the cap the same
+    leaves under twin order.  Branch and bound must give the same status
+    and value in at most the frames' nodes, and the walk must return the
+    frames' mask at each visit, its weight-cap cut on entry among them.
+    """
+    rng = random.Random(0x7A11)
+    tails = fewer = cut = entry_cuts = 0
+    for _ in range(300):
+        problem = _random_tail_problem(rng)
+        tails += _Engine(problem, SearchBudget()).free_start < problem.graph.n
+        both = []
+        for engine in (_TailChecked, _Frames):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_Engine", engine)
+                both.append(_tail_runs(problem))
+        walk, frames = both
+        for key in ("enumerated", "cut", "leaves", "first", "bnb-tails"):
+            assert walk[key] == frames[key], (key, problem)
+        assert walk["bnb"][:3] == frames["bnb"][:3], problem
+        assert walk["bnb"][3] <= frames["bnb"][3], problem
+        fewer += walk["bnb"][3] < frames["bnb"][3]
+        cut += sum(0 < got < len(walk["enumerated"][1]) for _outcome, got in walk["cut"])
+        least = sum(problem.domains[v][0] for v in _Engine(problem, SearchBudget()).tail)
+        entry_cuts += any(cap is not None and weight + least > cap
+                          for weight, cap, _mask in walk["bnb-tails"])
+    assert tails > 100 and fewer > 10 and cut > 100 and entry_cuts > 10, \
+        (tails, fewer, cut, entry_cuts)
