@@ -118,6 +118,13 @@ def _required(args, flag: str, cmd: str):
     return value
 
 
+def _read_lists(args, cmd: str, g):
+    """The --lists file, checked against g; a wrong vertex is named by its file id."""
+    lists = fileio.read_lists(_required(args, "lists", cmd))
+    lists.validate_on(g, base=1)
+    return lists
+
+
 def _seeded_rng(args) -> random.Random:
     """The generator of a randomized sweep, which is only reproducible from a seed."""
     if args.seed is None:
@@ -165,7 +172,7 @@ def cmd_solve(args) -> int:
     if args.problem in SOLVERS:
         rep = SOLVERS[args.problem](g, budget)
     else:  # listdecide
-        lists = fileio.read_lists(_required(args, "lists", "solve listdecide"))
+        lists = _read_lists(args, "solve listdecide", g)
         rep = decide_list_additive(g, lists, budget)
     payload = rep.to_json_dict()
     if "set" in rep.detail:
@@ -216,8 +223,7 @@ def cmd_verify(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK if payload["valid"] else EXIT_NEGATIVE
     if args.what == "lists":
-        lists = fileio.read_lists(_required(args, "lists", "verify lists"))
-        lists.validate_on(g)
+        lists = _read_lists(args, "verify lists", g)
         ok = verify_from_lists(lab, lists)
         _emit(args, {"from_lists": ok}, "labels drawn from lists" if ok else "label outside its list")
         return EXIT_OK if ok else EXIT_NEGATIVE
@@ -329,7 +335,7 @@ def cmd_construct(args) -> int:
         return EXIT_OK
     # listcolor
     g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
-    lists = fileio.read_lists(_required(args, "lists", "construct listcolor"))
+    lists = _read_lists(args, "construct listcolor", g)
     red = build_listcoloring_reduction(g, lists)
     paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
     _emit(args, {"n": red.graph.n, "paths": paths, "s": red.params["s"]},
@@ -343,7 +349,7 @@ def cmd_construct(args) -> int:
 
 def cmd_refute_lists(args) -> int:
     g = fileio.read_graph(args.graph)
-    lists = fileio.read_lists(args.lists)
+    lists = _read_lists(args, "refute-lists", g)
     res = refute_lists(g, lists, _budget(args))
     _emit(args, res.to_json_dict(),
           {"refuted": f"lists refuted: additive choosability >= {res.eta_ell_lower_bound}",
@@ -471,7 +477,7 @@ def cmd_check(args) -> int:
     if args.target == "listcolor":
         if args.graph:
             g = fileio.read_graph(args.graph)
-            lists = fileio.read_lists(_required(args, "lists", "check listcolor"))
+            lists = _read_lists(args, "check listcolor", g)
             return _emit_verdict(args, check_equivalence_listcolor(g, lists, _budget(args)))
         if not args.random:
             raise ValueError("nothing to check: pass --graph/--lists or --random")

@@ -243,8 +243,11 @@ class BoundaryCase:
     expect_feasible: bool = True
 
 
-SolutionCheck = Callable[[GadgetInstance, BoundaryCase, dict[int, int], list[int]], Optional[str]]
-Observe = Callable[[GadgetInstance, dict[int, int], list[int]], Hashable]
+# One solution as enumerate_solutions hands it out: labels or neighbor sums,
+# each a tuple indexed by vertex id.
+Values = tuple[int, ...]
+SolutionCheck = Callable[[GadgetInstance, BoundaryCase], Callable[[Values, Values], Optional[str]]]
+Observe = Callable[[GadgetInstance], Callable[[Values, Values], Hashable]]
 Judge = Callable[[GadgetInstance, BoundaryCase, set], Optional[str]]
 
 
@@ -252,9 +255,12 @@ Judge = Callable[[GadgetInstance, BoundaryCase, set], Optional[str]]
 class GadgetContract:
     """Decidable form of a gadget's correctness fact.
 
-    A solution check judges one solution.  An aggregate check (name,
-    observe, judge) reads one value from every solution and judges the set
-    of values seen, so certification never holds the solutions themselves.
+    A solution check, given the instance and one boundary case, resolves
+    the ports and constants it reads and returns the judge of one solution:
+    (labels, sums) -> error or None.  An aggregate check (name, observe,
+    judge) reads one value from every solution, through the reader
+    observe(instance) returns, and judges the set of values seen, so
+    certification never holds the solutions themselves.
     """
 
     boundary_cases: Callable[[GadgetInstance], list[BoundaryCase]]
@@ -339,13 +345,17 @@ def _b_cases(inst: GadgetInstance) -> list[BoundaryCase]:
     return cases
 
 
-def _t_check_w(inst, case, labels, sums):
+def _t_check_w(inst, case):
     w = inst.ports["w"]
-    if labels[w] != 1:
-        return f"w labeled {labels[w]}, expected forced 1"
-    if sums[w] != 1:
-        return f"sum at w is {sums[w]}, expected forced 1"
-    return None
+
+    def check(labels, sums):
+        if labels[w] != 1:
+            return f"w labeled {labels[w]}, expected forced 1"
+        if sums[w] != 1:
+            return f"sum at w is {sums[w]}, expected forced 1"
+        return None
+
+    return check
 
 
 def _t_cases(inst: GadgetInstance) -> list[BoundaryCase]:
@@ -355,15 +365,18 @@ def _t_cases(inst: GadgetInstance) -> list[BoundaryCase]:
     ]
 
 
-def _i_checks(inst, case, labels, sums):
+def _i_checks(inst, case):
     u = inst.ports["u"]
-    j = inst.params["j"]
-    ext = dict(case.extra).get("u", 0)
-    if labels[u] != 0:
-        return f"u labeled {labels[u]}, expected forced 0"
-    if sums[u] != j + ext:
-        return f"sum at u is {sums[u]}, expected exactly {j + ext}"
-    return None
+    want = inst.params["j"] + dict(case.extra).get("u", 0)
+
+    def check(labels, sums):
+        if labels[u] != 0:
+            return f"u labeled {labels[u]}, expected forced 0"
+        if sums[u] != want:
+            return f"sum at u is {sums[u]}, expected exactly {want}"
+        return None
+
+    return check
 
 
 def _i_cases(inst: GadgetInstance) -> list[BoundaryCase]:
@@ -373,18 +386,23 @@ def _i_cases(inst: GadgetInstance) -> list[BoundaryCase]:
     ]
 
 
-def _g_check(inst, case, labels, sums):
+def _g_check(inst, case):
     v = inst.ports["v"]
     lf = inst.params["lf"]
-    if labels[v] != 0:
-        return f"port labeled {labels[v]}, expected forced 0"
-    if sums[v] not in lf:
-        return f"sum at port is {sums[v]}, outside the list {sorted(lf)}"
-    return None
+
+    def check(labels, sums):
+        if labels[v] != 0:
+            return f"port labeled {labels[v]}, expected forced 0"
+        if sums[v] not in lf:
+            return f"sum at port is {sums[v]}, outside the list {sorted(lf)}"
+        return None
+
+    return check
 
 
-def _g_port_sum(inst, labels, sums):
-    return sums[inst.ports["v"]]
+def _g_port_sum(inst):
+    v = inst.ports["v"]
+    return lambda labels, sums: sums[v]
 
 
 def _g_attainable(inst, case, got):
@@ -399,33 +417,45 @@ def _g_cases(inst: GadgetInstance) -> list[BoundaryCase]:
     return [BoundaryCase(name="externals-forced-0", extra=(("v", 0),), expect_feasible=True)]
 
 
-def _d_check_forced(inst, case, labels, sums):
-    v = inst.ports["v"]
-    p3 = inst.ports["p3"]
-    if labels[v] != 1:
-        return f"center labeled {labels[v]}, expected forced 1"
-    if labels[p3] != 0:
-        return f"p3 labeled {labels[p3]}, expected forced 0"
-    return None
+def _d_check_forced(inst, case):
+    v, p3 = inst.ports["v"], inst.ports["p3"]
 
-
-def _d_check_sum_identity(inst, case, labels, sums):
-    v = inst.ports["v"]
-    sel = labels[inst.ports["p4"]] + labels[inst.ports["p5"]] + labels[inst.ports["p6"]]
-    ext = dict(case.extra).get("v", 0)
-    if sums[v] != ext + sel:
-        return f"center sum {sums[v]} != externals {ext} + selectors {sel}"
-    return None
-
-
-def _d_check_pairs(inst, case, labels, sums):
-    sel = labels[inst.ports["p4"]] + labels[inst.ports["p5"]] + labels[inst.ports["p6"]]
-    if sel != 0:
+    def check(labels, sums):
+        if labels[v] != 1:
+            return f"center labeled {labels[v]}, expected forced 1"
+        if labels[p3] != 0:
+            return f"p3 labeled {labels[p3]}, expected forced 0"
         return None
-    for i, (ai, bi) in enumerate(inst.params["pairs"], start=1):
-        if labels[ai] + labels[bi] < 1:
-            return f"selector mass 0 but pair {i} has weight 0"
-    return None
+
+    return check
+
+
+def _d_check_sum_identity(inst, case):
+    v, p4, p5, p6 = (inst.ports[nm] for nm in ("v", "p4", "p5", "p6"))
+    ext = dict(case.extra).get("v", 0)
+
+    def check(labels, sums):
+        sel = labels[p4] + labels[p5] + labels[p6]
+        if sums[v] != ext + sel:
+            return f"center sum {sums[v]} != externals {ext} + selectors {sel}"
+        return None
+
+    return check
+
+
+def _d_check_pairs(inst, case):
+    p4, p5, p6 = (inst.ports[nm] for nm in ("p4", "p5", "p6"))
+    pairs = tuple(inst.params["pairs"])
+
+    def check(labels, sums):
+        if labels[p4] + labels[p5] + labels[p6] != 0:
+            return None
+        for i, (ai, bi) in enumerate(pairs, start=1):
+            if labels[ai] + labels[bi] < 1:
+                return f"selector mass 0 but pair {i} has weight 0"
+        return None
+
+    return check
 
 
 def _d_cases(inst: GadgetInstance) -> list[BoundaryCase]:
@@ -482,6 +512,9 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
                   budget: SearchBudget) -> CaseReport:
     """One boundary case: enumerate its solutions and judge each as it arrives.
 
+    Each solution is a (labels, sums) pair of tuples indexed by vertex id.
+    The checks are bound to the case before the search starts, so the
+    ports and constants they read are resolved once, not per solution.
     Kept per case: the solution count, the first solution (the one shown
     when an infeasible case has solutions), each solution check's first
     failure (a check that failed is not run again) and each aggregate
@@ -495,25 +528,25 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
     problem = SearchProblem(g, domains,
                             extra_sum=tuple(sorted(extra.items())) or None,
                             unchecked=unchecked)
-    first: list[dict[int, int]] = []
+    first = None
     failed: dict[str, str] = {}
-    live = contract.solution_checks
-    observed = [(observe, set()) for _name, observe, _judge in contract.aggregate_checks]
+    live = tuple((name, bind(instance, case)) for name, bind in contract.solution_checks)
+    observed = [(observe(instance), set()) for _name, observe, _judge in contract.aggregate_checks]
     count = 0
 
     def on_solution(labels, sums):
-        nonlocal count, live
+        nonlocal first, count, live
         if not count:
-            first.append(labels)
+            first = labels
         count += 1
-        for name, fn in live:
-            err = fn(instance, case, labels, sums)
+        for name, check in live:
+            err = check(labels, sums)
             if err:
                 failed[name] = f"{name}: {err} in " + _render_labels(instance, labels)
                 # the loop goes on over the tuple it started with
-                live = tuple(check for check in live if check[0] != name)
+                live = tuple(entry for entry in live if entry[0] != name)
         for observe, seen in observed:
-            seen.add(observe(instance, labels, sums))
+            seen.add(observe(labels, sums))
 
     outcome, _nodes = enumerate_solutions(problem, budget, on_solution)
     case_rep = CaseReport(case.name, case.expect_feasible, count)
@@ -524,7 +557,7 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
         case_rep.countermodels.append("expected a feasible labeling, none exists")
     if not case.expect_feasible and count:
         case_rep.countermodels.append(
-            "expected infeasible, found labeling " + _render_labels(instance, first[0]))
+            "expected infeasible, found labeling " + _render_labels(instance, first))
     case_rep.countermodels += [failed[name] for name, _fn in contract.solution_checks
                                if name in failed]
     for (name, _observe, judge), (_o, seen) in zip(contract.aggregate_checks, observed):
@@ -534,9 +567,9 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
     return case_rep
 
 
-def _render_labels(instance: GadgetInstance, labels: dict[int, int]) -> str:
+def _render_labels(instance: GadgetInstance, labels: Values) -> str:
     g = instance.graph
-    ones = [g.name_of(v) for v in sorted(labels) if labels[v] == 1]
+    ones = [g.name_of(v) for v, x in enumerate(labels) if x == 1]
     return "{1-labeled: " + ", ".join(ones) + "}"
 
 

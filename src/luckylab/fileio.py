@@ -147,6 +147,10 @@ def lists_from_text(text: str) -> ListAssignment:
             raise FileFormatError(line_no, f"non-integer field in {line!r}") from None
         if v in lists:
             raise FileFormatError(line_no, f"duplicate list for vertex {v + 1}")
+        bad = next((x for x in vals if x < 1), None)
+        if bad is not None:
+            # lists hold labels, and labels are positive
+            raise FileFormatError(line_no, f"list value {bad} is not positive")
         lists[v] = vals
     return make_lists(lists)
 

@@ -53,13 +53,17 @@ class ListAssignment:
     def max_size(self) -> int:
         return max((len(s) for s in self.lists.values()), default=0)
 
-    def validate_on(self, g: Graph) -> None:
+    def validate_on(self, g: Graph, base: int = 0) -> None:
+        """Raise LabelingError unless the lists cover exactly g's vertices, none empty.
+
+        The message names vertex v as v + base (base 1 gives file ids).
+        """
         for v, s in self.lists.items():
             if not (0 <= v < g.n):
-                raise LabelingError(f"list attached to unknown vertex {v}")
+                raise LabelingError(f"list attached to unknown vertex {v + base}")
             if not s:
-                raise LabelingError(f"empty list at vertex {v}")
-        missing = [v for v in g.vertices() if v not in self.lists]
+                raise LabelingError(f"empty list at vertex {v + base}")
+        missing = [v + base for v in g.vertices() if v not in self.lists]
         if missing:
             raise LabelingError(f"list assignment not total; missing vertices {missing}")
 

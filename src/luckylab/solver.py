@@ -25,7 +25,9 @@ benchmark's gadget certification 112,530 of 155,464 nodes fall in free
 tails: every core solution of the variable gadget repeats under the 1,024
 labelings of its pendants.  The walk, with certification streaming its
 solutions (gadgets.certify_gadget), cut that workload's wall time from
-about 0.38 s to 0.26 s.
+about 0.38 s to 0.26 s.  Handing each solution out as two tuples instead
+of a fresh dict and list (enumerate_solutions), judged by checks bound to
+their boundary case, cut it to about 0.18 s.
 
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
 sum still reachable given the partial assignment: boundary mass plus the
@@ -888,21 +890,23 @@ def uniform_domains(g: Graph, values: Iterable[int]) -> tuple[tuple[int, ...], .
 
 
 def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
-                        on_solution: Callable[[dict[int, int], list[int]], None]):
+                        on_solution: Callable[[tuple[int, ...], tuple[int, ...]], None]):
     """Pass every labeling and its neighbor sums to on_solution; returns (outcome, nodes).
 
     The solutions come in lexicographic order over the engine's search
     order (free vertices last): the vertices in that order, each one's
-    values ascending, the last vertex changing fastest.  Each call gets a
-    fresh labels dict and sums list.  The outcome is "exhausted" or
-    "budget-exceeded"; a cut hands out exactly the solutions reached before
-    it.
+    values ascending, the last vertex changing fastest.  Each call gets
+    two tuples indexed by vertex id, the labels and the neighbor sums
+    (boundary mass included): snapshots the callback may keep and cannot
+    change.  The outcome is "exhausted" or "budget-exceeded"; a cut hands
+    out exactly the solutions reached before it.
     """
     # enumeration must visit every solution, so symmetry breaking is off
     eng = _Engine(problem, budget, break_symmetry=False)
+    label, lo = eng.label, eng.lo
 
     def on_leaf(_weight: int) -> bool:
-        on_solution(dict(enumerate(eng.label)), eng.lo[:])
+        on_solution(tuple(label), tuple(lo))
         return False
 
     outcome = eng.run(on_leaf)

@@ -109,6 +109,27 @@ def test_verify_labeling_not_total_exit_two(capsys, tmp_path, p3_file):
     assert captured.err == "error: labeling is not total: vertex 3 has no label\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("l 1 1 2\nl 2 1 2\nl 3 1 2\nl 4 1\n", "list attached to unknown vertex 4"),
+    ("l 1 1 2\nl 2 1 2\n", "list assignment not total; missing vertices [3]"),
+    ("l 2 1 2\n", "list assignment not total; missing vertices [1, 3]"),
+    ("l 1 1 2\nl 2 -1 2\nl 3 1 2\n", "line 2: list value -1 is not positive"),
+])
+@pytest.mark.parametrize("command", [
+    ["solve", "listdecide"], ["refute-lists"], ["verify", "lists", "--labeling", "{lab}"],
+    ["construct", "listcolor", "--out", "{out}"], ["check", "listcolor"]])
+def test_list_errors_use_file_ids(capsys, tmp_path, p3_file, text, message, command):
+    lists = tmp_path / "bad.lists"
+    lists.write_text(text)
+    lab = tmp_path / "p3.lab"
+    lab.write_text("v 1 1\nv 2 1\nv 3 1\n")
+    argv = [a.format(lab=lab, out=tmp_path / "red") for a in command]
+    code = main([*argv, "--graph", p3_file, "--lists", str(lists)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_labeling_violation_uses_file_ids(capsys, tmp_path, p3_file):
     # labels 0 1 1 give every vertex sum 1, so both file edges are violated
     lab = tmp_path / "l.lab"

@@ -121,7 +121,8 @@ def malformed_lists(draw) -> str:
                           min_size=3, max_size=3))
     body = [" ".join(["l", str(v), *map(str, vals)]) for v, vals in enumerate(lists, start=1)]
     body = draw(st.permutations(body))
-    kind = draw(st.sampled_from(["junk", "arity", "not-int", "duplicate", "unknown", "missing"]))
+    kind = draw(st.sampled_from(["junk", "arity", "not-int", "duplicate", "unknown",
+                                 "non-positive", "missing"]))
     if kind == "junk":
         first = draw(_TOKEN.filter(lambda t: t != "l" and not t.startswith("c")))
         bad = " ".join([first, *draw(st.lists(_SMALL, max_size=3))])
@@ -133,6 +134,10 @@ def malformed_lists(draw) -> str:
         bad = f"l {draw(st.integers(1, 3))} {draw(st.integers(1, 4))}"
     elif kind == "unknown":
         bad = f"l {draw(st.sampled_from([0, -1, 4, 5]))} {draw(st.integers(1, 4))}"
+    elif kind == "non-positive":
+        row = draw(st.integers(0, 2))
+        body[row] += f" {draw(st.integers(-2, 0))}"
+        bad = ""
     else:
         body.pop(draw(st.integers(0, 2)))
         bad = ""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -230,6 +231,66 @@ def test_list_attainable_catches_an_unreached_list_value():
     rep = certify_gadget(inst, cap=40)
     assert rep.countermodels() == [
         "externals-forced-0: list-attainable: port sums attained [2], list is [2, 3]"]
+
+
+def _mutated(inst, ports=(), **params):
+    return dataclasses.replace(inst, ports={**inst.ports, **dict(ports)},
+                               params={**inst.params, **params})
+
+
+def _mutants():
+    t, i2, gv = build_forcing_gadget(), build_index_gadget(2), build_vertex_gadget({2}, 3)
+    d = build_amplifier_gadget(2)
+    d2 = dict(ext_range=(0, 1))  # two boundary cases, so both external masses show
+    return {
+        "w-forced": _mutated(t, {"w": t.ports["v"]}),
+        "u-forced-and-sum": _mutated(i2, j=3),
+        "port-sum-in-list": _mutated(gv, lf=frozenset({3})),
+        "center-forced": _mutated(d, {"p3": d.ports["p4"]}, **d2),
+        "sum-identity": _mutated(d, {"p4": d.ports["r"]}, **d2),
+        "pairs-forced-when-selectors-zero": _mutated(
+            d, pairs=[*d.params["pairs"], (d.ports["p3"], d.ports["p3"])], **d2),
+    }
+
+
+_MUTANT_COUNTERMODELS = {
+    "w-forced": [
+        "port=0: w-forced: w labeled 0, expected forced 1 in "
+        "{1-labeled: t.w, t.x2, t.y2, t.y4, t.q1, t.q2}"],
+    "u-forced-and-sum": [
+        "external=0: u-forced-and-sum: sum at u is 2, expected exactly 3 in "
+        "{1-labeled: i.t.w, i.t.x2, i.t.y2, i.t.y4, i.t.q1, i.t.q2, i.z1.a2, i.z1.top}",
+        "external=1: u-forced-and-sum: sum at u is 3, expected exactly 4 in "
+        "{1-labeled: i.t.w, i.t.x2, i.t.y2, i.t.y4, i.t.q1, i.t.q2, i.z1.a2, i.z1.top}"],
+    "port-sum-in-list": [
+        "externals-forced-0: port-sum-in-list: sum at port is 2, outside the list [3] in "
+        "{1-labeled: g.t.w, g.t.x2, g.t.y2, g.t.y4, g.t.q1, g.t.q2, g.i3.t.w, g.i3.t.x2, "
+        "g.i3.t.y2, g.i3.t.y4, g.i3.t.q1, g.i3.t.q2, g.i3.z1.a2, g.i3.z1.top, g.i3.z2.a2, "
+        "g.i3.z2.top, g.f2}",
+        "externals-forced-0: list-attainable: port sums attained [2], list is [3]"],
+    "center-forced": [
+        "ext=0: center-forced: p3 labeled 1, expected forced 0 in {1-labeled: v, d.p2, d.p4, d.r}",
+        "ext=1: center-forced: p3 labeled 1, expected forced 0 in {1-labeled: v, d.p2, d.p4, d.p6}"],
+    "sum-identity": [
+        "ext=0: sum-identity: center sum 1 != externals 0 + selectors 2 in "
+        "{1-labeled: v, d.p2, d.p6, d.r}",
+        "ext=1: sum-identity: center sum 1 != externals 1 + selectors 1 in "
+        "{1-labeled: v, d.p2, d.r, d.b1, d.b2}"],
+    "pairs-forced-when-selectors-zero": [
+        "ext=0: pairs-forced-when-selectors-zero: selector mass 0 but pair 3 has weight 0 in "
+        "{1-labeled: v, d.p2, d.b1, d.a2}",
+        "ext=1: pairs-forced-when-selectors-zero: selector mass 0 but pair 3 has weight 0 in "
+        "{1-labeled: v, d.p2, d.b1, d.a2}"],
+}
+
+
+@pytest.mark.parametrize("check", sorted(_MUTANT_COUNTERMODELS))
+def test_each_solution_check_reports_its_countermodel(check):
+    # one mutated T, I, G or D gadget per solution check: the check fails,
+    # each case reports the first solution it failed on, and the text pins
+    # the external mass and list each check resolves per case
+    rep = certify_gadget(_mutants()[check], cap=40)
+    assert rep.countermodels() == _MUTANT_COUNTERMODELS[check]
 
 
 def test_suite_budget_cut_output(capsys):

@@ -49,6 +49,17 @@ def test_lists_round_trip():
     assert fileio.lists_from_text(text) == lists
 
 
+@pytest.mark.parametrize("text, line", [
+    ("l 1 0 2\nl 2 1 2\nl 3 1 2\n", 1),
+    ("l 1 1 2\nl 2 -1 2\nl 3 1 2\n", 2),
+    ("l 1 1 2\nl 2 1 2\nl 3 2 0\n", 3),
+])
+def test_lists_reject_non_positive_values(text, line):
+    # a list holds labels, and labels are positive
+    with pytest.raises(FileFormatError, match=f"^line {line}: list value -?[01] is not positive$"):
+        fileio.lists_from_text(text)
+
+
 def test_cnf_round_trip():
     text = "c comment\np cnf 3 2\n1 -2 3 0\n-1 2 0\n"
     nv, clauses = fileio.cnf_from_text(text)

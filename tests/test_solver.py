@@ -629,7 +629,7 @@ def test_free_vertices_last_keeps_every_answer(monkeypatch):
             sols = set()
             outcome, nodes = enumerate_solutions(
                 SearchProblem(g, binary, unchecked=unchecked), SearchBudget(),
-                lambda labels, sums: sols.add((tuple(sorted(labels.items())), tuple(sums))))
+                lambda labels, sums: sols.add((labels, sums)))
             assert outcome == "exhausted"
             return sols, nodes
 
@@ -650,26 +650,28 @@ def test_free_vertices_last_keeps_every_answer(monkeypatch):
 
 
 def test_enumeration_hands_out_fresh_copies():
-    # a callback that keeps and mutates what it is given must change neither
-    # later solutions nor the search
+    # a callback keeps what it is given and tries to overwrite it: what it
+    # kept must never change, and neither may later solutions or the search
     c5 = cycle_graph(5)
     problem = SearchProblem(c5, uniform_domains(c5, (0, 1)), unchecked=frozenset({0}))
     plain = []
     outcome, nodes = enumerate_solutions(problem, SearchBudget(),
-                                         lambda labels, sums: plain.append((dict(labels), list(sums))))
+                                         lambda labels, sums: plain.append((labels, sums)))
     kept = []
 
-    def mutate(labels, sums):
-        kept.append((labels, sums, dict(labels), list(sums)))
-        labels.clear()
-        sums[:] = [-1] * len(sums)
+    def overwrite(labels, sums):
+        kept.append((labels, sums, list(labels), list(sums)))
+        for values in (labels, sums):
+            with pytest.raises(TypeError):
+                values[0] = -1
 
-    assert enumerate_solutions(problem, SearchBudget(), mutate) == (outcome, nodes)
+    assert enumerate_solutions(problem, SearchBudget(), overwrite) == (outcome, nodes)
     assert outcome == "exhausted" and len(plain) > 1
-    assert [(labels, sums) for _l, _s, labels, sums in kept] == plain
-    assert all(type(labels) is dict and type(sums) is list for labels, sums, _l, _s in kept)
-    assert len({id(labels) for labels, *_ in kept}) == len({id(sums) for _l, sums, *_ in kept}) \
-        == len(kept)
+    assert all(list(labels) == at_labels and list(sums) == at_sums
+               for labels, sums, at_labels, at_sums in kept)
+    assert [(labels, sums) for labels, sums, *_ in kept] == plain
+    assert all(type(labels) is tuple and type(sums) is tuple for labels, sums in plain)
+    assert all(len(labels) == len(sums) == c5.n for labels, sums in plain)
 
 
 def _wheel(rim):
@@ -768,7 +770,7 @@ def _enumerated(problem):
     sols = set()
     outcome, nodes = enumerate_solutions(
         problem, SearchBudget(),
-        lambda labels, sums: sols.add((tuple(labels[v] for v in range(len(labels))), tuple(sums))))
+        lambda labels, sums: sols.add((labels, sums)))
     assert outcome == "exhausted"
     return sols, nodes
 
