@@ -113,7 +113,6 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
     r_sigma = solve_sigma(g, budget)
     if r_sigma.status == "found":
         rep.sigma = r_sigma.value
-        rep.notes["sigma_label_universe"] = str(r_sigma.detail.get("label_universe_max"))
     else:
         rep.notes["sigma"] = r_sigma.status
 

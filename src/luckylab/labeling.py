@@ -40,9 +40,19 @@ class Labeling:
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Vertex -> nonempty finite set of allowed positive labels."""
+    """Vertex -> nonempty finite set of allowed positive labels.
+
+    A value below 1 raises LabelingError on construction; emptiness and
+    coverage of a graph are checked by validate_on.
+    """
 
     lists: dict[int, frozenset[int]]
+
+    def __post_init__(self):
+        for v, s in self.lists.items():
+            least = min(s, default=1)
+            if least < 1:
+                raise LabelingError(f"list value {least} at vertex {v} is not positive")
 
     def __getitem__(self, v: int) -> frozenset[int]:
         return self.lists[v]

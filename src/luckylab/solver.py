@@ -19,15 +19,14 @@ one node per (re)assignment with the same budget checks, returning the mask
 frame F would.  Node counts, the leaves and the leaf at which a budget cut
 lands stay as they were; only a minimizing hook, which lowers the cap below
 every other leaf of the tail once it has seen the all-minimum one, lets the
-walk stop where stale-cap frames would go on.  A distinct cap (sigma) keeps
-its frames, since _reusable picks the free labels under that cap.  In the
-benchmark's gadget certification 112,530 of 155,464 nodes fall in free
-tails: every core solution of the variable gadget repeats under the 1,024
-labelings of its pendants.  The walk, with certification streaming its
-solutions (gadgets.certify_gadget), cut that workload's wall time from
-about 0.38 s to 0.26 s.  Handing each solution out as two tuples instead
-of a fresh dict and list (enumerate_solutions), judged by checks bound to
-their boundary case, cut it to about 0.18 s.
+walk stop where stale-cap frames would go on.  In the benchmark's gadget
+certification 112,530 of 155,464 nodes fall in free tails: every core
+solution of the variable gadget repeats under the 1,024 labelings of its
+pendants.  The walk, with certification streaming its solutions
+(gadgets.certify_gadget), cut that workload's wall time from about 0.38 s
+to 0.26 s.  Handing each solution out as two tuples instead of a fresh dict
+and list (enumerate_solutions), judged by checks bound to their boundary
+case, cut it to about 0.18 s.
 
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
 sum still reachable given the partial assignment: boundary mass plus the
@@ -70,14 +69,14 @@ and weight cap among them, which stay fixed while the search runs.  The
 nogood keeps the pattern of which of those positions sit above their domain
 minimum.  That pattern names each value only where a domain has at most two
 values, so a mask touching a wider domain (list sizes of three or more, eta
-with k >= 3, sigma) is not recorded.  Neither is a whole prefix, the mask
-of a subtree that let a leaf pass, since that prefix never recurs.  A
-nogood waits for one position to take one bit, so an assignment visits only
-the nogoods waiting for it.  One that agrees with the path up to the
-position just assigned waits next at the second-highest position of M, then
-at the top one, and fires there with M as its culprit mask; this is checked
-after the conflict scan, so every earlier conflict and its mask stay as
-they were.  One that disagrees at one position waits for that position to
+with k >= 3, sigma with m >= 3) is not recorded.  Neither is a whole
+prefix, the mask of a subtree that let a leaf pass, since that prefix never
+recurs.  A nogood waits for one position to take one bit, so an assignment
+visits only the nogoods waiting for it.  One that agrees with the path up to
+the position just assigned waits next at the second-highest position of M,
+then at the top one, and fires there with M as its culprit mask; this is
+checked after the conflict scan, so every earlier conflict and its mask stay
+as they were.  One that disagrees at one position waits for that position to
 change; one that disagrees at two is forgotten (relevance-bounded learning
 with bound 1, Bayardo & Miranker, AAAI 1996).  Kept instead, the nogoods of
 the inapproximability check on the Wagner graph at d = 41 (3 M nodes) grew
@@ -108,7 +107,6 @@ import heapq
 import itertools
 import json
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -330,7 +328,6 @@ class _Engine:
         # the live weight bound; a minimizing leaf hook lowers it
         self.cap = problem.weight_cap
         self.min_sum = problem.min_sum
-        self.distinct_cap = problem.distinct_cap
         self.checked = [v not in problem.unchecked for v in range(n)]
         # the checked neighbors of each vertex, in adjacency order: the only
         # ones whose sums constrain anything
@@ -366,7 +363,6 @@ class _Engine:
         self.dmax = [d[-1] for d in self.domains]
         ex = dict(problem.extra_sum or ())
         self.label = [0] * n
-        self.assigned = [False] * n
         self.lo = [ex.get(v, 0) + sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
         self.hi = [ex.get(v, 0) + sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
         self.future_min = sum(self.dmin)
@@ -382,12 +378,11 @@ class _Engine:
         else:
             self.twin_prev, self.twin_strict = [None] * n, [False] * n
         # the free tail order[free_start:], walked by _free_tail (module
-        # docstring); a distinct cap keeps its frames.  A twin precedes its
-        # vertex, so the walk reads an assigned label for it.
+        # docstring).  A twin precedes its vertex, so the walk reads an
+        # assigned label for it.
         self.free_start = n
-        if self.distinct_cap is None:
-            while self.free_start and free[self.order[self.free_start - 1]]:
-                self.free_start -= 1
+        while self.free_start and free[self.order[self.free_start - 1]]:
+            self.free_start -= 1
         self.tail = self.order[self.free_start:]
         self.tail_domains = [self.domains[v] for v in self.tail]
         self.tail_twin = [self.twin_prev[v] for v in self.tail]
@@ -526,16 +521,18 @@ class _Engine:
     def _scan_bonuses(self, v: int) -> int:
         """Detect pairs newly forced by assigning v; returns how many were added."""
         added = 0
-        assigned = self.assigned
+        pos = self.pos
         in_bonus = self.in_bonus
         cadj = self.cadj
-        assigned_mask = (2 << self.pos[v]) - 1
+        # exactly the positions up to v's are assigned
+        pv = pos[v]
+        assigned_mask = (2 << pv) - 1
         for u in cadj[v]:
-            if assigned[u] or in_bonus[u] >= 0:
+            if pos[u] <= pv or in_bonus[u] >= 0:
                 continue
             for t in cadj[u]:
                 # v itself is assigned, so it is skipped here
-                if assigned[t] or in_bonus[t] >= 0:
+                if pos[t] <= pv or in_bonus[t] >= 0:
                     continue
                 if self._try_bonus(u, t, assigned_mask):
                     added += 1
@@ -576,30 +573,7 @@ class _Engine:
 
     # -- search -------------------------------------------------------------
 
-    def _reusable(self, v: int, used: dict[int, int]) -> Iterable[int]:
-        """The values of v worth trying under the distinct cap, ascending.
-
-        While fewer than distinct_cap labels are in use, that is v's whole
-        domain.  Once the cap is full, every unused value fails on the cap
-        alone, with the whole prefix as culprit, so the used values in v's
-        domain plus the least unused one (which records that failure) stand
-        for the domain.  The number of labels in use is constant across a
-        frame's value loop, since a used value only raises its own count.
-        The loop's two early breaks, the twin bound and the weight cap, are
-        monotone in the value and add culprits within that prefix, so the
-        search visits the same nodes in the same order and returns the same
-        masks as a scan of the whole domain.
-        """
-        dom = self.domains[v]
-        if len(used) < self.distinct_cap:
-            return dom
-        vals = sorted(x for x in used if (i := bisect_left(dom, x)) < len(dom) and dom[i] == x)
-        fresh = next((x for x in dom if x not in used), None)
-        if fresh is not None:
-            insort(vals, fresh)
-        return vals
-
-    def _dfs(self, depth: int, cur_weight: int, used: dict[int, int]) -> Optional[int]:
+    def _dfs(self, depth: int, cur_weight: int) -> Optional[int]:
         """Search with conflict-directed backjumping, one frame per level.
 
         At the first free position the search goes on in _free_tail, which
@@ -618,19 +592,14 @@ class _Engine:
         lowers takes effect at the next node entered; reading it afresh in
         the value loop would prune more and change the node counts.
 
-        Under a distinct-label cap the value loop runs over _reusable, which
-        drops the unused values a full cap forbids but keeps one of them to
-        record the failure: on sigma's wide domains that skips most of the
-        domain at every node without changing a single node or mask.
-
         In a learning search, a frame that tried every value hands its
         culprit mask to _learn, and a node that passes the conflict scan asks
         _nogood_after whether a nogood fires, but only when one waits for its
         position and bit.
 
-        The frame keeps 34 local slots.  Under CPython 3.11 one more slot
-        (an unused local was enough) slowed the SAT sweep by about 7 % at
-        equal node counts, so self.bounded and self.learn are read where
+        The frame keeps 29 local slots.  Under CPython 3.11, at 34 slots one
+        more (an unused local was enough) slowed the SAT sweep by about 7 %
+        at equal node counts, so self.bounded and self.learn are read where
         they are used rather than bound to locals, and the culprit masks,
         the edge watchers and the nogoods live in __init__, _conflict_after,
         _learn and _nogood_after, not in this frame.
@@ -643,11 +612,10 @@ class _Engine:
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
-        lo, hi, label, assigned = self.lo, self.hi, self.label, self.assigned
+        lo, hi, label = self.lo, self.hi, self.label
         dmin_v, dmax_v = self.dmin[v], self.dmax[v]
         base_future = self.future_min - dmin_v
         cap = self.cap
-        distinct_cap = self.distinct_cap
         max_nodes = self.budget.max_nodes
         conf = 0
         # canonical orbit representative: twins carry non-increasing labels,
@@ -659,7 +627,7 @@ class _Engine:
         bonus_v = self.in_bonus[v]
         bonus_v_active = bonus_v >= 0 and self.bonus_stack[bonus_v][3]
         self.future_min = base_future
-        for val in self.domains[v] if distinct_cap is None else self._reusable(v, used):
+        for val in self.domains[v]:
             if twin is not None and val > top:
                 conf |= 1 << self.pos[twin]
                 break
@@ -673,19 +641,11 @@ class _Engine:
                     # assignments that forced the active pairs, can lower this
                     conf |= (self.ones_mask | self._bonus_culprits()) & below
                     break  # values ascend, so every later value also blows the cap
-            new_count = None
-            if distinct_cap is not None:
-                c = used.get(val, 0)
-                if c == 0 and len(used) >= distinct_cap:
-                    conf |= below
-                    continue
-                new_count = c + 1
             self.nodes += 1
             if self.nodes > max_nodes or (
                     self.nodes % 2048 == 0 and time.monotonic() >= self.deadline):
                 raise BudgetExceeded
             label[v] = val
-            assigned[v] = True
             if val > dmin_v:
                 self.ones_mask |= bit_d
             if bonus_v_active:
@@ -699,8 +659,6 @@ class _Engine:
             if dhi:
                 for u in adj_v:
                     hi[u] += dhi
-            if new_count is not None:
-                used[val] = new_count
             cmask = self._conflict_after(v)
             # the flag first: branch and bound and enumeration skip the lookup
             if cmask is None and self.learn and self.ng_watch[depth][val > dmin_v]:
@@ -712,7 +670,7 @@ class _Engine:
                     cmask = (self.ones_mask | self._bonus_culprits()) & ((bit_d << 1) - 1)
             skip_rest = None
             if cmask is None:
-                r = self._dfs(depth + 1, cur_weight + val, used)
+                r = self._dfs(depth + 1, cur_weight + val)
                 if r is None:
                     return None  # stopped; state intentionally left assigned
                 if not r & bit_d:
@@ -721,11 +679,6 @@ class _Engine:
                     conf |= r
             else:
                 conf |= cmask
-            if new_count is not None:
-                if new_count == 1:
-                    del used[val]
-                else:
-                    used[val] = new_count - 1
             if added_bonuses:
                 self._pop_bonuses(added_bonuses)
             if bonus_v_active:
@@ -737,7 +690,6 @@ class _Engine:
             if dhi:
                 for u in adj_v:
                     hi[u] -= dhi
-            assigned[v] = False
             self.ones_mask &= ~bit_d
             if skip_rest is not None:
                 self.future_min = base_future + dmin_v
@@ -855,7 +807,7 @@ class _Engine:
                 self._initial_bonus_scan()
             if self.cap is not None and self.future_min + self.bonus_total > self.cap:
                 return "done"
-            return "done" if self._dfs(0, 0, {}) is not None else "stopped"
+            return "done" if self._dfs(0, 0) is not None else "stopped"
         except BudgetExceeded:
             return "budget-exceeded"
         finally:
@@ -878,7 +830,6 @@ class SearchProblem:
     domains: tuple[tuple[int, ...], ...]
     weight_cap: Optional[int] = None
     min_sum: Optional[int] = None
-    distinct_cap: Optional[int] = None
     extra_sum: Optional[tuple[tuple[int, int], ...]] = None
     unchecked: frozenset[int] = frozenset()
     tiers: Optional[tuple[tuple[int, int], ...]] = None
@@ -933,9 +884,9 @@ def _violations(problem: SearchProblem, labels: list[int]) -> list[str]:
     The constraints are the ones the engine searches under: each label lies
     in its vertex's domain, every edge between checked vertices joins
     different neighbor sums (boundary mass counted in), every checked sum
-    reaches min_sum, and the weight and the number of distinct labels stay
-    within their caps.  The cost is one pass over the vertices and two over
-    the edges, plus each domain scanned up to its vertex's label.
+    reaches min_sum, and the weight stays within its cap.  The cost is one
+    pass over the vertices and two over the edges, plus each domain scanned
+    up to its vertex's label.
     """
     g = problem.graph
     checked = [v not in problem.unchecked for v in range(g.n)]
@@ -954,8 +905,6 @@ def _violations(problem: SearchProblem, labels: list[int]) -> list[str]:
                 for v in range(g.n) if checked[v] and sums[v] < problem.min_sum]
     if problem.weight_cap is not None and sum(labels) > problem.weight_cap:
         bad.append(f"weight {sum(labels)} exceeds {problem.weight_cap}")
-    if problem.distinct_cap is not None and len(set(labels)) > problem.distinct_cap:
-        bad.append(f"{len(set(labels))} distinct labels exceed {problem.distinct_cap}")
     return bad
 
 
@@ -1116,42 +1065,25 @@ def refute_lists(g: Graph, lists: ListAssignment,
     return RefutationResult("budget-exceeded", k, None, None, rep)
 
 
-def sigma_label_cap(g: Graph) -> int:
-    """Largest label the sigma search needs: |E| + 1.
-
-    Labels in {1..|E|+1} attain sigma (a theorem, not a heuristic).  Take an
-    additive labeling with sigma distinct labels and its partition of the
-    vertices into classes C_1..C_sigma.  Giving class C_i the value x_i
-    makes v's neighbor sum row(v) . x, where row(v) counts v's neighbors in
-    each class, so an edge (u, v) is violated exactly when the linear form
-    (row(u) - row(v)) . x vanishes.  The labeling itself is a point where no
-    form vanishes, so each form is a nonzero polynomial and their product
-    is a nonzero polynomial of degree |E|.  A nonzero polynomial of degree d
-    cannot vanish on all of S^sigma when |S| > d (Schwartz, J. ACM 1980;
-    Zippel, EUROSAM 1979), so some x in {1..|E|+1}^sigma keeps every edge
-    valid: an additive labeling with at most sigma distinct labels, hence
-    exactly sigma.  Since 2|E| <= n * max_degree, the cap is never looser
-    than n * max_degree + 1; oracles.naive_sigma keeps that wider universe,
-    so the oracle sweeps test this bound rather than assume it.
-    """
-    return g.m + 1
-
-
 def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """Minimum number of distinct labels over additive labelings.
 
-    Labels are drawn from {1..|E|+1}; sigma_label_cap proves that this range
-    attains sigma, and the report detail carries the cap.  The bounds m = 1,
-    2, ... are searched in turn, each under a distinct-label cap of m.
+    The bounds m = 1, 2, ... are searched in turn, bound m over the labels
+    {1, B, ..., B^(m-1)} with B = max_degree + 1, so a labeling found for m
+    has at most m distinct labels.  Conversely, take an additive labeling
+    with at most m level sets, number them from 0 and give set i the label
+    B^i.  Each neighbor sum becomes the base-B numeral of its vertex's
+    neighbor counts per level set, since no count exceeds max_degree < B.
+    Adjacent vertices have different count vectors, since equal ones would
+    have given them equal sums before, so their new sums differ too: bound
+    m is feasible exactly when m >= sigma.  The certificate of the first
+    feasible m thus uses exactly m labels.
     """
-    cap = sigma_label_cap(g)
-    domains = uniform_domains(g, range(1, cap + 1))
-    rep = _least_feasible(g, budget, range(1, g.n + 1),
-                          lambda m: SearchProblem(g, domains, distinct_cap=m), "last_decided_m")
-    # the certificate's distinct-label count is rechecked against m, and no
-    # smaller m is feasible, so the value m is exactly that count
-    rep.detail["label_universe_max"] = cap
-    return rep
+    base = g.max_degree() + 1
+    return _least_feasible(
+        g, budget, range(1, g.n + 1),
+        lambda m: SearchProblem(g, uniform_domains(g, (base ** i for i in range(m)))),
+        "last_decided_m")
 
 
 def min_ptds(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:

@@ -28,6 +28,7 @@ from luckylab.graph import (
 )
 from luckylab.labeling import (
     Labeling,
+    LabelingError,
     make_lists,
     verify_additive,
     verify_from_lists,
@@ -111,12 +112,18 @@ def test_refute_lists():
     assert verify_additive(p3, res.labeling) == []
 
 
+def test_lists_reject_non_positive_values():
+    # labels are positive, so a list value below 1 is refused before any search
+    with pytest.raises(LabelingError, match="list value 0 at vertex 0 is not positive"):
+        decide_list_additive(path_graph(3), make_lists({0: {0, 2}, 1: {-1, 2}, 2: {1, 2}}))
+
+
 def test_sigma_examples():
     assert solve_sigma(path_graph(3)).value == 1
     assert solve_sigma(complete_graph(4)).value == 4
     rep = solve_sigma(cycle_graph(4))
     assert rep.value == 2
-    assert rep.detail["label_universe_max"] == cycle_graph(4).m + 1
+    assert set(rep.certificate.values.values()) == {1, 3}  # powers of max_degree + 1
 
 
 def test_ptds_examples():
@@ -142,10 +149,11 @@ def test_budget_exceeded_is_reported():
     # the node total counts the search node that tripped the cap; K6 is one
     # class of adjacent twins, so k = 2 is refuted within the budget too
     assert (rep.nodes_explored, rep.detail) == (6, {"last_decided_k": 2})
-    rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=40, max_ms=60_000))
+    # m = 1 is refuted before any node (the graph is regular); m = 2 takes 33
+    rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=20, max_ms=60_000))
     assert rep.status == "budget-exceeded"
-    assert rep.nodes_explored == 41
-    assert rep.detail == {"label_universe_max": 16, "last_decided_m": 0}
+    assert rep.nodes_explored == 21
+    assert rep.detail == {"last_decided_m": 1}
 
 
 def _brute_force_exists(g, domains):
@@ -382,7 +390,7 @@ def _capped_binary_nodes(cap, status):
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 155),
-    (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 373),
+    (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 33),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 1_262),
     (lambda mp: _sat5_binary_nodes(), 19_427),
@@ -450,8 +458,6 @@ def test_violations_cover_every_constraint():
     assert _violations(dataclasses.replace(base, min_sum=1, unchecked=frozenset({0, 2})),
                        labels) == []
     assert _violations(dataclasses.replace(base, weight_cap=1), labels) == ["weight 2 exceeds 1"]
-    assert _violations(dataclasses.replace(base, distinct_cap=1), labels) == [
-        "2 distinct labels exceed 1"]
 
 
 def test_unchecked_adjacent_twins_may_share_a_label():
@@ -514,7 +520,7 @@ def _twin_planted_calls(rng, g):
     unchecked = frozenset(v for v in g.vertices() if rng.random() < 0.3)
     for kw in ({"extra_sum": extra}, {"unchecked": unchecked},
                {"extra_sum": extra, "unchecked": unchecked, "min_sum": 1},
-               {"weight_cap": g.n}, {"distinct_cap": 3}):
+               {"weight_cap": g.n}):
         problem = SearchProblem(g, domains, **kw)
         calls.append((functools.partial(_search, problem, None), False))
         calls.append((functools.partial(_search, problem, None, minimize=True), True))
@@ -553,44 +559,6 @@ def test_strict_twin_order_keeps_every_answer(monkeypatch):
             assert strict[:2 if optimal else 1] == off[:2 if optimal else 1], (g.edges, strict, off)
             fewer += strict[3] < loose[3]
     assert fewer > 100  # strict links do fire on these graphs
-
-
-def test_reusable_values_keep_the_search(monkeypatch):
-    """Under a full distinct cap, skipping the unused values changes no node.
-
-    Monkeypatched to return the whole domain, _reusable is the scan it
-    replaced.  On graphs with planted twins, mixed domains, weight caps and
-    branch and bound, both loops must give the same status, value,
-    certificate and node count.
-    """
-    rng = random.Random(0x51C)
-    reusable = _Engine._reusable
-    shortened = 0
-
-    def counted(self, v, used):
-        nonlocal shortened
-        vals = reusable(self, v, used)
-        shortened += len(vals) < len(self.domains[v])
-        return vals
-
-    monkeypatch.setattr(_Engine, "_reusable", counted)
-    for _ in range(40):
-        g = _planted_twin_graph(rng)
-        # most vertices share one domain, so most planted copies stay twins
-        shared = tuple(rng.sample(range(6), rng.randint(3, 5)))
-        domains = tuple(shared if rng.random() < 0.7 else tuple(rng.sample(range(6), rng.randint(1, 4)))
-                        for _ in g.vertices())
-        cap = sum(min(d) for d in domains) + rng.randint(0, g.n)
-        for distinct_cap in (1, 2, 3, 4):
-            for weight_cap in (None, cap):
-                problem = SearchProblem(g, domains, weight_cap=weight_cap, distinct_cap=distinct_cap)
-                for minimize in (False, True):
-                    got = _outcome(_search(problem, None, minimize=minimize))
-                    with monkeypatch.context() as m:
-                        m.setattr(_Engine, "_reusable", lambda self, v, used: self.domains[v])
-                        scan = _outcome(_search(problem, None, minimize=minimize))
-                    assert got == scan, (g.edges, domains, weight_cap, distinct_cap, minimize)
-    assert shortened > 2000  # the full-cap loop does run on these graphs
 
 
 def test_free_vertices_last_keeps_every_answer(monkeypatch):
@@ -678,24 +646,34 @@ def _wheel(rim):
     return build_graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)])
 
 
-def test_sigma_cap_keeps_sigma(monkeypatch, rng):
-    """Labels up to |E| + 1 give the same sigma as labels up to n * max_degree + 1."""
+def test_sigma_power_labels_match_naive(rng):
+    """Labels {1, B, ..., B^(m-1)}, B = max_degree + 1, give naive_sigma's value.
+
+    The certificate is additive, uses exactly sigma distinct labels and
+    draws every label from the powers of B.
+    """
     from conftest import random_graph
     graphs = [complete_graph(4), complete_graph(5), cycle_graph(5), cycle_graph(7),
               _wheel(5), _wheel(7), petersen_graph()]
     graphs += [random_graph(rng, 1, 7) for _ in range(40)]
     values = []
     for g in graphs:
-        proven = solve_sigma(g)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "sigma_label_cap", lambda g: g.n * g.max_degree() + 1)
-            wide = solve_sigma(g)
-        assert proven.detail["label_universe_max"] == g.m + 1
-        assert proven.status == wide.status == "found"
-        assert proven.value == wide.value, g.edges
-        assert proven.nodes_explored <= wide.nodes_explored, g.edges
-        values.append(proven.value)
+        rep = solve_sigma(g)
+        assert rep.status == "found"
+        assert rep.value == oracles.naive_sigma(g), g.edges
+        labels = set(rep.certificate.values.values())
+        assert verify_additive(g, rep.certificate, mode="positive") == []
+        assert len(labels) == rep.value, g.edges
+        base = g.max_degree() + 1
+        assert labels <= {base ** i for i in range(rep.value)}, g.edges
+        values.append(rep.value)
     assert min(values[:6]) >= 3  # K4, K5, C5, C7 and the odd wheels
+
+
+def test_sigma_decides_dense_cliques():
+    # K8 needs all 8 labels; over the powers of 8 a few hundred nodes decide it
+    rep = solve_sigma(complete_graph(8), SearchBudget(max_nodes=10_000))
+    assert (rep.status, rep.value) == ("found", 8)
 
 
 def test_budget_cut_keeps_the_incumbent():
@@ -725,8 +703,8 @@ def _random_watch_problem(rng):
 
     Dense graphs have triangles, so edges get watched.  Domains are one,
     two or three values up to {1..3}; boundary mass, unchecked vertices,
-    min_sum and the two caps are each drawn at random.  The labelings number
-    at most 2,048, so brute force can list them all.
+    min_sum and the weight cap are each drawn at random.  The labelings
+    number at most 2,048, so brute force can list them all.
     """
     from conftest import random_graph
     g = random_graph(rng, 3, 9, p=rng.choice((0.4, 0.6, 0.8)))
@@ -739,7 +717,6 @@ def _random_watch_problem(rng):
         g, tuple(domains),
         weight_cap=rng.choice((None, None, sum(min(d) for d in domains) + rng.randint(0, 3))),
         min_sum=rng.choice((None, None, None, 1, 2)),
-        distinct_cap=rng.choice((None, None, None, 2)),
         extra_sum=tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3),
         unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.2),
     )
@@ -759,8 +736,6 @@ def _brute_force_solutions(problem):
                 checked[v] and sums[v] < problem.min_sum for v in g.vertices()):
             continue
         if problem.weight_cap is not None and sum(labels) > problem.weight_cap:
-            continue
-        if problem.distinct_cap is not None and len(set(labels)) > problem.distinct_cap:
             continue
         found.add((labels, tuple(sums)))
     return found
@@ -1043,9 +1018,9 @@ class _Frames(_Engine):
         super().__init__(*args, **kwargs)
         self.free_start = self.n
 
-    def _dfs(self, depth, cur_weight, used):
+    def _dfs(self, depth, cur_weight):
         cap = self.cap
-        mask = super()._dfs(depth, cur_weight, used)
+        mask = super()._dfs(depth, cur_weight)
         if depth == self.n - len(self.tail) < self.n:
             self.tail_log.append((cur_weight, cap, mask))
         return mask
