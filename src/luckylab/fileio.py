@@ -43,7 +43,7 @@ def graph_to_text(g: Graph) -> str:
 
 def graph_from_text(text: str) -> Graph:
     n = None
-    m_declared = None
+    m_declared = p_line = None
     edges: list[tuple[int, int]] = []
     names: dict[int, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -60,6 +60,7 @@ def graph_from_text(text: str) -> Graph:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FileFormatError(line_no, f"non-integer counts in {line!r}") from None
+            p_line = line_no
             if n > MAX_VERTICES:
                 raise FileFormatError(line_no,
                                       f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")
@@ -88,10 +89,35 @@ def graph_from_text(text: str) -> Graph:
     try:
         g = build_graph(n, edges, names or None)
     except GraphError as exc:
-        raise FileFormatError(1, str(exc)) from None
-    if m_declared is not None and g.m != m_declared:
-        raise FileFormatError(1, f"problem line declares {m_declared} edges, file has {g.m}")
+        raise _graph_line_error(text, n, p_line, exc) from None
+    if g.m != m_declared:
+        raise FileFormatError(p_line, f"problem line declares {m_declared} edges, file has {g.m}")
     return g
+
+
+def _graph_line_error(text: str, n: int, p_line: int, exc: GraphError) -> FileFormatError:
+    """The error build_graph raised on a parsed graph file, at its line and in 1-based ids.
+
+    build_graph checks the vertex count, then each edge in file order, then
+    the names, so the first line that fails the same check is the one it
+    names.  The file is scanned again only here, once it has failed.
+    """
+    if n < 0:
+        return FileFormatError(p_line, str(exc))
+    name_error = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts[:1] == ["e"]:
+            u, v = int(parts[1]), int(parts[2])
+            if u == v:
+                return FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
+            if not (1 <= u <= n and 1 <= v <= n):
+                return FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+        elif parts[:2] == ["c", "name"] and len(parts) >= 4 and name_error is None:
+            v = int(parts[2])
+            if not 1 <= v <= n:
+                name_error = FileFormatError(line_no, f"name attached to unknown vertex {v}")
+    return name_error
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +189,7 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
     num_vars = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
+    last_line = 0  # the line of the last literal read
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("c", "%")):
@@ -194,9 +221,10 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
                 if num_vars is not None and abs(lit) > num_vars:
                     raise FileFormatError(line_no, f"literal {lit} exceeds declared variable count")
                 pending.append(lit)
+                last_line = line_no
     if pending:
         if len(pending) > 3:
-            raise FileFormatError(0, f"clause has {len(pending)} literals; at most 3 allowed")
+            raise FileFormatError(last_line, f"clause has {len(pending)} literals; at most 3 allowed")
         clauses.append(tuple(pending))
     if num_vars is None:
         num_vars = max((abs(l) for cl in clauses for l in cl), default=0)

@@ -169,43 +169,34 @@ def sat_brute(phi: Cnf3Formula) -> Optional[dict[int, bool]]:
 def dpll_sat(phi: Cnf3Formula) -> Optional[dict[int, bool]]:
     """Independent DPLL re-implementation used to cross-check sat_brute."""
 
+    def assign(clauses: list[tuple[int, ...]], lit: int) -> Optional[list[tuple[int, ...]]]:
+        """The clauses with lit true, or None once one of them is left empty."""
+        nxt = []
+        for cl in clauses:
+            if lit in cl:
+                continue
+            reduced = tuple(l for l in cl if l != -lit)
+            if not reduced:
+                return None
+            nxt.append(reduced)
+        return nxt
+
     def solve(clauses: list[tuple[int, ...]], assignment: dict[int, bool]):
         while True:
-            unit = None
-            for cl in clauses:
-                if len(cl) == 1:
-                    unit = cl[0]
-                    break
+            unit = next((cl[0] for cl in clauses if len(cl) == 1), None)
             if unit is None:
                 break
             assignment[abs(unit)] = unit > 0
-            nxt = []
-            for cl in clauses:
-                if unit in cl:
-                    continue
-                reduced = tuple(l for l in cl if l != -unit)
-                if not reduced:
-                    return None
-                nxt.append(reduced)
-            clauses = nxt
+            clauses = assign(clauses, unit)
+            if clauses is None:
+                return None
         if not clauses:
             return assignment
         lit = clauses[0][0]
         for choice in (lit, -lit):
-            trial = dict(assignment)
-            trial[abs(choice)] = choice > 0
-            nxt = []
-            ok = True
-            for cl in clauses:
-                if choice in cl:
-                    continue
-                reduced = tuple(l for l in cl if l != -choice)
-                if not reduced:
-                    ok = False
-                    break
-                nxt.append(reduced)
-            if ok:
-                res = solve(nxt, trial)
+            nxt = assign(clauses, choice)
+            if nxt is not None:
+                res = solve(nxt, {**assignment, abs(choice): choice > 0})
                 if res is not None:
                     return res
         return None

@@ -15,14 +15,12 @@ ends are adjacent checked vertices, so neither is free) and no strict twin
 link joins free vertices (for the same reason).  Frames there would only
 list the tail's labelings, so _free_tail lists them in one loop (mixed-radix
 generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
-one node per (re)assignment with the same budget checks, returning the mask
-frame F would.  Node counts, the leaves and the leaf at which a budget cut
-lands stay as they were; only a minimizing hook, which lowers the cap below
-every other leaf of the tail once it has seen the all-minimum one, lets the
-walk stop where stale-cap frames would go on.  In the benchmark's gadget
-certification 112,530 of 155,464 nodes fall in free tails: every core
-solution of the variable gadget repeats under the 1,024 labelings of its
-pendants.  The walk, with certification streaming its solutions
+one node per (re)assignment with the same budget and weight checks,
+returning the mask frame F would.  So node counts, the leaves and the leaf
+at which a budget cut lands stay as they were, under every leaf hook, branch
+and bound included.  In the benchmark's gadget certification 112,530 of
+155,464 nodes fall in free tails: every core solution of the variable gadget
+repeats under the 1,024 labelings of its pendants.  The walk, with certification streaming its solutions
 (gadgets.certify_gadget), cut that workload's wall time from about 0.38 s
 to 0.26 s.  Handing each solution out as two tuples instead of a fresh dict
 and list (enumerate_solutions), judged by checks bound to their boundary
@@ -50,6 +48,13 @@ conflict-directed backjumping (Prosser, Comput. Intell. 1993).  Each is a
 bitmask of search positions: nbmask[v] holds the positions of v's
 neighbors, and at depth d exactly the first d + 1 vertices of the order
 are assigned, so a conflict's culprits are one mask operation.
+
+Every weight check applies one bound (Land & Doig, Econometrica 1960): a
+value is tried only while the weight assigned so far, plus the value, plus
+rest_min of the next position (the least total the later positions can
+carry, a table fixed per search) stays within the cap.  Each check reads the
+cap live, so a cap that a minimizing hook lowers binds at the next value
+tried, and every leaf the hook sees lies within the cap in force.
 
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
@@ -365,7 +370,10 @@ class _Engine:
         self.label = [0] * n
         self.lo = [ex.get(v, 0) + sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
         self.hi = [ex.get(v, 0) + sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
-        self.future_min = sum(self.dmin)
+        # rest_min[d]: the least total the positions d and later can carry
+        self.rest_min = [0] * (n + 1)
+        for d in range(n - 1, -1, -1):
+            self.rest_min[d] = self.rest_min[d + 1] + self.dmin[self.order[d]]
         self.watch = _edge_watchers(g.edges, self.adj, self.pos, self.nbmask, self.checked,
                                     [len(d) == 1 for d in self.domains], ex)
 
@@ -388,7 +396,6 @@ class _Engine:
         self.tail_twin = [self.twin_prev[v] for v in self.tail]
         # each tail position's least value, and a 0 past the end
         self.tail_mins = [d[0] for d in self.tail_domains] + [0]
-        self.tail_min = sum(self.tail_mins)
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
         # exceed their domain minima by one.  Entries are [u, t, culprits, active].
         # Kept only under the problem's own weight cap (module docstring).
@@ -588,9 +595,10 @@ class _Engine:
         hook lets pass returns a full mask, which degrades the search above
         it to chronological backtracking and keeps it complete.
 
-        The weight bound self.cap is read once, on entry, so a bound the hook
-        lowers takes effect at the next node entered; reading it afresh in
-        the value loop would prune more and change the node counts.
+        A value val is tried only while cur_weight + val + rest_min[depth + 1],
+        plus the forced pairs still open when they are kept, stays within
+        self.cap (module docstring).  The cap is read for each value, so a
+        bound the hook lowers holds from the next value on.
 
         In a learning search, a frame that tried every value hands its
         culprit mask to _learn, and a node that passes the conflict scan asks
@@ -614,8 +622,7 @@ class _Engine:
         adj_v = self.adj[v]
         lo, hi, label = self.lo, self.hi, self.label
         dmin_v, dmax_v = self.dmin[v], self.dmax[v]
-        base_future = self.future_min - dmin_v
-        cap = self.cap
+        rest = self.rest_min[depth + 1]
         max_nodes = self.budget.max_nodes
         conf = 0
         # canonical orbit representative: twins carry non-increasing labels,
@@ -626,17 +633,17 @@ class _Engine:
             top = label[twin] - 1 if self.twin_strict[v] else label[twin]
         bonus_v = self.in_bonus[v]
         bonus_v_active = bonus_v >= 0 and self.bonus_stack[bonus_v][3]
-        self.future_min = base_future
         for val in self.domains[v]:
             if twin is not None and val > top:
                 conf |= 1 << self.pos[twin]
                 break
+            cap = self.cap
             if cap is not None:
                 # a value above the minimum discharges v's own forced pair
                 eff_bonus = self.bonus_total
                 if bonus_v_active and val > dmin_v:
                     eff_bonus -= 1
-                if cur_weight + val + base_future + eff_bonus > cap:
+                if cur_weight + val + rest + eff_bonus > cap:
                     # only levels labeled above their domain minimum, or the
                     # assignments that forced the active pairs, can lower this
                     conf |= (self.ones_mask | self._bonus_culprits()) & below
@@ -666,7 +673,7 @@ class _Engine:
             added_bonuses = 0
             if cmask is None and self.bounded:
                 added_bonuses = self._scan_bonuses(v)
-                if cur_weight + val + base_future + self.bonus_total > cap:
+                if cur_weight + val + rest + self.bonus_total > cap:
                     cmask = (self.ones_mask | self._bonus_culprits()) & ((bit_d << 1) - 1)
             skip_rest = None
             if cmask is None:
@@ -692,9 +699,7 @@ class _Engine:
                     hi[u] -= dhi
             self.ones_mask &= ~bit_d
             if skip_rest is not None:
-                self.future_min = base_future + dmin_v
                 return skip_rest
-        self.future_min = base_future + dmin_v
         conf &= below
         if self.learn:
             self._learn(conf)
@@ -709,27 +714,16 @@ class _Engine:
         order.  This loop lists them in that order, counting one node and
         making the budget check per (re)assignment, and hands each leaf and
         its weight to the hook.  It returns what frame F would: None on a
-        stop, the cut of F's first value with its mask (and _learn call)
-        when the cap forbids even the least tail, and otherwise
-        (1 << F) - 1, since a leaf passed.
+        stop, and otherwise (1 << F) - 1, since a leaf passed.
 
-        The cap is read afresh before each step.  Under a constant cap that
-        is what the frames see; a minimizing hook lowers it below the
-        first, all-minimum leaf, so the walk stops where stale-cap frames
-        would go on visiting heavier leaves the hook rejects.
+        Each step applies the frames' weight bound to the live cap.  The
+        first, all-minimum leaf needs no check: the frame at F - 1 has just
+        applied that bound to it, or with F = 0 the root check in run has.
 
         Only label, lo and hi follow the walk, since a leaf hook reads
         nothing else; they are restored on return and left at the leaf on
         a stop, as the frames leave them.
         """
-        first = self.free_start
-        below = (1 << first) - 1
-        cap = self.cap
-        if cap is not None and weight + self.tail_min > cap:
-            conf = self.ones_mask & below  # no forced pair is left below F
-            if self.learn:
-                self._learn(conf)
-            return conf
         tail, doms, twins, mins = self.tail, self.tail_domains, self.tail_twin, self.tail_mins
         label, lo, hi, adj, dmax = self.label, self.lo, self.hi, self.adj, self.dmax
         k = len(tail)
@@ -741,7 +735,7 @@ class _Engine:
             if d:
                 for u in adj[v]:
                     hi[u] += d
-        weight += self.tail_min
+        weight += self.rest_min[self.free_start]
         nodes, max_nodes, deadline = self.nodes, self.budget.max_nodes, self.deadline
         p, i, val = 0, 0, mins[0]
         while True:
@@ -785,7 +779,7 @@ class _Engine:
             for u in adj[v]:
                 lo[u] -= dl
                 hi[u] -= dh
-        return below
+        return (1 << self.free_start) - 1
 
     def run(self, on_leaf: Callable[[int], bool]) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
@@ -805,7 +799,7 @@ class _Engine:
                 return "done"
             if self.bounded:
                 self._initial_bonus_scan()
-            if self.cap is not None and self.future_min + self.bonus_total > self.cap:
+            if self.cap is not None and self.rest_min[0] + self.bonus_total > self.cap:
                 return "done"
             return "done" if self._dfs(0, 0) is not None else "stopped"
         except BudgetExceeded:
@@ -915,8 +909,8 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget],
     A found labeling is rechecked against every constraint of the problem
     before it becomes the certificate, and the report's value is
     `value(certificate)`.  With `minimize` the leaf hook lowers the engine's
-    weight bound below each new incumbent: a branch and bound on total
-    weight.  A minimizing search cut by its budget keeps the status
+    weight bound below each leaf, which the live bound makes a new
+    incumbent: a branch and bound on total weight.  A minimizing search cut by its budget keeps the status
     budget-exceeded and no value, since its incumbent is not a proven
     optimum, but reports the incumbent (rechecked the same way) as the
     certificate and its weight as detail["incumbent_weight"].
@@ -927,12 +921,9 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget],
     best: list[int] = []
 
     def on_leaf(w: int) -> bool:
-        # a node reads the bound on entry, so a leaf below a node entered
-        # before the last improvement can outweigh the incumbent
-        if eng.cap is None or w <= eng.cap:
-            best[:] = eng.label
-            if minimize:
-                eng.cap = w - 1
+        best[:] = eng.label
+        if minimize:
+            eng.cap = w - 1
         return not minimize
 
     outcome = eng.run(on_leaf)

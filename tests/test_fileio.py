@@ -33,6 +33,21 @@ def test_graph_errors_carry_line_numbers():
         fileio.graph_from_text("p edge 2 5\ne 1 2\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c x\np edge 3 1\ne 1 9\n", "line 3: edge (1, 9) has an endpoint outside 1..3"),
+    ("p edge 3 2\ne 1 2\ne 2 2\n", "line 3: loop edge (2, 2) not allowed in a simple graph"),
+    ("p edge 3 0\nc name 1 a\nc name 7 foo\n", "line 3: name attached to unknown vertex 7"),
+    ("c x\np edge 3 2\ne 1 2\n", "line 2: problem line declares 2 edges, file has 1"),
+    ("c x\np edge -1 0\n", "line 2: vertex count must be nonnegative, got -1"),
+    # the graph builder checks every edge before any name
+    ("p edge 2 1\nc name 5 x\ne 1 3\n", "line 3: edge (1, 3) has an endpoint outside 1..2"),
+], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name"])
+def test_graph_errors_name_the_offending_line_in_file_ids(text, message):
+    with pytest.raises(FileFormatError) as err:
+        fileio.graph_from_text(text)
+    assert str(err.value) == message
+
+
 def test_labeling_round_trip():
     lab = Labeling({0: 1, 1: 0, 2: 7})
     text = fileio.labeling_to_text(lab)
@@ -71,6 +86,14 @@ def test_cnf_round_trip():
 def test_cnf_rejects_long_clause():
     with pytest.raises(FileFormatError, match="at most 3"):
         fileio.cnf_from_text("p cnf 4 1\n1 2 3 4 0\n")
+
+
+def test_cnf_long_last_clause_names_its_line():
+    # the last clause may end without its 0
+    with pytest.raises(FileFormatError, match="^line 2: clause has 4 literals"):
+        fileio.cnf_from_text("p cnf 4 1\n1 2 3 4\n")
+    with pytest.raises(FileFormatError, match="^line 3: clause has 4 literals"):
+        fileio.cnf_from_text("p cnf 4 1\n1 2\n3 4\nc done\n")
 
 
 def test_dot_export_mentions_names():

@@ -389,14 +389,14 @@ def _capped_binary_nodes(cap, status):
 
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
-    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 155),
+    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 153),
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 33),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 1_262),
     (lambda mp: _sat5_binary_nodes(), 19_427),
     (lambda mp: _counterexample_refutation_nodes(2), 81),
     (lambda mp: _counterexample_refutation_nodes(4), 7_193),
-    (lambda mp: _gnp_eta1_nodes(), 8_080),
+    (lambda mp: _gnp_eta1_nodes(), 8_078),
     (lambda mp: _amplifier_enumeration_nodes(), 1_093),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
@@ -1045,6 +1045,17 @@ def _tail_runs(problem):
     leaves = []
     eng.run(lambda w: leaves.append((eng.label[:], w, eng.lo == eng.hi)) is None and False)
     runs["leaves"] = leaves, eng.nodes
+    # a minimizing hook, logging each leaf's weight and the cap in force
+    eng = solver._Engine(problem, SearchBudget())
+    lowered = []
+
+    def lower(w):
+        lowered.append((w, eng.cap))
+        eng.cap = w - 1
+        return False
+
+    eng.run(lower)
+    runs["lowered"] = lowered, eng.nodes
     runs["first"] = _outcome(_search(problem, None))
     solver._Engine.tail_log = []
     runs["bnb"] = _outcome(_search(problem, None, minimize=True))
@@ -1056,16 +1067,18 @@ def test_free_tail_walk_matches_frames(monkeypatch):
     """The free-tail walk hands out the frames' leaves, in order, at equal nodes.
 
     300 random problems run with the walk and with one frame per free
-    vertex.  Enumeration must give the same (labels, sums) sequence and
-    node count, and the same number of solutions under node budgets that
-    cut it; a first-solution search the same status, value, certificate
-    and nodes; a hook that neither stops nor lowers the cap the same
-    leaves under twin order.  Branch and bound must give the same status
-    and value in at most the frames' nodes, and the walk must return the
-    frames' mask at each visit, its weight-cap cut on entry among them.
+    vertex.  Both apply one weight bound to the live cap, so they must
+    agree exactly.  Enumeration must give the same (labels, sums) sequence
+    and node count, and the same number of solutions under node budgets
+    that cut it; a first-solution search and branch and bound the same
+    status, value, certificate and nodes; a hook that neither stops nor
+    lowers the cap the same leaves under twin order; a hook that lowers
+    the cap below each leaf the same leaves, none of them above the cap in
+    force when it is reached.  The walk must return the frames' mask at
+    each visit.
     """
     rng = random.Random(0x7A11)
-    tails = fewer = cut = entry_cuts = 0
+    tails = cut = 0
     for _ in range(300):
         problem = _random_tail_problem(rng)
         tails += _Engine(problem, SearchBudget()).free_start < problem.graph.n
@@ -1075,14 +1088,9 @@ def test_free_tail_walk_matches_frames(monkeypatch):
                 m.setattr(solver, "_Engine", engine)
                 both.append(_tail_runs(problem))
         walk, frames = both
-        for key in ("enumerated", "cut", "leaves", "first", "bnb-tails"):
+        for run in (walk, frames):
+            assert all(cap is None or w <= cap for w, cap in run["lowered"][0]), problem
+        for key in ("enumerated", "cut", "leaves", "lowered", "first", "bnb", "bnb-tails"):
             assert walk[key] == frames[key], (key, problem)
-        assert walk["bnb"][:3] == frames["bnb"][:3], problem
-        assert walk["bnb"][3] <= frames["bnb"][3], problem
-        fewer += walk["bnb"][3] < frames["bnb"][3]
         cut += sum(0 < got < len(walk["enumerated"][1]) for _outcome, got in walk["cut"])
-        least = sum(problem.domains[v][0] for v in _Engine(problem, SearchBudget()).tail)
-        entry_cuts += any(cap is not None and weight + least > cap
-                          for weight, cap, _mask in walk["bnb-tails"])
-    assert tails > 100 and fewer > 10 and cut > 100 and entry_cuts > 10, \
-        (tails, fewer, cut, entry_cuts)
+    assert tails > 100 and cut > 100, (tails, cut)
