@@ -185,11 +185,18 @@ def lists_from_text(text: str) -> ListAssignment:
 # DIMACS CNF.  Clauses are validated to 1..3 literals.
 
 def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Parse DIMACS cnf into (num_vars, clauses of signed 1-based literals)."""
-    num_vars = None
+    """Parse DIMACS cnf into (num_vars, clauses of signed 1-based literals).
+
+    The `p cnf <vars> <clauses>` line is optional; without it the variable
+    count is the largest variable used.  With it, every literal, before the
+    line or after it, must lie within the declared variable count, and the
+    file must hold the declared number of clauses.
+    """
+    num_vars = num_clauses = p_line = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     last_line = 0  # the line of the last literal read
+    early: list[tuple[int, int]] = []  # (line, literal) read before the problem line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("c", "%")):
@@ -201,9 +208,16 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FileFormatError(line_no, f"expected 'p cnf <vars> <clauses>', got {line!r}")
             try:
-                num_vars = int(parts[2])
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FileFormatError(line_no, f"non-integer count in {line!r}") from None
+            if num_vars < 0 or num_clauses < 0:
+                raise FileFormatError(line_no, f"negative count in {line!r}")
+            p_line = line_no
+            for early_line, lit in early:
+                if abs(lit) > num_vars:
+                    raise FileFormatError(early_line,
+                                          f"literal {lit} exceeds declared variable count")
             continue
         try:
             lits = [int(tok) for tok in line.split()]
@@ -218,7 +232,9 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
                 clauses.append(tuple(pending))
                 pending = []
             else:
-                if num_vars is not None and abs(lit) > num_vars:
+                if num_vars is None:
+                    early.append((line_no, lit))
+                elif abs(lit) > num_vars:
                     raise FileFormatError(line_no, f"literal {lit} exceeds declared variable count")
                 pending.append(lit)
                 last_line = line_no
@@ -228,6 +244,9 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         clauses.append(tuple(pending))
     if num_vars is None:
         num_vars = max((abs(l) for cl in clauses for l in cl), default=0)
+    elif len(clauses) != num_clauses:
+        raise FileFormatError(p_line, f"problem line declares {num_clauses} clauses, "
+                                      f"file has {len(clauses)}")
     return num_vars, clauses
 
 

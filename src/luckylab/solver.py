@@ -10,9 +10,11 @@ constrained part under every combination of their labels, as the ten slack
 pendants on the variable gadget's unchecked ports would.
 
 Below the first free position F no constraint can fail.  No conflict, edge
-watcher or nogood involves a free position, no forced pair is left (its
-ends are adjacent checked vertices, so neither is free) and no strict twin
-link joins free vertices (for the same reason).  Frames there would only
+watcher or nogood involves a free position, and no forced pair is left (its
+ends are adjacent checked vertices, so neither is free).  Free vertices get
+no twin links either: a search that breaks symmetry stops at its first leaf
+or lowers the cap below it, and the tail's first leaf is its least
+labeling, so no second tail leaf would pass.  Frames there would only
 list the tail's labelings, so _free_tail lists them in one loop (mixed-radix
 generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
 one node per (re)assignment with the same budget and weight checks,
@@ -60,11 +62,12 @@ A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
 its weight lower bound.  Refuting a capped labeling needs that bound, even
 with the nogoods below: the inapproximability check on K4 at d = 21 takes
-928 nodes with it and 186,216 with pairs counted at the root only, and on
-the complement of C7 at d = 36 it takes 3,183 nodes with it and is cut at
-3 M without.  Branch and bound, whose cap starts unset and only falls as
-leaves improve it, does not keep the bound: it explores about 4 % more nodes
-without it but finishes sooner, since each node skips the pair scan.
+928 nodes with it, 186,216 with pairs counted at the root only and 190,405
+without it, and on the complement of C7 at d = 36 it takes 3,183 nodes
+with it and is cut at 3 M without.  Branch and bound, whose cap starts
+unset and only falls as leaves improve it, does not keep the bound: it
+explores about 4 % more nodes without it but finishes sooner, since each
+node skips the pair scan.
 
 A search that stops at its first leaf also learns ("dead-end driven
 learning", Frost & Dechter, AAAI 1994).  When a frame has tried every
@@ -187,7 +190,8 @@ def _twin_predecessors(adj, sig, order, checked):
     their labels maps valid labelings to valid labelings and preserves
     weight.  Requiring non-increasing labels along the search order within
     each class keeps one canonical representative per symmetry orbit.
-    Solution enumeration must not use this.
+    Solution enumeration must not use this.  Only the vertices in order
+    are chained; every other vertex gets no link.
 
     Returns (prev, strict).  strict[v] marks a link between adjacent twins
     that are both checked; those need strictly decreasing labels.  For
@@ -202,8 +206,8 @@ def _twin_predecessors(adj, sig, order, checked):
     # b is in N[b] = N[v], so b is in N(v) = N(a), so a is in N[b] = N[v] and
     # is adjacent to v; but open twins are never adjacent (v in N(a) = N(v)
     # would be a loop).  So each group is chained on its own, in search order.
-    prev = [None] * len(order)
-    strict = [False] * len(order)
+    prev = [None] * len(adj)
+    strict = [False] * len(adj)
     open_last: dict = {}
     closed_last: dict = {}
     for v in order:
@@ -315,7 +319,8 @@ class _Engine:
 
     lo and hi are the sum intervals of the module docstring.  Assigning val
     to v moves lo[u] by val - dmin[v] and hi[u] by val - dmax[v] at every
-    neighbor u: v's label replaces its domain minimum and maximum.
+    neighbor u: v's label replaces its domain minimum and maximum.  The
+    free-tail walk moves lo only, since no constraint reads a sum there.
     """
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
@@ -378,29 +383,34 @@ class _Engine:
                                     [len(d) == 1 for d in self.domains], ex)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
-        # boundary mass or unchecked status makes a vertex non-interchangeable
-        twin_sig = [(self.domains[v], ex.get(v, 0), self.checked[v]) for v in range(n)]
-        if break_symmetry:
-            self.twin_prev, self.twin_strict = _twin_predecessors(
-                self.adj, twin_sig, self.order, self.checked)
-        else:
-            self.twin_prev, self.twin_strict = [None] * n, [False] * n
         # the free tail order[free_start:], walked by _free_tail (module
-        # docstring).  A twin precedes its vertex, so the walk reads an
-        # assigned label for it.
+        # docstring)
         self.free_start = n
         while self.free_start and free[self.order[self.free_start - 1]]:
             self.free_start -= 1
         self.tail = self.order[self.free_start:]
         self.tail_domains = [self.domains[v] for v in self.tail]
-        self.tail_twin = [self.twin_prev[v] for v in self.tail]
         # each tail position's least value, and a 0 past the end
         self.tail_mins = [d[0] for d in self.tail_domains] + [0]
+        # boundary mass or unchecked status makes a vertex non-interchangeable.
+        # Twins are both free or both not, and free ones get no links: the
+        # walk's first leaf is the least labeling of the tail, and a search
+        # that breaks symmetry stops there or lowers the cap below it.
+        twin_sig = [(self.domains[v], ex.get(v, 0), self.checked[v]) for v in range(n)]
+        if break_symmetry:
+            self.twin_prev, self.twin_strict = _twin_predecessors(
+                self.adj, twin_sig, self.order[:self.free_start], self.checked)
+        else:
+            self.twin_prev, self.twin_strict = [None] * n, [False] * n
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
-        # exceed their domain minima by one.  Entries are [u, t, culprits, active].
-        # Kept only under the problem's own weight cap (module docstring).
-        self.in_bonus = [-1] * n
-        self.bonus_stack: list[list] = []
+        # exceed their domain minima by one.  Entries are (pair_mask,
+        # culprits), pair_mask holding the search positions of the pair's two
+        # ends.  paired holds the positions of every stacked pair, pair_first
+        # the lower end of each; a pair is open while that end is unassigned,
+        # and bonus_total counts the open pairs.  Kept only under the
+        # problem's own weight cap (module docstring).
+        self.paired = self.pair_first = 0
+        self.bonus_stack: list[tuple[int, int]] = []
         self.bonus_total = 0
         self.bounded = problem.weight_cap is not None
         # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
@@ -516,11 +526,10 @@ class _Engine:
         lo, hi = self.lo, self.hi
         if (hi[u] - lo[u] == self.dmax[t] - self.dmin[t]
                 and hi[t] - lo[t] == self.dmax[u] - self.dmin[u] and lo[u] == lo[t]):
-            idx = len(self.bonus_stack)
-            culprits = (self.nbmask[u] | self.nbmask[t]) & assigned_mask
-            self.bonus_stack.append([u, t, culprits, True])
-            self.in_bonus[u] = idx
-            self.in_bonus[t] = idx
+            bu, bt = 1 << self.pos[u], 1 << self.pos[t]
+            self.bonus_stack.append((bu | bt, (self.nbmask[u] | self.nbmask[t]) & assigned_mask))
+            self.paired |= bu | bt
+            self.pair_first |= min(bu, bt)
             self.bonus_total += 1
             return True
         return False
@@ -529,17 +538,16 @@ class _Engine:
         """Detect pairs newly forced by assigning v; returns how many were added."""
         added = 0
         pos = self.pos
-        in_bonus = self.in_bonus
         cadj = self.cadj
         # exactly the positions up to v's are assigned
         pv = pos[v]
         assigned_mask = (2 << pv) - 1
         for u in cadj[v]:
-            if pos[u] <= pv or in_bonus[u] >= 0:
+            if pos[u] <= pv or self.paired >> pos[u] & 1:
                 continue
             for t in cadj[u]:
                 # v itself is assigned, so it is skipped here
-                if pos[t] <= pv or in_bonus[t] >= 0:
+                if pos[t] <= pv or self.paired >> pos[t] & 1:
                     continue
                 if self._try_bonus(u, t, assigned_mask):
                     added += 1
@@ -547,24 +555,27 @@ class _Engine:
         return added
 
     def _pop_bonuses(self, count: int) -> None:
+        # a frame pops the pairs it stacked once its assignment is undone,
+        # so all of them are open
         for _ in range(count):
-            u, t, _c, _a = self.bonus_stack.pop()
-            self.in_bonus[u] = -1
-            self.in_bonus[t] = -1
-            self.bonus_total -= 1
+            pair_mask, _culprits = self.bonus_stack.pop()
+            self.paired &= ~pair_mask
+            self.pair_first &= ~(pair_mask & -pair_mask)
+        self.bonus_total -= count
 
-    def _bonus_culprits(self) -> int:
+    def _bonus_culprits(self, assigned_mask: int) -> int:
+        """The culprits of every pair whose ends lie outside assigned_mask."""
         mask = 0
-        for u, t, culprits, active in self.bonus_stack:
-            if active:
+        for pair_mask, culprits in self.bonus_stack:
+            if not pair_mask & assigned_mask:
                 mask |= culprits
         return mask
 
     def _initial_bonus_scan(self) -> None:
+        pos = self.pos
         for u, t in self.g.edges:
-            if not (self.checked[u] and self.checked[t]):
-                continue
-            if self.in_bonus[u] < 0 and self.in_bonus[t] < 0:
+            if (self.checked[u] and self.checked[t]
+                    and not self.paired & (1 << pos[u] | 1 << pos[t])):
                 self._try_bonus(u, t, 0)  # nothing is assigned yet
 
     def _initial_conflict(self) -> bool:
@@ -598,14 +609,18 @@ class _Engine:
         A value val is tried only while cur_weight + val + rest_min[depth + 1],
         plus the forced pairs still open when they are kept, stays within
         self.cap (module docstring).  The cap is read for each value, so a
-        bound the hook lowers holds from the next value on.
+        bound the hook lowers holds from the next value on.  The pairs that
+        an assignment newly forces are checked at once.  The child frame
+        would test the same sum on its least value, but a strict twin link
+        can cut that value first and return another culprit mask: on K5
+        with a pendant under cap 2 the search then takes 9 nodes, not 15.
 
         In a learning search, a frame that tried every value hands its
         culprit mask to _learn, and a node that passes the conflict scan asks
         _nogood_after whether a nogood fires, but only when one waits for its
         position and bit.
 
-        The frame keeps 29 local slots.  Under CPython 3.11, at 34 slots one
+        The frame keeps 28 local slots.  Under CPython 3.11, at 34 slots one
         more (an unused local was enough) slowed the SAT sweep by about 7 %
         at equal node counts, so self.bounded and self.learn are read where
         they are used rather than bound to locals, and the culprit masks,
@@ -631,8 +646,8 @@ class _Engine:
         twin = self.twin_prev[v]
         if twin is not None:
             top = label[twin] - 1 if self.twin_strict[v] else label[twin]
-        bonus_v = self.in_bonus[v]
-        bonus_v_active = bonus_v >= 0 and self.bonus_stack[bonus_v][3]
+        # v is the first end of an open forced pair
+        pair_v = self.pair_first & bit_d
         for val in self.domains[v]:
             if twin is not None and val > top:
                 conf |= 1 << self.pos[twin]
@@ -641,12 +656,12 @@ class _Engine:
             if cap is not None:
                 # a value above the minimum discharges v's own forced pair
                 eff_bonus = self.bonus_total
-                if bonus_v_active and val > dmin_v:
+                if pair_v and val > dmin_v:
                     eff_bonus -= 1
                 if cur_weight + val + rest + eff_bonus > cap:
                     # only levels labeled above their domain minimum, or the
-                    # assignments that forced the active pairs, can lower this
-                    conf |= (self.ones_mask | self._bonus_culprits()) & below
+                    # assignments that forced the open pairs, can lower this
+                    conf |= (self.ones_mask | self._bonus_culprits(below)) & below
                     break  # values ascend, so every later value also blows the cap
             self.nodes += 1
             if self.nodes > max_nodes or (
@@ -655,8 +670,7 @@ class _Engine:
             label[v] = val
             if val > dmin_v:
                 self.ones_mask |= bit_d
-            if bonus_v_active:
-                self.bonus_stack[bonus_v][3] = False
+            if pair_v:
                 self.bonus_total -= 1
             # with two-value domains one of the two shifts is zero
             dlo, dhi = val - dmin_v, val - dmax_v
@@ -674,7 +688,8 @@ class _Engine:
             if cmask is None and self.bounded:
                 added_bonuses = self._scan_bonuses(v)
                 if cur_weight + val + rest + self.bonus_total > cap:
-                    cmask = (self.ones_mask | self._bonus_culprits()) & ((bit_d << 1) - 1)
+                    cmask = ((self.ones_mask | self._bonus_culprits((bit_d << 1) - 1))
+                             & ((bit_d << 1) - 1))
             skip_rest = None
             if cmask is None:
                 r = self._dfs(depth + 1, cur_weight + val)
@@ -688,8 +703,7 @@ class _Engine:
                 conf |= cmask
             if added_bonuses:
                 self._pop_bonuses(added_bonuses)
-            if bonus_v_active:
-                self.bonus_stack[bonus_v][3] = True
+            if pair_v:
                 self.bonus_total += 1
             if dlo:
                 for u in adj_v:
@@ -710,31 +724,27 @@ class _Engine:
 
         Below F no constraint can fail (module docstring), so frames there
         would only list the tail's labelings: values ascending, the last
-        position fastest, each value under the weight cap and the twin
-        order.  This loop lists them in that order, counting one node and
-        making the budget check per (re)assignment, and hands each leaf and
-        its weight to the hook.  It returns what frame F would: None on a
+        position fastest, each value under the weight cap (no tail vertex
+        has a twin link).  This loop lists them in that order, counting one
+        node and making the budget check per (re)assignment, and hands each
+        leaf and its weight to the hook.  It returns what frame F would: None on a
         stop, and otherwise (1 << F) - 1, since a leaf passed.
 
         Each step applies the frames' weight bound to the live cap.  The
         first, all-minimum leaf needs no check: the frame at F - 1 has just
         applied that bound to it, or with F = 0 the root check in run has.
 
-        Only label, lo and hi follow the walk, since a leaf hook reads
-        nothing else; they are restored on return and left at the leaf on
-        a stop, as the frames leave them.
+        Only label and lo follow the walk, since a leaf hook reads nothing
+        else (_search the labels, enumerate_solutions the labels and the
+        sums); lo is restored on return, and both are left at the leaf on a
+        stop, as the frames leave them.
         """
-        tail, doms, twins, mins = self.tail, self.tail_domains, self.tail_twin, self.tail_mins
-        label, lo, hi, adj, dmax = self.label, self.lo, self.hi, self.adj, self.dmax
+        tail, doms, mins = self.tail, self.tail_domains, self.tail_mins
+        label, lo, adj = self.label, self.lo, self.adj
         k = len(tail)
         idx = [0] * k  # each position's value, as an index into its domain
         for q, v in enumerate(tail):
-            # at its least value; the nodes are counted below
-            label[v] = mins[q]
-            d = mins[q] - dmax[v]
-            if d:
-                for u in adj[v]:
-                    hi[u] += d
+            label[v] = mins[q]  # at its least value; the nodes are counted below
         weight += self.rest_min[self.free_start]
         nodes, max_nodes, deadline = self.nodes, self.budget.max_nodes, self.deadline
         p, i, val = 0, 0, mins[0]
@@ -752,14 +762,13 @@ class _Engine:
                     weight += d
                     for u in adj[v]:
                         lo[u] += d
-                        hi[u] += d
                 idx[q] = i
                 i, val = 0, mins[q + 1]
             self.nodes = nodes
             if self.on_leaf(weight):
                 return None
-            # the last position whose next value the cap and the twin order
-            # allow; excess is the weight above the least values after it
+            # the last position whose next value the cap allows; excess is
+            # the weight above the least values after it
             cap = self.cap
             excess = 0
             for p in range(k - 1, -1, -1):
@@ -768,17 +777,15 @@ class _Engine:
                 i = idx[p] + 1
                 if i < len(dom):
                     val = dom[i]
-                    if ((cap is None or weight + val - label[v] - excess <= cap)
-                            and (twins[p] is None or val <= label[twins[p]])):
+                    if cap is None or weight + val - label[v] - excess <= cap:
                         break
                 excess += label[v] - dom[0]
             else:
                 break
         for q, v in enumerate(tail):
-            dl, dh = label[v] - mins[q], label[v] - dmax[v]
+            d = label[v] - mins[q]
             for u in adj[v]:
-                lo[u] -= dl
-                hi[u] -= dh
+                lo[u] -= d
         return (1 << self.free_start) - 1
 
     def run(self, on_leaf: Callable[[int], bool]) -> str:

@@ -309,6 +309,82 @@ def test_construct_sat_with_check(capsys, tmp_path):
     assert "x1" in prov and "c0" in prov
 
 
+def _read_construct(tmp_path, prefix, payload):
+    """The graph a construct command wrote, checked against its payload and sidecar."""
+    g = fileio.read_graph(tmp_path / f"{prefix}.col")
+    assert payload["paths"]["graph"] == str(tmp_path / f"{prefix}.col")
+    assert g.n == payload["n"]
+    if "provenance" in payload["paths"]:
+        # every vertex belongs to exactly one named part
+        prov = json.loads((tmp_path / f"{prefix}.provenance.json").read_text())
+        assert sorted(v for part in prov.values() for v in part) == list(range(g.n))
+    return g
+
+
+def test_construct_clique_example(capsys, tmp_path):
+    code, out = run(capsys, "construct", "clique-example", "--n", "4",
+                    "--out", str(tmp_path / "clique"), "--json")
+    assert code == 0
+    g = _read_construct(tmp_path, "clique", json.loads(out))
+    assert (g.n, g.m) == (10, 12)
+
+
+def test_construct_sat_without_check(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    code, out = run(capsys, "construct", "sat", "--cnf", str(cnf),
+                    "--out", str(tmp_path / "sat"), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "verdict" not in payload
+    g = _read_construct(tmp_path, "sat", payload)
+    assert (g.n, g.m) == (46, 50) == (payload["n"], payload["m"])
+
+
+def test_construct_inapprox(capsys, tmp_path):
+    k4 = tmp_path / "k4.col"
+    fileio.write_graph(k4, complete_graph(4))
+    code, out = run(capsys, "construct", "inapprox", "--graph", str(k4), "--d", "3",
+                    "--out", str(tmp_path / "amp"), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["d"] == 3
+    assert _read_construct(tmp_path, "amp", payload).n == 56
+
+
+def test_construct_listcolor(capsys, tmp_path, p3_file):
+    lists = tmp_path / "p3.lists"
+    lists.write_text("l 1 1 2\nl 2 1 2\nl 3 1 2\n")
+    code, out = run(capsys, "construct", "listcolor", "--graph", p3_file, "--lists", str(lists),
+                    "--out", str(tmp_path / "lc"), "--json")
+    assert code == 0
+    assert _read_construct(tmp_path, "lc", json.loads(out)).n == 42
+
+
+def test_check_listcolor_single(capsys, tmp_path, p3_file):
+    lists = tmp_path / "p3.lists"
+    lists.write_text("l 1 1 2\nl 2 1 2\nl 3 1 2\n")
+    code, out = run(capsys, "check", "listcolor", "--graph", p3_file, "--lists", str(lists),
+                    "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["oracle_answer"]) == ("agree", True)
+
+
+@pytest.mark.parametrize("labels, code, ok", [
+    ("v 1 1\nv 2 2\nv 3 1\n", 0, True),
+    ("v 1 1\nv 2 3\nv 3 1\n", 1, False),
+], ids=["from-lists", "outside-list"])
+def test_verify_lists(capsys, tmp_path, p3_file, labels, code, ok):
+    lab = tmp_path / "p3.lab"
+    lab.write_text(labels)
+    lists = tmp_path / "p3.lists"
+    lists.write_text("l 1 1 2\nl 2 1 2\nl 3 1 2\n")
+    got, out = run(capsys, "verify", "lists", "--graph", p3_file, "--labeling", str(lab),
+                   "--lists", str(lists), "--json")
+    assert (got, json.loads(out)) == (code, {"from_lists": ok})
+
+
 def test_refute_lists_cli(capsys, tmp_path):
     code, _ = run(capsys, "construct", "counterexample", "--k", "1",
                   "--out", str(tmp_path / "ce"))
@@ -317,6 +393,15 @@ def test_refute_lists_cli(capsys, tmp_path):
                     "--lists", str(tmp_path / "ce.lists"), "--json")
     assert code == 0
     assert json.loads(out)["status"] == "refuted"
+
+
+def test_refute_lists_budget_cut_exit_two(capsys, tmp_path):
+    run(capsys, "construct", "counterexample", "--k", "3", "--out", str(tmp_path / "ce"))
+    code, out = run(capsys, "refute-lists", "--graph", str(tmp_path / "ce.col"),
+                    "--lists", str(tmp_path / "ce.lists"), "--budget-nodes", "1", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["status"], payload["eta_ell_lower_bound"]) == ("budget-exceeded", None)
 
 
 def test_refute_beaten_exit_one(capsys, tmp_path, p3_file):
@@ -358,6 +443,25 @@ def test_check_sat_single(capsys, tmp_path):
     code, out = run(capsys, "check", "sat", "--cnf", str(cnf), "--json")
     assert code == 0
     assert json.loads(out)["status"] == "agree"
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["check", "sat", "--exhaustive"], "check_sat_exhaustive.jsonl"),
+    (["check", "inapprox", "--graph", str(_DATA / "k4.col"), "--d", "21"],
+     "check_inapprox_k4_d21.json"),
+    (["check", "inapprox", "--graph", str(_DATA / "c7_complement.col"), "--d", "36"],
+     "check_inapprox_c7_complement_d36.json"),
+], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36"])
+def test_node_carrying_output_golden(capsys, argv, golden):
+    # each search's node count, byte for byte against the committed output
+    # (it has no timing fields); the two inapproximability checks are
+    # weight-capped refutations through the forced-pair bound
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (_DATA / golden).read_text()
 
 
 def test_check_random_requires_seed(capsys):

@@ -96,6 +96,25 @@ def test_cnf_long_last_clause_names_its_line():
         fileio.cnf_from_text("p cnf 4 1\n1 2\n3 4\nc done\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a literal before the problem line is checked once the line is read
+    ("c header below\n1 5 0\np cnf 3 1\n", "line 2: literal 5 exceeds declared variable count"),
+    ("c one clause\np cnf 3 5\n1 0\n", "line 2: problem line declares 5 clauses, file has 1"),
+    ("p cnf 3 x\n1 0\n", "line 1: non-integer count in 'p cnf 3 x'"),
+    ("p cnf -2 1\n1 0\n", "line 1: negative count in 'p cnf -2 1'"),
+    ("p cnf 2 -1\n1 0\n", "line 1: negative count in 'p cnf 2 -1'"),
+], ids=["literal-before-header", "clause-count", "non-integer-clause-count",
+        "negative-variables", "negative-clauses"])
+def test_cnf_header_is_checked(text, message):
+    with pytest.raises(FileFormatError) as err:
+        fileio.cnf_from_text(text)
+    assert str(err.value) == message
+
+
+def test_cnf_without_problem_line_infers_variables():
+    assert fileio.cnf_from_text("1 5 0\n-2 0\n") == (5, [(1, 5), (-2,)])
+
+
 def test_dot_export_mentions_names():
     g = build_graph(2, [(0, 1)], {0: "hub"})
     dot = fileio.dot_export(g)

@@ -31,12 +31,19 @@ def test_sat_brute_examples():
 
 def test_sat_brute_agrees_with_dpll():
     rng = random.Random(314)
-    for _ in range(50):
-        phi = random_formula(rng, 5, rng.randint(1, 8))
-        assert (sat_brute(phi) is None) == (dpll_sat(phi) is None), phi
+    # the random draws are all satisfiable; the exhaustive two-variable,
+    # two-clause formulas hold the unsatisfiable ones
+    formulas = [random_formula(rng, 5, rng.randint(1, 8)) for _ in range(50)]
+    formulas += exhaustive_small_formulas(2, 2)
+    unsat = 0
+    for phi in formulas:
         model = dpll_sat(phi)
-        if model is not None:
+        assert (sat_brute(phi) is None) == (model is None), phi
+        if model is None:
+            unsat += 1
+        else:
             assert phi.satisfies(model)
+    assert 0 < unsat < len(formulas)
 
 
 def test_list_color_brute():

@@ -112,6 +112,14 @@ def test_refute_lists():
     assert verify_additive(p3, res.labeling) == []
 
 
+def test_refute_lists_budget_cut():
+    # a cut search proves no bound
+    g, _labeling, lists = counterexample_graph(3)
+    res = refute_lists(g, lists, SearchBudget(max_nodes=10))
+    assert (res.status, res.eta_ell_lower_bound, res.labeling) == ("budget-exceeded", None, None)
+    assert res.report.status == "budget-exceeded"
+
+
 def test_lists_reject_non_positive_values():
     # labels are positive, so a list value below 1 is refused before any search
     with pytest.raises(LabelingError, match="list value 0 at vertex 0 is not positive"):
@@ -438,7 +446,9 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     assert all(eng.bonus_stack == [] and eng.bonus_total == 0 for eng in engines)
     engines.clear()
     assert exists_binary(k2, weight_cap=1).status == "found"
-    assert [entry[:2] for entry in engines[0].bonus_stack] == [[0, 1]]
+    # one entry: the search positions of both ends, forced before any
+    # assignment, so with no culprits
+    assert engines[0].bonus_stack == [(0b11, 0)]
 
 
 def test_violations_cover_every_constraint():
@@ -541,7 +551,7 @@ def test_strict_twin_order_keeps_every_answer(monkeypatch):
     twins = solver._twin_predecessors
 
     def non_strict(*args):
-        return twins(*args)[0], [False] * len(args[2])
+        return twins(*args)[0], [False] * len(args[0])
 
     fewer = 0
     for _ in range(40):
@@ -993,8 +1003,7 @@ class _TailChecked(_Engine):
         super().__init__(*args, **kwargs)
         tail = set(self.tail)
         assert not any(self.watch[v] for v in tail)
-        assert not any(self.twin_strict[v] for v in tail)
-        assert all(self.pos[t] < self.pos[v] for v in tail if (t := self.twin_prev[v]) is not None)
+        assert all(self.twin_prev[v] is None and not self.twin_strict[v] for v in tail)
         for v in tail:
             # no constrained neighbor: no checked neighbor with a checked
             # neighbor of its own, nor, under min_sum, any checked neighbor
@@ -1040,10 +1049,10 @@ def _tail_runs(problem):
                                       lambda labels, sums: got.append(labels))
         runs["cut"].append((outcome, len(got)))
     # every leaf under twin order: a hook that neither stops nor lowers the
-    # cap; at a leaf every sum interval is one point
+    # cap, logging each leaf's labels, weight and sums
     eng = solver._Engine(problem, SearchBudget())
     leaves = []
-    eng.run(lambda w: leaves.append((eng.label[:], w, eng.lo == eng.hi)) is None and False)
+    eng.run(lambda w: leaves.append((eng.label[:], w, eng.lo[:])) is None and False)
     runs["leaves"] = leaves, eng.nodes
     # a minimizing hook, logging each leaf's weight and the cap in force
     eng = solver._Engine(problem, SearchBudget())
