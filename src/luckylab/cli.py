@@ -319,7 +319,7 @@ def cmd_construct(args) -> int:
         red = build_sat_reduction(phi)
         paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
         payload = {"n": red.graph.n, "m": red.graph.m, "paths": paths, "params": red.params}
-        if args.check:
+        if args.verify:
             verdict = check_equivalence_sat(phi, budget)
             payload["verdict"] = verdict.to_json_dict()
             _emit(args, payload, f"sat reduction: n={red.graph.n}, verdict {verdict.status}")
@@ -552,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--graph")
     pc.add_argument("--lists")
     pc.add_argument("--verify", action="store_true")
-    pc.add_argument("--check", action="store_true")
     pc.add_argument("--dot", action="store_true")
     _add_budget_flags(pc)
     pc.set_defaults(func=cmd_construct)

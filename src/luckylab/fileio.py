@@ -7,7 +7,7 @@ serialize to identical bytes; readers report errors with line numbers.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .graph import Graph, GraphError, build_graph
 from .labeling import Labeling, ListAssignment, make_lists
@@ -19,6 +19,22 @@ class FileFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _records(text: str, skip: Union[str, tuple[str, ...]]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line_no, line, fields) for each line that is not blank and does not start with skip."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(skip):
+            yield line_no, line, line.split()
+
+
+def _ints(line_no: int, line: str, fields: list[str], what: str) -> list[int]:
+    """fields as integers; a field that is not one raises FileFormatError naming `what`."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise FileFormatError(line_no, f"non-integer {what} in {line!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +72,7 @@ def graph_from_text(text: str) -> Graph:
                 raise FileFormatError(line_no, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FileFormatError(line_no, f"expected 'p edge <n> <m>', got {line!r}")
-            try:
-                n, m_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FileFormatError(line_no, f"non-integer counts in {line!r}") from None
+            n, m_declared = _ints(line_no, line, parts[2:], "counts")
             p_line = line_no
             if n > MAX_VERTICES:
                 raise FileFormatError(line_no,
@@ -70,6 +83,8 @@ def graph_from_text(text: str) -> Graph:
                     v = int(parts[2]) - 1
                 except ValueError:
                     raise FileFormatError(line_no, f"non-integer vertex id in {line!r}") from None
+                if v in names:
+                    raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
                 names[v] = " ".join(parts[3:])
             # other comments are ignored
         elif parts[0] == "e":
@@ -129,20 +144,13 @@ def labeling_to_text(lab: Labeling) -> str:
 
 def labeling_from_text(text: str) -> Labeling:
     values: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for line_no, line, parts in _records(text, "c"):
         if parts[0] != "v" or len(parts) != 3:
             raise FileFormatError(line_no, f"expected 'v <vertex-id> <label>', got {line!r}")
-        try:
-            v, x = int(parts[1]) - 1, int(parts[2])
-        except ValueError:
-            raise FileFormatError(line_no, f"non-integer field in {line!r}") from None
-        if v in values:
-            raise FileFormatError(line_no, f"duplicate label for vertex {v + 1}")
-        values[v] = x
+        v, x = _ints(line_no, line, parts[1:], "field")
+        if v - 1 in values:
+            raise FileFormatError(line_no, f"duplicate label for vertex {v}")
+        values[v - 1] = x
     return Labeling(values)
 
 
@@ -159,25 +167,17 @@ def lists_to_text(lists: ListAssignment) -> str:
 
 def lists_from_text(text: str) -> ListAssignment:
     lists: dict[int, list[int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for line_no, line, parts in _records(text, "c"):
         if parts[0] != "l" or len(parts) < 3:
             raise FileFormatError(line_no, f"expected 'l <vertex-id> <a> <b> ...', got {line!r}")
-        try:
-            v = int(parts[1]) - 1
-            vals = [int(x) for x in parts[2:]]
-        except ValueError:
-            raise FileFormatError(line_no, f"non-integer field in {line!r}") from None
-        if v in lists:
-            raise FileFormatError(line_no, f"duplicate list for vertex {v + 1}")
+        v, *vals = _ints(line_no, line, parts[1:], "field")
+        if v - 1 in lists:
+            raise FileFormatError(line_no, f"duplicate list for vertex {v}")
         bad = next((x for x in vals if x < 1), None)
         if bad is not None:
             # lists hold labels, and labels are positive
             raise FileFormatError(line_no, f"list value {bad} is not positive")
-        lists[v] = vals
+        lists[v - 1] = vals
     return make_lists(lists)
 
 
@@ -197,20 +197,13 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
     pending: list[int] = []
     last_line = 0  # the line of the last literal read
     early: list[tuple[int, int]] = []  # (line, literal) read before the problem line
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("c", "%")):
-            continue
+    for line_no, line, parts in _records(text, ("c", "%")):
         if line.startswith("p"):
             if num_vars is not None:
                 raise FileFormatError(line_no, "duplicate problem line")
-            parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FileFormatError(line_no, f"expected 'p cnf <vars> <clauses>', got {line!r}")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FileFormatError(line_no, f"non-integer count in {line!r}") from None
+            num_vars, num_clauses = _ints(line_no, line, parts[2:], "count")
             if num_vars < 0 or num_clauses < 0:
                 raise FileFormatError(line_no, f"negative count in {line!r}")
             p_line = line_no
@@ -219,11 +212,7 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
                     raise FileFormatError(early_line,
                                           f"literal {lit} exceeds declared variable count")
             continue
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FileFormatError(line_no, f"non-integer literal in {line!r}") from None
-        for lit in lits:
+        for lit in _ints(line_no, line, parts, "literal"):
             if lit == 0:
                 if not pending:
                     raise FileFormatError(line_no, "empty clause")

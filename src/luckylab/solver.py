@@ -22,11 +22,7 @@ returning the mask frame F would.  So node counts, the leaves and the leaf
 at which a budget cut lands stay as they were, under every leaf hook, branch
 and bound included.  In the benchmark's gadget certification 112,530 of
 155,464 nodes fall in free tails: every core solution of the variable gadget
-repeats under the 1,024 labelings of its pendants.  The walk, with certification streaming its solutions
-(gadgets.certify_gadget), cut that workload's wall time from about 0.38 s
-to 0.26 s.  Handing each solution out as two tuples instead of a fresh dict
-and list (enumerate_solutions), judged by checks bound to their boundary
-case, cut it to about 0.18 s.
+repeats under the 1,024 labelings of its pendants.
 
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
 sum still reachable given the partial assignment: boundary mass plus the
@@ -595,10 +591,9 @@ class _Engine:
         """Search with conflict-directed backjumping, one frame per level.
 
         At the first free position the search goes on in _free_tail, which
-        walks the rest without frames; with no free vertex the leaf is
-        handled here, at depth n, so no frame is added.  Every complete
-        labeling the search reaches goes to the leaf hook,
-        which gets its weight and reads its labels from self.label.  Returns
+        walks the rest without frames and hands every complete labeling to
+        the leaf hook, also when no vertex is free.  The hook gets the
+        labeling's weight and reads its labels from self.label.  Returns
         None once the hook asks to stop; otherwise returns the bitmask of
         assignment levels (< depth) responsible for the subtree failing.  A
         child whose failure does not involve this level proves the remaining
@@ -609,11 +604,9 @@ class _Engine:
         A value val is tried only while cur_weight + val + rest_min[depth + 1],
         plus the forced pairs still open when they are kept, stays within
         self.cap (module docstring).  The cap is read for each value, so a
-        bound the hook lowers holds from the next value on.  The pairs that
-        an assignment newly forces are checked at once.  The child frame
-        would test the same sum on its least value, but a strict twin link
-        can cut that value first and return another culprit mask: on K5
-        with a pendant under cap 2 the search then takes 9 nodes, not 15.
+        bound the hook lowers holds from the next value on.  Each value meets
+        this one check; the pairs an assignment newly forces count from the
+        child frame's first value on.
 
         In a learning search, a frame that tried every value hands its
         culprit mask to _learn, and a node that passes the conflict scan asks
@@ -627,11 +620,9 @@ class _Engine:
         the edge watchers and the nogoods live in __init__, _conflict_after,
         _learn and _nogood_after, not in this frame.
         """
-        below = (1 << depth) - 1
         if depth == self.free_start:
-            if depth == self.n:
-                return None if self.on_leaf(cur_weight) else below
             return self._free_tail(cur_weight)
+        below = (1 << depth) - 1
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
@@ -687,9 +678,6 @@ class _Engine:
             added_bonuses = 0
             if cmask is None and self.bounded:
                 added_bonuses = self._scan_bonuses(v)
-                if cur_weight + val + rest + self.bonus_total > cap:
-                    cmask = ((self.ones_mask | self._bonus_culprits((bit_d << 1) - 1))
-                             & ((bit_d << 1) - 1))
             skip_rest = None
             if cmask is None:
                 r = self._dfs(depth + 1, cur_weight + val)
@@ -727,8 +715,10 @@ class _Engine:
         position fastest, each value under the weight cap (no tail vertex
         has a twin link).  This loop lists them in that order, counting one
         node and making the budget check per (re)assignment, and hands each
-        leaf and its weight to the hook.  It returns what frame F would: None on a
-        stop, and otherwise (1 << F) - 1, since a leaf passed.
+        leaf and its weight to the hook.  Every leaf of the search leaves
+        through here: an empty tail (F = n) hands out its one leaf and
+        counts no node.  It returns what frame F would: None on a stop, and
+        otherwise (1 << F) - 1, since a leaf passed.
 
         Each step applies the frames' weight bound to the live cap.  The
         first, all-minimum leaf needs no check: the frame at F - 1 has just
@@ -1103,13 +1093,11 @@ def complete_partial(
     fixed: Mapping[int, int],
     budget: Optional[SearchBudget] = None,
     *,
-    values: Iterable[int] = (0, 1),
     weight_cap: Optional[int] = None,
 ) -> SolveReport:
     """Extend a partial labeling to a full additive labeling, or prove it cannot extend.
 
-    Fixed vertices keep their given label; free vertices range over `values`.
+    Fixed vertices keep their given label; the others range over {0, 1}.
     """
-    free = tuple(sorted(set(values)))
-    domains = tuple((fixed[v],) if v in fixed else free for v in g.vertices())
+    domains = tuple((fixed[v],) if v in fixed else (0, 1) for v in g.vertices())
     return _search(SearchProblem(g, domains, weight_cap=weight_cap), budget)

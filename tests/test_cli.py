@@ -301,7 +301,7 @@ def test_construct_sat_with_check(capsys, tmp_path):
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
     out_prefix = str(tmp_path / "sat")
     code, out = run(capsys, "construct", "sat", "--cnf", str(cnf),
-                    "--out", out_prefix, "--check", "--json")
+                    "--out", out_prefix, "--verify", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"]["status"] == "agree"
@@ -454,11 +454,15 @@ _DATA = Path(__file__).parent / "data"
      "check_inapprox_k4_d21.json"),
     (["check", "inapprox", "--graph", str(_DATA / "c7_complement.col"), "--d", "36"],
      "check_inapprox_c7_complement_d36.json"),
-], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36"])
+    (["check", "listcolor", "--random", "25", "--max-n", "4", "--seed", "1"],
+     "check_listcolor_random25.jsonl"),
+], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36",
+        "listcolor-random25"])
 def test_node_carrying_output_golden(capsys, argv, golden):
     # each search's node count, byte for byte against the committed output
     # (it has no timing fields); the two inapproximability checks are
-    # weight-capped refutations through the forced-pair bound
+    # weight-capped refutations through the forced-pair bound, and the 25
+    # list-colouring reductions are uncapped first-solution searches
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (_DATA / golden).read_text()

@@ -58,7 +58,8 @@ def malformed_graphs(draw) -> str:
     header = f"p edge {n} {len(edges)}"
     outside = st.sampled_from([0, -1, n + 1, n + 2])
     kind = draw(st.sampled_from(["junk", "arity", "not-int", "endpoint", "loop", "count",
-                                 "name", "header", "duplicate", "missing", "too-many"]))
+                                 "name", "header", "duplicate", "duplicate-name", "missing",
+                                 "too-many"]))
     if kind == "junk":
         first = draw(_TOKEN.filter(lambda t: t not in ("p", "c", "e")))
         bad = " ".join([first, *draw(st.lists(_SMALL, max_size=3))])
@@ -83,6 +84,11 @@ def malformed_graphs(draw) -> str:
         bad = ""
     elif kind == "duplicate":
         bad = header
+    elif kind == "duplicate-name":
+        v = draw(st.integers(1, n))
+        if v not in named:
+            body.append(f"c name {v} {draw(_TOKEN)}")
+        bad = f"c name {v} {draw(_TOKEN)}"
     elif kind == "missing":
         header, bad = "", ""
     else:

@@ -41,7 +41,9 @@ def test_graph_errors_carry_line_numbers():
     ("c x\np edge -1 0\n", "line 2: vertex count must be nonnegative, got -1"),
     # the graph builder checks every edge before any name
     ("p edge 2 1\nc name 5 x\ne 1 3\n", "line 3: edge (1, 3) has an endpoint outside 1..2"),
-], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name"])
+    ("p edge 2 1\nc name 1 a\nc name 1 b\ne 1 2\n", "line 3: duplicate name for vertex 1"),
+], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name",
+        "duplicate-name"])
 def test_graph_errors_name_the_offending_line_in_file_ids(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.graph_from_text(text)

@@ -395,6 +395,16 @@ def _capped_binary_nodes(cap, status):
     return rep.nodes_explored
 
 
+def _k5_pendant_capped_nodes():
+    # K5 plus a pendant under cap 2: the next position's least value is cut
+    # by its strict twin link, whose single culprit lets the search jump back
+    # further than the weight bound's culprits would
+    g = build_graph(6, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(1, 5)])
+    rep = exists_binary(g, weight_cap=2)
+    assert rep.status == "infeasible"
+    return rep.nodes_explored
+
+
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 153),
@@ -412,13 +422,14 @@ def _capped_binary_nodes(cap, status):
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
     (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 928),
     (lambda mp: _c7_complement_inapprox_nodes(), 3_183),
+    (lambda mp: _k5_pendant_capped_nodes(), 9),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
         "binary-sat3", "binary-sat5", "refute-counterexample2", "refute-counterexample4",
         "eta1-gnp18",
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
         "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21",
-        "inapprox-c7-complement-d36"])
+        "inapprox-c7-complement-d36", "binary-cap2-k5-pendant"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
     assert search(monkeypatch) == nodes
@@ -518,7 +529,8 @@ def _twin_planted_calls(rng, g):
         (lambda: solve_eta1(g), True),
         (lambda: min_ptds(g), True),
         (lambda: decide_list_additive(g, lists), False),
-        (lambda: complete_partial(g, fixed, values=(0, 1, 2)), False),
+        (functools.partial(_search, SearchProblem(g, tuple(
+            (fixed[v],) if v in fixed else (0, 1, 2) for v in g.vertices())), None), False),
     ]
     if g.n <= 6:
         calls.append((lambda: solve_sigma(g), True))
@@ -1013,7 +1025,8 @@ class _TailChecked(_Engine):
     def _free_tail(self, weight):
         cap, before = self.cap, (self.lo[:], self.hi[:])
         mask = super()._free_tail(weight)
-        self.tail_log.append((weight, cap, mask))
+        if self.tail:  # an empty tail only hands its one leaf to the hook
+            self.tail_log.append((weight, cap, mask))
         assert mask is None or (self.lo, self.hi) == before  # restored unless stopped
         return mask
 
@@ -1025,12 +1038,15 @@ class _Frames(_Engine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.free_start = self.n
+        # the search reaches depth n through frames, and the walk there gets
+        # an empty tail, so that it hands out the leaf and walks nothing
+        self.first_free, self.free_start = self.free_start, self.n
+        self.tail, self.tail_domains, self.tail_mins = [], [], [0]
 
     def _dfs(self, depth, cur_weight):
         cap = self.cap
         mask = super()._dfs(depth, cur_weight)
-        if depth == self.n - len(self.tail) < self.n:
+        if depth == self.first_free < self.n:
             self.tail_log.append((cur_weight, cap, mask))
         return mask
 
