@@ -197,6 +197,16 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
     pending: list[int] = []
     last_line = 0  # the line of the last literal read
     early: list[tuple[int, int]] = []  # (line, literal) read before the problem line
+
+    def close(line_no: int) -> None:
+        """Close the pending clause; an empty or overlong one is reported at line_no."""
+        if not pending:
+            raise FileFormatError(line_no, "empty clause")
+        if len(pending) > 3:
+            raise FileFormatError(line_no, f"clause has {len(pending)} literals; at most 3 allowed")
+        clauses.append(tuple(pending))
+        pending.clear()
+
     for line_no, line, parts in _records(text, ("c", "%")):
         if line.startswith("p"):
             if num_vars is not None:
@@ -214,12 +224,7 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
             continue
         for lit in _ints(line_no, line, parts, "literal"):
             if lit == 0:
-                if not pending:
-                    raise FileFormatError(line_no, "empty clause")
-                if len(pending) > 3:
-                    raise FileFormatError(line_no, f"clause has {len(pending)} literals; at most 3 allowed")
-                clauses.append(tuple(pending))
-                pending = []
+                close(line_no)
             else:
                 if num_vars is None:
                     early.append((line_no, lit))
@@ -227,10 +232,8 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
                     raise FileFormatError(line_no, f"literal {lit} exceeds declared variable count")
                 pending.append(lit)
                 last_line = line_no
-    if pending:
-        if len(pending) > 3:
-            raise FileFormatError(last_line, f"clause has {len(pending)} literals; at most 3 allowed")
-        clauses.append(tuple(pending))
+    if pending:  # an unterminated last clause ends at its last literal
+        close(last_line)
     if num_vars is None:
         num_vars = max((abs(l) for cl in clauses for l in cl), default=0)
     elif len(clauses) != num_clauses:

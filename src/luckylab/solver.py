@@ -196,27 +196,40 @@ def _twin_predecessors(adj, sig, order, checked):
     endpoints checked their edge is constrained, so equal labels always
     violate it.  Unchecked twins keep the non-strict order: their edge is
     free and equal labels are allowed.
+
+    Open twins are found by a dict keyed on (sig, adj[v]); adjacency tuples
+    are sorted, so equal tuples are equal neighborhoods.  A closed twin of v
+    lies in N[v], so it is a neighbor of v with the same degree: v's link is
+    the latest such earlier neighbor whose closed neighborhood equals v's,
+    found by scanning adj[v].
     """
     # Each group of equal (sig, N(v)) or equal (sig, N[v]) is a whole class,
     # because no vertex v has both an open twin a and a closed twin b:
     # b is in N[b] = N[v], so b is in N(v) = N(a), so a is in N[b] = N[v] and
     # is adjacent to v; but open twins are never adjacent (v in N(a) = N(v)
     # would be a loop).  So each group is chained on its own, in search order.
-    prev = [None] * len(adj)
-    strict = [False] * len(adj)
+    n = len(adj)
+    prev = [None] * n
+    strict = [False] * n
+    degree = [len(a) for a in adj]
+    rank = [-1] * n  # position in order of each vertex chained so far
     open_last: dict = {}
-    closed_last: dict = {}
-    for v in order:
-        nb = frozenset(adj[v])
-        key = (sig[v], nb)
-        if key in open_last:
-            prev[v] = open_last[key]
-        open_last[key] = v
-        key = (sig[v], nb | {v})
-        if key in closed_last:
-            prev[v] = closed_last[key]
+    for i, v in enumerate(order):
+        rank[v] = i
+        nb, s = adj[v], sig[v]
+        key = (s, nb)
+        u = open_last.setdefault(key, v)
+        if u != v:  # the latest earlier open twin
+            open_last[key] = v
+            prev[v] = u
+            continue
+        d, best = degree[v], -1
+        for u in nb:
+            if rank[u] > best and degree[u] == d and sig[u] == s and {*adj[u], u} == {*nb, v}:
+                best = rank[u]
+        if best >= 0:
+            prev[v] = order[best]
             strict[v] = checked[v]
-        closed_last[key] = v
     return prev, strict
 
 
@@ -283,30 +296,44 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     all of its older ones, and an entry popped for a placed vertex is simply
     skipped.  A vertex gets at most degree + 1 entries, so the cost is
     O((n + m) log n).
+
+    Each entry is one int, the key (tier, not all neighbors ordered,
+    -count, -degree, id) packed in mixed radix: every field after the tier
+    is shifted into a range [0, radix), with radix 2 for the flag, r =
+    max degree + 1 for the count and the degree and n for the id, so the
+    ints order as the tuples would and v = key % n.  key[v] holds v's fresh
+    entry, and None once v is placed.
     """
-    degree = [len(adj[v]) for v in range(n)]
+    degree = [len(a) for a in adj]
+    r = max(degree, default=0) + 1
+    step = r * n  # one more ordered neighbor
+    flag = r * step  # the "not all neighbors ordered" field
     tier = [0] * n
     if tiers:
         for v, t in tiers.items():
             tier[v] = t
-    placed = [False] * n
+    # count 0, so the flag is set unless the vertex is isolated
+    key: list = [(2 * t + (d != 0)) * flag + (r - 1) * step + (r - 1 - d) * n + v
+                 for v, (t, d) in enumerate(zip(tier, degree))]
     count = [0] * n
-    order: list[int] = []
-    # min-heap form of the key: lower tier, all neighbors ordered, more
-    # ordered neighbors, higher degree, lower id
-    heap = [(tier[v], degree[v] != 0, 0, -degree[v], v) for v in range(n)]
+    heap = key[:]
     heapq.heapify(heap)
+    order: list[int] = []
     while heap:
-        v = heapq.heappop(heap)[4]
-        if placed[v]:
-            continue
-        placed[v] = True
+        k = heapq.heappop(heap)
+        v = k % n
+        if key[v] != k:
+            continue  # an older entry of a placed vertex
+        key[v] = None
         order.append(v)
         for u in adj[v]:
-            if not placed[u]:
+            k = key[u]
+            if k is not None:
                 c = count[u] + 1
                 count[u] = c
-                heapq.heappush(heap, (tier[u], c != degree[u], -c, -degree[u], u))
+                k -= flag + step if c == degree[u] else step
+                key[u] = k
+                heapq.heappush(heap, k)
     return order
 
 
@@ -325,25 +352,30 @@ class _Engine:
         self.g = g
         n = g.n
         self.n = n
-        self.adj = g.adjacency()
-        self.domains = [tuple(sorted(set(d))) for d in problem.domains]
-        for v, d in enumerate(self.domains):
-            if not d:
-                raise GraphError(f"empty domain at vertex {v}")
+        adj = self.adj = g.adjacency()
+        # each distinct domain is normalized once
+        norm = {d: tuple(sorted(set(d))) for d in set(problem.domains)}
+        domains = self.domains = [norm[d] for d in problem.domains]
+        if () in norm.values():
+            raise GraphError(f"empty domain at vertex {domains.index(())}")
         self.budget = budget
         # the live weight bound; a minimizing leaf hook lowers it
         self.cap = problem.weight_cap
         self.min_sum = problem.min_sum
-        self.checked = [v not in problem.unchecked for v in range(n)]
         # the checked neighbors of each vertex, in adjacency order: the only
         # ones whose sums constrain anything
-        self.cadj = [[u for u in self.adj[v] if self.checked[u]] for v in range(n)]
+        if problem.unchecked:
+            checked = [v not in problem.unchecked for v in range(n)]
+            cadj = [[u for u in a if checked[u]] for a in adj]
+        else:
+            checked, cadj = [True] * n, adj
+        self.checked, self.cadj = checked, cadj
         # free vertices (module docstring) go into a tier after all others.
         # A sum is read by a constraint when its vertex is checked and has a
         # checked neighbor or a min_sum to meet; a vertex is free when no
         # neighbor's sum is read.
-        constrained = [self.checked[v] and (self.min_sum is not None or bool(self.cadj[v]))
-                       for v in range(n)]
+        constrained = [c and (self.min_sum is not None or bool(ca))
+                       for c, ca in zip(checked, cadj)]
         free = [True] * n
         for u, w in g.edges:
             if constrained[u]:
@@ -353,49 +385,60 @@ class _Engine:
         tiers = dict(problem.tiers or ())
         last = max([0, *tiers.values()]) + 1  # untiered vertices sit in tier 0
         tiers.update((v, last) for v in range(n) if free[v])
-        self.order = _search_order(n, self.adj, tiers)
-        self.pos = [0] * n
-        for i, v in enumerate(self.order):
-            self.pos[v] = i
+        order = self.order = _search_order(n, adj, tiers)
+        pos = self.pos = [0] * n
+        bit = [0] * n  # 1 << pos[v]
+        for i, v in enumerate(order):
+            pos[v] = i
+            bit[v] = 1 << i
         # the search positions of each vertex's neighbors, one bit each; at
         # depth d exactly order[0..d] is assigned, so v's assigned neighbors
         # are nbmask[v] & ((2 << d) - 1)
-        self.nbmask = [0] * n
+        nbmask = self.nbmask = [0] * n
         for u, w in g.edges:
-            self.nbmask[u] |= 1 << self.pos[w]
-            self.nbmask[w] |= 1 << self.pos[u]
+            nbmask[u] |= bit[w]
+            nbmask[w] |= bit[u]
 
-        self.dmin = [d[0] for d in self.domains]
-        self.dmax = [d[-1] for d in self.domains]
+        dmin = self.dmin = [d[0] for d in domains]
+        dmax = self.dmax = [d[-1] for d in domains]
         ex = dict(problem.extra_sum or ())
         self.label = [0] * n
-        self.lo = [ex.get(v, 0) + sum(self.dmin[u] for u in self.adj[v]) for v in range(n)]
-        self.hi = [ex.get(v, 0) + sum(self.dmax[u] for u in self.adj[v]) for v in range(n)]
+        lo = self.lo = [0] * n
+        hi = self.hi = [0] * n
+        for u, w in g.edges:
+            lo[u] += dmin[w]
+            lo[w] += dmin[u]
+            hi[u] += dmax[w]
+            hi[w] += dmax[u]
+        for v, s in ex.items():
+            lo[v] += s
+            hi[v] += s
         # rest_min[d]: the least total the positions d and later can carry
-        self.rest_min = [0] * (n + 1)
-        for d in range(n - 1, -1, -1):
-            self.rest_min[d] = self.rest_min[d + 1] + self.dmin[self.order[d]]
-        self.watch = _edge_watchers(g.edges, self.adj, self.pos, self.nbmask, self.checked,
-                                    [len(d) == 1 for d in self.domains], ex)
+        self.rest_min = list(itertools.accumulate(
+            reversed([dmin[v] for v in order]), initial=0))[::-1]
+        self.watch = _edge_watchers(g.edges, adj, pos, nbmask, checked,
+                                    [len(d) == 1 for d in domains], ex)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # the free tail order[free_start:], walked by _free_tail (module
         # docstring)
         self.free_start = n
-        while self.free_start and free[self.order[self.free_start - 1]]:
+        while self.free_start and free[order[self.free_start - 1]]:
             self.free_start -= 1
-        self.tail = self.order[self.free_start:]
-        self.tail_domains = [self.domains[v] for v in self.tail]
+        self.tail = order[self.free_start:]
+        self.tail_domains = [domains[v] for v in self.tail]
         # each tail position's least value, and a 0 past the end
         self.tail_mins = [d[0] for d in self.tail_domains] + [0]
         # boundary mass or unchecked status makes a vertex non-interchangeable.
         # Twins are both free or both not, and free ones get no links: the
         # walk's first leaf is the least labeling of the tail, and a search
         # that breaks symmetry stops there or lowers the cap below it.
-        twin_sig = [(self.domains[v], ex.get(v, 0), self.checked[v]) for v in range(n)]
         if break_symmetry:
+            mass = [0] * n
+            for v, s in ex.items():
+                mass[v] = s
             self.twin_prev, self.twin_strict = _twin_predecessors(
-                self.adj, twin_sig, self.order[:self.free_start], self.checked)
+                adj, list(zip(domains, mass, checked)), order[:self.free_start], checked)
         else:
             self.twin_prev, self.twin_strict = [None] * n, [False] * n
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
@@ -410,13 +453,16 @@ class _Engine:
         self.bonus_total = 0
         self.bounded = problem.weight_cap is not None
         # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
-        # pattern, top) triples waiting for position p to take bit bit;
-        # wide holds the positions whose domains have more than two values;
-        # ng_stored and ng_fired count recorded and fired nogoods
+        # pattern, top) triples waiting for position p to take bit bit, and
+        # exists only in a learning search; wide holds the positions whose
+        # domains have more than two values; ng_stored and ng_fired count
+        # recorded and fired nogoods
         self.learn = learn
         self.ng_stored = self.ng_fired = 0
-        self.ng_watch = [([], []) for _ in range(n)]
-        self.wide = sum(1 << self.pos[v] for v in range(n) if len(self.domains[v]) > 2)
+        self.ng_watch = [([], []) for _ in range(n)] if learn else None
+        self.wide = 0
+        if any(len(d) > 2 for d in norm.values()):
+            self.wide = sum(bit[v] for v in range(n) if len(domains[v]) > 2)
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None

@@ -99,6 +99,19 @@ def test_cnf_long_last_clause_names_its_line():
 
 
 @pytest.mark.parametrize("text, message", [
+    # a clause closed by its 0 is reported at the line of the 0
+    ("p cnf 4 1\n1 2\n3 4\n0\n", "line 4: clause has 4 literals; at most 3 allowed"),
+    ("p cnf 2 2\n1 0\n\n0\n", "line 4: empty clause"),
+    # an unterminated last clause is reported at the line of its last literal
+    ("p cnf 4 2\n1 0 2\n3 4\n1\nc end\n", "line 4: clause has 4 literals; at most 3 allowed"),
+], ids=["long-at-terminator", "empty-at-terminator", "long-unterminated"])
+def test_cnf_clause_errors_name_where_the_clause_closes(text, message):
+    with pytest.raises(FileFormatError) as err:
+        fileio.cnf_from_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
     # a literal before the problem line is checked once the line is read
     ("c header below\n1 5 0\np cnf 3 1\n", "line 2: literal 5 exceeds declared variable count"),
     ("c one clause\np cnf 3 5\n1 0\n", "line 2: problem line declares 5 clauses, file has 1"),

@@ -231,6 +231,12 @@ def test_empty_graph_rejected():
         solve_eta(build_graph(0, []))
 
 
+def test_empty_domain_names_its_first_vertex():
+    g = path_graph(4)
+    with pytest.raises(GraphError, match="^empty domain at vertex 1$"):
+        _Engine(SearchProblem(g, ((0, 1), (), (1,), ())), SearchBudget())
+
+
 def test_weight_capped_decision_matches_enumeration(rng):
     # the capped decision used by the threshold harness, against brute force
     from conftest import random_graph
@@ -303,6 +309,57 @@ def test_search_order_matches_quadratic_reference(inst):
         _search_order_reference(g.n, g.adjacency(), tiers)
 
 
+def _twin_predecessors_reference(adj, sig, order, checked):
+    """The twin links by definition, one quadratic scan per vertex.
+
+    prev[v] is the last vertex before v in order with v's signature and v's
+    open or closed neighborhood; strict[v] marks a closed twin with v checked.
+    """
+    prev, strict = [None] * len(adj), [False] * len(adj)
+    for i, v in enumerate(order):
+        for u in reversed(order[:i]):
+            if sig[u] == sig[v] and set(adj[u]) == set(adj[v]):
+                prev[v] = u
+                break
+            if sig[u] == sig[v] and {*adj[u], u} == {*adj[v], v}:
+                prev[v], strict[v] = u, checked[v]
+                break
+    return prev, strict
+
+
+@st.composite
+def twin_instances(draw):
+    # a blown-up base graph: each base vertex becomes a class of open twins
+    # (an independent set) or of closed twins (a clique), and a few extra
+    # edges split some classes
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    members, n = [], 0
+    for size in sizes:
+        members.append(range(n, n + size))
+        n += size
+    edges = []
+    for a, b in itertools.combinations(range(len(sizes)), 2):
+        if draw(st.booleans()):
+            edges += itertools.product(members[a], members[b])
+    for group in members:
+        if draw(st.booleans()):
+            edges += itertools.combinations(group, 2)
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    sig = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    checked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # the engine chains only the vertices before its free tail
+    order = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return build_graph(n, edges).adjacency(), sig, order, checked
+
+
+@given(twin_instances())
+@settings(max_examples=300, deadline=None)
+def test_twin_links_match_definitional_reference(inst):
+    assert solver._twin_predecessors(*inst) == _twin_predecessors_reference(*inst)
+
+
 def test_search_order_matches_reference_on_sat_reduction():
     g = build_sat_reduction(random_formula(random.Random(1), 32, 106)).graph
     assert g.n > 1_100
@@ -311,12 +368,31 @@ def test_search_order_matches_reference_on_sat_reduction():
 
 def test_engine_setup_on_large_sat_reduction():
     # n = 5,200: the scale at which a quadratic search order took seconds
-    g = build_sat_reduction(random_formula(random.Random(1), 150, 500)).graph
+    phi = random_formula(random.Random(1), 150, 500)
+    red = build_sat_reduction(phi)
+    g = red.graph
     assert g.n == 5_200
-    eng = _Engine(SearchProblem(g, uniform_domains(g, (0, 1))), SearchBudget())
-    assert sorted(eng.order) == list(range(g.n))
-    assert all(eng.order[eng.pos[v]] == v for v in range(g.n))
-    assert eng._initial_conflict() is False
+    # the labeling recipe's fixed vertices, as complete_partial gets them
+    names = [f"x{i}" for i in range(1, phi.num_vars + 1)]
+    names += [f"x{i}.y{y}" for i in range(1, phi.num_vars + 1) for y in (1, 3, 4, 5, 6)]
+    names += [f"c{c}.w{w}" for c in range(len(phi.clauses)) for w in (1, 2, 3, 5)]
+    fixed = {red.id_of(name) for name in names}
+    recipe = tuple((1,) if v in fixed else (0, 1) for v in g.vertices())
+    adj = g.adjacency()
+    for domains in (uniform_domains(g, (0, 1)), recipe):
+        eng = _Engine(SearchProblem(g, domains), SearchBudget(), learn=True)
+        assert sorted(eng.order) == list(range(g.n))
+        assert all(eng.order[eng.pos[v]] == v for v in range(g.n))
+        assert eng._initial_conflict() is False
+        # every table against a plain recomputation from the graph and the domains
+        assert eng.lo == [sum(min(domains[u]) for u in adj[v]) for v in g.vertices()]
+        assert eng.hi == [sum(max(domains[u]) for u in adj[v]) for v in g.vertices()]
+        assert eng.nbmask == [sum(1 << eng.pos[u] for u in adj[v]) for v in g.vertices()]
+        rest = [0]
+        for v in reversed(eng.order):
+            rest.append(rest[-1] + min(domains[v]))
+        assert eng.rest_min == rest[::-1]
+        assert [list(c) for c in eng.cadj] == [list(a) for a in adj]
 
 
 _PIN_FORMULA = Cnf3Formula(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
