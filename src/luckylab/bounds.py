@@ -2,32 +2,21 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .graph import BudgetExceeded, Graph, chromatic_number, max_clique, regularity
 from .solver import SearchBudget, solve_eta, solve_eta1, solve_sigma
 
 
-def clique_ratio_bound(g: Graph) -> int:
+def clique_ratio_bound(g: Graph, omega: int) -> int:
     """ceil(omega / (n - omega + 1)), a lower bound on the additive number."""
-    return _clique_ratio(g, max_clique(g)[0])
-
-
-def regular_bound(g: Graph) -> Optional[int]:
-    """3 when the graph is regular with omega > (n+4)/3, else None."""
-    if regularity(g) is None:
-        return None  # before the exponential clique search
-    return _regular(g, max_clique(g)[0])
-
-
-def _clique_ratio(g: Graph, omega: int) -> int:
     return math.ceil(omega / (g.n - omega + 1))
 
 
-def _regular(g: Graph, omega: int) -> Optional[int]:
+def regular_bound(g: Graph, omega: int) -> Optional[int]:
+    """3 when the graph is regular with omega > (n+4)/3, else None."""
     if regularity(g) is not None and 3 * omega > g.n + 4:
         return 3
     return None
@@ -39,14 +28,16 @@ class BoundsReport:
 
     A flag is present iff both of its sides were computed; True means the
     inequality holds on this instance.  The additive-vs-chromatic comparison
-    is a conjecture and is only ever reported, never assumed.
+    (eta_le_chi_conjecture) is a conjecture, yet all_flags_hold() and the
+    exit status of `luckylab bounds` count it like the theorem flags; a
+    graph with eta > chi would read as a failed bound (ROADMAP item 9).
     """
 
     n: int
     omega: Optional[int] = None
     chi: Optional[int] = None
-    clique_ratio: Optional[int] = None
-    regular: Optional[int] = None
+    clique_ratio_bound: Optional[int] = None
+    regular_bound: Optional[int] = None
     eta: Optional[int] = None
     eta1: Optional[int] = None
     eta1_infeasible: bool = False
@@ -58,22 +49,7 @@ class BoundsReport:
         return all(self.flags.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega": self.omega,
-            "chi": self.chi,
-            "clique_ratio_bound": self.clique_ratio,
-            "regular_bound": self.regular,
-            "eta": self.eta,
-            "eta1": self.eta1,
-            "eta1_infeasible": self.eta1_infeasible,
-            "sigma": self.sigma,
-            "flags": self.flags,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return asdict(self)
 
 
 def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsReport:
@@ -87,8 +63,8 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
     rep = BoundsReport(n=g.n)
     try:
         rep.omega = max_clique(g, budget)[0]
-        rep.clique_ratio = _clique_ratio(g, rep.omega)
-        rep.regular = _regular(g, rep.omega)
+        rep.clique_ratio_bound = clique_ratio_bound(g, rep.omega)
+        rep.regular_bound = regular_bound(g, rep.omega)
     except BudgetExceeded:
         rep.notes["omega"] = "budget-exceeded"
     try:
@@ -118,10 +94,10 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
 
     chi = rep.chi
     if rep.eta is not None:
-        if rep.clique_ratio is not None:
-            rep.flags["eta_ge_clique_ratio"] = rep.eta >= rep.clique_ratio
-        if rep.regular is not None:
-            rep.flags["eta_ge_regular_bound"] = rep.eta >= rep.regular
+        if rep.clique_ratio_bound is not None:
+            rep.flags["eta_ge_clique_ratio"] = rep.eta >= rep.clique_ratio_bound
+        if rep.regular_bound is not None:
+            rep.flags["eta_ge_regular_bound"] = rep.eta >= rep.regular_bound
         if chi is not None:
             rep.flags["eta_le_chi_conjecture"] = rep.eta <= chi
     if chi is not None:

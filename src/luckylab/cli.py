@@ -35,7 +35,7 @@ from .constructions import (
     counterexample_graph,
     gadget_certification_suite,
 )
-from .formula import Cnf3Formula
+from .formula import Cnf3Formula, make_formula
 from .graph import complete_graph
 from .labeling import (
     labels_outside_mode,
@@ -241,23 +241,22 @@ def cmd_verify(args) -> int:
 
 def _write_outputs(prefix: str, graph, labeling=None, lists=None, provenance=None,
                    dot: bool = False) -> dict:
-    paths = {}
-    base = Path(prefix)
-    fileio.write_graph(base.with_suffix(".col"), graph)
-    paths["graph"] = str(base.with_suffix(".col"))
+    """Write each given output next to prefix; the path of each, by kind."""
+    outputs = {"graph": (".col", fileio.graph_to_text(graph))}
     if labeling is not None:
-        fileio.write_labeling(base.with_suffix(".lab"), labeling)
-        paths["labeling"] = str(base.with_suffix(".lab"))
+        outputs["labeling"] = (".lab", fileio.labeling_to_text(labeling))
     if lists is not None:
-        fileio.write_lists(base.with_suffix(".lists"), lists)
-        paths["lists"] = str(base.with_suffix(".lists"))
+        outputs["lists"] = (".lists", fileio.lists_to_text(lists))
     if provenance is not None:
-        side = base.with_suffix(".provenance.json")
-        side.write_text(json.dumps({k: list(v) for k, v in provenance.items()}, sort_keys=True))
-        paths["provenance"] = str(side)
+        outputs["provenance"] = (".provenance.json", json.dumps(
+            {k: list(v) for k, v in provenance.items()}, sort_keys=True))
     if dot:
-        base.with_suffix(".dot").write_text(fileio.dot_export(graph))
-        paths["dot"] = str(base.with_suffix(".dot"))
+        outputs["dot"] = (".dot", fileio.dot_export(graph))
+    paths = {}
+    for kind, (suffix, text) in outputs.items():
+        path = Path(prefix).with_suffix(suffix)
+        path.write_text(text)
+        paths[kind] = str(path)
     return paths
 
 
@@ -314,8 +313,7 @@ def cmd_construct(args) -> int:
         _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n} -> {paths['graph']}")
         return EXIT_OK
     if args.kind == "sat":
-        num_vars, clauses = fileio.read_cnf(_required(args, "cnf", "construct sat"))
-        phi = Cnf3Formula(num_vars, tuple(clauses))
+        phi = make_formula(*fileio.read_cnf(_required(args, "cnf", "construct sat")))
         red = build_sat_reduction(phi)
         paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
         payload = {"n": red.graph.n, "m": red.graph.m, "paths": paths, "params": red.params}
@@ -459,8 +457,7 @@ def cmd_check(args) -> int:
 
     if args.target == "sat":
         if args.cnf:
-            num_vars, clauses = fileio.read_cnf(args.cnf)
-            phi = Cnf3Formula(num_vars, tuple(clauses))
+            phi = make_formula(*fileio.read_cnf(args.cnf))
             return _emit_verdict(args, check_equivalence_sat(phi, _budget(args)))
         instances: list[Cnf3Formula] = []
         if args.exhaustive:
@@ -596,10 +593,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        if getattr(args, "max_n", 1) < 1:
-            raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+        for flag in ("jobs", "max_n", "vars"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, "
+                                 f"got {getattr(args, flag)}")
+        # written so that a NaN cap, which compares false both ways, fails it
+        for flag in ("budget_nodes", "budget_ms"):
+            if not getattr(args, flag, 1) > 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive, "
+                                 f"got {getattr(args, flag)}")
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
     # an invalid budget is a ValueError; a path that cannot be read or

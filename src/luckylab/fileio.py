@@ -242,13 +242,6 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
     return num_vars, clauses
 
 
-def cnf_to_text(num_vars: int, clauses: list[tuple[int, ...]]) -> str:
-    out = [f"p cnf {num_vars} {len(clauses)}"]
-    for cl in clauses:
-        out.append(" ".join(str(l) for l in cl) + " 0")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # DOT export (write-only, for eyeballing gadgets).
 
@@ -280,16 +273,8 @@ def read_labeling(path: PathLike) -> Labeling:
     return labeling_from_text(Path(path).read_text())
 
 
-def write_labeling(path: PathLike, lab: Labeling) -> None:
-    Path(path).write_text(labeling_to_text(lab))
-
-
 def read_lists(path: PathLike) -> ListAssignment:
     return lists_from_text(Path(path).read_text())
-
-
-def write_lists(path: PathLike, lists: ListAssignment) -> None:
-    Path(path).write_text(lists_to_text(lists))
 
 
 def read_cnf(path: PathLike) -> tuple[int, list[tuple[int, ...]]]:

@@ -217,24 +217,24 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[i
     for k in range(1, n + 1):
         color = [0] * n  # 0 = unassigned, colors are 1..k
 
-        def place(i: int) -> bool:
+        def place(i: int, used_max: int) -> bool:
+            """Colour order[i:], colours 1..used_max being taken by order[:i]."""
             count_node()
             if i == n:
                 return True
             v = order[i]
-            used_max = max(color) if i else 0
             forbidden = {color[u] for u in adj[v] if color[u]}
             # new colors are interchangeable: only try one fresh color
             for c in range(1, min(k, used_max + 1) + 1):
                 if c in forbidden:
                     continue
                 color[v] = c
-                if place(i + 1):
+                if place(i + 1, max(used_max, c)):
                     return True
                 color[v] = 0
             return False
 
-        if place(0):
+        if place(0, 0):
             return k, {v: color[v] for v in range(n)}
     raise AssertionError("unreachable: n colors always suffice")
 

@@ -91,29 +91,14 @@ class Violation:
     sum_v: int
 
 
-def _require_total(g: Graph, lab: Labeling) -> None:
-    for v in g.vertices():
-        if v not in lab:
-            raise LabelingError(f"labeling is not total: vertex {v} has no label")
-
-
-def neighbor_sum(g: Graph, lab: Labeling, v: int) -> int:
-    """Sum of labels over N(v); 0 for isolated vertices.
-
-    Raises LabelingError naming the first unlabeled neighbor.
-    """
-    total = 0
-    for u in g.neighbors(v):
-        x = lab.get(u)
-        if x is None:
-            raise LabelingError(f"labeling is not total: vertex {u} has no label")
-        total += x
-    return total
-
-
 def all_neighbor_sums(g: Graph, lab: Labeling) -> list[int]:
-    _require_total(g, lab)
-    vals = [lab[v] for v in g.vertices()]
+    """Sum of labels over N(v) for every vertex v; 0 for an isolated vertex.
+
+    A labeling that is not total raises, naming its least unlabeled vertex.
+    """
+    vals = [lab.get(v) for v in g.vertices()]
+    if None in vals:
+        raise LabelingError(f"labeling is not total: vertex {vals.index(None)} has no label")
     return [sum(vals[u] for u in g.neighbors(v)) for v in g.vertices()]
 
 
@@ -122,35 +107,40 @@ _MODES = {"any": (0, None), "positive": (1, None), "binary": (0, 1)}
 
 
 def labels_outside_mode(g: Graph, lab: Labeling, mode: str) -> list[int]:
-    """The vertices, ascending, whose label lies outside the mode's range.
+    """The labeled vertices, ascending, whose label lies outside the mode's range.
 
     mode selects the label constraint: "any" (nonnegative integers),
     "positive" (the general additive problem, labels >= 1) or "binary"
-    (labels in {0, 1}).  A labeling that is not total raises.
+    (labels in {0, 1}).  An unlabeled vertex is not listed; totality is
+    all_neighbor_sums' check.
     """
-    _require_total(g, lab)
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     least, greatest = _MODES[mode]
     return [v for v in g.vertices()
-            if lab[v] < least or (greatest is not None and lab[v] > greatest)]
+            if v in lab and (lab[v] < least or (greatest is not None and lab[v] > greatest))]
+
+
+def _sums_and_violations(g: Graph, lab: Labeling, mode: str) -> tuple[list[int], list[Violation]]:
+    """The neighbor sums and the edges with equal endpoint sums.
+
+    A labeling that is not total, or a label outside the mode's range, raises.
+    """
+    sums = all_neighbor_sums(g, lab)
+    outside = labels_outside_mode(g, lab, mode)
+    if outside:
+        v = outside[0]
+        raise LabelingError(f"label {lab[v]} at vertex {v} is outside mode {mode!r}")
+    return sums, [Violation((u, v), sums[u], sums[v]) for u, v in g.edges if sums[u] == sums[v]]
 
 
 def verify_additive(g: Graph, lab: Labeling, mode: str = "any") -> list[Violation]:
     """All edges with equal endpoint sums; empty list iff lab is additive.
 
-    A label outside the mode's range (see labels_outside_mode) raises.
+    A labeling that is not total, or a label outside the mode's range (see
+    labels_outside_mode), raises.
     """
-    outside = labels_outside_mode(g, lab, mode)
-    if outside:
-        v = outside[0]
-        raise LabelingError(f"label {lab[v]} at vertex {v} is outside mode {mode!r}")
-    sums = all_neighbor_sums(g, lab)
-    return [
-        Violation((u, v), sums[u], sums[v])
-        for u, v in g.edges
-        if sums[u] == sums[v]
-    ]
+    return _sums_and_violations(g, lab, mode)[1]
 
 
 def verify_from_lists(lab: Labeling, lists: ListAssignment) -> bool:
@@ -171,11 +161,10 @@ def induced_coloring(g: Graph, lab: Labeling) -> dict[int, int]:
     Rejects a non-additive labeling, since the induced map would not be a
     proper coloring.
     """
-    bad = verify_additive(g, lab)
+    sums, bad = _sums_and_violations(g, lab, "any")
     if bad:
         raise LabelingError(f"labeling is not additive; {len(bad)} violated edge(s), first {bad[0]}")
-    sums = all_neighbor_sums(g, lab)
-    return {v: sums[v] for v in g.vertices()}
+    return dict(enumerate(sums))
 
 
 def verify_ptds(g: Graph, dom: Iterable[int]) -> bool:

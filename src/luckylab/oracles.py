@@ -10,8 +10,7 @@ is never passed off as agreement.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import fileio
@@ -238,6 +237,22 @@ def list_color_brute(g: Graph, lists: ListAssignment) -> Optional[dict[int, int]
 # Constructive labelings for the two reductions.
 
 
+def _complete_recipe(graph: Graph, fixed: dict[int, int], budget: Optional[SearchBudget],
+                     weight_cap: Optional[int], failure: str) -> Labeling:
+    """The binary completion of a recipe's fixed values, verified additive.
+
+    A completion that is not found raises ReconstructionDefect with
+    failure.format(status=...); one that fails verification raises it too.
+    """
+    rep = complete_partial(graph, fixed, budget, weight_cap=weight_cap)
+    if rep.status != "found":
+        raise ReconstructionDefect(failure.format(status=rep.status))
+    bad = verify_additive(graph, rep.certificate, mode="binary")
+    if bad:
+        raise ReconstructionDefect(f"completed labeling fails verification: {bad[:3]}")
+    return rep.certificate
+
+
 def labeling_from_assignment(
     phi: Cnf3Formula,
     gamma: Mapping[int, bool],
@@ -263,15 +278,9 @@ def labeling_from_assignment(
     for ci in range(len(phi.clauses)):
         for w in (1, 2, 3, 5):
             fixed[red.id_of(f"c{ci}.w{w}")] = 1
-    rep = complete_partial(red.graph, fixed, budget)
-    if rep.status != "found":
-        raise ReconstructionDefect(
-            f"recipe completion {rep.status} on a satisfiable instance; "
-            "the variable/clause gadget reconstruction is defective")
-    bad = verify_additive(red.graph, rep.certificate, mode="binary")
-    if bad:
-        raise ReconstructionDefect(f"completed labeling fails verification: {bad[:3]}")
-    return rep.certificate, red
+    return _complete_recipe(red.graph, fixed, budget, None,
+                            "recipe completion {status} on a satisfiable instance; "
+                            "the variable/clause gadget reconstruction is defective"), red
 
 
 def assignment_from_labeling(
@@ -334,17 +343,12 @@ def labeling_from_coloring(
         fixed[red.id_of(f"v{v}.p5")] = p5
         fixed[red.id_of(f"v{v}.p6")] = p6
     cap = 5 * g.n
-    rep = complete_partial(red.graph, fixed, budget, weight_cap=cap)
-    if rep.status != "found":
-        raise ReconstructionDefect(
-            f"coloring recipe completion {rep.status} within weight {cap}; "
-            "the amplifier reconstruction is defective")
-    bad = verify_additive(red.graph, rep.certificate, mode="binary")
-    if bad:
-        raise ReconstructionDefect(f"completed labeling fails verification: {bad[:3]}")
-    if weight(rep.certificate) > cap:
+    lab = _complete_recipe(red.graph, fixed, budget, cap,
+                           f"coloring recipe completion {{status}} within weight {cap}; "
+                           "the amplifier reconstruction is defective")
+    if weight(lab) > cap:
         raise ReconstructionDefect("completed labeling exceeds the 5n weight bound")
-    return rep.certificate, red
+    return lab, red
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +375,7 @@ class EquivalenceVerdict:
         return self.status == "agree"
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "oracle_answer": self.oracle_answer,
-            "reduction_answer": self.reduction_answer,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "stats": self.stats,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return asdict(self)
 
 
 def _verdict(instance: str, oracle: Optional[bool], reduction: Optional[bool],

@@ -109,7 +109,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
@@ -138,7 +137,8 @@ class SearchBudget:
     max_ms: float = DEFAULT_MAX_MS
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_ms <= 0:
+        # written so that a NaN cap, which compares false both ways, fails it
+        if not (self.max_nodes > 0 and self.max_ms > 0):
             raise ValueError("budget caps must be positive")
 
 
@@ -172,9 +172,6 @@ class SolveReport:
         if self.detail:
             d["detail"] = self.detail
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _twin_predecessors(adj, sig, order, checked):

@@ -456,16 +456,27 @@ _DATA = Path(__file__).parent / "data"
      "check_inapprox_c7_complement_d36.json"),
     (["check", "listcolor", "--random", "25", "--max-n", "4", "--seed", "1"],
      "check_listcolor_random25.jsonl"),
+    (["bounds", "--random", "50", "--max-n", "7", "--seed", "1"], "bounds_random50.jsonl"),
 ], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36",
-        "listcolor-random25"])
+        "listcolor-random25", "bounds-random50"])
 def test_node_carrying_output_golden(capsys, argv, golden):
     # each search's node count, byte for byte against the committed output
     # (it has no timing fields); the two inapproximability checks are
-    # weight-capped refutations through the forced-pair bound, and the 25
-    # list-colouring reductions are uncapped first-solution searches
+    # weight-capped refutations through the forced-pair bound, the 25
+    # list-colouring reductions are uncapped first-solution searches, and the
+    # bounds sweep pins every exact value and flag of 50 seeded graphs
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (_DATA / golden).read_text()
+
+
+def test_bounds_budget_cut_output_golden(capsys):
+    # every bound of 50 seeded graphs, each search capped at 20 nodes: eta or
+    # eta1 is cut on 10 of them, which pins where each cut lands; a cut exits 2
+    code, out = run(capsys, "bounds", "--random", "50", "--max-n", "7", "--seed", "1",
+                    "--budget-nodes", "20", "--json")
+    assert code == 2
+    assert out == (_DATA / "bounds_random50_cut20.jsonl").read_text()
 
 
 def test_check_random_requires_seed(capsys):
@@ -597,6 +608,30 @@ def test_max_n_below_one_exit_two(capsys, pool_sizes, argv):
     assert captured.out == ""
     got = argv[argv.index("--max-n") + 1]
     assert captured.err == f"error: --max-n must be at least 1, got {got}\n"
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("vars_", ["0", "-2"])
+def test_vars_below_one_exit_two(capsys, pool_sizes, vars_):
+    code = main(["check", "sat", "--random", "2", "--vars", vars_, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --vars must be at least 1, got {vars_}\n"
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--budget-nodes", "0", "0"), ("--budget-ms", "0", "0.0"), ("--budget-ms", "nan", "nan"),
+], ids=["nodes-0", "ms-0", "ms-nan"])
+def test_budget_flag_not_positive_exit_two(capsys, pool_sizes, flag, value, shown):
+    # NaN compares false both ways; a check that let it through ran with no time cap
+    code = main(["check", "listcolor", "--random", "2", "--max-n", "3", "--seed", "1",
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be positive, got {shown}\n"
     assert pool_sizes == []
 
 

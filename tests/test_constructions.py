@@ -79,11 +79,11 @@ def test_counterexample_y_membership_fails_for_alpha_ge_beta():
 
 def test_counterexample_hub_neighbor_sum():
     g, lab, _lists = counterexample_graph(1)
-    from luckylab.labeling import neighbor_sum
+    from luckylab.labeling import all_neighbor_sums
 
     by_name = {g.name_of(v): v for v in g.vertices()}
     # y's neighbors are its clique partner and the hub, both labeled 1
-    assert neighbor_sum(g, lab, by_name["y_1^1"]) == 2
+    assert all_neighbor_sums(g, lab)[by_name["y_1^1"]] == 2
 
 
 def test_clique_eta_one():

@@ -4,9 +4,9 @@ from luckylab.graph import build_graph, complete_graph, cycle_graph, path_graph
 from luckylab.labeling import (
     Labeling,
     LabelingError,
+    all_neighbor_sums,
     induced_coloring,
     make_lists,
-    neighbor_sum,
     verify_additive,
     verify_from_lists,
     verify_ptds,
@@ -16,20 +16,18 @@ from luckylab.labeling import (
 
 def test_neighbor_sum_path():
     g = path_graph(3)
-    lab = Labeling({0: 1, 1: 1, 2: 1})
-    assert neighbor_sum(g, lab, 1) == 2
-    assert neighbor_sum(g, lab, 0) == 1
+    assert all_neighbor_sums(g, Labeling({0: 1, 1: 1, 2: 1})) == [1, 2, 1]
 
 
 def test_neighbor_sum_isolated():
     g = build_graph(2, [])
-    assert neighbor_sum(g, Labeling({0: 5, 1: 7}), 0) == 0
+    assert all_neighbor_sums(g, Labeling({0: 5, 1: 7})) == [0, 0]
 
 
 def test_neighbor_sum_missing_label_names_vertex():
     g = path_graph(2)
-    with pytest.raises(LabelingError, match="vertex 1"):
-        neighbor_sum(g, Labeling({0: 1}), 0)
+    with pytest.raises(LabelingError, match="vertex 1 has no label"):
+        verify_additive(g, Labeling({0: 1}))
 
 
 def test_verify_additive_path_all_ones():

@@ -197,6 +197,6 @@ def test_verdict_json_round_trip():
     import json
 
     v = check_equivalence_sat(make_formula(1, [(1,)]))
-    parsed = json.loads(v.to_json())
+    parsed = json.loads(json.dumps(v.to_json_dict(), sort_keys=True))
     assert parsed["status"] == "agree"
     assert parsed["oracle_answer"] is True

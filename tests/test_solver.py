@@ -149,6 +149,12 @@ def test_ptds_c4_subset_enumeration():
     assert min(sizes) == 3
 
 
+def test_budget_rejects_a_nan_cap():
+    # NaN compares false both ways, so it must fail the check, not slip past it
+    with pytest.raises(ValueError, match="budget caps must be positive"):
+        SearchBudget(max_ms=float("nan"))
+
+
 def test_budget_exceeded_is_reported():
     g = complete_graph(6)
     rep = solve_eta(g, SearchBudget(max_nodes=5, max_ms=60_000))
