@@ -125,11 +125,12 @@ def _read_lists(args, cmd: str, g):
     return lists
 
 
-def _seeded_rng(args) -> random.Random:
-    """The generator of a randomized sweep, which is only reproducible from a seed."""
+def _seeded(args, count: int, draw) -> list:
+    """count instances draw(rng) from one generator; a sweep is only reproducible from --seed."""
     if args.seed is None:
         raise ValueError("randomized sweeps require --seed")
-    return random.Random(args.seed)
+    rng = random.Random(args.seed)
+    return [draw(rng) for _ in range(count)]
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -144,12 +145,33 @@ def _emit_verdict(args, verdict) -> int:
     return EXIT_CODE[verdict.status]
 
 
-def _report_sweep(args, payloads: list[dict], summary: str) -> None:
-    """Each payload as a JSON line under --json, then the summary (on stderr under --json)."""
+def _sweep(args, worker, instances, code_of, summary) -> int:
+    """worker(instance, budget) on each instance, each under the command's whole budget.
+
+    Each payload goes out as a JSON line under --json, then summary(n, codes),
+    codes counting each payload's code_of, on stdout (on stderr under --json).
+    Returns the worst code.
+    """
+    work = partial(worker, budget=_budget(args))
+    # workers beyond the instances or the cores only add start-up cost
+    jobs = min(args.jobs, len(instances), os.cpu_count() or 1)
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            payloads = pool.map(work, instances)
+    else:
+        payloads = [work(i) for i in instances]
     if args.json:
         for payload in payloads:
             print(json.dumps(payload, sort_keys=True))
-    print(summary, file=sys.stderr if args.json else sys.stdout)
+    codes = Counter(map(code_of, payloads))
+    print(summary(len(payloads), codes), file=sys.stderr if args.json else sys.stdout)
+    return _worst(codes)
+
+
+def _verdict_sweep(args, worker, instances, label: str) -> int:
+    return _sweep(args, worker, instances, lambda v: EXIT_CODE[v["status"]],
+                  lambda n, c: f"{label}: {c[EXIT_OK]}/{n} agree, "
+                               f"{c[EXIT_NEGATIVE]} disagree, {c[EXIT_ERROR]} inconclusive")
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -239,106 +261,104 @@ def cmd_verify(args) -> int:
 # construct
 
 
-def _write_outputs(prefix: str, graph, labeling=None, lists=None, provenance=None,
-                   dot: bool = False) -> dict:
-    """Write each given output next to prefix; the path of each, by kind."""
-    outputs = {"graph": (".col", fileio.graph_to_text(graph))}
-    if labeling is not None:
-        outputs["labeling"] = (".lab", fileio.labeling_to_text(labeling))
-    if lists is not None:
-        outputs["lists"] = (".lists", fileio.lists_to_text(lists))
-    if provenance is not None:
-        outputs["provenance"] = (".provenance.json", json.dumps(
-            {k: list(v) for k, v in provenance.items()}, sort_keys=True))
-    if dot:
-        outputs["dot"] = (".dot", fileio.dot_export(graph))
-    paths = {}
-    for kind, (suffix, text) in outputs.items():
-        path = Path(prefix).with_suffix(suffix)
-        path.write_text(text)
-        paths[kind] = str(path)
-    return paths
+def _read_lf(args) -> set[int]:
+    """The vertex gadget's list, --lf; a malformed one is a usage error that names the flag."""
+    try:
+        return {int(x) for x in args.lf.split(",")}
+    except ValueError:
+        raise ValueError(f"--lf must be comma-separated integers, got {args.lf!r}") from None
 
 
 def cmd_construct(args) -> int:
+    """Each kind gives its graph, extra outputs, payload fields, title and maybe a verify step.
+
+    Every output is written before any verification runs.
+    """
     budget = _budget(args)
+    extra, verify = {}, None
     if args.kind == "counterexample":
-        g, lab, lists = counterexample_graph(args.k)
-        paths = _write_outputs(args.out, g, lab, lists, dot=args.dot)
-        payload = {"n": g.n, "m": g.m, "k": args.k, "paths": paths}
-        if args.verify:
-            violations = verify_additive(g, lab, mode="positive")
-            eta_rep = solve_eta(g, budget)
-            refutation = refute_lists(g, lists, budget)
-            payload["shipped_labeling_additive"] = not violations
-            payload["shipped_max_label"] = lab.max_label()
-            payload["eta"] = eta_rep.to_json_dict()
-            payload["refutation"] = refutation.to_json_dict()
+        graph, lab, lists = counterexample_graph(args.k)
+        extra = {"labeling": (".lab", fileio.labeling_to_text(lab)),
+                 "lists": (".lists", fileio.lists_to_text(lists))}
+        fields = {"n": graph.n, "m": graph.m, "k": args.k}
+        title = f"counterexample k={args.k}: n={graph.n}, m={graph.m}"
+
+        def verify():
+            violations = verify_additive(graph, lab, mode="positive")
+            eta_rep = solve_eta(graph, budget)
+            refutation = refute_lists(graph, lists, budget)
             ok = (not violations and lab.max_label() == args.k
                   and eta_rep.status == "found" and eta_rep.value == args.k
                   and refutation.status == "refuted")
-            payload["verified"] = ok
-            _emit(args, payload,
-                  f"counterexample k={args.k}: n={g.n}, eta={eta_rep.value}, "
-                  f"lists {refutation.status}, choosability > {refutation.max_list_size}"
-                  + ("" if ok else "  [VERIFICATION FAILED]"))
-            return EXIT_OK if ok else EXIT_ERROR
-        _emit(args, payload, f"counterexample k={args.k}: n={g.n}, m={g.m} -> {paths['graph']}")
-        return EXIT_OK
-    if args.kind == "clique-example":
-        g = clique_eta_one(args.n)
-        paths = _write_outputs(args.out, g, dot=args.dot)
-        _emit(args, {"n": g.n, "m": g.m, "paths": paths},
-              f"clique example n={args.n}: {g.n} vertices -> {paths['graph']}")
-        return EXIT_OK
-    if args.kind == "gadget":
+            return ({"shipped_labeling_additive": not violations,
+                     "shipped_max_label": lab.max_label(), "eta": eta_rep.to_json_dict(),
+                     "refutation": refutation.to_json_dict(), "verified": ok},
+                    f"counterexample k={args.k}: n={graph.n}, eta={eta_rep.value}, "
+                    f"lists {refutation.status}, choosability > {refutation.max_list_size}"
+                    + ("" if ok else "  [VERIFICATION FAILED]"),
+                    EXIT_OK if ok else EXIT_ERROR)
+    elif args.kind == "clique-example":
+        graph = clique_eta_one(args.n)
+        fields = {"n": graph.n, "m": graph.m}
+        title = f"clique example n={args.n}: {graph.n} vertices"
+    elif args.kind == "gadget":
         builders = {
             "clause": lambda: build_clause_gadget(),
             "variable": build_variable_gadget,
             "forcing": build_forcing_gadget,
             "index": lambda: build_index_gadget(args.j),
-            "vertex": lambda: build_vertex_gadget(set(int(x) for x in args.lf.split(",")), args.s),
+            "vertex": lambda: build_vertex_gadget(_read_lf(args), args.s),
             "amplifier": lambda: build_amplifier_gadget(args.d),
         }
         inst = builders[_required(args, "gadget-kind", "construct gadget")]()
-        paths = _write_outputs(args.out, inst.graph, dot=args.dot)
-        payload = {"kind": inst.kind, "n": inst.graph.n,
-                   "ports": {k: v for k, v in inst.ports.items()}, "paths": paths}
-        if args.verify:
-            rep = certify_gadget(inst, cap=max(40, inst.graph.n), budget=budget)
-            payload["certification"] = rep.to_json_dict()
-            _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n}, "
-                  f"certified={rep.certified}" + _cut_note(rep.budget_cut))
-            return _certification_code(rep)
-        _emit(args, payload, f"gadget {args.gadget_kind}: n={inst.graph.n} -> {paths['graph']}")
-        return EXIT_OK
-    if args.kind == "sat":
-        phi = make_formula(*fileio.read_cnf(_required(args, "cnf", "construct sat")))
-        red = build_sat_reduction(phi)
-        paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
-        payload = {"n": red.graph.n, "m": red.graph.m, "paths": paths, "params": red.params}
-        if args.verify:
-            verdict = check_equivalence_sat(phi, budget)
-            payload["verdict"] = verdict.to_json_dict()
-            _emit(args, payload, f"sat reduction: n={red.graph.n}, verdict {verdict.status}")
-            return EXIT_CODE[verdict.status]
-        _emit(args, payload, f"sat reduction: n={red.graph.n} -> {paths['graph']}")
-        return EXIT_OK
-    if args.kind == "inapprox":
-        g = fileio.read_graph(_required(args, "graph", "construct inapprox"))
-        red = build_inapprox_reduction(g, args.d)
-        paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
-        _emit(args, {"n": red.graph.n, "paths": paths, "d": args.d},
-              f"amplifier graph: n={red.graph.n} -> {paths['graph']}")
-        return EXIT_OK
-    # listcolor
-    g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
-    lists = _read_lists(args, "construct listcolor", g)
-    red = build_listcoloring_reduction(g, lists)
-    paths = _write_outputs(args.out, red.graph, provenance=red.provenance, dot=args.dot)
-    _emit(args, {"n": red.graph.n, "paths": paths, "s": red.params["s"]},
-          f"list-coloring reduction: n={red.graph.n} -> {paths['graph']}")
-    return EXIT_OK
+        graph = inst.graph
+        fields = {"kind": inst.kind, "n": graph.n, "ports": inst.ports}
+        title = f"gadget {args.gadget_kind}: n={graph.n}"
+
+        def verify():
+            rep = certify_gadget(inst, cap=max(40, graph.n), budget=budget)
+            return ({"certification": rep.to_json_dict()},
+                    f"{title}, certified={rep.certified}" + _cut_note(rep.budget_cut),
+                    _certification_code(rep))
+    else:
+        if args.kind == "sat":
+            phi = make_formula(*fileio.read_cnf(_required(args, "cnf", "construct sat")))
+            red = build_sat_reduction(phi)
+            fields = {"n": red.graph.n, "m": red.graph.m, "params": red.params}
+            title = f"sat reduction: n={red.graph.n}"
+
+            def verify():
+                verdict = check_equivalence_sat(phi, budget)
+                return ({"verdict": verdict.to_json_dict()},
+                        f"{title}, verdict {verdict.status}", EXIT_CODE[verdict.status])
+        elif args.kind == "inapprox":
+            g = fileio.read_graph(_required(args, "graph", "construct inapprox"))
+            red = build_inapprox_reduction(g, args.d)
+            fields, title = {"n": red.graph.n, "d": args.d}, f"amplifier graph: n={red.graph.n}"
+        else:  # listcolor
+            g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
+            red = build_listcoloring_reduction(g, _read_lists(args, "construct listcolor", g))
+            fields = {"n": red.graph.n, "s": red.params["s"]}
+            title = f"list-coloring reduction: n={red.graph.n}"
+        graph = red.graph
+        extra = {"provenance": (".provenance.json", json.dumps(
+            {k: list(v) for k, v in red.provenance.items()}, sort_keys=True))}
+
+    outputs = {"graph": (".col", fileio.graph_to_text(graph)), **extra}
+    if args.dot:
+        outputs["dot"] = (".dot", fileio.dot_export(graph))
+    paths = {}
+    for kind, (suffix, text) in outputs.items():
+        path = Path(args.out).with_suffix(suffix)
+        path.write_text(text)
+        paths[kind] = str(path)
+    payload = {**fields, "paths": paths}
+    human, code = f"{title} -> {paths['graph']}", EXIT_OK
+    if args.verify and verify:
+        verified, human, code = verify()
+        payload.update(verified)
+    _emit(args, payload, human)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +385,11 @@ def _bounds_payload(g, budget: SearchBudget) -> dict:
 
 def cmd_bounds(args) -> int:
     if args.random:
-        rng = _seeded_rng(args)
-        graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random)]
-        payloads = _run_sweep(args, _bounds_payload, graphs)
-        codes = Counter(_bounds_code(p["flags"], p["notes"]) for p in payloads)
-        _report_sweep(args, payloads, f"bounds sweep: {len(payloads)} graphs, "
-                      f"{codes[EXIT_NEGATIVE]} flag violations" + _cut_note(codes[EXIT_ERROR]))
-        return _worst(codes)
+        graphs = _seeded(args, args.random, lambda rng: random_graph(rng, 1, args.max_n))
+        return _sweep(args, _bounds_payload, graphs,
+                      lambda p: _bounds_code(p["flags"], p["notes"]),
+                      lambda n, c: f"bounds sweep: {n} graphs, {c[EXIT_NEGATIVE]} flag violations"
+                                   + _cut_note(c[EXIT_ERROR]))
     g = fileio.read_graph(_required(args, "graph", "bounds"))
     rep = bounds_mod.bounds_report(g, _budget(args))
     code = _bounds_code(rep.flags, rep.notes)
@@ -395,44 +413,17 @@ def _lc_verdict_payload(inst, budget: SearchBudget) -> dict:
     return check_equivalence_listcolor(g, lists, budget).to_json_dict()
 
 
+_ORACLES = {"eta": naive_eta, "eta1": naive_eta1, "sigma": naive_sigma, "ptds": naive_ptds}
+
+
 def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
-    eta = solve_eta(g, budget)
-    eta1 = solve_eta1(g, budget)
-    sigma = solve_sigma(g, budget)
-    ptds = min_ptds(g, budget)
-    got = {
-        "eta": eta.value,
-        "eta1": eta1.value if eta1.status == "found" else None,
-        "sigma": sigma.value,
-        "ptds": ptds.value if ptds.status == "found" else None,
-    }
-    want = {
-        "eta": naive_eta(g),
-        "eta1": naive_eta1(g),
-        "sigma": naive_sigma(g),
-        "ptds": naive_ptds(g),
-    }
-    cut = [k for k, rep in zip(got, (eta, eta1, sigma, ptds)) if rep.status == "budget-exceeded"]
+    # a solver sets a value only on "found"
+    reps = {name: SOLVERS[name](g, budget) for name in _ORACLES}
+    got = {name: rep.value for name, rep in reps.items()}
+    want = {name: naive(g) for name, naive in _ORACLES.items()}
+    cut = [name for name, rep in reps.items() if rep.status == "budget-exceeded"]
     return {"edges": [list(e) for e in g.edges], "n": g.n, "solver": got, "oracle": want,
             "agree": not cut and got == want, **({"cut": cut} if cut else {})}
-
-
-def _run_sweep(args, worker, instances) -> list[dict]:
-    """worker(instance, budget) on each instance, each under the command's whole budget."""
-    work = partial(worker, budget=_budget(args))
-    # workers beyond the instances or the cores only add start-up cost
-    jobs = min(args.jobs, len(instances), os.cpu_count() or 1)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(work, instances)
-    return [work(i) for i in instances]
-
-
-def _summarize_verdicts(args, verdicts: list[dict], label: str) -> int:
-    count = Counter(v["status"] for v in verdicts)
-    _report_sweep(args, verdicts, f"{label}: {count['agree']}/{len(verdicts)} agree, "
-                  f"{count['disagree']} disagree, {count['inconclusive']} inconclusive")
-    return _worst(EXIT_CODE[v["status"]] for v in verdicts)
 
 
 def cmd_check(args) -> int:
@@ -445,15 +436,13 @@ def cmd_check(args) -> int:
         return _worst(_certification_code(rep) for _name, rep in suite)
 
     if args.target == "solvers":
-        rng = _seeded_rng(args)
-        graphs = [random_graph(rng, 1, args.max_n) for _ in range(args.random or 200)]
-        payloads = _run_sweep(args, _solver_oracle_payload, graphs)
+        graphs = _seeded(args, args.random or 200, lambda rng: random_graph(rng, 1, args.max_n))
         # a graph with a cut solver decides nothing
-        codes = Counter(EXIT_ERROR if "cut" in p else EXIT_OK if p["agree"] else EXIT_NEGATIVE
-                        for p in payloads)
-        _report_sweep(args, payloads, f"solver-oracle equivalence: "
-                      f"{codes[EXIT_OK]}/{len(payloads)} agree" + _cut_note(codes[EXIT_ERROR]))
-        return _worst(codes)
+        return _sweep(
+            args, _solver_oracle_payload, graphs,
+            lambda p: EXIT_ERROR if "cut" in p else EXIT_OK if p["agree"] else EXIT_NEGATIVE,
+            lambda n, c: f"solver-oracle equivalence: {c[EXIT_OK]}/{n} agree"
+                         + _cut_note(c[EXIT_ERROR]))
 
     if args.target == "sat":
         if args.cnf:
@@ -463,13 +452,11 @@ def cmd_check(args) -> int:
         if args.exhaustive:
             instances.extend(exhaustive_small_formulas(args.max_vars, args.max_clauses))
         if args.random:
-            rng = _seeded_rng(args)
-            instances.extend(random_formula(rng, args.vars, args.clauses)
-                             for _ in range(args.random))
+            instances.extend(_seeded(args, args.random,
+                                     lambda rng: random_formula(rng, args.vars, args.clauses)))
         if not instances:
             raise ValueError("nothing to check: pass --cnf, --exhaustive or --random")
-        verdicts = _run_sweep(args, _sat_verdict_payload, instances)
-        return _summarize_verdicts(args, verdicts, "sat equivalence")
+        return _verdict_sweep(args, _sat_verdict_payload, instances, "sat equivalence")
 
     if args.target == "listcolor":
         if args.graph:
@@ -478,30 +465,24 @@ def cmd_check(args) -> int:
             return _emit_verdict(args, check_equivalence_listcolor(g, lists, _budget(args)))
         if not args.random:
             raise ValueError("nothing to check: pass --graph/--lists or --random")
-        rng = _seeded_rng(args)
-        instances = [random_list_instance(rng, args.max_n) for _ in range(args.random)]
-        verdicts = _run_sweep(args, _lc_verdict_payload, instances)
-        return _summarize_verdicts(args, verdicts, "list-coloring equivalence")
+        instances = _seeded(args, args.random, lambda rng: random_list_instance(rng, args.max_n))
+        return _verdict_sweep(args, _lc_verdict_payload, instances, "list-coloring equivalence")
 
     if args.target == "inapprox":
         g = fileio.read_graph(_required(args, "graph", "check inapprox"))
         return _emit_verdict(args, check_threshold_inapprox(g, args.d, _budget(args)))
 
-    # all: the desk-scale battery in one shot
-    rng = _seeded_rng(args)
+    # all: the desk-scale battery in one shot; every instance is drawn before
+    # anything is printed, so a missing --seed prints nothing
+    sat = exhaustive_small_formulas(2, 2)
+    sat += _seeded(args, 10, lambda rng: random_formula(rng, 3, 3))
+    lc = _seeded(args, 8, lambda rng: random_list_instance(rng, 3))
     suite = gadget_certification_suite(_budget(args))
-    code = _worst(_certification_code(rep) for _name, rep in suite)
-    outcome = {EXIT_OK: "all certified", EXIT_NEGATIVE: "FAILURES"}.get(code, "budget exceeded")
+    codes = [_worst(_certification_code(rep) for _name, rep in suite)]
+    outcome = {EXIT_OK: "all certified", EXIT_NEGATIVE: "FAILURES"}.get(codes[0], "budget exceeded")
     print(f"gadget contracts: {outcome} ({len(suite)} gadgets)")
-    codes = [code]
-    instances = exhaustive_small_formulas(2, 2)
-    instances += [random_formula(rng, 3, 3) for _ in range(10)]
-    verdicts = _run_sweep(args, _sat_verdict_payload, instances)
-    codes.append(_summarize_verdicts(args, verdicts, "sat equivalence"))
-    rng = _seeded_rng(args)
-    lc = [random_list_instance(rng, 3) for _ in range(8)]
-    verdicts = _run_sweep(args, _lc_verdict_payload, lc)
-    codes.append(_summarize_verdicts(args, verdicts, "list-coloring equivalence"))
+    codes.append(_verdict_sweep(args, _sat_verdict_payload, sat, "sat equivalence"))
+    codes.append(_verdict_sweep(args, _lc_verdict_payload, lc, "list-coloring equivalence"))
     for g, d in ((complete_graph(3), 16), (complete_graph(4), 21)):
         verdict = check_threshold_inapprox(g, d, _budget(args))
         print(f"threshold n={g.n} d={d}: {verdict.status}")
@@ -561,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="compute exact values and check every bound")
     pb.add_argument("--graph")
-    pb.add_argument("--random", type=int, default=0, help="sweep over seeded random graphs")
+    pb.add_argument("--random", type=int, help="sweep over seeded random graphs")
     pb.add_argument("--max-n", type=int, default=7)
     pb.add_argument("--seed", type=int)
     pb.add_argument("--jobs", type=int, default=1)
@@ -577,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--exhaustive", action="store_true")
     pk.add_argument("--max-vars", type=int, default=2)
     pk.add_argument("--max-clauses", type=int, default=2)
-    pk.add_argument("--random", type=int, default=0)
+    pk.add_argument("--random", type=int)
     pk.add_argument("--vars", type=int, default=3)
     pk.add_argument("--clauses", type=int, default=3)
     pk.add_argument("--max-n", type=int, default=4)
@@ -593,10 +574,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("jobs", "max_n", "vars"):
-            if getattr(args, flag, 1) < 1:
-                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, "
-                                 f"got {getattr(args, flag)}")
+        for flag in ("jobs", "max_n", "vars", "clauses", "random"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
         # written so that a NaN cap, which compares false both ways, fails it
         for flag in ("budget_nodes", "budget_ms"):
             if not getattr(args, flag, 1) > 0:

@@ -19,7 +19,7 @@ consistent with the boundary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..graph import Graph, GraphError, build_graph
@@ -303,18 +303,9 @@ class CertificationReport:
         return [f"{c.name}: {m}" for c in self.cases for m in c.countermodels]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": {k: sorted(v) if isinstance(v, (set, frozenset)) else v
-                       for k, v in self.params.items()},
-            "internal_size": self.internal_size,
-            "certified": self.certified,
-            "cases": [
-                {"name": c.name, "expect_feasible": c.expect_feasible,
-                 "solutions": c.solutions, "countermodels": c.countermodels}
-                for c in self.cases
-            ],
-        }
+        return {**asdict(self), "certified": self.certified,
+                "params": {k: sorted(v) if isinstance(v, (set, frozenset)) else v
+                           for k, v in self.params.items()}}
 
 
 # -- contract definitions ----------------------------------------------------

@@ -457,14 +457,17 @@ _DATA = Path(__file__).parent / "data"
     (["check", "listcolor", "--random", "25", "--max-n", "4", "--seed", "1"],
      "check_listcolor_random25.jsonl"),
     (["bounds", "--random", "50", "--max-n", "7", "--seed", "1"], "bounds_random50.jsonl"),
+    (["check", "solvers", "--random", "300", "--max-n", "8", "--seed", "1"],
+     "check_solvers_random300.jsonl"),
 ], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36",
-        "listcolor-random25", "bounds-random50"])
+        "listcolor-random25", "bounds-random50", "solvers-random300"])
 def test_node_carrying_output_golden(capsys, argv, golden):
     # each search's node count, byte for byte against the committed output
     # (it has no timing fields); the two inapproximability checks are
     # weight-capped refutations through the forced-pair bound, the 25
-    # list-colouring reductions are uncapped first-solution searches, and the
-    # bounds sweep pins every exact value and flag of 50 seeded graphs
+    # list-colouring reductions are uncapped first-solution searches, the
+    # bounds sweep pins every exact value and flag of 50 seeded graphs, and
+    # the solver sweep every solver value and oracle value of 300
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (_DATA / golden).read_text()
@@ -477,6 +480,13 @@ def test_bounds_budget_cut_output_golden(capsys):
                     "--budget-nodes", "20", "--json")
     assert code == 2
     assert out == (_DATA / "bounds_random50_cut20.jsonl").read_text()
+
+
+def test_check_all_output_golden(capsys):
+    # the human summary line of each battery of `check all`
+    code, out = run(capsys, "check", "all", "--seed", "1")
+    assert code == 0
+    assert out == (_DATA / "check_all_seed1.txt").read_text()
 
 
 def test_check_random_requires_seed(capsys):
@@ -611,14 +621,44 @@ def test_max_n_below_one_exit_two(capsys, pool_sizes, argv):
     assert pool_sizes == []
 
 
-@pytest.mark.parametrize("vars_", ["0", "-2"])
-def test_vars_below_one_exit_two(capsys, pool_sizes, vars_):
-    code = main(["check", "sat", "--random", "2", "--vars", vars_, "--seed", "1"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--random", "-1", "--seed", "1"],
+    ["bounds", "--random", "0", "--seed", "1"],
+    # without --random, `check solvers` runs 200 graphs; 0 is not "unset"
+    ["check", "solvers", "--random", "0", "--seed", "1"],
+    ["check", "sat", "--random", "0", "--seed", "1"],
+], ids=["bounds-minus-1", "bounds-0", "check-solvers-0", "check-sat-0"])
+def test_random_below_one_exit_two(capsys, pool_sizes, argv):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: --vars must be at least 1, got {vars_}\n"
+    got = argv[argv.index("--random") + 1]
+    assert captured.err == f"error: --random must be at least 1, got {got}\n"
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--vars", "0"), ("--vars", "-2"), ("--clauses", "0"), ("--clauses", "-2"),
+], ids=["0", "-2", "clauses-0", "clauses--2"])
+def test_vars_below_one_exit_two(capsys, pool_sizes, flag, value):
+    code = main(["check", "sat", "--random", "2", flag, value, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("lf", ["x", "2,,3", "2;3"])
+def test_vertex_gadget_lf_not_integers_exit_two(capsys, tmp_path, lf):
+    code = main(["construct", "gadget", "--gadget-kind", "vertex", "--lf", lf,
+                 "--out", str(tmp_path / "a")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --lf must be comma-separated integers, got {lf!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, value, shown", [
