@@ -38,6 +38,8 @@ from .constructions import (
 from .formula import Cnf3Formula, make_formula
 from .graph import complete_graph
 from .labeling import (
+    all_neighbor_sums,
+    equal_sum_edges,
     labels_outside_mode,
     verify_additive,
     verify_from_lists,
@@ -218,13 +220,12 @@ def cmd_verify(args) -> int:
     if unknown is not None:
         raise ValueError(f"label attached to unknown vertex {unknown + 1}")
     if args.what == "labeling":
-        # vertices are named by their 1-based file ids throughout
-        missing = next((v for v in g.vertices() if v not in lab), None)
-        if missing is not None:
-            raise ValueError(f"labeling is not total: vertex {missing + 1} has no label")
-        # a label outside --mode answers "no" before any edge is looked at
+        # one totality scan and one mode scan; vertices are named by their
+        # 1-based file ids throughout
+        sums = all_neighbor_sums(g, lab, base=1)
+        # a label outside --mode answers "no" whatever the sums
         outside = labels_outside_mode(g, lab, args.mode)
-        violations = [] if outside else verify_additive(g, lab, mode=args.mode)
+        violations = [] if outside else equal_sum_edges(g, sums)
         payload = {
             "valid": not (outside or violations),
             "violations": [
@@ -480,12 +481,14 @@ def cmd_check(args) -> int:
     suite = gadget_certification_suite(_budget(args))
     codes = [_worst(_certification_code(rep) for _name, rep in suite)]
     outcome = {EXIT_OK: "all certified", EXIT_NEGATIVE: "FAILURES"}.get(codes[0], "budget exceeded")
-    print(f"gadget contracts: {outcome} ({len(suite)} gadgets)")
+    # under --json, stdout holds only the sweeps' JSON lines
+    human = sys.stderr if args.json else sys.stdout
+    print(f"gadget contracts: {outcome} ({len(suite)} gadgets)", file=human)
     codes.append(_verdict_sweep(args, _sat_verdict_payload, sat, "sat equivalence"))
     codes.append(_verdict_sweep(args, _lc_verdict_payload, lc, "list-coloring equivalence"))
     for g, d in ((complete_graph(3), 16), (complete_graph(4), 21)):
         verdict = check_threshold_inapprox(g, d, _budget(args))
-        print(f"threshold n={g.n} d={d}: {verdict.status}")
+        print(f"threshold n={g.n} d={d}: {verdict.status}", file=human)
         codes.append(EXIT_CODE[verdict.status])
     return _worst(codes)
 

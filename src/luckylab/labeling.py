@@ -91,15 +91,21 @@ class Violation:
     sum_v: int
 
 
-def all_neighbor_sums(g: Graph, lab: Labeling) -> list[int]:
+def all_neighbor_sums(g: Graph, lab: Labeling, base: int = 0) -> list[int]:
     """Sum of labels over N(v) for every vertex v; 0 for an isolated vertex.
 
-    A labeling that is not total raises, naming its least unlabeled vertex.
+    A labeling that is not total raises, naming its least unlabeled vertex
+    v as v + base (base 1 gives file ids).
     """
     vals = [lab.get(v) for v in g.vertices()]
     if None in vals:
-        raise LabelingError(f"labeling is not total: vertex {vals.index(None)} has no label")
+        raise LabelingError(f"labeling is not total: vertex {vals.index(None) + base} has no label")
     return [sum(vals[u] for u in g.neighbors(v)) for v in g.vertices()]
+
+
+def equal_sum_edges(g: Graph, sums: list[int]) -> list[Violation]:
+    """The edges whose endpoints have equal sums, in edge order."""
+    return [Violation((u, v), sums[u], sums[v]) for u, v in g.edges if sums[u] == sums[v]]
 
 
 # each labeling mode's label range: (least, greatest or None)
@@ -131,7 +137,7 @@ def _sums_and_violations(g: Graph, lab: Labeling, mode: str) -> tuple[list[int],
     if outside:
         v = outside[0]
         raise LabelingError(f"label {lab[v]} at vertex {v} is outside mode {mode!r}")
-    return sums, [Violation((u, v), sums[u], sums[v]) for u, v in g.edges if sums[u] == sums[v]]
+    return sums, equal_sum_edges(g, sums)
 
 
 def verify_additive(g: Graph, lab: Labeling, mode: str = "any") -> list[Violation]:

@@ -3,7 +3,11 @@
 One engine drives all of them: depth-first assignment over a fixed vertex
 order (maximum-cardinality search: a vertex whose neighbors are all ordered
 first, then most ordered neighbors, higher degree, lower id; values
-ascending) with sum-interval propagation.  Free vertices, whose labels reach
+ascending) with sum-interval propagation.  A pendant comes first only once
+it is its neighbor's last unordered neighbor, when its label decides that
+neighbor's sum (_search_order); jumping as soon as its neighbor was placed,
+the variable gadget's slack pendants doubled the benchmark's SAT search
+(45,130 nodes now, 94,075 before).  Free vertices, whose labels reach
 only sums that no constraint reads (isolated vertices among them), come
 after all others: placed early, they would make the search repeat the
 constrained part under every combination of their labels, as the ten slack
@@ -21,7 +25,7 @@ one node per (re)assignment with the same budget and weight checks,
 returning the mask frame F would.  So node counts, the leaves and the leaf
 at which a budget cut lands stay as they were, under every leaf hook, branch
 and bound included.  In the benchmark's gadget certification 112,530 of
-155,464 nodes fall in free tails: every core solution of the variable gadget
+155,124 nodes fall in free tails: every core solution of the variable gadget
 repeats under the 1,024 labelings of its pendants.
 
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
@@ -93,12 +97,12 @@ the octahedron K(2,2,2) at d = 31 recorded 490,418 and fired 1,130 in 1 M
 nodes, and ran about 20 % slower than without learning, until this rule
 switched learning off after 11,137 records (23k nodes).  The nogoods die
 with their search.  Learning cut the 138 SAT-equivalence
-formulas of the benchmark from 754,662 to 94,075 nodes.  Branch and bound
+formulas of the benchmark from 99,288 to 45,130 nodes.  Branch and bound
 (eta1, PTDS) does not learn: on the twelve G(n, 0.3) graphs of the
 benchmark it cut their nodes by 12 % but made the whole bounds workload
 17 % slower.  Enumeration does not learn either, so gadget certification
 keeps its node counts; learning there gave the same `check gadgets` output
-in 48,167 nodes instead of 59,113.
+in 49,565 nodes instead of 58,773.
 
 All searches are complete: "infeasible" always means the whole space was
 exhausted, and budget exhaustion is reported as its own status rather than
@@ -279,6 +283,18 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     gadget-heavy graphs tractable; a plain global degree order scatters the
     local units across the search depth and provably thrashes on them.
 
+    A pendant is the exception: its own sum is its neighbor's label, decided
+    as soon as that neighbor is placed, so what its label can decide is the
+    neighbor's sum, and only once it is the neighbor's last unordered
+    neighbor.  So a pendant comes immediately only then; before, it sorts by
+    count and degree like any other vertex.  Placed at once, each of the
+    variable gadget's ten slack pendants would follow its port, and the
+    search would branch over pendant labels while nothing yet constrains the
+    port.  The amplifier's b_i is a_i's last neighbor (the selectors come
+    first), so it still follows a_i at once.  To see a placed neighbor reach
+    one unordered neighbor, count[] is kept for placed vertices too; when
+    it does, its adjacency is scanned once for that neighbor.
+
     An optional tier map partitions the vertices into priority classes;
     lower tiers are exhausted first.  Constructions with large repeated
     appendages (the amplifier's pendant pairs) use it to put the globally
@@ -288,14 +304,16 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     it sits in the engine's last tier, so in a search it comes last.
 
     The selection runs on a lazy-deletion heap (Tarjan & Yannakakis, SIAM J.
-    Comput. 1984): each change of a vertex's ordered-neighbor count pushes a
-    fresh entry.  A count only grows, so a vertex's fresh entry sorts before
-    all of its older ones, and an entry popped for a placed vertex is simply
-    skipped.  A vertex gets at most degree + 1 entries, so the cost is
+    Comput. 1984): each change of a vertex's ordered-neighbor count, and a
+    pendant's late turn to come at once, pushes a fresh entry.  A count only
+    grows and that turn only comes once, so a vertex's fresh entry sorts
+    before all of its older ones, and an entry popped for a placed vertex is
+    simply skipped.  A vertex gets at most degree + 2 entries, and each
+    vertex's adjacency is scanned at most twice, so the cost is
     O((n + m) log n).
 
-    Each entry is one int, the key (tier, not all neighbors ordered,
-    -count, -degree, id) packed in mixed radix: every field after the tier
+    Each entry is one int, the key (tier, does not come at once, -count,
+    -degree, id) packed in mixed radix: every field after the tier
     is shifted into a range [0, radix), with radix 2 for the flag, r =
     max degree + 1 for the count and the degree and n for the id, so the
     ints order as the tuples would and v = key % n.  key[v] holds v's fresh
@@ -304,7 +322,7 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     degree = [len(a) for a in adj]
     r = max(degree, default=0) + 1
     step = r * n  # one more ordered neighbor
-    flag = r * step  # the "not all neighbors ordered" field
+    flag = r * step  # the "does not come at once" field
     tier = [0] * n
     if tiers:
         for v, t in tiers.items():
@@ -312,7 +330,7 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     # count 0, so the flag is set unless the vertex is isolated
     key: list = [(2 * t + (d != 0)) * flag + (r - 1) * step + (r - 1 - d) * n + v
                  for v, (t, d) in enumerate(zip(tier, degree))]
-    count = [0] * n
+    count = [0] * n  # ordered neighbors, kept for placed vertices too
     heap = key[:]
     heapq.heapify(heap)
     order: list[int] = []
@@ -323,14 +341,26 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
             continue  # an older entry of a placed vertex
         key[v] = None
         order.append(v)
+        last = count[v] == degree[v] - 1  # v has one unordered neighbor
         for u in adj[v]:
+            c = count[u] + 1
+            count[u] = c
             k = key[u]
-            if k is not None:
-                c = count[u] + 1
-                count[u] = c
-                k -= flag + step if c == degree[u] else step
-                key[u] = k
-                heapq.heappush(heap, k)
+            if k is None:
+                if c != degree[u] - 1:
+                    continue
+                # u, placed, has one unordered neighbor left; if that is a
+                # pendant, its label now decides u's sum
+                u = next(w for w in adj[u] if key[w] is not None)
+                if degree[u] != 1:
+                    continue
+                k = key[u] - flag
+            elif c == degree[u] and (c > 1 or last):
+                k -= flag + step
+            else:
+                k -= step
+            key[u] = k
+            heapq.heappush(heap, k)
     return order
 
 

@@ -489,6 +489,17 @@ def test_check_all_output_golden(capsys):
     assert out == (_DATA / "check_all_seed1.txt").read_text()
 
 
+def test_check_all_json_stdout_is_json_lines(capsys):
+    # the gadget and threshold lines join the sweep summaries on stderr
+    code = main(["check", "all", "--seed", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 146
+    assert all(isinstance(json.loads(line), dict) for line in lines)
+    assert err.splitlines() == (_DATA / "check_all_seed1.txt").read_text().splitlines()
+
+
 def test_check_random_requires_seed(capsys):
     code, _ = run(capsys, "check", "sat", "--random", "3")
     assert code == 2

@@ -272,8 +272,8 @@ _MUTANT_COUNTERMODELS = {
         "ext=0: center-forced: p3 labeled 1, expected forced 0 in {1-labeled: v, d.p2, d.p4, d.r}",
         "ext=1: center-forced: p3 labeled 1, expected forced 0 in {1-labeled: v, d.p2, d.p4, d.p6}"],
     "sum-identity": [
-        "ext=0: sum-identity: center sum 1 != externals 0 + selectors 2 in "
-        "{1-labeled: v, d.p2, d.p6, d.r}",
+        "ext=0: sum-identity: center sum 0 != externals 0 + selectors 1 in "
+        "{1-labeled: v, d.p2, d.r, d.b1, d.b2}",
         "ext=1: sum-identity: center sum 1 != externals 1 + selectors 1 in "
         "{1-labeled: v, d.p2, d.r, d.b1, d.b2}"],
     "pairs-forced-when-selectors-zero": [

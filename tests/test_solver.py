@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from luckylab import oracles, solver
 from luckylab.constructions import (
     build_amplifier_gadget,
+    build_inapprox_reduction,
     build_sat_reduction,
     build_variable_gadget,
     counterexample_graph,
@@ -264,7 +265,12 @@ def test_weight_capped_decision_matches_enumeration(rng):
 
 
 def _search_order_reference(n, adj, tiers=None):
-    """The quadratic maximum-cardinality search the heap version must reproduce."""
+    """The quadratic maximum-cardinality search the heap version must reproduce.
+
+    A vertex comes at once when all its neighbors are ordered, except a
+    pendant whose neighbor still has another unordered neighbor: the
+    pendant's label would decide no sum yet.
+    """
     degree = [len(adj[v]) for v in range(n)]
     tier = [0] * n
     if tiers:
@@ -274,8 +280,13 @@ def _search_order_reference(n, adj, tiers=None):
     count = [0] * n
     order = []
 
+    def decides(v):
+        if not all(placed[u] for u in adj[v]):
+            return False
+        return degree[v] != 1 or all(placed[w] for w in adj[adj[v][0]] if w != v)
+
     def key(v):
-        return (-tier[v], count[v] == degree[v], count[v], degree[v], -v)
+        return (-tier[v], decides(v), count[v], degree[v], -v)
 
     for _ in range(n):
         best = -1
@@ -372,6 +383,26 @@ def test_search_order_matches_reference_on_sat_reduction():
     assert _search_order(g.n, g.adjacency(), {}) == _search_order_reference(g.n, g.adjacency())
 
 
+def test_search_order_pendant_waits_for_its_neighbors_sum():
+    # an amplifier's b_i is a_i's last unordered neighbor, so assigning it
+    # decides a_i's sum and it follows a_i at once
+    red = build_inapprox_reduction(complete_graph(4), 21)
+    pairs = red.params["pair_vertices"]
+    order = _search_order(red.graph.n, red.graph.adjacency(), {v: 1 for v in pairs})
+    follows = dict(zip(order, order[1:]))
+    assert all(follows[a] == b for a, b in zip(pairs[::2], pairs[1::2]))
+    # a slack pendant never follows its port while the port has another
+    # unordered neighbor: its label would decide no sum yet
+    g = build_sat_reduction(random_formula(random.Random(1), 8, 34)).graph
+    adj = g.adjacency()
+    assert sum(len(a) == 1 for a in adj) == 80  # ten per variable gadget
+    order = _search_order(g.n, adj)
+    pos = {v: i for i, v in enumerate(order)}
+    for port, w in zip(order, order[1:]):
+        if adj[w] == (port,):
+            assert all(pos[u] < pos[w] for u in adj[port] if u != w), (port, w)
+
+
 def test_engine_setup_on_large_sat_reduction():
     # n = 5,200: the scale at which a quadratic search order took seconds
     phi = random_formula(random.Random(1), 150, 500)
@@ -454,10 +485,20 @@ def _recipe_completion_nodes(monkeypatch):
 
 def _sat5_binary_nodes():
     # the first 5-variable, 10-clause formula of random.Random(5): n = 140,
-    # satisfiable; without nogoods the search is cut at 2 M nodes
+    # satisfiable; without nogoods the search takes 11,170 nodes
     red = build_sat_reduction(random_formula(random.Random(5), 5, 10))
     rep = exists_binary(red.graph, SearchBudget(max_nodes=2_000_000))
     assert (red.graph.n, rep.status) == (140, "found")
+    return rep.nodes_explored
+
+
+def _sat16_threshold_binary_nodes():
+    # 16 variables at clause ratio 4.25, near the 3-SAT threshold: n = 628,
+    # unsatisfiable; with each slack pendant placed right after its port the
+    # search was cut at 3 M nodes
+    red = build_sat_reduction(random_formula(random.Random(16002), 16, 68))
+    rep = exists_binary(red.graph, SearchBudget(max_nodes=3_000_000))
+    assert (red.graph.n, rep.status) == (628, "infeasible")
     return rep.nodes_explored
 
 
@@ -492,21 +533,22 @@ def _k5_pendant_capped_nodes():
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 153),
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 33),
     (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
-    (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 1_262),
-    (lambda mp: _sat5_binary_nodes(), 19_427),
+    (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 545),
+    (lambda mp: _sat5_binary_nodes(), 1_326),
+    (lambda mp: _sat16_threshold_binary_nodes(), 48_210),
     (lambda mp: _counterexample_refutation_nodes(2), 81),
     (lambda mp: _counterexample_refutation_nodes(4), 7_193),
     (lambda mp: _gnp_eta1_nodes(), 8_078),
-    (lambda mp: _amplifier_enumeration_nodes(), 1_093),
+    (lambda mp: _amplifier_enumeration_nodes(), 978),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
     (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 928),
     (lambda mp: _c7_complement_inapprox_nodes(), 3_183),
-    (lambda mp: _k5_pendant_capped_nodes(), 9),
+    (lambda mp: _k5_pendant_capped_nodes(), 4),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "binary-sat5", "refute-counterexample2", "refute-counterexample4",
+        "binary-sat3", "binary-sat5", "binary-sat16-threshold", "refute-counterexample2", "refute-counterexample4",
         "eta1-gnp18",
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
@@ -1028,7 +1070,7 @@ def test_learning_stops_when_nogoods_do_not_fire(monkeypatch):
     The weight-capped search of the octahedron K(2,2,2) at d = 31 records
     thousands of nogoods and fires few of them (learning switches off after
     about 23k nodes).  The 5-variable SAT reduction of the binary-sat5 pin
-    fires its nogoods about as often as it records them, so it keeps
+    fires its nogoods often (117 fires for 306 records), so it keeps
     learning, and keeps its pinned node count, even when the trial is cut
     from 4,096 records to 256.
     """
@@ -1048,7 +1090,7 @@ def test_learning_stops_when_nogoods_do_not_fire(monkeypatch):
     assert not any(waiting for pair in eng.ng_watch for waiting in pair)
     engines.clear()
     monkeypatch.setattr(solver, "LEARN_TRIAL", 256)
-    assert _sat5_binary_nodes() == 19_427
+    assert _sat5_binary_nodes() == 1_326
     (eng,) = engines
     assert eng.learn and eng.ng_stored > solver.LEARN_TRIAL, eng.ng_stored
 
