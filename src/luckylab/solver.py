@@ -14,11 +14,11 @@ constrained part under every combination of their labels, as the ten slack
 pendants on the variable gadget's unchecked ports would.
 
 Below the first free position F no constraint can fail.  No conflict, edge
-watcher or nogood involves a free position, and no forced pair is left (its
-ends are adjacent checked vertices, so neither is free).  Free vertices get
-no twin links either: a search that breaks symmetry stops at its first leaf
-or lowers the cap below it, and the tail's first leaf is its least
-labeling, so no second tail leaf would pass.  Frames there would only
+watcher, Hall check or nogood involves a free position, and no forced pair
+is left (its ends are adjacent checked vertices, so neither is free).  Free
+vertices get no twin links either: a search that breaks symmetry stops at
+its first leaf or lowers the cap below it, and the tail's first leaf is its
+least labeling, so no second tail leaf would pass.  Frames there would only
 list the tail's labelings, so _free_tail lists them in one loop (mixed-radix
 generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
 one node per (re)assignment with the same budget and weight checks,
@@ -50,6 +50,29 @@ conflict-directed backjumping (Prosser, Comput. Intell. 1993).  Each is a
 bitmask of search positions: nbmask[v] holds the positions of v's
 neighbors, and at depth d exactly the first d + 1 vertices of the order
 are assigned, so a conflict's culprits are one mask operation.
+
+A clique C of checked vertices is one alldifferent constraint.  Its sums
+are sum(v) = S_C - l(v) + out(v), with S_C the labels on C and out(v) v's
+boundary mass plus its labels outside C, so they differ pairwise exactly
+when the values out(v) - l(v) do.  Pairwise reasoning refutes a pigeonhole
+there only by search: in counterexample_graph(k) with the hub t at L, copy
+a = L asks its 2k members for 2k - 1 values, and refute_lists took 7,193
+nodes at k = 4 and 509,174 at k = 6.  So each clique of HALL_MIN_CLIQUE
+(5) or more vertices gets a counting Hall check (Regin, AAAI 1994; Puget,
+AAAI 1998), watched at one position: its last outside neighbor, or its
+first member when it has none, the point where every out(v) is known.  A
+member assigned by then offers its value, any other one out(v) - x for
+each x in its domain, and fewer candidates than members kill the branch;
+the culprits are the positions of the outside neighbors and of the
+assigned members.  refute_lists now takes 2k - 1 nodes for k >= 3, one per
+label of the hub.  The check sits in the edge watchers' table, so a graph
+without such a clique pays nothing per node.  The floor is five because a
+K4 cut ends the subtrees that nogoods are learned from: with K4s, the 300
+random problems of test_nogood_learning_keeps_every_answer fired 16
+nogoods instead of 21, while the one case K4s would speed up, refute_lists
+at k = 2 (3 nodes instead of 81), takes 0.5 ms without them.  The cliques
+are grown greedily from the edges whose ends share three neighbors, in the
+same pass that finds the watched edges.
 
 Every weight check applies one bound (Land & Doig, Econometrica 1960): a
 value is tried only while the weight assigned so far, plus the value, plus
@@ -99,8 +122,10 @@ switched learning off after 11,137 records (23k nodes).  The nogoods die
 with their search.  Learning cut the 138 SAT-equivalence
 formulas of the benchmark from 99,288 to 45,130 nodes.  Branch and bound
 (eta1, PTDS) does not learn: on the twelve G(n, 0.3) graphs of the
-benchmark it cut their nodes by 12 % but made the whole bounds workload
-17 % slower.  Enumeration does not learn either, so gadget certification
+benchmark it cut eta1 from 241,076 to 212,888 nodes and PTDS from 230,724
+to 202,451, but made the two searches 11 % slower (1.53 s against 1.70 s,
+median of five alternating runs on a 2-core VM under CPython 3.11).
+Enumeration does not learn either, so gadget certification
 keeps its node counts; learning there gave the same `check gadgets` output
 in 49,565 nodes instead of 58,773.
 
@@ -131,6 +156,9 @@ DEFAULT_MAX_MS = 60_000
 # learning while fewer than one in LEARN_FIRE_RATE of them has fired
 LEARN_TRIAL = 4096
 LEARN_FIRE_RATE = 64
+
+# the least clique size that gets a Hall cut (module docstring)
+HALL_MIN_CLIQUE = 5
 
 
 @dataclass(frozen=True)
@@ -234,8 +262,8 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
-def _edge_watchers(edges, adj, pos, nbmask, checked, fixed, extra):
-    """For each vertex, the checked edges that its assignment decides early.
+def _edge_watchers(edges, adj, order, pos, nbmask, checked, domains, extra):
+    """For each vertex, the checked edges and the cliques that its assignment decides early.
 
     For a checked edge (u, w), the common neighbors cancel out of
     sum(u) - sum(w), which is
@@ -245,31 +273,120 @@ def _edge_watchers(edges, adj, pos, nbmask, checked, fixed, extra):
 
     So the edge is decided once u, w and D = N(u) ^ N(w) - {u, w} are
     assigned, at the decisive depth, the largest search position in
-    D + {u, w}.  The sum intervals decide it at the last position in
-    N(u) + N(w) that holds a vertex with more than one value.  An edge is
-    watched, at the vertex of its decisive depth, only when that depth
-    comes first.  A one-value vertex stays in D: its label is read only
-    once it is assigned.  Without a common neighbor D + {u, w} is all of
-    N(u) + N(w), so such an edge (every edge of a triangle-free graph) is
-    skipped on a test of nbmask[u] & nbmask[w] alone.
+    D + {u, w}, whose positions are nbmask[u] ^ nbmask[w].  The sum
+    intervals decide it at the last position in N(u) + N(w) that holds a
+    vertex with more than one value; N(u) + N(w) is D + {u, w} plus the
+    common neighbors, so the edge is watched, at the vertex of its decisive
+    depth, exactly when a common neighbor with more than one value comes
+    after that depth.  A one-value vertex stays in D: its label is read
+    only once it is assigned.  An edge without a common neighbor (every
+    edge of a triangle-free graph) is skipped on a test of
+    nbmask[u] & nbmask[w] alone.
 
-    Returns watch, where watch[v] lists (plus, minus, const, mask) in edge
-    order: the edge is violated when const plus the labels of plus equals
-    the labels of minus, and mask holds the positions of D + {u, w}.
+    The same pass seeds the Hall cut (module docstring).  An edge whose ends
+    share at least HALL_MIN_CLIQUE - 2 neighbors, and that no clique found
+    so far holds, grows greedily into a maximal clique of checked vertices:
+    each step adds the candidate adjacent to the most other candidates,
+    the earliest position on a tie.  Cliques of HALL_MIN_CLIQUE or more
+    vertices are kept.
+
+    Returns watch, where watch[v] holds (plus, minus, const, mask) in edge
+    order: the edge is violated when const plus the labels of plus
+    (N(u) - N(w), w among them) equals the labels of minus (N(w) - N(u)),
+    and mask holds the positions of D + {u, w}.  The Hall entries
+    (_hall_entry) follow, one per clique, with minus None.  A vertex that
+    watches nothing holds the shared empty tuple.
     """
-    watch: list[list] = [[] for _ in adj]
+    found: dict[int, list] = {}  # the entries of each vertex that watches any
+    cliques: list[int] = []  # as masks of search positions
+    covered: dict[int, int] = {}  # the positions of the cliques through a vertex
     for u, w in edges:
-        if not (checked[u] and checked[w] and nbmask[u] & nbmask[w]):
+        if not (checked[u] and checked[w]):
             continue
-        nu, nw = set(adj[u]), set(adj[w])
-        plus = (w, *(x for x in adj[u] if x != w and x not in nw))
-        minus = (u, *(x for x in adj[w] if x != u and x not in nu))
-        last = max(plus + minus, key=pos.__getitem__)
-        decided = max((pos[x] for x in nu | nw if not fixed[x]), default=-1)
-        if pos[last] < decided:
-            mask = sum(1 << pos[x] for x in plus + minus)
-            watch[last].append((plus, minus, extra.get(u, 0) - extra.get(w, 0), mask))
+        common = nbmask[u] & nbmask[w]
+        if not common:
+            continue
+        mask = nbmask[u] ^ nbmask[w]
+        top = mask.bit_length() - 1
+        late = common >> top + 1
+        if late and any(len(domains[order[top + 1 + p]]) > 1 for p in _positions(late)):
+            plus = tuple(order[p] for p in _positions(nbmask[u] & ~nbmask[w]))
+            minus = tuple(order[p] for p in _positions(nbmask[w] & ~nbmask[u]))
+            found.setdefault(order[top], []).append(
+                (plus, minus, extra.get(u, 0) - extra.get(w, 0), mask))
+        if (common.bit_count() >= HALL_MIN_CLIQUE - 2
+                and not covered.get(u, 0) >> pos[w] & 1):
+            clique = _grow_clique(common, 1 << pos[u] | 1 << pos[w], order, nbmask, checked)
+            if clique.bit_count() >= HALL_MIN_CLIQUE:
+                cliques.append(clique)
+                for p in _positions(clique):
+                    covered[order[p]] = covered.get(order[p], 0) | clique
+    for clique in cliques:
+        at, entry = _hall_entry([order[p] for p in _positions(clique)],
+                                adj, pos, domains, extra)
+        found.setdefault(at, []).append(entry)
+    watch: list[tuple] = [()] * len(adj)
+    for v, entries in found.items():
+        watch[v] = tuple(entries)
     return watch
+
+
+def _positions(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _grow_clique(cand: int, clique: int, order, nbmask, checked) -> int:
+    """Grow clique greedily from the candidates cand, its common neighbors.
+
+    Both are masks of search positions.  Unchecked candidates are dropped
+    first; then each step adds the candidate with the most neighbors among
+    the other candidates (the earliest position on a tie) and keeps only
+    its neighbors as candidates.  The result is a maximal clique of checked
+    vertices.
+    """
+    for p in _positions(cand):
+        if not checked[order[p]]:
+            cand ^= 1 << p
+    while cand:
+        best = max(_positions(cand), key=lambda p: (cand & nbmask[order[p]]).bit_count())
+        clique |= 1 << best
+        cand &= nbmask[order[best]]
+    return clique
+
+
+def _hall_entry(members, adj, pos, domains, extra):
+    """The watching vertex and the watch entry of a clique's Hall cut (module docstring).
+
+    The clique is watched at its last outside neighbor, or at its first
+    member when it has none.  The entry is (groups, None, |C|, mask):
+    groups holds (outs, mass, v, dom), v's neighbors outside the clique,
+    its boundary mass, v and its domain, with dom None for a member
+    assigned when the check runs.  Unassigned members with equal outs, mass
+    and domain offer the same candidates, so only the first is kept.  mask,
+    the culprits, holds the positions of the outside neighbors and of the
+    assigned members.
+    """
+    inside = set(members)
+    outs = {v: tuple(x for x in adj[v] if x not in inside) for v in members}
+    outside = {x for o in outs.values() for x in o}
+    if outside:
+        at = max(outside, key=pos.__getitem__)
+    else:
+        at = min(members, key=pos.__getitem__)
+    mask = sum(1 << pos[x] for x in outside)
+    groups: dict = {}
+    for v in members:
+        mass = extra.get(v, 0)
+        if pos[v] <= pos[at]:
+            mask |= 1 << pos[v]
+            groups[v] = (outs[v], mass, v, None)
+        else:
+            groups.setdefault((outs[v], mass, domains[v]), (outs[v], mass, v, domains[v]))
+    return at, (tuple(groups.values()), None, len(members), mask)
 
 
 def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> list[int]:
@@ -443,8 +560,7 @@ class _Engine:
         # rest_min[d]: the least total the positions d and later can carry
         self.rest_min = list(itertools.accumulate(
             reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.watch = _edge_watchers(g.edges, adj, pos, nbmask, checked,
-                                    [len(d) == 1 for d in domains], ex)
+        self.watch = _edge_watchers(g.edges, adj, order, pos, nbmask, checked, domains, ex)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # the free tail order[free_start:], walked by _free_tail (module
@@ -502,7 +618,8 @@ class _Engine:
         persists until one of those neighbors is unassigned: its culprits
         are the assigned part of nbmask[u] | nbmask[t].  The sum intervals
         are scanned first, then the edges whose neighborhood difference
-        assigning v decides (module docstring).
+        assigning v decides, then the cliques whose Hall check v completes
+        (module docstring).
         """
         min_sum = self.min_sum
         lo, hi, cadj, nbmask = self.lo, self.hi, self.cadj, self.nbmask
@@ -516,6 +633,10 @@ class _Engine:
                         return (nbmask[u] | nbmask[t]) & ((2 << self.pos[v]) - 1)
         label = self.label
         for plus, minus, diff, mask in self.watch[v]:
+            if minus is None:  # a clique: plus holds its groups, diff its size
+                if self._hall_short(plus, diff):
+                    return mask
+                continue
             # plain loops: these sets hold a few vertices each
             for x in plus:
                 diff += label[x]
@@ -524,6 +645,26 @@ class _Engine:
             if not diff:
                 return mask
         return None
+
+    def _hall_short(self, groups, size: int) -> bool:
+        """Whether a clique's candidate values out(v) - l(v) number fewer than size.
+
+        groups is a Hall entry's (outs, mass, v, dom) tuples (_hall_entry):
+        an assigned member offers one value, any other member one per value
+        of its domain.  The count stops as soon as it reaches size.
+        """
+        label = self.label
+        seen: set[int] = set()
+        for outs, c, v, dom in groups:
+            for x in outs:
+                c += label[x]
+            if dom is None:
+                seen.add(c - label[v])
+            else:
+                seen.update([c - x for x in dom])
+            if len(seen) >= size:
+                return False
+        return True
 
     # -- nogoods ---------------------------------------------------------------
 

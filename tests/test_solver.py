@@ -114,9 +114,9 @@ def test_refute_lists():
 
 
 def test_refute_lists_budget_cut():
-    # a cut search proves no bound
+    # a cut search proves no bound; the whole refutation takes 5 nodes
     g, _labeling, lists = counterexample_graph(3)
-    res = refute_lists(g, lists, SearchBudget(max_nodes=10))
+    res = refute_lists(g, lists, SearchBudget(max_nodes=4))
     assert (res.status, res.eta_ell_lower_bound, res.labeling) == ("budget-exceeded", None, None)
     assert res.report.status == "budget-exceeded"
 
@@ -161,9 +161,10 @@ def test_budget_exceeded_is_reported():
     rep = solve_eta(g, SearchBudget(max_nodes=5, max_ms=60_000))
     assert rep.status == "budget-exceeded"
     assert rep.detail["last_decided_k"] < 6  # eta(K6) = 6 was never reached
-    # the node total counts the search node that tripped the cap; K6 is one
-    # class of adjacent twins, so k = 2 is refuted within the budget too
-    assert (rep.nodes_explored, rep.detail) == (6, {"last_decided_k": 2})
+    # K6 has no outside neighbor, so its Hall cut runs at the first vertex:
+    # k = 1 is refuted before any node, k = 2 and k = 3 in k nodes each,
+    # and that spends the budget before k = 4 starts
+    assert (rep.nodes_explored, rep.detail) == (5, {"last_decided_k": 3})
     # m = 1 is refuted before any node (the graph is regular); m = 2 takes 33
     rep = solve_sigma(petersen_graph(), SearchBudget(max_nodes=20, max_ms=60_000))
     assert rep.status == "budget-exceeded"
@@ -458,7 +459,9 @@ def _variable_gadget_enumeration_nodes():
 
 def _counterexample_refutation_nodes(k):
     g, _labeling, lists = counterexample_graph(k)
-    return refute_lists(g, lists).report.nodes_explored
+    res = refute_lists(g, lists)
+    assert (res.status, res.eta_ell_lower_bound) == ("refuted", 2 * k)
+    return res.report.nodes_explored
 
 
 def _gnp_eta1_nodes():
@@ -537,7 +540,13 @@ def _k5_pendant_capped_nodes():
     (lambda mp: _sat5_binary_nodes(), 1_326),
     (lambda mp: _sat16_threshold_binary_nodes(), 48_210),
     (lambda mp: _counterexample_refutation_nodes(2), 81),
-    (lambda mp: _counterexample_refutation_nodes(4), 7_193),
+    # from k = 3 on, the hub comes first and every K_2k copy's Hall check
+    # runs there: with the hub at L, copy a = L asks its 2k members for
+    # 2k - 1 values, so each of the hub's 2k - 1 labels is cut at once
+    (lambda mp: _counterexample_refutation_nodes(3), 5),
+    (lambda mp: _counterexample_refutation_nodes(4), 7),
+    (lambda mp: _counterexample_refutation_nodes(5), 9),
+    (lambda mp: _counterexample_refutation_nodes(6), 11),
     (lambda mp: _gnp_eta1_nodes(), 8_078),
     (lambda mp: _amplifier_enumeration_nodes(), 978),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
@@ -548,7 +557,9 @@ def _k5_pendant_capped_nodes():
     (lambda mp: _c7_complement_inapprox_nodes(), 3_183),
     (lambda mp: _k5_pendant_capped_nodes(), 4),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
-        "binary-sat3", "binary-sat5", "binary-sat16-threshold", "refute-counterexample2", "refute-counterexample4",
+        "binary-sat3", "binary-sat5", "binary-sat16-threshold", "refute-counterexample2",
+        "refute-counterexample3", "refute-counterexample4", "refute-counterexample5",
+        "refute-counterexample6",
         "eta1-gnp18",
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
@@ -964,6 +975,88 @@ def test_edge_watchers_keep_every_answer(monkeypatch):
             if nodes > old_nodes:
                 rose.append((i, name, old_nodes, nodes))
     assert totals[0] < totals[1], rose
+
+
+def _random_clique_problem(rng):
+    """A random problem with n <= 9 whose graph holds a clique of five or more vertices.
+
+    A clique on five to n random vertices is laid over G(n, p).  Domains
+    are lists of one to four values from 0 to 5, so clique members often
+    offer too few distinct values for a Hall check to pass; boundary mass,
+    unchecked vertices, min_sum and a weight cap are each drawn at random.
+    The labelings number at most 2,048, so brute force can list them all.
+    """
+    n = rng.randint(5, 9)
+    clique = sorted(rng.sample(range(n), rng.randint(5, n)))
+    p = rng.choice((0.2, 0.4, 0.6))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    edges.update(itertools.combinations(clique, 2))
+    g = build_graph(n, sorted(edges))
+    choices = ((0,), (1,), (0, 1), (0, 1), (0, 1), (1, 2), (0, 2), (1, 2, 3), (0, 2, 3), (2, 3, 4, 5))
+    domains = [rng.choice(choices) for _ in g.vertices()]
+    while math.prod(map(len, domains)) > 2_048:
+        v = rng.choice([v for v, d in enumerate(domains) if len(d) > 1])
+        domains[v] = (rng.choice(domains[v]),)
+    return SearchProblem(
+        g, tuple(domains),
+        weight_cap=rng.choice((None, None, sum(min(d) for d in domains) + rng.randint(0, 4))),
+        min_sum=rng.choice((None, None, None, 1, 3)),
+        extra_sum=tuple((v, rng.randint(1, 3)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.1),
+    )
+
+
+class _HallCounted(_Engine):
+    """The shipped engine, counting the branches its Hall checks cut."""
+
+    cuts = 0
+
+    def _hall_short(self, groups, size):
+        short = super()._hall_short(groups, size)
+        _HallCounted.cuts += short
+        return short
+
+
+def test_hall_cut_matches_brute_force(monkeypatch):
+    """With the Hall cut on, every search agrees with a listing of every labeling.
+
+    On 300 random problems holding a clique of five or more vertices,
+    enumeration must reach exactly the valid (labels, sums) pairs, a
+    first-solution search (which learns) must find one exactly when one
+    exists, and branch and bound must reach the least weight.
+    """
+    rng = random.Random(0x4A11)
+    monkeypatch.setattr(solver, "_Engine", _HallCounted)
+    _HallCounted.cuts = 0
+    for _ in range(300):
+        problem = _random_clique_problem(rng)
+        want = _brute_force_solutions(problem)
+        assert _enumerated(problem)[0] == want, problem
+        rep = _search(problem, None)
+        assert rep.status == ("found" if want else "infeasible"), problem
+        rep = _search(problem, None, minimize=True)
+        assert rep.value == (min(sum(labels) for labels, _ in want) if want else None), problem
+    assert _HallCounted.cuts > 100  # the cut does fire on these problems
+
+
+def test_hall_entries_watch_one_position():
+    def engine(g):
+        return _Engine(SearchProblem(g, uniform_domains(g, (1, 2, 3))), SearchBudget())
+
+    # a triangle-free graph watches nothing, and every vertex shares one tuple
+    eng = engine(petersen_graph())
+    assert all(w is eng.watch[0] for w in eng.watch) and eng.watch[0] == ()
+    # counterexample k = 3: one entry per K6 copy, at the hub (position 0),
+    # with the hub as its only culprit; the hub and a copy's y vertices form
+    # a K4, below the size floor
+    g = counterexample_graph(3)[0]
+    eng = engine(g)
+    hall = [(e[2], e[3]) for w in eng.watch for e in w if e[1] is None]
+    assert eng.order[0] == g.n - 1 and hall == [(6, 1)] * 5
+    assert len([e for e in eng.watch[g.n - 1] if e[1] is None]) == 5
+    # counterexample k = 2 has only K4 copies: no Hall entry at all
+    eng = engine(counterexample_graph(2)[0])
+    assert not any(e[1] is None for w in eng.watch for e in w)
 
 
 def _random_learning_problem(rng):
