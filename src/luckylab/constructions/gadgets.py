@@ -29,12 +29,17 @@ DEFAULT_ENUM_CAP = 22
 
 
 class GadgetBuilder:
-    """Incremental graph assembly with stable ids and unique vertex names."""
+    """Incremental graph assembly with stable ids and unique vertex names.
+
+    Edges are kept as added; `build` leaves their checks and normalization
+    to build_graph, so an edge added twice, in either orientation, is one
+    edge of the graph.
+    """
 
     def __init__(self):
         self.names: list[str] = []
         self._index: dict[str, int] = {}
-        self.edges: set[tuple[int, int]] = set()
+        self.edges: list[tuple[int, int]] = []
 
     def add_vertex(self, name: str) -> int:
         if name in self._index:
@@ -45,16 +50,13 @@ class GadgetBuilder:
         return vid
 
     def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise GraphError(f"loop at vertex {u}")
-        self.edges.add((u, v) if u < v else (v, u))
+        self.edges.append((u, v))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def build(self) -> Graph:
-        return build_graph(len(self.names), sorted(self.edges),
-                           {i: nm for i, nm in enumerate(self.names)})
+        return build_graph(len(self.names), self.edges, dict(enumerate(self.names)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +637,8 @@ def corrupted_variable_gadget() -> GadgetInstance:
     """
     b = GadgetBuilder()
     ids = emit_variable_gadget(b, "x")
-    g = b.build()
-    drop = tuple(sorted((ids["y5"], ids["y3"])))
-    edges = tuple(e for e in g.edges if e != drop)
-    broken = build_graph(g.n, edges, dict(g.names))
-    return GadgetInstance(broken, {"x": ids["x"], "not_x": ids["not_x"]}, "B", {"corrupted": True})
+    b.edges.remove((ids["y5"], ids["y3"]))
+    return GadgetInstance(b.build(), {"x": ids["x"], "not_x": ids["not_x"]}, "B", {"corrupted": True})
 
 
 def gadget_certification_suite(budget: Optional[SearchBudget] = None

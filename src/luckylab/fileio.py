@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Union
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, build_graph
 from .labeling import Labeling, ListAssignment, make_lists
 
 
@@ -58,10 +58,17 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """Parse a graph file; an error names the first offending line in file order.
+
+    Each line is checked as it is read, except name lines: their vertex ids
+    are checked once every line is read, since a name may come before the
+    problem line.
+    """
     n = None
     m_declared = p_line = None
     edges: list[tuple[int, int]] = []
     names: dict[int, str] = {}
+    name_lines: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -74,6 +81,8 @@ def graph_from_text(text: str) -> Graph:
                 raise FileFormatError(line_no, f"expected 'p edge <n> <m>', got {line!r}")
             n, m_declared = _ints(line_no, line, parts[2:], "counts")
             p_line = line_no
+            if n < 0:
+                raise FileFormatError(line_no, f"vertex count must be nonnegative, got {n}")
             if n > MAX_VERTICES:
                 raise FileFormatError(line_no,
                                       f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")
@@ -86,6 +95,7 @@ def graph_from_text(text: str) -> Graph:
                 if v in names:
                     raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
                 names[v] = " ".join(parts[3:])
+                name_lines[v] = line_no
             # other comments are ignored
         elif parts[0] == "e":
             if n is None:
@@ -93,46 +103,25 @@ def graph_from_text(text: str) -> Graph:
             if len(parts) != 3:
                 raise FileFormatError(line_no, f"expected 'e <u> <v>', got {line!r}")
             try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FileFormatError(line_no, f"non-integer endpoint in {line!r}") from None
-            edges.append((u, v))
+            if u == v:
+                raise FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+            edges.append((u - 1, v - 1))
         else:
             raise FileFormatError(line_no, f"unrecognized line {line!r}")
     if n is None:
         raise FileFormatError(1, "missing problem line 'p edge <n> <m>'")
-    try:
-        g = build_graph(n, edges, names or None)
-    except GraphError as exc:
-        raise _graph_line_error(text, n, p_line, exc) from None
+    for v, line_no in name_lines.items():
+        if not 0 <= v < n:
+            raise FileFormatError(line_no, f"name attached to unknown vertex {v + 1}")
+    g = build_graph(n, edges, names or None)
     if g.m != m_declared:
         raise FileFormatError(p_line, f"problem line declares {m_declared} edges, file has {g.m}")
     return g
-
-
-def _graph_line_error(text: str, n: int, p_line: int, exc: GraphError) -> FileFormatError:
-    """The error build_graph raised on a parsed graph file, at its line and in 1-based ids.
-
-    build_graph checks the vertex count, then each edge in file order, then
-    the names, so the first line that fails the same check is the one it
-    names.  The file is scanned again only here, once it has failed.
-    """
-    if n < 0:
-        return FileFormatError(p_line, str(exc))
-    name_error = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts[:1] == ["e"]:
-            u, v = int(parts[1]), int(parts[2])
-            if u == v:
-                return FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
-            if not (1 <= u <= n and 1 <= v <= n):
-                return FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-        elif parts[:2] == ["c", "name"] and len(parts) >= 4 and name_error is None:
-            v = int(parts[2])
-            if not 1 <= v <= n:
-                name_error = FileFormatError(line_no, f"name attached to unknown vertex {v}")
-    return name_error
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,14 @@ class Graph:
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # edges arrive sorted with u < v (build_graph makes every Graph), so
+        # each vertex's smaller neighbors come first, in order, then its
+        # larger ones: appending in edge order leaves every list sorted
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(b)) for b in nbrs))
+        object.__setattr__(self, "_adj", tuple(map(tuple, nbrs)))
 
     @property
     def m(self) -> int:

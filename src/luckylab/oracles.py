@@ -128,6 +128,22 @@ def naive_sigma(g: Graph) -> int:
     first: for each partition every injective assignment of values to its
     groups is tried, which is exhaustive over the same space as a direct
     product scan.
+
+    The cap N = n*maxdeg + 1 is proven: some labeling with the fewest
+    distinct labels uses only labels in {1..N}.  Take an optimal labeling
+    and its level-set partition into m = sigma groups, and let
+    c(v) count v's neighbors in each group.  The labeling separates every
+    edge's sums, so every edge uv has a nonzero difference row
+    c(u) - c(v).  Injective group values x in {1..N}^m with
+    (c(u) - c(v)) . x != 0 on every edge give an additive labeling with m
+    distinct labels, and they exist once N > |E| + C(m, 2): each edge's
+    hyperplane, and each equality x_i = x_j, holds on at most N^(m-1) of
+    the N^m points.  Also sigma <= chi: the classes of a proper coloring
+    have nonzero rows too (an edge uv with v in class b has
+    c_b(u) >= 1 > 0 = c_b(v)), so the same count labels them with chi
+    distinct values.  With chi <= maxdeg + 1, maxdeg <= n - 1 and
+    |E| <= n*maxdeg/2:
+    |E| + C(sigma, 2) <= n*maxdeg/2 + maxdeg(maxdeg + 1)/2 <= n*maxdeg < N.
     """
     cap = g.n * g.max_degree() + 1
     adj = g.adjacency()

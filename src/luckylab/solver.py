@@ -24,9 +24,10 @@ generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
 one node per (re)assignment with the same budget and weight checks,
 returning the mask frame F would.  So node counts, the leaves and the leaf
 at which a budget cut lands stay as they were, under every leaf hook, branch
-and bound included.  In the benchmark's gadget certification 112,530 of
-155,124 nodes fall in free tails: every core solution of the variable gadget
-repeats under the 1,024 labelings of its pendants.
+and bound included.  In the benchmark's exhaustive_proofs workload 112,530
+of the 147,096 nodes of a pass fall in free tails, all of them in certifying
+the variable gadget and its corrupted copy: every core solution of the
+variable gadget repeats under the 1,024 labelings of its pendants.
 
 Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
 sum still reachable given the partial assignment: boundary mass plus the

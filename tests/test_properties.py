@@ -30,6 +30,27 @@ def labeled_graphs(draw, max_label=3):
     return g, Labeling(dict(enumerate(labels)))
 
 
+@st.composite
+def pair_lists(draw, max_n=8):
+    """A vertex count and a pair list in any order, with repeats and either orientation."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                          max_size=3 * len(pairs)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in picks]
+
+
+@given(pair_lists())
+@settings(max_examples=100, deadline=None)
+def test_build_graph_sorts_edges_and_neighbours(case):
+    n, pairs = case
+    g = build_graph(n, pairs)
+    assert list(g.edges) == sorted({(min(e), max(e)) for e in pairs})
+    assert g.adjacency() == tuple(
+        tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
+        for v in range(n))
+
+
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_degree_sum(g):
