@@ -30,7 +30,8 @@ class BoundsReport:
     inequality holds on this instance.  The additive-vs-chromatic comparison
     (eta_le_chi_conjecture) is a conjecture, yet all_flags_hold() and the
     exit status of `luckylab bounds` count it like the theorem flags; a
-    graph with eta > chi would read as a failed bound (ROADMAP item 9).
+    graph with eta > chi would read as a failed bound (an open ROADMAP item,
+    "The conjecture flag and small boundaries").
     """
 
     n: int

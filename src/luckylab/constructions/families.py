@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from ..graph import Graph, GraphError, build_graph
 from ..labeling import Labeling, ListAssignment
 
@@ -12,48 +14,25 @@ def counterexample_graph(k: int) -> tuple[Graph, Labeling, ListAssignment]:
     2k-1 disjoint copies of K_{2k} on vertices {x_b^a, y_b^a : 1 <= b <= k},
     plus a hub t adjacent to every y vertex.  Ships the witness labeling
     (x_b^a and y_b^a get b, t gets k) and the adversarial list assignment
-    (x and t see {1..2k-1}, y_b^a sees {1+a..2k-1+a}).
+    (x and t see {1..2k-1}, y_b^a sees {1+a..2k-1+a}).  Copy a holds x_b^a
+    at id (a-1)*2k + b-1 and y_b^a k ids later; t comes last.
     """
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
-    names: dict[int, str] = {}
-    x_id: dict[tuple[int, int], int] = {}
-    y_id: dict[tuple[int, int], int] = {}
-    nxt = 0
-    for a in range(1, 2 * k):
-        for b_ in range(1, k + 1):
-            x_id[a, b_] = nxt
-            names[nxt] = f"x_{b_}^{a}"
-            nxt += 1
-        for b_ in range(1, k + 1):
-            y_id[a, b_] = nxt
-            names[nxt] = f"y_{b_}^{a}"
-            nxt += 1
-    t = nxt
-    names[t] = "t"
-    n = nxt + 1
-
+    t = (2 * k - 1) * 2 * k
+    base = frozenset(range(1, 2 * k))
+    names, values, lists = {t: "t"}, {t: k}, {t: base}
     edges = []
     for a in range(1, 2 * k):
-        clique = [x_id[a, b_] for b_ in range(1, k + 1)] + [y_id[a, b_] for b_ in range(1, k + 1)]
-        edges.extend((u, v) for i, u in enumerate(clique) for v in clique[i + 1:])
-    edges.extend((y_id[a, b_], t) for a in range(1, 2 * k) for b_ in range(1, k + 1))
-    g = build_graph(n, edges, names)
-
-    values = {t: k}
-    for (a, b_), vid in x_id.items():
-        values[vid] = b_
-    for (a, b_), vid in y_id.items():
-        values[vid] = b_
-    shipped = Labeling(values)
-
-    base = frozenset(range(1, 2 * k))
-    lists: dict[int, frozenset[int]] = {t: base}
-    for (a, b_), vid in x_id.items():
-        lists[vid] = base
-    for (a, b_), vid in y_id.items():
-        lists[vid] = frozenset(range(1 + a, 2 * k + a))
-    return g, shipped, ListAssignment(lists)
+        first = (a - 1) * 2 * k
+        edges.extend(itertools.combinations(range(first, first + 2 * k), 2))
+        for b in range(1, k + 1):
+            x, y = first + b - 1, first + k + b - 1
+            names[x], names[y] = f"x_{b}^{a}", f"y_{b}^{a}"
+            values[x] = values[y] = b
+            lists[x], lists[y] = base, frozenset(range(1 + a, 2 * k + a))
+            edges.append((y, t))
+    return build_graph(t + 1, edges, names), Labeling(values), ListAssignment(lists)
 
 
 def clique_eta_one(n: int) -> Graph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from ..formula import Cnf3Formula
 from ..graph import Graph, GraphError, is_triangle_free, regularity
@@ -41,6 +42,26 @@ class ReductionOutput:
 
 def _span(b: GadgetBuilder, start: int) -> tuple[int, ...]:
     return tuple(range(start, len(b)))
+
+
+def _hub_and_unit(g: Graph, emit_unit: Callable[[GadgetBuilder, int, int], None]
+                  ) -> tuple[Graph, dict[str, tuple[int, ...]], tuple[int, ...]]:
+    """One hub v{v} per source vertex, followed by its unit; source edges join the hubs.
+
+    emit_unit(b, v, hub) emits vertex v's unit.  Returns the graph, the
+    provenance span of each v{v} (hub and unit) and the hub ids.
+    """
+    b = GadgetBuilder()
+    provenance: dict[str, tuple[int, ...]] = {}
+    hubs = []
+    for v in g.vertices():
+        start = len(b)
+        hubs.append(b.add_vertex(f"v{v}"))
+        emit_unit(b, v, hubs[v])
+        provenance[f"v{v}"] = _span(b, start)
+    for u, v in g.edges:
+        b.add_edge(hubs[u], hubs[v])
+    return b.build(), provenance, tuple(hubs)
 
 
 def build_sat_reduction(phi: Cnf3Formula) -> ReductionOutput:
@@ -91,22 +112,14 @@ def build_inapprox_reduction(g: Graph, d: int) -> ReductionOutput:
         raise GraphError(f"d must be positive, got {d}")
     if regularity(g) is None:
         raise GraphError(f"source graph must be regular, got degrees {sorted(set(g.degrees()))}")
-    b = GadgetBuilder()
-    provenance: dict[str, tuple[int, ...]] = {}
-    center: dict[int, int] = {}
     pair_vertices: list[int] = []
-    for v in g.vertices():
-        start = len(b)
-        center[v] = b.add_vertex(f"v{v}")
-        ids = emit_amplifier_gadget(b, center[v], d, f"v{v}")
-        for ai, bi in ids["pairs"]:
+
+    def amplifier(b: GadgetBuilder, v: int, center: int) -> None:
+        for ai, bi in emit_amplifier_gadget(b, center, d, f"v{v}")["pairs"]:
             pair_vertices.extend((ai, bi))
-        provenance[f"v{v}"] = _span(b, start)
-    for u, v in g.edges:
-        b.add_edge(center[u], center[v])
-    out = b.build()
-    return ReductionOutput(out, provenance, {"d": d, "source_n": g.n,
-                                             "centers": tuple(center[v] for v in g.vertices()),
+
+    out, provenance, centers = _hub_and_unit(g, amplifier)
+    return ReductionOutput(out, provenance, {"d": d, "source_n": g.n, "centers": centers,
                                              "pair_vertices": tuple(pair_vertices)})
 
 
@@ -135,20 +148,7 @@ def build_listcoloring_reduction(g: Graph, lists: ListAssignment) -> ReductionOu
     lists.validate_on(g)
     lf, f = normalize_lists(lists)
     s = len(f) + 1
-    b = GadgetBuilder()
-    provenance: dict[str, tuple[int, ...]] = {}
-    port: dict[int, int] = {}
-    for v in g.vertices():
-        start = len(b)
-        port[v] = b.add_vertex(f"v{v}")
-        emit_vertex_gadget(b, port[v], lf[v], s, f"v{v}")
-        provenance[f"v{v}"] = _span(b, start)
-    for u, v in g.edges:
-        b.add_edge(port[u], port[v])
-    out = b.build()
+    out, provenance, ports = _hub_and_unit(
+        g, lambda b, v, port: emit_vertex_gadget(b, port, lf[v], s, f"v{v}"))
     return ReductionOutput(out, provenance, {
-        "s": s,
-        "f": f,
-        "lf": {v: tuple(sorted(lf[v])) for v in g.vertices()},
-        "ports": tuple(port[v] for v in g.vertices()),
-    })
+        "s": s, "f": f, "lf": {v: tuple(sorted(lf[v])) for v in g.vertices()}, "ports": ports})

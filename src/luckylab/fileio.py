@@ -81,8 +81,9 @@ def graph_from_text(text: str) -> Graph:
                 raise FileFormatError(line_no, f"expected 'p edge <n> <m>', got {line!r}")
             n, m_declared = _ints(line_no, line, parts[2:], "counts")
             p_line = line_no
-            if n < 0:
-                raise FileFormatError(line_no, f"vertex count must be nonnegative, got {n}")
+            for what, count in (("vertex", n), ("edge", m_declared)):
+                if count < 0:
+                    raise FileFormatError(line_no, f"{what} count must be nonnegative, got {count}")
             if n > MAX_VERTICES:
                 raise FileFormatError(line_no,
                                       f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")

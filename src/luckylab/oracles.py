@@ -1,10 +1,12 @@
 """Independent brute-force solvers and the reduction-equivalence harnesses.
 
-The oracles here never touch the backtracking engine: they enumerate their
-search spaces directly, so agreement between an oracle and a solver (or a
-reduction) is evidence, not circularity.  Every harness reports a verdict
-with an explicit inconclusive status whenever a budget ran out; a budget cut
-is never passed off as agreement.
+The brute-force oracles never touch the backtracking engine: they enumerate
+their search spaces directly, so agreement between an oracle and a solver
+(or a reduction) is evidence, not circularity.  The constructive recipes and
+the harnesses do run the engine, and each harness checks its answer against
+an oracle.  Every harness reports a verdict with an explicit inconclusive
+status whenever a budget ran out; a budget cut is never passed off as
+agreement.
 """
 
 from __future__ import annotations
@@ -69,44 +71,40 @@ class ReconstructionDefect(RuntimeError):
 # Naive full-enumeration oracles for the exact solvers (desk scale, n <= ~6).
 
 
-def _sums(adj, labels) -> list[int]:
-    return [sum(labels[u] for u in nbrs) for nbrs in adj]
-
-
 def _is_additive(adj, edges, labels) -> bool:
-    s = _sums(adj, labels)
+    s = [sum(labels[u] for u in nbrs) for nbrs in adj]
     return all(s[u] != s[v] for u, v in edges)
 
 
-def naive_eta(g: Graph, k_cap: int = 64) -> int:
-    """Additive number by direct enumeration of {1..k}^n for growing k."""
+def naive_eta(g: Graph) -> int:
+    """Additive number by direct enumeration of {1..k}^n for growing k.
+
+    The loop ends by k = 2^(n-1): labeling vertex v with 2^v is additive,
+    since each sum is the binary numeral of a neighbourhood, and adjacent
+    u, v have different neighbourhoods (u is in N(v) but not in N(u)).
+    """
     adj, edges = g.adjacency(), g.edges
-    for k in range(1, k_cap + 1):
+    for k in itertools.count(1):
         for labels in itertools.product(range(1, k + 1), repeat=g.n):
             if _is_additive(adj, edges, labels):
                 return k
-    raise RuntimeError(f"no additive labeling with labels up to {k_cap}")
+
+
+def _least_weight(n: int, accepts) -> Optional[int]:
+    """The fewest ones in a vector of {0,1}^n that accepts takes; None if it takes none."""
+    return min((sum(bits) for bits in itertools.product((0, 1), repeat=n) if accepts(bits)),
+               default=None)
 
 
 def naive_eta1(g: Graph) -> Optional[int]:
     """Minimum binary weight by enumerating all 2^n labelings; None if none valid."""
     adj, edges = g.adjacency(), g.edges
-    best = None
-    for labels in itertools.product((0, 1), repeat=g.n):
-        if _is_additive(adj, edges, labels):
-            w = sum(labels)
-            best = w if best is None or w < best else best
-    return best
+    return _least_weight(g.n, lambda labels: _is_additive(adj, edges, labels))
 
 
 def naive_ptds(g: Graph) -> Optional[int]:
     """Minimum proper total dominating set size over all 2^n subsets."""
-    best = None
-    for bits in itertools.product((0, 1), repeat=g.n):
-        dom = {v for v in range(g.n) if bits[v]}
-        if verify_ptds(g, dom):
-            best = len(dom) if best is None or len(dom) < best else best
-    return best
+    return _least_weight(g.n, lambda bits: verify_ptds(g, {v for v in range(g.n) if bits[v]}))
 
 
 def _set_partitions(items: Sequence[int]):
@@ -359,12 +357,9 @@ def labeling_from_coloring(
         fixed[red.id_of(f"v{v}.p5")] = p5
         fixed[red.id_of(f"v{v}.p6")] = p6
     cap = 5 * g.n
-    lab = _complete_recipe(red.graph, fixed, budget, cap,
-                           f"coloring recipe completion {{status}} within weight {cap}; "
-                           "the amplifier reconstruction is defective")
-    if weight(lab) > cap:
-        raise ReconstructionDefect("completed labeling exceeds the 5n weight bound")
-    return lab, red
+    return _complete_recipe(red.graph, fixed, budget, cap,
+                            f"coloring recipe completion {{status}} within weight {cap}; "
+                            "the amplifier reconstruction is defective"), red
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +400,21 @@ def _verdict(instance: str, oracle: Optional[bool], reduction: Optional[bool],
     return EquivalenceVerdict(instance, oracle, reduction, status, witnesses, stats)
 
 
-def _reduction_answer(rep, witnesses: dict[str, str]) -> Optional[bool]:
-    """The reduction side of a check: None on a budget cut, else whether a labeling exists.
+def _reduction_answer(red: ReductionOutput, rep, witnesses: dict[str, str],
+                      **extra) -> tuple[Optional[bool], dict]:
+    """The reduction side of a check and its stats.
 
-    A found labeling is recorded as the "labeling" witness.
+    The answer is None on a budget cut, else whether a labeling exists; a
+    found labeling is recorded as the "labeling" witness.  The stats give
+    the reduction's size, then extra, then the search's nodes and status.
     """
+    stats = {"graph_n": red.graph.n, **extra, "nodes": rep.nodes_explored,
+             "solver_status": rep.status}
     if rep.status == "budget-exceeded":
-        return None
+        return None, stats
     if rep.certificate is not None:
         witnesses["labeling"] = fileio.labeling_to_text(rep.certificate)
-    return rep.status == "found"
+    return rep.status == "found", stats
 
 
 def format_formula(phi: Cnf3Formula) -> str:
@@ -435,8 +435,7 @@ def check_equivalence_sat(phi: Cnf3Formula,
         witnesses["assignment"] = " ".join(f"x{v}={int(b)}" for v, b in sorted(gamma.items()))
     red = build_sat_reduction(phi)
     rep = exists_binary(red.graph, budget)
-    reduction = _reduction_answer(rep, witnesses)
-    stats = {"graph_n": red.graph.n, "nodes": rep.nodes_explored, "solver_status": rep.status}
+    reduction, stats = _reduction_answer(red, rep, witnesses)
     return _verdict(format_formula(phi), oracle, reduction, witnesses, stats)
 
 
@@ -456,7 +455,7 @@ def check_equivalence_listcolor(g: Graph, lists: ListAssignment,
         witnesses["coloring"] = " ".join(f"{v}->{c}" for v, c in sorted(coloring.items()))
     red = build_listcoloring_reduction(g, lists)
     rep = exists_binary(red.graph, budget)
-    reduction = _reduction_answer(rep, witnesses)
+    reduction, stats = _reduction_answer(red, rep, witnesses)
     extraction_bad = None
     if reduction:
         induced = induced_coloring(red.graph, rep.certificate)
@@ -466,7 +465,6 @@ def check_equivalence_listcolor(g: Graph, lists: ListAssignment,
             if induced[ports[v]] not in lf[v]:
                 extraction_bad = f"port {v} got sum {induced[ports[v]]}, list {lf[v]}"
                 break
-    stats = {"graph_n": red.graph.n, "nodes": rep.nodes_explored, "solver_status": rep.status}
     verdict = _verdict(f"n={g.n} edges={list(g.edges)} lists=" +
                        str({v: sorted(lists[v]) for v in g.vertices()}),
                        oracle, reduction, witnesses, stats)
@@ -502,7 +500,7 @@ def check_threshold_inapprox(g: Graph, d: int,
         left = None  # the colouring side is inconclusive
     tiers = {v: 1 for v in red.params["pair_vertices"]}
     rep = exists_binary(red.graph, budget, weight_cap=cap, tiers=tiers)
-    right = _reduction_answer(rep, witnesses)
+    right, stats = _reduction_answer(red, rep, witnesses, d=d, weight_cap=cap)
     if right:
         witnesses["labeling_weight"] = str(rep.value)
     elif right is None and left:
@@ -513,8 +511,6 @@ def check_threshold_inapprox(g: Graph, d: int,
             witnesses["labeling_weight"] = str(weight(lab))
         except ReconstructionDefect:
             pass
-    stats = {"graph_n": red.graph.n, "d": d, "weight_cap": cap,
-             "nodes": rep.nodes_explored, "solver_status": rep.status}
     return _verdict(f"n={g.n} edges={list(g.edges)} d={d}", left, right, witnesses, stats)
 
 

@@ -432,6 +432,7 @@ _GOLDEN = {
     "sat-repeats": (74, 81, "d80188071a75f7274ff9d8263d49524b78140f0c35d01e50637179495d065379"),
     "inapprox-k4-d21": (200, 382, "b28c694ac7993798cf7c3b7281878eda2e54ea70c3cb12a97fdb8eb4ee2b6924"),
     "listcolor-p3": (102, 122, "7d1a78075b085991053985e84d6406a2ff04c0cfc0bda8fdaa1290ee278feb67"),
+    "counterexample-3": (31, 90, "2309c0590554e67816e68e40b0ab0951cbd810594fc9d43265de5390f1179794"),
 }
 
 _EMITTED = {
@@ -451,6 +452,7 @@ _EMITTED = {
     "inapprox-k4-d21": lambda: build_inapprox_reduction(complete_graph(4), 21).graph,
     "listcolor-p3": lambda: build_listcoloring_reduction(
         path_graph(3), make_lists({0: [1, 2], 1: [2, 3], 2: [1, 3]})).graph,
+    "counterexample-3": lambda: counterexample_graph(3)[0],
 }
 
 
@@ -459,6 +461,41 @@ def test_emitted_graph_golden(name):
     g = _EMITTED[name]()
     digest = hashlib.sha256(fileio.graph_to_text(g).encode()).hexdigest()
     assert (g.n, g.m, digest) == _GOLDEN[name]
+
+
+def _counterexample_texts(k):
+    _, lab, lists = counterexample_graph(k)
+    return {"lab": fileio.labeling_to_text(lab), "lists": fileio.lists_to_text(lists)}
+
+
+def _reduction_texts(red):
+    return {"params": json.dumps(red.params, sort_keys=True),
+            "provenance": json.dumps(red.provenance, sort_keys=True)}
+
+
+# what a construction emits beside its graph: the counterexample's labeling
+# and list files, and each reduction's params and provenance as sorted JSON
+_ARTIFACT_GOLDEN = {
+    ("counterexample-3", "lab"): "1ceea86ac65dafe1e184cac2ee487c42487ec8963874566efe0fd2a46b228c4c",
+    ("counterexample-3", "lists"): "b5b1f02ed9020aac9b9aceafa72bfd0fb4846b23b9e08fa5f0300b94acb3a81a",
+    ("inapprox-k4-d21", "params"): "e8835e9de16258adf24b7be447dd63fe2262ae1fed597583af4b48a5fa1693b5",
+    ("inapprox-k4-d21", "provenance"): "d4d03acae3aacf7a57bf51d23dd141fb28ebee57dbb7300dbc8c4a5031f4c398",
+    ("listcolor-p3", "params"): "2dc9f10625586f59a32bac3e4ff5b5c37f58f3d4769090cf4fa53a4aee20606b",
+    ("listcolor-p3", "provenance"): "82088bda3fa68398a17a3d2d32927fe28896f2b428f86aae2a5a534e69ae44d2",
+}
+
+_ARTIFACTS = {
+    "counterexample-3": lambda: _counterexample_texts(3),
+    "inapprox-k4-d21": lambda: _reduction_texts(build_inapprox_reduction(complete_graph(4), 21)),
+    "listcolor-p3": lambda: _reduction_texts(build_listcoloring_reduction(
+        path_graph(3), make_lists({0: [1, 2], 1: [2, 3], 2: [1, 3]}))),
+}
+
+
+@pytest.mark.parametrize("name, part", sorted(_ARTIFACT_GOLDEN))
+def test_emitted_artifact_golden(name, part):
+    text = _ARTIFACTS[name]()[part]
+    assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_GOLDEN[name, part]
 
 
 def test_certification_counts_match_raw_enumeration():

@@ -45,8 +45,11 @@ def test_graph_errors_carry_line_numbers():
     # every other line is checked as it is read, so the first bad one is named
     ("p edge 3 1\ne 2 2\nnonsense\n", "line 2: loop edge (2, 2) not allowed in a simple graph"),
     ("p edge -1 0\nnonsense\n", "line 1: vertex count must be nonnegative, got -1"),
+    ("p edge 3 -1\n", "line 1: edge count must be nonnegative, got -1"),
+    ("p edge 3 -1\nnonsense\n", "line 1: edge count must be nonnegative, got -1"),
 ], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name",
-        "duplicate-name", "loop-before-bad-line", "vertex-count-before-bad-line"])
+        "duplicate-name", "loop-before-bad-line", "vertex-count-before-bad-line",
+        "edge-count-negative", "edge-count-before-bad-line"])
 def test_graph_errors_name_the_offending_line_in_file_ids(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.graph_from_text(text)
