@@ -93,6 +93,33 @@ unset and only falls as leaves improve it, does not keep the bound: it
 explores about 4 % more nodes without it but finishes sooner, since each
 node skips the pair scan.
 
+Branch and bound has a slack cut instead, a hitting-set lower bound as in
+Max-SAT branch and bound (Li, Manya & Planes, CP 2005) used as cost-based
+filtering (Focacci, Lodi & Milano, CP 1999).  A frame's slack is the cap
+minus the weight assigned so far minus rest_min of its position: what any
+completion within the cap can spend above the domain minima, where each
+raised position spends at least one unit.  At slack 0 or 1 the frame first
+looks at the all-minimum completion, whose sums are lo.  A checked edge
+(u, t) with lo[u] == lo[t] is a deficit, and only a raise in N(u) ^ N(t)
+repairs it (the common neighbors move both sums alike); so is a checked
+vertex with lo below min_sum, repaired only by a raise in its
+neighborhood.  Each deficit's repair set is its unassigned, multi-valued
+positions there.  At slack 0 no raise fits, so any deficit cuts the frame;
+at slack 1 one raise fits, so the frame is cut once the repair sets share
+no position.  A cut counts no node and returns ones_mask, the only
+positions whose change frees weight, plus the assigned neighbors of the
+deficits that shrank the running intersection of repair sets (at slack 0,
+of the first deficit): a position outside those, raised, spends the one
+unit and repairs none of them.  The rule runs only under branch and
+bound's incumbent cap; a cap fixed up front has the forced-pair bound, and
+there the cut ends the subtrees that nogoods are learned from.  On the
+twelve G(n, 0.3) graphs of the benchmark it takes eta1 from 241,076 to
+165,218 nodes and PTDS from 230,724 to 176,025, and the two searches about
+a quarter faster.  Two raises that must hit every repair set (slack 2)
+reached about 282k nodes there but were no faster, so the cut stops at
+slack 1.  Its deficit tables are built on its first call, so a search
+that never reaches slack 1 pays nothing for them.
+
 A search that stops at its first leaf also learns ("dead-end driven
 learning", Frost & Dechter, AAAI 1994).  When a frame has tried every
 value, its culprit mask M is a nogood: the positions in M, at their current
@@ -122,10 +149,15 @@ nodes, and ran about 20 % slower than without learning, until this rule
 switched learning off after 11,137 records (23k nodes).  The nogoods die
 with their search.  Learning cut the 138 SAT-equivalence
 formulas of the benchmark from 99,288 to 45,130 nodes.  Branch and bound
-(eta1, PTDS) does not learn: on the twelve G(n, 0.3) graphs of the
-benchmark it cut eta1 from 241,076 to 212,888 nodes and PTDS from 230,724
-to 202,451, but made the two searches 11 % slower (1.53 s against 1.70 s,
-median of five alternating runs on a 2-core VM under CPython 3.11).
+(eta1, PTDS) does not learn.  Measured before the slack cut, on the twelve
+G(n, 0.3) graphs of the benchmark, learning cut eta1 from 241,076 to
+212,888 nodes and PTDS from 230,724 to 202,451, but made the two searches
+11 % slower (1.53 s against 1.70 s, median of five alternating runs on a
+2-core VM under CPython 3.11).  With the cut it takes eta1 from 165,218 to
+146,957 nodes and PTDS from 176,025 to 156,781, and the two searches ran
+about 10 % faster (0.96 s against 1.06 s, median of five alternating
+in-process runs on the same machine), so whether branch and bound should
+learn is an open question again.
 Enumeration does not learn either, so gadget certification
 keeps its node counts; learning there gave the same `check gadgets` output
 in 49,565 nodes instead of 58,773.
@@ -596,6 +628,8 @@ class _Engine:
         self.bonus_stack: list[tuple[int, int]] = []
         self.bonus_total = 0
         self.bounded = problem.weight_cap is not None
+        # the slack cut's deficit tables, built on its first call
+        self.slack_tables: Optional[tuple[list, list]] = None
         # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
         # pattern, top) triples waiting for position p to take bit bit, and
         # exists only in a learning search; wide holds the positions whose
@@ -782,6 +816,69 @@ class _Engine:
                 mask |= culprits
         return mask
 
+    # -- slack cut ------------------------------------------------------------
+
+    def _slack_cut(self, depth: int, slack: int) -> Optional[int]:
+        """Culprit mask when slack raises cannot repair the all-minimum completion, or None.
+
+        Called by a branch-and-bound frame at depth whose slack, the cap
+        minus the weight assigned so far minus rest_min[depth], is 0 or 1
+        (module docstring).  With every unassigned position at its minimum
+        the sums are lo, and each deficit, a checked edge with equal lo or
+        a checked vertex with lo below min_sum, needs one raise in its
+        repair set: the unassigned, multi-valued positions whose raise moves
+        the edge's difference or the vertex's sum.  With slack 0 no raise
+        fits, so the first deficit cuts; with slack 1 one raise fits, so
+        the cut comes once the repair sets share no position.  The culprits
+        are ones_mask and the neighborhoods of the deficits that shrank the
+        running intersection, masked to the assigned positions.
+        """
+        if self.slack_tables is None:
+            self.slack_tables = self._build_slack_tables()
+        edges, short = self.slack_tables
+        lo, nbmask = self.lo, self.nbmask
+        below = (1 << depth) - 1
+        free = ~below if slack else 0  # the positions one raise may use
+        common = -1  # the running intersection of the repair sets
+        culprits = 0
+        # two plain loops: one loop over chained generators of both kinds of
+        # deficit took 1.8 times as long per call
+        for u, t, repair in edges:
+            if lo[u] == lo[t]:
+                repair &= common & free
+                if repair != common:
+                    common = repair
+                    culprits |= nbmask[u] | nbmask[t]
+                    if not common:
+                        return (self.ones_mask | culprits) & below
+        min_sum = self.min_sum
+        for u, repair in short:
+            if lo[u] < min_sum:
+                repair &= common & free
+                if repair != common:
+                    common = repair
+                    culprits |= nbmask[u]
+                    if not common:
+                        return (self.ones_mask | culprits) & below
+        return None
+
+    def _build_slack_tables(self) -> tuple[list, list]:
+        """The slack cut's deficits with their repair masks over the multi-valued positions.
+
+        edges holds (u, t, repair) for each checked edge, repair the
+        positions of N(u) ^ N(t), u and t among them (the common neighbors
+        move both sums alike); short holds (u, repair) for each checked
+        vertex when min_sum is set, repair the positions of N(u).
+        """
+        nbmask, checked, domains = self.nbmask, self.checked, self.domains
+        multi = sum(1 << p for p, v in enumerate(self.order) if len(domains[v]) > 1)
+        edges = [(u, t, (nbmask[u] ^ nbmask[t]) & multi)
+                 for u, t in self.g.edges if checked[u] and checked[t]]
+        short = []
+        if self.min_sum is not None:
+            short = [(u, nbmask[u] & multi) for u in range(self.n) if checked[u]]
+        return edges, short
+
     def _initial_bonus_scan(self) -> None:
         pos = self.pos
         for u, t in self.g.edges:
@@ -828,6 +925,12 @@ class _Engine:
         _nogood_after whether a nogood fires, but only when one waits for its
         position and bit.
 
+        Under branch and bound's own cap, a frame whose slack is at most
+        one first asks _slack_cut whether one raise can still repair the
+        all-minimum completion (module docstring); a cut returns its
+        culprits before any node is counted.  The slack is held in the cap
+        slot, which the value loop reloads.
+
         The frame keeps 28 local slots.  Under CPython 3.11, at 34 slots one
         more (an unused local was enough) slowed the SAT sweep by about 7 %
         at equal node counts, so self.bounded and self.learn are read where
@@ -844,6 +947,15 @@ class _Engine:
         lo, hi, label = self.lo, self.hi, self.label
         dmin_v, dmax_v = self.dmin[v], self.dmax[v]
         rest = self.rest_min[depth + 1]
+        cap = self.cap
+        if cap is not None and not self.bounded:
+            # branch and bound's slack cut; cap holds the slack until the
+            # value loop reads the cap again
+            cap -= cur_weight + dmin_v + rest
+            if cap <= 1:
+                r = self._slack_cut(depth, cap)
+                if r is not None:
+                    return r
         max_nodes = self.budget.max_nodes
         conf = 0
         # canonical orbit representative: twins carry non-increasing labels,
@@ -867,7 +979,8 @@ class _Engine:
                 if cur_weight + val + rest + eff_bonus > cap:
                     # only levels labeled above their domain minimum, or the
                     # assignments that forced the open pairs, can lower this
-                    conf |= (self.ones_mask | self._bonus_culprits(below)) & below
+                    conf |= (self.ones_mask | (self._bonus_culprits(below)
+                                               if self.bonus_stack else 0)) & below
                     break  # values ascend, so every later value also blows the cap
             self.nodes += 1
             if self.nodes > max_nodes or (

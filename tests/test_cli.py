@@ -475,7 +475,7 @@ def test_node_carrying_output_golden(capsys, argv, golden):
 
 def test_bounds_budget_cut_output_golden(capsys):
     # every bound of 50 seeded graphs, each search capped at 20 nodes: eta or
-    # eta1 is cut on 10 of them, which pins where each cut lands; a cut exits 2
+    # eta1 is cut on 7 of them, which pins where each cut lands; a cut exits 2
     code, out = run(capsys, "bounds", "--random", "50", "--max-n", "7", "--seed", "1",
                     "--budget-nodes", "20", "--json")
     assert code == 2

@@ -533,9 +533,9 @@ def _k5_pendant_capped_nodes():
 
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
-    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 153),
+    (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 38),
     (lambda mp: solve_sigma(petersen_graph()).nodes_explored, 33),
-    (lambda mp: min_ptds(petersen_graph()).nodes_explored, 569),
+    (lambda mp: min_ptds(petersen_graph()).nodes_explored, 479),
     (lambda mp: exists_binary(build_sat_reduction(_PIN_FORMULA).graph).nodes_explored, 545),
     (lambda mp: _sat5_binary_nodes(), 1_326),
     (lambda mp: _sat16_threshold_binary_nodes(), 48_210),
@@ -547,7 +547,7 @@ def _k5_pendant_capped_nodes():
     (lambda mp: _counterexample_refutation_nodes(4), 7),
     (lambda mp: _counterexample_refutation_nodes(5), 9),
     (lambda mp: _counterexample_refutation_nodes(6), 11),
-    (lambda mp: _gnp_eta1_nodes(), 8_078),
+    (lambda mp: _gnp_eta1_nodes(), 6_223),
     (lambda mp: _amplifier_enumeration_nodes(), 978),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
@@ -595,6 +595,109 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     # one entry: the search positions of both ends, forced before any
     # assignment, so with no culprits
     assert engines[0].bonus_stack == [(0b11, 0)]
+
+
+def _slack_state(weight_cap, cap):
+    """An engine on a seven-vertex forest-like graph with its first three positions assigned.
+
+    The search order is 6, 0, 2, 1, 4, 5, 3, and positions 0 to 2 carry
+    labels 0, 0, 1, so the weight so far is 1 and the sums at the
+    all-minimum completion are lo = 1 0 0 0 0 0 0.  Three checked edges
+    tie there, in scan order: (1, 4), whose repair set is positions 3 and
+    4; (1, 6), positions 3 to 5; and (3, 5), positions 5 and 6.
+    """
+    g = build_graph(7, [(0, 2), (0, 6), (1, 4), (1, 6), (3, 5), (5, 6)])
+    eng = _Engine(SearchProblem(g, uniform_domains(g, (0, 1)), weight_cap=weight_cap),
+                  SearchBudget())
+    assert eng.order == [6, 0, 2, 1, 4, 5, 3]
+    for p, val in enumerate((0, 0, 1)):
+        v = eng.order[p]
+        eng.label[v] = val
+        for u in eng.adj[v]:
+            eng.lo[u] += val
+            eng.hi[u] += val - 1
+    eng.ones_mask = 0b100
+    eng.cap = cap
+    eng.deadline = math.inf
+    eng.on_leaf = lambda _weight: False
+    return eng
+
+
+def test_slack_cut_on_a_hand_built_frame():
+    """Branch and bound's slack cut: the frame returns its culprits without counting a node.
+
+    At cap 1 (slack 0) no raise fits, so the first tie, (1, 4), cuts: the
+    culprits are ones_mask (position 2) and the assigned neighbors of 1
+    and 4 (position 0, vertex 6).  At cap 2 (slack 1) one raise must
+    repair every tie: (1, 4) leaves positions 3 and 4, (1, 6) shrinks
+    nothing, so its neighbors (vertex 0 at position 1 among them) are not
+    culprits, and (3, 5) leaves none.  Raising vertex 0 costs the one unit
+    and repairs neither (1, 4) nor (3, 5), which is why position 1 may be
+    jumped over.  At cap 3 (slack 2), or under a weight cap fixed by the
+    problem, the frame searches on and counts nodes.
+    """
+    for cap in (1, 2):
+        eng = _slack_state(None, cap)
+        assert (eng._dfs(3, 1), eng.nodes) == (0b101, 0), cap
+    eng = _slack_state(None, 3)
+    eng._dfs(3, 1)
+    assert eng.nodes > 0
+    for cap in (1, 2):
+        eng = _slack_state(cap, cap)
+        eng._dfs(3, 1)
+        assert eng.nodes > 0, cap
+
+
+def _random_slack_problem(rng):
+    """A random problem with n <= 9 for branch and bound: no weight cap of its own.
+
+    Domains hold one to three values, some of them without their minimum
+    plus one ((0, 2), (2, 5)), so a raise may cost more than the slack;
+    boundary mass, unchecked vertices and min_sum 1 or 2 are each drawn at
+    random.  The labelings number at most 2,048.
+    """
+    from conftest import random_graph
+    g = random_graph(rng, 3, 9, p=rng.choice((0.3, 0.5, 0.7)))
+    choices = ((0,), (1,), (0, 1), (0, 1), (0, 1), (1, 2), (0, 2), (2, 5), (0, 1, 2))
+    domains = [rng.choice(choices) for _ in g.vertices()]
+    while math.prod(map(len, domains)) > 2_048:
+        v = rng.choice([v for v, d in enumerate(domains) if len(d) > 1])
+        domains[v] = (rng.choice(domains[v]),)
+    return SearchProblem(
+        g, tuple(domains),
+        min_sum=rng.choice((None, None, 1, 2)),
+        extra_sum=tuple((v, rng.randint(1, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.2),
+    )
+
+
+def test_slack_cut_keeps_every_minimum(monkeypatch):
+    """Branch and bound with the slack cut reaches the brute-force least weight.
+
+    On 300 seeded problems, _search(minimize=True) must match the least
+    weight over every valid labeling, and solve_eta1 and min_ptds on the
+    same graphs must match naive_eta1 and naive_ptds.  The cut must fire
+    often, at both slacks, for the comparison to mean anything.
+    """
+    rng = random.Random(0x51AC)
+    fired: dict[int, int] = {}  # cuts per slack
+    slack_cut = _Engine._slack_cut
+
+    def counted(self, depth, slack):
+        mask = slack_cut(self, depth, slack)
+        fired[slack] = fired.get(slack, 0) + (mask is not None)
+        return mask
+
+    monkeypatch.setattr(_Engine, "_slack_cut", counted)
+    for _ in range(300):
+        problem = _random_slack_problem(rng)
+        want = _brute_force_solutions(problem)
+        rep = _search(problem, None, minimize=True)
+        assert rep.value == (min(sum(labels) for labels, _ in want) if want else None), problem
+        g = problem.graph
+        assert solve_eta1(g).value == oracles.naive_eta1(g), g.edges
+        assert min_ptds(g).value == oracles.naive_ptds(g), g.edges
+    assert fired.get(0, 0) > 200 and fired.get(1, 0) > 200, fired
 
 
 def test_violations_cover_every_constraint():
