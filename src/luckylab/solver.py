@@ -84,11 +84,14 @@ tried, and every leaf the hook sees lies within the cap in force.
 
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
-its weight lower bound.  Refuting a capped labeling needs that bound, even
-with the nogoods below: the inapproximability check on K4 at d = 21 takes
-928 nodes with it, 186,216 with pairs counted at the root only and 190,405
-without it, and on the complement of C7 at d = 36 it takes 3,183 nodes
-with it and is cut at 3 M without.  Branch and bound, whose cap starts
+its weight lower bound.  Each stacked pair keeps one bit in pair_first, at
+the search position of its lower end, and stays open until that end is
+assigned, so at depth d the open pairs are the set bits of pair_first >> d.
+Refuting a capped labeling needs that bound, even with the nogoods below:
+the inapproximability check on K4 at d = 21 takes 928 nodes with it,
+186,216 with pairs counted at the root only and 190,405 without it, and on
+the complement of C7 at d = 36 it takes 3,183 nodes with it and is cut at
+3 M without.  Branch and bound, whose cap starts
 unset and only falls as leaves improve it, does not keep the bound: it
 explores about 4 % more nodes without it but finishes sooner, since each
 node skips the pair scan.
@@ -149,15 +152,13 @@ nodes, and ran about 20 % slower than without learning, until this rule
 switched learning off after 11,137 records (23k nodes).  The nogoods die
 with their search.  Learning cut the 138 SAT-equivalence
 formulas of the benchmark from 99,288 to 45,130 nodes.  Branch and bound
-(eta1, PTDS) does not learn.  Measured before the slack cut, on the twelve
-G(n, 0.3) graphs of the benchmark, learning cut eta1 from 241,076 to
-212,888 nodes and PTDS from 230,724 to 202,451, but made the two searches
-11 % slower (1.53 s against 1.70 s, median of five alternating runs on a
-2-core VM under CPython 3.11).  With the cut it takes eta1 from 165,218 to
-146,957 nodes and PTDS from 176,025 to 156,781, and the two searches ran
-about 10 % faster (0.96 s against 1.06 s, median of five alternating
-in-process runs on the same machine), so whether branch and bound should
-learn is an open question again.
+(eta1, PTDS) does not learn: measured and rejected.  On the twelve
+G(n, 0.3) graphs of the benchmark, with the slack cut, learning takes
+bounds_gnp from 344,261 to 306,756 nodes but its median wall time from
+0.748 s to 0.810 s, and from 0.749 s to 0.836 s in a second round; it was
+slower in all 8 alternating benchmark pairs (10 s runs on a 2-core VM
+under CPython 3.11).  In-process timings of a learning subclass had shown
+it about 10 % faster; the benchmark runs do not bear that out.
 Enumeration does not learn either, so gadget certification
 keeps its node counts; learning there gave the same `check gadgets` output
 in 49,565 nodes instead of 58,773.
@@ -295,10 +296,10 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
-def _edge_watchers(edges, adj, order, pos, nbmask, checked, domains, extra):
+def _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, extra):
     """For each vertex, the checked edges and the cliques that its assignment decides early.
 
-    For a checked edge (u, w), the common neighbors cancel out of
+    cedges holds the checked edges.  For a checked edge (u, w), the common neighbors cancel out of
     sum(u) - sum(w), which is
 
         l(w) - l(u) + sum over N(u) - N[w] of l - sum over N(w) - N[u] of l
@@ -333,9 +334,7 @@ def _edge_watchers(edges, adj, order, pos, nbmask, checked, domains, extra):
     found: dict[int, list] = {}  # the entries of each vertex that watches any
     cliques: list[int] = []  # as masks of search positions
     covered: dict[int, int] = {}  # the positions of the cliques through a vertex
-    for u, w in edges:
-        if not (checked[u] and checked[w]):
-            continue
+    for u, w in cedges:
         common = nbmask[u] & nbmask[w]
         if not common:
             continue
@@ -526,7 +525,6 @@ class _Engine:
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
                  break_symmetry: bool = True, learn: bool = False):
         g = problem.graph
-        self.g = g
         n = g.n
         self.n = n
         adj = self.adj = g.adjacency()
@@ -539,14 +537,16 @@ class _Engine:
         # the live weight bound; a minimizing leaf hook lowers it
         self.cap = problem.weight_cap
         self.min_sum = problem.min_sum
-        # the checked neighbors of each vertex, in adjacency order: the only
-        # ones whose sums constrain anything
+        # the checked neighbors of each vertex, in adjacency order, and the
+        # checked edges, in edge order: the only ones whose sums constrain
+        # anything
         if problem.unchecked:
             checked = [v not in problem.unchecked for v in range(n)]
             cadj = [[u for u in a if checked[u]] for a in adj]
+            cedges = [(u, w) for u, w in g.edges if checked[u] and checked[w]]
         else:
-            checked, cadj = [True] * n, adj
-        self.checked, self.cadj = checked, cadj
+            checked, cadj, cedges = [True] * n, adj, g.edges
+        self.checked, self.cadj, self.cedges = checked, cadj, cedges
         # free vertices (module docstring) go into a tier after all others.
         # A sum is read by a constraint when its vertex is checked and has a
         # checked neighbor or a min_sum to meet; a vertex is free when no
@@ -593,7 +593,7 @@ class _Engine:
         # rest_min[d]: the least total the positions d and later can carry
         self.rest_min = list(itertools.accumulate(
             reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.watch = _edge_watchers(g.edges, adj, order, pos, nbmask, checked, domains, ex)
+        self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, ex)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # the free tail order[free_start:], walked by _free_tail (module
@@ -622,11 +622,10 @@ class _Engine:
         # culprits), pair_mask holding the search positions of the pair's two
         # ends.  paired holds the positions of every stacked pair, pair_first
         # the lower end of each; a pair is open while that end is unassigned,
-        # and bonus_total counts the open pairs.  Kept only under the
-        # problem's own weight cap (module docstring).
+        # so at depth d the open pairs are the set bits of pair_first >> d.
+        # Kept only under the problem's own weight cap (module docstring).
         self.paired = self.pair_first = 0
         self.bonus_stack: list[tuple[int, int]] = []
-        self.bonus_total = 0
         self.bounded = problem.weight_cap is not None
         # the slack cut's deficit tables, built on its first call
         self.slack_tables: Optional[tuple[list, list]] = None
@@ -775,7 +774,6 @@ class _Engine:
             self.bonus_stack.append((bu | bt, (self.nbmask[u] | self.nbmask[t]) & assigned_mask))
             self.paired |= bu | bt
             self.pair_first |= min(bu, bt)
-            self.bonus_total += 1
             return True
         return False
 
@@ -806,7 +804,6 @@ class _Engine:
             pair_mask, _culprits = self.bonus_stack.pop()
             self.paired &= ~pair_mask
             self.pair_first &= ~(pair_mask & -pair_mask)
-        self.bonus_total -= count
 
     def _bonus_culprits(self, assigned_mask: int) -> int:
         """The culprits of every pair whose ends lie outside assigned_mask."""
@@ -872,30 +869,33 @@ class _Engine:
         """
         nbmask, checked, domains = self.nbmask, self.checked, self.domains
         multi = sum(1 << p for p, v in enumerate(self.order) if len(domains[v]) > 1)
-        edges = [(u, t, (nbmask[u] ^ nbmask[t]) & multi)
-                 for u, t in self.g.edges if checked[u] and checked[t]]
+        edges = [(u, t, (nbmask[u] ^ nbmask[t]) & multi) for u, t in self.cedges]
         short = []
         if self.min_sum is not None:
             short = [(u, nbmask[u] & multi) for u in range(self.n) if checked[u]]
         return edges, short
 
-    def _initial_bonus_scan(self) -> None:
-        pos = self.pos
-        for u, t in self.g.edges:
-            if (self.checked[u] and self.checked[t]
-                    and not self.paired & (1 << pos[u] | 1 << pos[t])):
-                self._try_bonus(u, t, 0)  # nothing is assigned yet
+    def _root_cut(self) -> bool:
+        """Whether the search ends before its first node.
 
-    def _initial_conflict(self) -> bool:
+        It ends on a checked sum that can never reach min_sum, on a checked
+        edge whose two sums are decided and equal, or when rest_min[0] plus
+        the forced pairs already open at the root exceeds the cap.  Under
+        the problem's own cap the same pass over the checked edges stacks
+        those pairs, in edge order.
+        """
         lo, hi, checked = self.lo, self.hi, self.checked
         if self.min_sum is not None:
             for v in range(self.n):
                 if checked[v] and hi[v] < self.min_sum:
                     return True
-        for u, v in self.g.edges:
-            if checked[u] and checked[v] and lo[u] == hi[u] == lo[v] == hi[v]:
+        pos, bounded = self.pos, self.bounded
+        for u, t in self.cedges:
+            if lo[u] == hi[u] == lo[t] == hi[t]:
                 return True
-        return False
+            if bounded and not self.paired & (1 << pos[u] | 1 << pos[t]):
+                self._try_bonus(u, t, 0)  # nothing is assigned yet
+        return self.cap is not None and self.rest_min[0] + self.pair_first.bit_count() > self.cap
 
     # -- search -------------------------------------------------------------
 
@@ -915,10 +915,13 @@ class _Engine:
 
         A value val is tried only while cur_weight + val + rest_min[depth + 1],
         plus the forced pairs still open when they are kept, stays within
-        self.cap (module docstring).  The cap is read for each value, so a
-        bound the hook lowers holds from the next value on.  Each value meets
-        this one check; the pairs an assignment newly forces count from the
-        child frame's first value on.
+        self.cap (module docstring).  The open pairs are the set bits of
+        pair_first at depth or later, less v's own pair when val is above
+        v's minimum.  The cap is read for each value, so a bound the hook
+        lowers holds from the next value on.  Each value meets this one
+        check; the pairs an assignment newly forces count from the child
+        frame's first value on, and those open at the root were counted by
+        _root_cut before frame 0.
 
         In a learning search, a frame that tried every value hands its
         culprit mask to _learn, and a node that passes the conflict scan asks
@@ -931,12 +934,14 @@ class _Engine:
         culprits before any node is counted.  The slack is held in the cap
         slot, which the value loop reloads.
 
-        The frame keeps 28 local slots.  Under CPython 3.11, at 34 slots one
-        more (an unused local was enough) slowed the SAT sweep by about 7 %
-        at equal node counts, so self.bounded and self.learn are read where
-        they are used rather than bound to locals, and the culprit masks,
-        the edge watchers and the nogoods live in __init__, _conflict_after,
-        _learn and _nogood_after, not in this frame.
+        The frame keeps 26 local slots, and a test holds it there.  Under
+        CPython 3.11, at 34 slots one more (an unused local was enough)
+        slowed the SAT sweep by about 7 % at equal node counts, so
+        self.bounded and self.learn are read where they are used rather
+        than bound to locals, the open pairs are read from pair_first rather
+        than counted, and the culprit masks, the edge watchers and the
+        nogoods live in __init__, _conflict_after, _learn and _nogood_after,
+        not in this frame.
         """
         if depth == self.free_start:
             return self._free_tail(cur_weight)
@@ -964,19 +969,17 @@ class _Engine:
         twin = self.twin_prev[v]
         if twin is not None:
             top = label[twin] - 1 if self.twin_strict[v] else label[twin]
-        # v is the first end of an open forced pair
-        pair_v = self.pair_first & bit_d
         for val in self.domains[v]:
             if twin is not None and val > top:
                 conf |= 1 << self.pos[twin]
                 break
             cap = self.cap
             if cap is not None:
-                # a value above the minimum discharges v's own forced pair
-                eff_bonus = self.bonus_total
-                if pair_v and val > dmin_v:
-                    eff_bonus -= 1
-                if cur_weight + val + rest + eff_bonus > cap:
+                # the open forced pairs: a value above the minimum discharges
+                # v's own pair, whose bit sits at depth when v is its first
+                # end; branch and bound keeps none and skips the count
+                if cur_weight + val + rest + (self.pair_first and (
+                        self.pair_first >> depth + (val > dmin_v)).bit_count()) > cap:
                     # only levels labeled above their domain minimum, or the
                     # assignments that forced the open pairs, can lower this
                     conf |= (self.ones_mask | (self._bonus_culprits(below)
@@ -989,8 +992,6 @@ class _Engine:
             label[v] = val
             if val > dmin_v:
                 self.ones_mask |= bit_d
-            if pair_v:
-                self.bonus_total -= 1
             # with two-value domains one of the two shifts is zero
             dlo, dhi = val - dmin_v, val - dmax_v
             if dlo:
@@ -1019,8 +1020,6 @@ class _Engine:
                 conf |= cmask
             if added_bonuses:
                 self._pop_bonuses(added_bonuses)
-            if pair_v:
-                self.bonus_total += 1
             if dlo:
                 for u in adj_v:
                     lo[u] -= dlo
@@ -1050,7 +1049,7 @@ class _Engine:
 
         Each step applies the frames' weight bound to the live cap.  The
         first, all-minimum leaf needs no check: the frame at F - 1 has just
-        applied that bound to it, or with F = 0 the root check in run has.
+        applied that bound to it, or with F = 0 _root_cut has.
 
         Only label and lo follow the walk, since a leaf hook reads nothing
         else (_search the labels, enumerate_solutions the labels and the
@@ -1111,20 +1110,17 @@ class _Engine:
 
         on_leaf returns True to stop the search; it may also lower self.cap.
         The outcome is "stopped", "done" (the space is exhausted) or
-        "budget-exceeded".  The forced-pair bound is kept only when the
-        problem itself carries a weight cap (module docstring): a cap fixed
-        up front is what makes the bound pay.  The hook is dropped on
-        return: it usually refers to the engine, and that cycle would keep
-        the engine and its nogoods alive until the cyclic collector ran.
+        "budget-exceeded"; _root_cut may end the search before frame 0.
+        The forced-pair bound is kept only when the problem itself carries
+        a weight cap (module docstring): a cap fixed up front is what makes
+        the bound pay.  The hook is dropped on return: it usually refers to
+        the engine, and that cycle would keep the engine and its nogoods
+        alive until the cyclic collector ran.
         """
         self.on_leaf = on_leaf
         self.deadline = time.monotonic() + self.budget.max_ms / 1000.0
         try:
-            if self._initial_conflict():
-                return "done"
-            if self.bounded:
-                self._initial_bonus_scan()
-            if self.cap is not None and self.rest_min[0] + self.bonus_total > self.cap:
+            if self._root_cut():
                 return "done"
             return "done" if self._dfs(0, 0) is not None else "stopped"
         except BudgetExceeded:
@@ -1269,19 +1265,21 @@ def _search(problem: SearchProblem, budget: Optional[SearchBudget],
     return _finish(rep, t0)
 
 
-def _least_feasible(g: Graph, budget: Optional[SearchBudget], bounds: Iterable[int],
+def _least_feasible(g: Graph, budget: Optional[SearchBudget],
                     problem_for: Callable[[int], SearchProblem], decided_key: str) -> SolveReport:
-    """First bound b, in order, whose problem_for(b) has a labeling with labels >= 1.
+    """Least bound b = 1, 2, ... whose problem_for(b) has a labeling.
 
-    All bounds share one budget.  A budget cut records the last bound
-    proven infeasible in detail[decided_key].
+    The count ends: every caller's problem is feasible from some bound on
+    (eta by k = 2^(n-1), naive_eta; sigma by m = n, solve_sigma), so only a
+    budget cut stops it short.  All bounds share one budget, and a cut
+    records the last bound proven infeasible in detail[decided_key].
     """
     _require_nonempty(g)
     budget = budget or SearchBudget()
     t0 = time.monotonic()
     spent = 0
     last_decided = 0
-    for b in bounds:
+    for b in itertools.count(1):
         remaining = budget.max_nodes - spent
         remaining_ms = budget.max_ms - (time.monotonic() - t0) * 1000.0
         if remaining <= 0 or remaining_ms <= 0:
@@ -1295,8 +1293,6 @@ def _least_feasible(g: Graph, budget: Optional[SearchBudget], bounds: Iterable[i
             rep.nodes_explored = spent
             return _finish(rep, t0)
         last_decided = b
-    else:
-        return _finish(SolveReport("infeasible", nodes_explored=spent), t0)
     return _finish(SolveReport("budget-exceeded", nodes_explored=spent,
                                detail={decided_key: last_decided}), t0)
 
@@ -1307,9 +1303,9 @@ def solve_eta(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     Iterates k upward; each k is decided exhaustively before moving on, so a
     reported value carries a solver lower bound as well as a certificate.
     """
-    return _least_feasible(g, budget, itertools.count(1),
-                           lambda k: SearchProblem(g, uniform_domains(g, range(1, k + 1))),
-                           "last_decided_k")
+    return _least_feasible(
+        g, budget, lambda k: SearchProblem(g, uniform_domains(g, range(1, k + 1))),
+        "last_decided_k")
 
 
 def exists_binary(g: Graph, budget: Optional[SearchBudget] = None,
@@ -1397,8 +1393,7 @@ def solve_sigma(g: Graph, budget: Optional[SearchBudget] = None) -> SolveReport:
     """
     base = g.max_degree() + 1
     return _least_feasible(
-        g, budget, range(1, g.n + 1),
-        lambda m: SearchProblem(g, uniform_domains(g, (base ** i for i in range(m)))),
+        g, budget, lambda m: SearchProblem(g, uniform_domains(g, (base ** i for i in range(m)))),
         "last_decided_m")
 
 

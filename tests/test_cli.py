@@ -454,17 +454,20 @@ _DATA = Path(__file__).parent / "data"
      "check_inapprox_k4_d21.json"),
     (["check", "inapprox", "--graph", str(_DATA / "c7_complement.col"), "--d", "36"],
      "check_inapprox_c7_complement_d36.json"),
+    (["check", "inapprox", "--graph", str(_DATA / "c4.col"), "--d", "21"],
+     "check_inapprox_c4_d21.json"),
     (["check", "listcolor", "--random", "25", "--max-n", "4", "--seed", "1"],
      "check_listcolor_random25.jsonl"),
     (["bounds", "--random", "50", "--max-n", "7", "--seed", "1"], "bounds_random50.jsonl"),
     (["check", "solvers", "--random", "300", "--max-n", "8", "--seed", "1"],
      "check_solvers_random300.jsonl"),
 ], ids=["sat-exhaustive", "inapprox-k4-d21", "inapprox-c7-complement-d36",
-        "listcolor-random25", "bounds-random50", "solvers-random300"])
+        "inapprox-c4-d21", "listcolor-random25", "bounds-random50", "solvers-random300"])
 def test_node_carrying_output_golden(capsys, argv, golden):
     # each search's node count, byte for byte against the committed output
-    # (it has no timing fields); the two inapproximability checks are
-    # weight-capped refutations through the forced-pair bound, the 25
+    # (it has no timing fields); the K4 and C7-complement inapproximability
+    # checks are weight-capped refutations through the forced-pair bound, the
+    # C4 one a weight-capped labeling found in 153,556 nodes, the 25
     # list-colouring reductions are uncapped first-solution searches, the
     # bounds sweep pins every exact value and flag of 50 seeded graphs, and
     # the solver sweep every solver value and oracle value of 300

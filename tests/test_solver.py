@@ -421,7 +421,7 @@ def test_engine_setup_on_large_sat_reduction():
         eng = _Engine(SearchProblem(g, domains), SearchBudget(), learn=True)
         assert sorted(eng.order) == list(range(g.n))
         assert all(eng.order[eng.pos[v]] == v for v in range(g.n))
-        assert eng._initial_conflict() is False
+        assert eng._root_cut() is False
         # every table against a plain recomputation from the graph and the domains
         assert eng.lo == [sum(min(domains[u]) for u in adj[v]) for v in g.vertices()]
         assert eng.hi == [sum(max(domains[u]) for u in adj[v]) for v in g.vertices()]
@@ -531,6 +531,14 @@ def _k5_pendant_capped_nodes():
     return rep.nodes_explored
 
 
+def _three_pairs_capped_nodes(cap, status):
+    # three disjoint edges: each is a forced pair at the root, so the root's
+    # pair count alone decides cap 2
+    rep = exists_binary(build_graph(6, [(0, 1), (2, 3), (4, 5)]), weight_cap=cap)
+    assert rep.status == status
+    return rep.nodes_explored
+
+
 @pytest.mark.parametrize("search, nodes", [
     (lambda mp: solve_eta(petersen_graph()).nodes_explored, 33),
     (lambda mp: solve_eta1(petersen_graph()).nodes_explored, 38),
@@ -556,6 +564,8 @@ def _k5_pendant_capped_nodes():
     (lambda mp: oracles.check_threshold_inapprox(complete_graph(4), 21).stats["nodes"], 928),
     (lambda mp: _c7_complement_inapprox_nodes(), 3_183),
     (lambda mp: _k5_pendant_capped_nodes(), 4),
+    (lambda mp: _three_pairs_capped_nodes(2, "infeasible"), 0),
+    (lambda mp: _three_pairs_capped_nodes(3, "found"), 9),
 ], ids=["eta-petersen", "eta1-petersen", "sigma-petersen", "ptds-petersen",
         "binary-sat3", "binary-sat5", "binary-sat16-threshold", "refute-counterexample2",
         "refute-counterexample3", "refute-counterexample4", "refute-counterexample5",
@@ -564,10 +574,18 @@ def _k5_pendant_capped_nodes():
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
         "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21",
-        "inapprox-c7-complement-d36", "binary-cap2-k5-pendant"])
+        "inapprox-c7-complement-d36", "binary-cap2-k5-pendant", "binary-cap2-three-pairs",
+        "binary-cap3-three-pairs"])
 def test_node_counts_pinned(monkeypatch, search, nodes):
     # node counts are deterministic; a change here changes the search itself
     assert search(monkeypatch) == nodes
+
+
+def test_dfs_frame_keeps_its_local_slots():
+    # one more local in the search frame slowed the SAT sweep at equal node
+    # counts (_Engine._dfs docstring); a new one needs a benchmark check and
+    # that docstring's number moved with this bound
+    assert _Engine._dfs.__code__.co_nlocals <= 26
 
 
 def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
@@ -589,7 +607,7 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     rep = solve_eta1(k2)
     assert (rep.status, rep.value) == ("found", 1)
     assert len(engines) == 4
-    assert all(eng.bonus_stack == [] and eng.bonus_total == 0 for eng in engines)
+    assert all(eng.bonus_stack == [] and eng.pair_first == 0 for eng in engines)
     engines.clear()
     assert exists_binary(k2, weight_cap=1).status == "found"
     # one entry: the search positions of both ends, forced before any
