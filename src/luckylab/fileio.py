@@ -69,11 +69,7 @@ def graph_from_text(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     names: dict[int, str] = {}
     name_lines: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
+    for line_no, line, parts in _records(text, ()):
         if parts[0] == "p":
             if n is not None:
                 raise FileFormatError(line_no, "duplicate problem line")
@@ -89,10 +85,7 @@ def graph_from_text(text: str) -> Graph:
                                       f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")
         elif parts[0] == "c":
             if len(parts) >= 4 and parts[1] == "name":
-                try:
-                    v = int(parts[2]) - 1
-                except ValueError:
-                    raise FileFormatError(line_no, f"non-integer vertex id in {line!r}") from None
+                v = _ints(line_no, line, parts[2:3], "vertex id")[0] - 1
                 if v in names:
                     raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
                 names[v] = " ".join(parts[3:])
@@ -103,10 +96,7 @@ def graph_from_text(text: str) -> Graph:
                 raise FileFormatError(line_no, "edge line before problem line")
             if len(parts) != 3:
                 raise FileFormatError(line_no, f"expected 'e <u> <v>', got {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FileFormatError(line_no, f"non-integer endpoint in {line!r}") from None
+            u, v = _ints(line_no, line, parts[1:], "endpoint")
             if u == v:
                 raise FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
             if not (1 <= u <= n and 1 <= v <= n):

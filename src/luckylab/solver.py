@@ -296,14 +296,16 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
-def _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, extra):
+def _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass):
     """For each vertex, the checked edges and the cliques that its assignment decides early.
 
-    cedges holds the checked edges.  For a checked edge (u, w), the common neighbors cancel out of
-    sum(u) - sum(w), which is
+    cedges holds the checked edges; multi holds the positions whose
+    domains have more than one value, unchecked those of the unchecked
+    vertices, and mass[v] is v's boundary mass.  For a checked edge (u, w),
+    the common neighbors cancel out of sum(u) - sum(w), which is
 
         l(w) - l(u) + sum over N(u) - N[w] of l - sum over N(w) - N[u] of l
-        + extra(u) - extra(w).
+        + mass(u) - mass(w).
 
     So the edge is decided once u, w and D = N(u) ^ N(w) - {u, w} are
     assigned, at the decisive depth, the largest search position in
@@ -311,11 +313,11 @@ def _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, extra):
     intervals decide it at the last position in N(u) + N(w) that holds a
     vertex with more than one value; N(u) + N(w) is D + {u, w} plus the
     common neighbors, so the edge is watched, at the vertex of its decisive
-    depth, exactly when a common neighbor with more than one value comes
-    after that depth.  A one-value vertex stays in D: its label is read
-    only once it is assigned.  An edge without a common neighbor (every
-    edge of a triangle-free graph) is skipped on a test of
-    nbmask[u] & nbmask[w] alone.
+    depth, exactly when a common neighbor in multi comes after that depth.
+    A one-value vertex stays in D: its label is read only once it is
+    assigned.  An edge without a common neighbor (every edge of a
+    triangle-free graph) is skipped on a test of nbmask[u] & nbmask[w]
+    alone.
 
     The same pass seeds the Hall cut (module docstring).  An edge whose ends
     share at least HALL_MIN_CLIQUE - 2 neighbors, and that no clique found
@@ -340,22 +342,20 @@ def _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, extra):
             continue
         mask = nbmask[u] ^ nbmask[w]
         top = mask.bit_length() - 1
-        late = common >> top + 1
-        if late and any(len(domains[order[top + 1 + p]]) > 1 for p in _positions(late)):
+        if (common & multi) >> top + 1:
             plus = tuple(order[p] for p in _positions(nbmask[u] & ~nbmask[w]))
             minus = tuple(order[p] for p in _positions(nbmask[w] & ~nbmask[u]))
-            found.setdefault(order[top], []).append(
-                (plus, minus, extra.get(u, 0) - extra.get(w, 0), mask))
+            found.setdefault(order[top], []).append((plus, minus, mass[u] - mass[w], mask))
         if (common.bit_count() >= HALL_MIN_CLIQUE - 2
                 and not covered.get(u, 0) >> pos[w] & 1):
-            clique = _grow_clique(common, 1 << pos[u] | 1 << pos[w], order, nbmask, checked)
+            clique = _grow_clique(common & ~unchecked, 1 << pos[u] | 1 << pos[w], order, nbmask)
             if clique.bit_count() >= HALL_MIN_CLIQUE:
                 cliques.append(clique)
                 for p in _positions(clique):
                     covered[order[p]] = covered.get(order[p], 0) | clique
     for clique in cliques:
         at, entry = _hall_entry([order[p] for p in _positions(clique)],
-                                adj, pos, domains, extra)
+                                adj, pos, domains, mass)
         found.setdefault(at, []).append(entry)
     watch: list[tuple] = [()] * len(adj)
     for v, entries in found.items():
@@ -371,18 +371,14 @@ def _positions(mask: int):
         mask ^= low
 
 
-def _grow_clique(cand: int, clique: int, order, nbmask, checked) -> int:
-    """Grow clique greedily from the candidates cand, its common neighbors.
+def _grow_clique(cand: int, clique: int, order, nbmask) -> int:
+    """Grow clique greedily from the candidates cand, its checked common neighbors.
 
-    Both are masks of search positions.  Unchecked candidates are dropped
-    first; then each step adds the candidate with the most neighbors among
-    the other candidates (the earliest position on a tie) and keeps only
-    its neighbors as candidates.  The result is a maximal clique of checked
-    vertices.
+    Both are masks of search positions.  Each step adds the candidate with
+    the most neighbors among the other candidates (the earliest position on
+    a tie) and keeps only its neighbors as candidates.  The result is a
+    maximal clique of checked vertices.
     """
-    for p in _positions(cand):
-        if not checked[order[p]]:
-            cand ^= 1 << p
     while cand:
         best = max(_positions(cand), key=lambda p: (cand & nbmask[order[p]]).bit_count())
         clique |= 1 << best
@@ -390,7 +386,7 @@ def _grow_clique(cand: int, clique: int, order, nbmask, checked) -> int:
     return clique
 
 
-def _hall_entry(members, adj, pos, domains, extra):
+def _hall_entry(members, adj, pos, domains, mass):
     """The watching vertex and the watch entry of a clique's Hall cut (module docstring).
 
     The clique is watched at its last outside neighbor, or at its first
@@ -412,12 +408,11 @@ def _hall_entry(members, adj, pos, domains, extra):
     mask = sum(1 << pos[x] for x in outside)
     groups: dict = {}
     for v in members:
-        mass = extra.get(v, 0)
         if pos[v] <= pos[at]:
             mask |= 1 << pos[v]
-            groups[v] = (outs[v], mass, v, None)
+            groups[v] = (outs[v], mass[v], v, None)
         else:
-            groups.setdefault((outs[v], mass, domains[v]), (outs[v], mass, v, domains[v]))
+            groups.setdefault((outs[v], mass[v], domains[v]), (outs[v], mass[v], v, domains[v]))
     return at, (tuple(groups.values()), None, len(members), mask)
 
 
@@ -525,8 +520,7 @@ class _Engine:
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
                  break_symmetry: bool = True, learn: bool = False):
         g = problem.graph
-        n = g.n
-        self.n = n
+        n = self.n = g.n
         adj = self.adj = g.adjacency()
         # each distinct domain is normalized once
         norm = {d: tuple(sorted(set(d))) for d in set(problem.domains)}
@@ -553,8 +547,22 @@ class _Engine:
         # neighbor's sum is read.
         constrained = [c and (self.min_sum is not None or bool(ca))
                        for c, ca in zip(checked, cadj)]
+        # each vertex's boundary mass, and in one pass over the edges the sum
+        # intervals and the free flags
+        mass = [0] * n
+        for v, s in problem.extra_sum or ():
+            mass[v] = s
+        dmin = self.dmin = [d[0] for d in domains]
+        dmax = self.dmax = [d[-1] for d in domains]
+        self.label = [0] * n
+        lo = self.lo = mass[:]
+        hi = self.hi = mass[:]
         free = [True] * n
         for u, w in g.edges:
+            lo[u] += dmin[w]
+            lo[w] += dmin[u]
+            hi[u] += dmax[w]
+            hi[w] += dmax[u]
             if constrained[u]:
                 free[w] = False
             if constrained[w]:
@@ -564,36 +572,33 @@ class _Engine:
         tiers.update((v, last) for v in range(n) if free[v])
         order = self.order = _search_order(n, adj, tiers)
         pos = self.pos = [0] * n
-        bit = [0] * n  # 1 << pos[v]
-        for i, v in enumerate(order):
-            pos[v] = i
-            bit[v] = 1 << i
         # the search positions of each vertex's neighbors, one bit each; at
         # depth d exactly order[0..d] is assigned, so v's assigned neighbors
-        # are nbmask[v] & ((2 << d) - 1)
+        # are nbmask[v] & ((2 << d) - 1).  The same loop records the
+        # positions whose domains hold one value (single) and more than two
+        # (wide: no nogood touches them), and those of the unchecked vertices.
         nbmask = self.nbmask = [0] * n
-        for u, w in g.edges:
-            nbmask[u] |= bit[w]
-            nbmask[w] |= bit[u]
-
-        dmin = self.dmin = [d[0] for d in domains]
-        dmax = self.dmax = [d[-1] for d in domains]
-        ex = dict(problem.extra_sum or ())
-        self.label = [0] * n
-        lo = self.lo = [0] * n
-        hi = self.hi = [0] * n
-        for u, w in g.edges:
-            lo[u] += dmin[w]
-            lo[w] += dmin[u]
-            hi[u] += dmax[w]
-            hi[w] += dmax[u]
-        for v, s in ex.items():
-            lo[v] += s
-            hi[v] += s
+        single = wide = unchecked = 0
+        for i, v in enumerate(order):
+            pos[v] = i
+            b = 1 << i
+            for u in adj[v]:
+                nbmask[u] |= b
+            size = len(domains[v])
+            if size == 1:
+                single |= b
+            elif size > 2:
+                wide |= b
+            if not checked[v]:
+                unchecked |= b
+        # the positions whose domains hold more than one value; negative, as
+        # it is only ANDed with masks of positions
+        multi = self.multi = ~single
+        self.wide = wide
         # rest_min[d]: the least total the positions d and later can carry
         self.rest_min = list(itertools.accumulate(
             reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, checked, domains, ex)
+        self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # the free tail order[free_start:], walked by _free_tail (module
@@ -610,9 +615,6 @@ class _Engine:
         # walk's first leaf is the least labeling of the tail, and a search
         # that breaks symmetry stops there or lowers the cap below it.
         if break_symmetry:
-            mass = [0] * n
-            for v, s in ex.items():
-                mass[v] = s
             self.twin_prev, self.twin_strict = _twin_predecessors(
                 adj, list(zip(domains, mass, checked)), order[:self.free_start], checked)
         else:
@@ -631,15 +633,11 @@ class _Engine:
         self.slack_tables: Optional[tuple[list, list]] = None
         # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
         # pattern, top) triples waiting for position p to take bit bit, and
-        # exists only in a learning search; wide holds the positions whose
-        # domains have more than two values; ng_stored and ng_fired count
+        # exists only in a learning search; ng_stored and ng_fired count
         # recorded and fired nogoods
         self.learn = learn
         self.ng_stored = self.ng_fired = 0
         self.ng_watch = [([], []) for _ in range(n)] if learn else None
-        self.wide = 0
-        if any(len(d) > 2 for d in norm.values()):
-            self.wide = sum(bit[v] for v in range(n) if len(domains[v]) > 2)
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
@@ -867,8 +865,7 @@ class _Engine:
         move both sums alike); short holds (u, repair) for each checked
         vertex when min_sum is set, repair the positions of N(u).
         """
-        nbmask, checked, domains = self.nbmask, self.checked, self.domains
-        multi = sum(1 << p for p, v in enumerate(self.order) if len(domains[v]) > 1)
+        nbmask, checked, multi = self.nbmask, self.checked, self.multi
         edges = [(u, t, (nbmask[u] ^ nbmask[t]) & multi) for u, t in self.cedges]
         short = []
         if self.min_sum is not None:

@@ -47,9 +47,12 @@ def test_graph_errors_carry_line_numbers():
     ("p edge -1 0\nnonsense\n", "line 1: vertex count must be nonnegative, got -1"),
     ("p edge 3 -1\n", "line 1: edge count must be nonnegative, got -1"),
     ("p edge 3 -1\nnonsense\n", "line 1: edge count must be nonnegative, got -1"),
+    ("p edge 2 1\ne 1 x\n", "line 2: non-integer endpoint in 'e 1 x'"),
+    ("p edge 2 1\nc name x a\ne 1 2\n", "line 2: non-integer vertex id in 'c name x a'"),
 ], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name",
         "duplicate-name", "loop-before-bad-line", "vertex-count-before-bad-line",
-        "edge-count-negative", "edge-count-before-bad-line"])
+        "edge-count-negative", "edge-count-before-bad-line", "non-integer-endpoint",
+        "non-integer-name-id"])
 def test_graph_errors_name_the_offending_line_in_file_ids(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.graph_from_text(text)

@@ -21,3 +21,14 @@ def test_sat_threshold_instance_row():
     assert {k: row[k] for k in ("v", "seed", "n", "status", "nodes")} == \
         {"v": 10, "seed": 2, "n": 395, "status": "found", "nodes": 12_745}
     assert row["seconds"] >= 0 and row["peak_rss_mb"] > 0
+
+
+def test_xl_completion_instance_row():
+    # one instance in this process; its outcome is not pinned, since the
+    # recursive search raises RecursionError at this depth and an iterative
+    # one would finish
+    scale = _load_tool()
+    assert scale.XL_COMPLETION == (250, 500, 1_000, 2_000)
+    row = scale.xl_completion_instance(250)
+    assert (row["v"], row["n"]) == (250, 8_625)
+    assert row["status"] and row["seconds"] >= 0 and row["peak_rss_mb"] > 0

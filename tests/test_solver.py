@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,6 +433,119 @@ def test_engine_setup_on_large_sat_reduction():
             rest.append(rest[-1] + min(domains[v]))
         assert eng.rest_min == rest[::-1]
         assert [list(c) for c in eng.cadj] == [list(a) for a in adj]
+
+
+def _setup_tables(problem, break_symmetry):
+    """The repr of every table an engine builds before its first node.
+
+    The root pass runs last, since it stacks the forced pairs it finds.
+    """
+    eng = _Engine(problem, SearchBudget(), break_symmetry=break_symmetry)
+    tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.hi, eng.rest_min, eng.watch,
+              eng.twin_prev, eng.twin_strict, eng.free_start, eng.tail, eng.tail_domains,
+              eng.tail_mins, eng.wide, eng._build_slack_tables())
+    cut = eng._root_cut()
+    return repr((tables, cut, eng.bonus_stack, eng.paired, eng.pair_first))
+
+
+def _random_setup_problem(rng):
+    """A random problem with n <= 12 that exercises every setup table.
+
+    Domains hold one to four values, some without their minimum plus one;
+    isolated vertices (free ones), boundary mass, unchecked vertices,
+    tiers, min_sum and a weight cap are each drawn at random.  Nothing is
+    searched, so the labelings need not be few.
+    """
+    from conftest import random_graph
+    h = random_graph(rng, 3, 10, p=rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)))
+    g = build_graph(h.n + rng.randint(0, 2), h.edges)
+    choices = ((0,), (1,), (0, 1), (0, 1), (1, 2), (0, 2), (2, 5), (0, 1, 2), (1, 2, 3, 4))
+    domains = tuple(rng.choice(choices) for _ in g.vertices())
+    return SearchProblem(
+        g, domains,
+        weight_cap=rng.choice((None, sum(min(d) for d in domains) + rng.randint(0, 3))),
+        min_sum=rng.choice((None, None, 1, 2)),
+        extra_sum=tuple((v, rng.randint(0, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.2),
+        tiers=(tuple((v, rng.randint(0, 1)) for v in g.vertices() if rng.random() < 0.3)
+               or None),
+    )
+
+
+def _setup_golden_problems():
+    g3, _labels, lists = counterexample_graph(3)
+    phi = random_formula(random.Random(29), 6, 24)
+    sat = build_sat_reduction(phi).graph
+    red = build_inapprox_reduction(complete_graph(4), 21)
+    pet = petersen_graph()
+    matching = build_graph(6, [(0, 1), (2, 3), (4, 5)])
+    rng = random.Random(0x5E7)
+    return {
+        "counterexample_lists": [SearchProblem(g3, tuple(tuple(sorted(lists[v]))
+                                                         for v in g3.vertices()))],
+        "counterexample_labels": [SearchProblem(g3, uniform_domains(g3, range(1, 4)))],
+        "sat_reduction": [SearchProblem(sat, uniform_domains(sat, (0, 1)))],
+        "inapprox_k4_d21": [SearchProblem(
+            red.graph, uniform_domains(red.graph, (0, 1)), weight_cap=20,
+            tiers=tuple((v, 1) for v in sorted(red.params["pair_vertices"])))],
+        "petersen_min_sum": [SearchProblem(pet, uniform_domains(pet, (0, 1)), min_sum=1)],
+        # three disjoint edges, each a forced pair at the root
+        "matching_cap": [SearchProblem(matching, uniform_domains(matching, (0, 1)),
+                                       weight_cap=3)],
+        "random": [_random_setup_problem(rng) for _ in range(400)],
+    }
+
+
+# sha256 of the setup tables of each family, with symmetry breaking on and off
+_SETUP_DIGESTS = {
+    "counterexample_lists": "7cb45bd66c1d5cfc758ec09aff3b2eba4f789da88d6f9716f0452e0c4a65ee81",
+    "counterexample_labels": "6f45e6b63ceda0716d189b083e5982383e8d38ad24311516a5e6f990746bcb96",
+    "sat_reduction": "38e83031e69a648dd28cbef42f46dc5ee852a6b81f9afeaa244706b370fa8a5c",
+    "inapprox_k4_d21": "f7f2a49bf24941151f0170c3c8749beee7e32dd70675672436deb3aba0580da4",
+    "petersen_min_sum": "d895e3864c7cc617030d55f2adc9f33d12ff4e58ce69884528b2081d351c9075",
+    "matching_cap": "1fe48ff495050aa148d59a3513cd74c6dc89c501adaabb8dbbdb6114a6d7da2d",
+    "random": "5346bc50c1ce2e3ab8168c0a4b46c28c7c527b703eb74121a46b69d216b92213",
+}
+
+
+def test_setup_tables_golden():
+    """Engine setup builds the same tables as before, on every family of problems.
+
+    The digests pin order, pos, nbmask, lo/hi, rest_min, the watch table
+    (watched edges and Hall entries), the twin links, the free tail, wide,
+    the slack cut's deficit tables and the root pass with its stacked pairs.
+    """
+    got = {}
+    for name, problems in _setup_golden_problems().items():
+        digest = hashlib.sha256()
+        for problem in problems:
+            for break_symmetry in (True, False):
+                digest.update(_setup_tables(problem, break_symmetry).encode())
+        got[name] = digest.hexdigest()
+    assert got == _SETUP_DIGESTS
+
+
+def test_setup_peak_stays_near_what_the_engine_keeps():
+    """Setup builds no second table as large as nbmask, the engine's largest.
+
+    nbmask holds one int per vertex, as long as that vertex's latest
+    neighbor position, so it is quadratic in n; a temporary table of the
+    same shape doubled the peak.  On the SAT reduction at v = 250
+    (n = 8,625) the traced peak must stay within 1.25 times what the built
+    engine holds.
+    """
+    phi = random_formula(random.Random(250), 250, 825)
+    g = build_sat_reduction(phi).graph
+    assert g.n == 8_625
+    problem = SearchProblem(g, uniform_domains(g, (0, 1)))
+    tracemalloc.start()
+    try:
+        eng = _Engine(problem, SearchBudget(), learn=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eng.n == g.n
+    assert peak <= 1.25 * held, (peak, held)
 
 
 _PIN_FORMULA = Cnf3Formula(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
