@@ -29,14 +29,24 @@ of the 147,096 nodes of a pass fall in free tails, all of them in certifying
 the variable gadget and its corrupted copy: every core solution of the
 variable gadget repeats under the 1,024 labelings of its pendants.
 
-Every vertex v carries lo[v] and hi[v], the least and the greatest neighbor
-sum still reachable given the partial assignment: boundary mass plus the
-assigned neighbors' labels plus the least or the greatest total the
-unassigned neighbors' domains allow.  The sum is decided once
-lo[v] == hi[v], that is once every unassigned neighbor has a one-value
-domain.  A constrained edge whose two endpoints have decided, equal sums
-can never be repaired, and neither can a vertex whose hi lies below a
-required minimum, so either kills the branch.
+Every vertex v carries lo[v], the least neighbor sum still reachable given
+the partial assignment: boundary mass plus the assigned neighbors' labels
+plus the least total the unassigned neighbors' domains allow.  The search
+order is fixed before the search starts, so v's sum is decided at one
+fixed depth, dec[v], the position of its last neighbor with more than one
+value (the root, when it has none), and from there on lo[v] is the sum.
+A constrained edge whose two endpoints have decided, equal sums can never
+be repaired, and neither can a vertex whose greatest reachable sum, lo[v]
+plus the domain widths of its neighbors after the current depth, lies
+below a required minimum, so either kills the branch.  Each test is made
+only at the depth where it can first fail, read from a table built once
+per search (_decide_table): an edge's at the later of its two ends'
+decisive depths, a minimum's at each depth where the neighbors still open
+can no longer make it up.  The frames used to move a greatest sum hi[v] at
+every neighbor on every value and to scan every checked neighbor's
+interval; hi is now the root's table only, read by _root_cut, and the
+table took bounds_gnp's wall time from 0.743 s to 0.508 s at equal node
+counts.
 
 An edge can be decided before either sum is.  The common neighbors of u
 and w add the same labels to both sums, so sum(u) - sum(w) is fixed once u,
@@ -194,6 +204,17 @@ LEARN_FIRE_RATE = 64
 # the least clique size that gets a Hall cut (module docstring)
 HALL_MIN_CLIQUE = 5
 
+# the nogood lists of a position no nogood has waited at yet, shared
+_NO_NOGOODS: tuple = ((), ())
+
+
+def _wait(watch, p: int, bit: int, ng) -> None:
+    """Queue nogood ng at position p for bit, making p's lists on its first nogood."""
+    lists = watch[p]
+    if lists is _NO_NOGOODS:
+        lists = watch[p] = ([], [])
+    lists[bit].append(ng)
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -296,6 +317,47 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
+def _decide_table(cadj, order, dec, lo, hi, dmin, dmax, min_sum):
+    """For each vertex, the checks on its neighbors' sums that assigning it can fail.
+
+    dec[u] is the position of u's last multi-valued neighbor, where u's sum
+    is decided, and lo and hi are the root's sum intervals.  decide[v]
+    holds (u, need, ts) for checked neighbors u of v, in cadj[v] order.
+    When v decides u's sum, ts holds u's checked neighbors t whose sums are
+    decided by then (dec[t] <= pos[v]), and a t with lo[t] == lo[u] fails
+    the edge; otherwise ts is empty.  lo[u] < need fails u's minimum: need
+    is min_sum less the total domain width of u's neighbors after v, so the
+    test says that u's greatest reachable sum lies below min_sum.  Without
+    min_sum need is u's least sum at the root, which lo[u] never falls
+    below.  An entry that can fail neither
+    test is left out, and so is every entry at a one-value vertex, whose
+    assignment moves no sum.  A vertex with no entry holds the shared empty
+    tuple.  The culprit masks are not stored: as long as nbmask, they would
+    make the table quadratic.
+    """
+    decide: list[tuple] = [()] * len(cadj)
+    seen = [0] * len(cadj)  # the domain width of the neighbors placed so far
+    for p, v in enumerate(order):
+        width = dmax[v] - dmin[v]
+        if not width:
+            continue
+        entries = []
+        for u in cadj[v]:
+            if min_sum is None:
+                if dec[u] != p:
+                    continue
+                need = lo[u]
+            else:
+                seen[u] += width
+                need = min_sum - (hi[u] - lo[u] - seen[u])
+            ts = tuple([t for t in cadj[u] if dec[t] <= p]) if dec[u] == p else ()
+            if ts or need > lo[u]:
+                entries.append((u, need, ts))
+        if entries:
+            decide[v] = tuple(entries)
+    return decide
+
+
 def _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass):
     """For each vertex, the checked edges and the cliques that its assignment decides early.
 
@@ -310,7 +372,7 @@ def _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, m
     So the edge is decided once u, w and D = N(u) ^ N(w) - {u, w} are
     assigned, at the decisive depth, the largest search position in
     D + {u, w}, whose positions are nbmask[u] ^ nbmask[w].  The sum
-    intervals decide it at the last position in N(u) + N(w) that holds a
+    checks decide it at the last position in N(u) + N(w) that holds a
     vertex with more than one value; N(u) + N(w) is D + {u, w} plus the
     common neighbors, so the edge is watched, at the vertex of its decisive
     depth, exactly when a common neighbor in multi comes after that depth.
@@ -511,10 +573,12 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
 class _Engine:
     """One exhaustive search over the labelings of a SearchProblem.
 
-    lo and hi are the sum intervals of the module docstring.  Assigning val
-    to v moves lo[u] by val - dmin[v] and hi[u] by val - dmax[v] at every
-    neighbor u: v's label replaces its domain minimum and maximum.  The
-    free-tail walk moves lo only, since no constraint reads a sum there.
+    lo holds the least reachable sums of the module docstring: assigning
+    val to v moves lo[u] by val - dmin[v] at every neighbor u, since v's
+    label replaces its domain minimum, and the free-tail walk moves it the
+    same way.  A sum is checked at the fixed depth of its last multi-valued
+    neighbor, from decide (_decide_table), so no frame keeps the greatest
+    sums: hi is the root's table only, read by _root_cut.
     """
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
@@ -553,7 +617,7 @@ class _Engine:
         for v, s in problem.extra_sum or ():
             mass[v] = s
         dmin = self.dmin = [d[0] for d in domains]
-        dmax = self.dmax = [d[-1] for d in domains]
+        dmax = [d[-1] for d in domains]
         self.label = [0] * n
         lo = self.lo = mass[:]
         hi = self.hi = mass[:]
@@ -571,36 +635,6 @@ class _Engine:
         last = max([0, *tiers.values()]) + 1  # untiered vertices sit in tier 0
         tiers.update((v, last) for v in range(n) if free[v])
         order = self.order = _search_order(n, adj, tiers)
-        pos = self.pos = [0] * n
-        # the search positions of each vertex's neighbors, one bit each; at
-        # depth d exactly order[0..d] is assigned, so v's assigned neighbors
-        # are nbmask[v] & ((2 << d) - 1).  The same loop records the
-        # positions whose domains hold one value (single) and more than two
-        # (wide: no nogood touches them), and those of the unchecked vertices.
-        nbmask = self.nbmask = [0] * n
-        single = wide = unchecked = 0
-        for i, v in enumerate(order):
-            pos[v] = i
-            b = 1 << i
-            for u in adj[v]:
-                nbmask[u] |= b
-            size = len(domains[v])
-            if size == 1:
-                single |= b
-            elif size > 2:
-                wide |= b
-            if not checked[v]:
-                unchecked |= b
-        # the positions whose domains hold more than one value; negative, as
-        # it is only ANDed with masks of positions
-        multi = self.multi = ~single
-        self.wide = wide
-        # rest_min[d]: the least total the positions d and later can carry
-        self.rest_min = list(itertools.accumulate(
-            reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass)
-
-        self.ones_mask = 0  # levels assigned above their domain minimum
         # the free tail order[free_start:], walked by _free_tail (module
         # docstring)
         self.free_start = n
@@ -613,12 +647,51 @@ class _Engine:
         # boundary mass or unchecked status makes a vertex non-interchangeable.
         # Twins are both free or both not, and free ones get no links: the
         # walk's first leaf is the least labeling of the tail, and a search
-        # that breaks symmetry stops there or lowers the cap below it.
+        # that breaks symmetry stops there or lowers the cap below it.  The
+        # links are found before nbmask is built, so that the twin search's
+        # temporary dict does not add to nbmask's peak.
         if break_symmetry:
             self.twin_prev, self.twin_strict = _twin_predecessors(
                 adj, list(zip(domains, mass, checked)), order[:self.free_start], checked)
         else:
             self.twin_prev, self.twin_strict = [None] * n, [False] * n
+        pos = self.pos = [0] * n
+        # the search positions of each vertex's neighbors, one bit each; at
+        # depth d exactly order[0..d] is assigned, so v's assigned neighbors
+        # are nbmask[v] & ((2 << d) - 1).  The same loop records the
+        # positions whose domains hold one value (single) and more than two
+        # (wide: no nogood touches them), and those of the unchecked vertices.
+        # It also records dec[u], the position of u's last multi-valued
+        # neighbor, where u's sum is decided (-1: decided at the root).
+        nbmask = self.nbmask = [0] * n
+        dec = [-1] * n
+        single = wide = unchecked = 0
+        for i, v in enumerate(order):
+            pos[v] = i
+            b = 1 << i
+            for u in adj[v]:
+                nbmask[u] |= b
+            size = len(domains[v])
+            if size == 1:
+                single |= b
+            else:
+                for u in adj[v]:
+                    dec[u] = i
+                if size > 2:
+                    wide |= b
+            if not checked[v]:
+                unchecked |= b
+        # the positions whose domains hold more than one value; negative, as
+        # it is only ANDed with masks of positions
+        multi = self.multi = ~single
+        self.wide = wide
+        # rest_min[d]: the least total the positions d and later can carry
+        self.rest_min = list(itertools.accumulate(
+            reversed([dmin[v] for v in order]), initial=0))[::-1]
+        self.decide = _decide_table(cadj, order, dec, lo, hi, dmin, dmax, self.min_sum)
+        self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass)
+
+        self.ones_mask = 0  # levels assigned above their domain minimum
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
         # exceed their domain minima by one.  Entries are (pair_mask,
         # culprits), pair_mask holding the search positions of the pair's two
@@ -633,11 +706,12 @@ class _Engine:
         self.slack_tables: Optional[tuple[list, list]] = None
         # nogoods (module docstring): ng_watch[p][bit] holds the (mask,
         # pattern, top) triples waiting for position p to take bit bit, and
-        # exists only in a learning search; ng_stored and ng_fired count
-        # recorded and fired nogoods
+        # exists only in a learning search; a position's lists are made on
+        # its first nogood (_wait).  ng_stored and ng_fired count recorded
+        # and fired nogoods
         self.learn = learn
         self.ng_stored = self.ng_fired = 0
-        self.ng_watch = [([], []) for _ in range(n)] if learn else None
+        self.ng_watch = [_NO_NOGOODS] * n if learn else None
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
@@ -648,21 +722,19 @@ class _Engine:
         A sum is a function of its assigned neighbors' labels plus constants
         (singleton domains, boundary mass), so a conflict at u (and t)
         persists until one of those neighbors is unassigned: its culprits
-        are the assigned part of nbmask[u] | nbmask[t].  The sum intervals
-        are scanned first, then the edges whose neighborhood difference
-        assigning v decides, then the cliques whose Hall check v completes
-        (module docstring).
+        are the assigned part of nbmask[u] | nbmask[t], computed only when
+        a check fails.  The sum checks of decide[v] come first, then the
+        edges whose neighborhood difference assigning v decides, then the
+        cliques whose Hall check v completes (module docstring).
         """
-        min_sum = self.min_sum
-        lo, hi, cadj, nbmask = self.lo, self.hi, self.cadj, self.nbmask
-        for u in cadj[v]:
-            s = hi[u]
-            if min_sum is not None and s < min_sum:
+        lo, nbmask = self.lo, self.nbmask
+        for u, need, ts in self.decide[v]:
+            s = lo[u]
+            if s < need:
                 return nbmask[u] & ((2 << self.pos[v]) - 1)
-            if lo[u] == s:
-                for t in cadj[u]:
-                    if lo[t] == s and hi[t] == s:
-                        return (nbmask[u] | nbmask[t]) & ((2 << self.pos[v]) - 1)
+            for t in ts:
+                if lo[t] == s:
+                    return (nbmask[u] | nbmask[t]) & ((2 << self.pos[v]) - 1)
         label = self.label
         for plus, minus, diff, mask in self.watch[v]:
             if minus is None:  # a clique: plus holds its groups, diff its size
@@ -715,12 +787,12 @@ class _Engine:
         if mask & (mask + 1) and not mask & self.wide:
             k = mask.bit_length() - 1
             pattern = self.ones_mask & mask
-            self.ng_watch[k][pattern >> k & 1].append((mask, pattern, k))
+            _wait(self.ng_watch, k, pattern >> k & 1, (mask, pattern, k))
             self.ng_stored += 1
             if (self.ng_stored > LEARN_TRIAL
                     and self.ng_fired * LEARN_FIRE_RATE < self.ng_stored):
                 self.learn = False
-                self.ng_watch = [([], []) for _ in self.ng_watch]
+                self.ng_watch = [_NO_NOGOODS] * self.n
 
     def _nogood_after(self, depth: int, bit: int) -> Optional[int]:
         """Culprit mask of a nogood that the assignment at depth completes, or None.
@@ -747,10 +819,10 @@ class _Engine:
                 t = (mask ^ 1 << k).bit_length() - 1
                 if depth >= t:
                     t = k
-                watch[t][pattern >> t & 1].append(ng)
+                _wait(watch, t, pattern >> t & 1, ng)
             elif not diff & (diff - 1):
                 q = diff.bit_length() - 1
-                watch[q][pattern >> q & 1].append(ng)
+                _wait(watch, q, pattern >> q & 1, ng)
         waiting.clear()
         return None
 
@@ -762,14 +834,21 @@ class _Engine:
     # minima would violate the edge, so every completion spends at least one
     # extra unit on the pair.  Because all of its surrounding flexibility is
     # frozen, the condition persists until u or t is assigned, making the
-    # count a sound addition to the weight lower bound.
+    # count a sound addition to the weight lower bound.  Frames keep no hi
+    # (a sum is checked at the fixed depth of its last multi-valued
+    # neighbor, and hi is the root's table only), so "fixed" is read from
+    # masks: each end's only unassigned multi-valued neighbor is the other
+    # end, or it has none when the other end has one value.  Every
+    # multi-valued position has width at least one, so this is exactly
+    # hi - lo equal to the other end's width.
 
     def _try_bonus(self, u: int, t: int, assigned_mask: int) -> bool:
-        lo, hi = self.lo, self.hi
-        if (hi[u] - lo[u] == self.dmax[t] - self.dmin[t]
-                and hi[t] - lo[t] == self.dmax[u] - self.dmin[u] and lo[u] == lo[t]):
-            bu, bt = 1 << self.pos[u], 1 << self.pos[t]
-            self.bonus_stack.append((bu | bt, (self.nbmask[u] | self.nbmask[t]) & assigned_mask))
+        if self.lo[u] != self.lo[t]:
+            return False
+        bu, bt = 1 << self.pos[u], 1 << self.pos[t]
+        nbmask, open_ = self.nbmask, self.multi & ~assigned_mask
+        if nbmask[u] & open_ == bt & open_ and nbmask[t] & open_ == bu & open_:
+            self.bonus_stack.append((bu | bt, (nbmask[u] | nbmask[t]) & assigned_mask))
             self.paired |= bu | bt
             self.pair_first |= min(bu, bt)
             return True
@@ -931,7 +1010,7 @@ class _Engine:
         culprits before any node is counted.  The slack is held in the cap
         slot, which the value loop reloads.
 
-        The frame keeps 26 local slots, and a test holds it there.  Under
+        The frame keeps 23 local slots, and a test holds it there.  Under
         CPython 3.11, at 34 slots one more (an unused local was enough)
         slowed the SAT sweep by about 7 % at equal node counts, so
         self.bounded and self.learn are read where they are used rather
@@ -946,8 +1025,8 @@ class _Engine:
         v = self.order[depth]
         bit_d = 1 << depth
         adj_v = self.adj[v]
-        lo, hi, label = self.lo, self.hi, self.label
-        dmin_v, dmax_v = self.dmin[v], self.dmax[v]
+        lo, label = self.lo, self.label
+        dmin_v = self.dmin[v]
         rest = self.rest_min[depth + 1]
         cap = self.cap
         if cap is not None and not self.bounded:
@@ -987,16 +1066,11 @@ class _Engine:
                     self.nodes % 2048 == 0 and time.monotonic() >= self.deadline):
                 raise BudgetExceeded
             label[v] = val
-            if val > dmin_v:
-                self.ones_mask |= bit_d
-            # with two-value domains one of the two shifts is zero
-            dlo, dhi = val - dmin_v, val - dmax_v
+            dlo = val - dmin_v
             if dlo:
+                self.ones_mask |= bit_d
                 for u in adj_v:
                     lo[u] += dlo
-            if dhi:
-                for u in adj_v:
-                    hi[u] += dhi
             cmask = self._conflict_after(v)
             # the flag first: branch and bound and enumeration skip the lookup
             if cmask is None and self.learn and self.ng_watch[depth][val > dmin_v]:
@@ -1020,9 +1094,6 @@ class _Engine:
             if dlo:
                 for u in adj_v:
                     lo[u] -= dlo
-            if dhi:
-                for u in adj_v:
-                    hi[u] -= dhi
             self.ones_mask &= ~bit_d
             if skip_rest is not None:
                 return skip_rest

@@ -589,6 +589,27 @@ def _gnp_eta1_nodes():
     return rep.nodes_explored
 
 
+def _gnp_ptds_nodes():
+    # PTDS on the graph of _gnp_eta1_nodes: min_sum 1, under branch and bound
+    rng = random.Random(2)
+    n = 18
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    rep = min_ptds(g)
+    assert (rep.status, rep.value) == ("found", 12)
+    return rep.nodes_explored
+
+
+def _gnp_min_sum2_nodes():
+    # min_sum 2 on G(14, 0.5) under branch and bound: a sum can fall short
+    # of 2 while one of its neighbors is still open
+    rng = random.Random(1)
+    n = 14
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    rep = _search(SearchProblem(g, uniform_domains(g, (0, 1)), min_sum=2), None, minimize=True)
+    assert (rep.status, rep.value) == ("found", 10)
+    return rep.nodes_explored
+
+
 def _recipe_completion_nodes(monkeypatch):
     reports = []
 
@@ -671,6 +692,8 @@ def _three_pairs_capped_nodes(cap, status):
     (lambda mp: _counterexample_refutation_nodes(5), 9),
     (lambda mp: _counterexample_refutation_nodes(6), 11),
     (lambda mp: _gnp_eta1_nodes(), 6_223),
+    (lambda mp: _gnp_ptds_nodes(), 8_408),
+    (lambda mp: _gnp_min_sum2_nodes(), 2_439),
     (lambda mp: _amplifier_enumeration_nodes(), 978),
     (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
     (_recipe_completion_nodes, 84),
@@ -685,7 +708,7 @@ def _three_pairs_capped_nodes(cap, status):
         "binary-sat3", "binary-sat5", "binary-sat16-threshold", "refute-counterexample2",
         "refute-counterexample3", "refute-counterexample4", "refute-counterexample5",
         "refute-counterexample6",
-        "eta1-gnp18",
+        "eta1-gnp18", "ptds-gnp18", "min-sum2-gnp14",
         "enumerate-amplifier2",
         "enumerate-variable-gadget", "recipe-completion",
         "binary-cap3-petersen", "binary-cap2-petersen", "inapprox-k4-d21",
@@ -700,7 +723,123 @@ def test_dfs_frame_keeps_its_local_slots():
     # one more local in the search frame slowed the SAT sweep at equal node
     # counts (_Engine._dfs docstring); a new one needs a benchmark check and
     # that docstring's number moved with this bound
-    assert _Engine._dfs.__code__.co_nlocals <= 26
+    assert _Engine._dfs.__code__.co_nlocals <= 23
+
+
+class _IntervalScan(_Engine):
+    """The engine, checked at every node against the sum-interval scan.
+
+    The reference keeps its own lo and hi: assigning val to v moves lo[u] by
+    val - min and hi[u] by val - max of v's domain at each neighbor u.  A
+    node's assignment pops the reference's assignments at its own and later
+    positions and pushes its own, so the reference follows the path.  Its
+    conflict scan is the one the decide table replaced: at each checked
+    neighbor u of v, a hi below min_sum fails u, and a decided sum
+    (lo == hi) fails an edge to a decided equal sum.  The table, followed
+    by the edge watchers and Hall entries, must give the same culprit mask
+    or None; the forced-pair test must agree with its hi - lo form.
+    """
+
+    counts: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ref_lo, self.ref_hi = self.lo[:], self.hi[:]
+        self.ref_path: list = []  # (v, val) of each assigned position
+
+    def _move(self, v, val, sign):
+        dom = self.domains[v]
+        for u in self.adj[v]:
+            self.ref_lo[u] += sign * (val - dom[0])
+            self.ref_hi[u] += sign * (val - dom[-1])
+
+    def _interval_scan(self, v):
+        lo, hi, min_sum = self.ref_lo, self.ref_hi, self.min_sum
+        assigned = (2 << self.pos[v]) - 1
+        for u in self.cadj[v]:
+            s = hi[u]
+            if min_sum is not None and s < min_sum:
+                self.counts["short"] = self.counts.get("short", 0) + (lo[u] < s)
+                return self.nbmask[u] & assigned
+            if lo[u] == s:
+                for t in self.cadj[u]:
+                    if lo[t] == s and hi[t] == s:
+                        self.counts["edge"] = self.counts.get("edge", 0) + 1
+                        return (self.nbmask[u] | self.nbmask[t]) & assigned
+        return None
+
+    def _conflict_after(self, v):
+        path = self.ref_path
+        while path and self.pos[path[-1][0]] >= self.pos[v]:
+            self._move(*path.pop(), -1)
+        path.append((v, self.label[v]))
+        self._move(v, self.label[v], 1)
+        assert self.lo == self.ref_lo
+        want = self._interval_scan(v)
+        if want is None:  # the edge watchers and Hall entries alone
+            table, self.decide = self.decide, [()] * self.n
+            want = super()._conflict_after(v)
+            self.decide = table
+        got = super()._conflict_after(v)
+        assert got == want, (v, got, want)
+        self.counts["nodes"] = self.counts.get("nodes", 0) + 1
+        return got
+
+    def _try_bonus(self, u, t, assigned_mask):
+        lo, hi, du, dt = self.ref_lo, self.ref_hi, self.domains[u], self.domains[t]
+        want = (hi[u] - lo[u] == dt[-1] - dt[0] and hi[t] - lo[t] == du[-1] - du[0]
+                and lo[u] == lo[t])
+        got = super()._try_bonus(u, t, assigned_mask)
+        assert got == want, (u, t, assigned_mask)
+        self.counts["pairs"] = self.counts.get("pairs", 0) + got
+        return got
+
+
+def _random_interval_problem(rng):
+    """A random problem with n from 4 to 9 over the domains the sum checks must handle.
+
+    Domains are (0,), (0, 1), (0, 2), (2, 5), (0, 1, 2) and (1..4);
+    min_sum is None, 1 or 2, and boundary mass, unchecked vertices and a
+    weight cap are each drawn at random.
+    """
+    from conftest import random_graph
+    g = random_graph(rng, 4, 9, p=rng.choice((0.3, 0.5, 0.7)))
+    choices = ((0,), (0, 1), (0, 1), (0, 2), (2, 5), (0, 1, 2), (1, 2, 3, 4))
+    domains = tuple(rng.choice(choices) for _ in g.vertices())
+    return SearchProblem(
+        g, domains,
+        weight_cap=rng.choice((None, sum(min(d) for d in domains) + rng.randint(0, 4))),
+        min_sum=rng.choice((None, 1, 2, 2)),
+        extra_sum=tuple((v, rng.randint(0, 2)) for v in g.vertices() if rng.random() < 0.3),
+        unchecked=frozenset(v for v in g.vertices() if rng.random() < 0.2),
+    )
+
+
+def test_decide_table_matches_the_interval_scan():
+    """Each node's conflict mask and each forced-pair test match the interval scan.
+
+    300 seeded problems, each searched to its first leaf with learning, in
+    full, and by branch and bound, within 3,000 nodes each.
+    """
+    _IntervalScan.counts = {}
+    rng = random.Random(0xDEC1DE)
+    for _ in range(300):
+        problem = _random_interval_problem(rng)
+        for mode in ("first", "all", "minimize"):
+            eng = _IntervalScan(problem, SearchBudget(max_nodes=3_000),
+                                break_symmetry=mode != "all", learn=mode == "first")
+
+            def on_leaf(w, eng=eng, mode=mode):
+                if mode == "minimize":
+                    eng.cap = w - 1
+                return mode == "first"
+
+            eng.run(on_leaf)
+    counts = _IntervalScan.counts
+    # every kind of check fires: a sum short of min_sum before it is decided,
+    # a decided edge, and a forced pair
+    assert counts["nodes"] > 40_000 and counts["short"] > 50, counts
+    assert counts["edge"] > 5_000 and counts["pairs"] > 50, counts
 
 
 def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
