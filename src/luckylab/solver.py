@@ -44,9 +44,10 @@ per search (_decide_table): an edge's at the later of its two ends'
 decisive depths, a minimum's at each depth where the neighbors still open
 can no longer make it up.  The frames used to move a greatest sum hi[v] at
 every neighbor on every value and to scan every checked neighbor's
-interval; hi is now the root's table only, read by _root_cut, and the
-table took bounds_gnp's wall time from 0.743 s to 0.508 s at equal node
-counts.
+interval; hi is now the root's table only, read by _root_cut.  At equal
+node counts, the table took the benchmark's bounds_gnp wall time from
+0.726 s to 0.507 s (medians over 10 alternating pairs of 26 s runs on a
+2-core VM under CPython 3.11).
 
 An edge can be decided before either sum is.  The common neighbors of u
 and w add the same labels to both sums, so sum(u) - sum(w) is fixed once u,
