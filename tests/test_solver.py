@@ -579,22 +579,21 @@ def _counterexample_refutation_nodes(k):
     return res.report.nodes_explored
 
 
+def _gnp(seed, n, p):
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def _gnp_eta1_nodes():
     # G(18, 0.3) has triangles, so edge watchers fire; Petersen has none
-    rng = random.Random(2)
-    n = 18
-    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
-    rep = solve_eta1(g)
+    rep = solve_eta1(_gnp(2, 18, 0.3))
     assert (rep.status, rep.value) == ("found", 8)
     return rep.nodes_explored
 
 
 def _gnp_ptds_nodes():
     # PTDS on the graph of _gnp_eta1_nodes: min_sum 1, under branch and bound
-    rng = random.Random(2)
-    n = 18
-    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
-    rep = min_ptds(g)
+    rep = min_ptds(_gnp(2, 18, 0.3))
     assert (rep.status, rep.value) == ("found", 12)
     return rep.nodes_explored
 
@@ -602,9 +601,7 @@ def _gnp_ptds_nodes():
 def _gnp_min_sum2_nodes():
     # min_sum 2 on G(14, 0.5) under branch and bound: a sum can fall short
     # of 2 while one of its neighbors is still open
-    rng = random.Random(1)
-    n = 14
-    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    g = _gnp(1, 14, 0.5)
     rep = _search(SearchProblem(g, uniform_domains(g, (0, 1)), min_sum=2), None, minimize=True)
     assert (rep.status, rep.value) == ("found", 10)
     return rep.nodes_explored
