@@ -22,11 +22,18 @@ class FileFormatError(ValueError):
 
 
 def _records(text: str, skip: Union[str, tuple[str, ...]]) -> Iterator[tuple[int, str, list[str]]]:
-    """(line_no, line, fields) for each line that is not blank and does not start with skip."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith(skip):
-            yield line_no, line, line.split()
+    """(line_no, line, fields) for each nonblank line whose first field does not start with skip.
+
+    line is the raw line, unstripped: strip it only to quote it in an error.
+    """
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith(skip):
+            yield line_no, line, fields
+
+
+def _non_integer(line_no: int, line: str, what: str) -> FileFormatError:
+    return FileFormatError(line_no, f"non-integer {what} in {line.strip()!r}")
 
 
 def _ints(line_no: int, line: str, fields: list[str], what: str) -> list[int]:
@@ -34,7 +41,7 @@ def _ints(line_no: int, line: str, fields: list[str], what: str) -> list[int]:
     try:
         return [int(x) for x in fields]
     except ValueError:
-        raise FileFormatError(line_no, f"non-integer {what} in {line!r}") from None
+        raise _non_integer(line_no, line, what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +57,8 @@ MAX_VERTICES = 1_000_000
 def graph_to_text(g: Graph) -> str:
     out = [f"p edge {g.n} {g.m}"]
     if g.names:
-        for v in sorted(g.names):
-            out.append(f"c name {v + 1} {g.names[v]}")
-    for u, v in g.edges:
-        out.append(f"e {u + 1} {v + 1}")
+        out += [f"c name {v + 1} {g.names[v]}" for v in sorted(g.names)]
+    out += [f"e {u + 1} {v + 1}" for u, v in g.edges]
     return "\n".join(out) + "\n"
 
 
@@ -69,12 +74,40 @@ def graph_from_text(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     names: dict[int, str] = {}
     name_lines: dict[int, int] = {}
+    # edge lines and then name lines are most of a file, so they are tested
+    # first and convert their ids inline; the other paths are cold
     for line_no, line, parts in _records(text, ()):
-        if parts[0] == "p":
+        tag = parts[0]
+        if tag == "e":
+            if n is None:
+                raise FileFormatError(line_no, "edge line before problem line")
+            if len(parts) != 3:
+                raise FileFormatError(line_no, f"expected 'e <u> <v>', got {line.strip()!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise _non_integer(line_no, line, "endpoint") from None
+            if u == v:
+                raise FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+            edges.append((u - 1, v - 1))
+        elif tag == "c":
+            if len(parts) >= 4 and parts[1] == "name":
+                try:
+                    v = int(parts[2]) - 1
+                except ValueError:
+                    raise _non_integer(line_no, line, "vertex id") from None
+                if v in names:
+                    raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
+                names[v] = " ".join(parts[3:])
+                name_lines[v] = line_no
+            # other comments are ignored
+        elif tag == "p":
             if n is not None:
                 raise FileFormatError(line_no, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
-                raise FileFormatError(line_no, f"expected 'p edge <n> <m>', got {line!r}")
+                raise FileFormatError(line_no, f"expected 'p edge <n> <m>', got {line.strip()!r}")
             n, m_declared = _ints(line_no, line, parts[2:], "counts")
             p_line = line_no
             for what, count in (("vertex", n), ("edge", m_declared)):
@@ -83,27 +116,8 @@ def graph_from_text(text: str) -> Graph:
             if n > MAX_VERTICES:
                 raise FileFormatError(line_no,
                                       f"vertex count {n} exceeds the limit of {MAX_VERTICES:,}")
-        elif parts[0] == "c":
-            if len(parts) >= 4 and parts[1] == "name":
-                v = _ints(line_no, line, parts[2:3], "vertex id")[0] - 1
-                if v in names:
-                    raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
-                names[v] = " ".join(parts[3:])
-                name_lines[v] = line_no
-            # other comments are ignored
-        elif parts[0] == "e":
-            if n is None:
-                raise FileFormatError(line_no, "edge line before problem line")
-            if len(parts) != 3:
-                raise FileFormatError(line_no, f"expected 'e <u> <v>', got {line!r}")
-            u, v = _ints(line_no, line, parts[1:], "endpoint")
-            if u == v:
-                raise FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-            edges.append((u - 1, v - 1))
         else:
-            raise FileFormatError(line_no, f"unrecognized line {line!r}")
+            raise FileFormatError(line_no, f"unrecognized line {line.strip()!r}")
     if n is None:
         raise FileFormatError(1, "missing problem line 'p edge <n> <m>'")
     for v, line_no in name_lines.items():
@@ -126,7 +140,8 @@ def labeling_from_text(text: str) -> Labeling:
     values: dict[int, int] = {}
     for line_no, line, parts in _records(text, "c"):
         if parts[0] != "v" or len(parts) != 3:
-            raise FileFormatError(line_no, f"expected 'v <vertex-id> <label>', got {line!r}")
+            raise FileFormatError(line_no,
+                                  f"expected 'v <vertex-id> <label>', got {line.strip()!r}")
         v, x = _ints(line_no, line, parts[1:], "field")
         if v - 1 in values:
             raise FileFormatError(line_no, f"duplicate label for vertex {v}")
@@ -149,7 +164,8 @@ def lists_from_text(text: str) -> ListAssignment:
     lists: dict[int, list[int]] = {}
     for line_no, line, parts in _records(text, "c"):
         if parts[0] != "l" or len(parts) < 3:
-            raise FileFormatError(line_no, f"expected 'l <vertex-id> <a> <b> ...', got {line!r}")
+            raise FileFormatError(line_no,
+                                  f"expected 'l <vertex-id> <a> <b> ...', got {line.strip()!r}")
         v, *vals = _ints(line_no, line, parts[1:], "field")
         if v - 1 in lists:
             raise FileFormatError(line_no, f"duplicate list for vertex {v}")
@@ -170,7 +186,9 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
     The `p cnf <vars> <clauses>` line is optional; without it the variable
     count is the largest variable used.  With it, every literal, before the
     line or after it, must lie within the declared variable count, and the
-    file must hold the declared number of clauses.
+    file must hold the declared number of clauses.  A line starting with `%`
+    ends the clause list, as in SATLIB files, which end in `%` and then `0`:
+    the rest of the file is not read.
     """
     num_vars = num_clauses = p_line = None
     clauses: list[tuple[int, ...]] = []
@@ -187,15 +205,18 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         clauses.append(tuple(pending))
         pending.clear()
 
-    for line_no, line, parts in _records(text, ("c", "%")):
-        if line.startswith("p"):
+    for line_no, line, parts in _records(text, "c"):
+        if parts[0].startswith("%"):
+            break
+        if parts[0].startswith("p"):
             if num_vars is not None:
                 raise FileFormatError(line_no, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "cnf":
-                raise FileFormatError(line_no, f"expected 'p cnf <vars> <clauses>', got {line!r}")
+                raise FileFormatError(line_no,
+                                      f"expected 'p cnf <vars> <clauses>', got {line.strip()!r}")
             num_vars, num_clauses = _ints(line_no, line, parts[2:], "count")
             if num_vars < 0 or num_clauses < 0:
-                raise FileFormatError(line_no, f"negative count in {line!r}")
+                raise FileFormatError(line_no, f"negative count in {line.strip()!r}")
             p_line = line_no
             for early_line, lit in early:
                 if abs(lit) > num_vars:

@@ -109,28 +109,28 @@ def build_graph(
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     for u, v in edge_list:
         if u == v:
             raise GraphError(f"loop edge ({u}, {v}) not allowed in a simple graph")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        seen.add((u, v) if u < v else (v, u))
+        pairs.append((u, v) if u < v else (v, u))
+    # sorted, a repeated pair sits next to its first copy; the dict keeps
+    # one of each in order.  Sorting a list already in order is linear.
+    pairs.sort()
     name_map = dict(names) if names else None
     if name_map:
         for v in name_map:
             if not (0 <= v < n):
                 raise GraphError(f"name attached to unknown vertex {v}")
-    return Graph(n=n, edges=tuple(sorted(seen)), names=name_map)
+    return Graph(n=n, edges=tuple(dict.fromkeys(pairs)), names=name_map)
 
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are mutually adjacent."""
     sets = [set(b) for b in g.adjacency()]
-    for u, v in g.edges:
-        if sets[u] & sets[v]:
-            return False
-    return True
+    return all(sets[u].isdisjoint(sets[v]) for u, v in g.edges)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -97,10 +97,10 @@ def all_neighbor_sums(g: Graph, lab: Labeling, base: int = 0) -> list[int]:
     A labeling that is not total raises, naming its least unlabeled vertex
     v as v + base (base 1 gives file ids).
     """
-    vals = [lab.get(v) for v in g.vertices()]
+    vals = list(map(lab.values.get, g.vertices()))
     if None in vals:
         raise LabelingError(f"labeling is not total: vertex {vals.index(None) + base} has no label")
-    return [sum(vals[u] for u in g.neighbors(v)) for v in g.vertices()]
+    return [sum(map(vals.__getitem__, nbrs)) for nbrs in g.adjacency()]
 
 
 def equal_sum_edges(g: Graph, sums: list[int]) -> list[Violation]:
@@ -123,8 +123,9 @@ def labels_outside_mode(g: Graph, lab: Labeling, mode: str) -> list[int]:
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     least, greatest = _MODES[mode]
-    return [v for v in g.vertices()
-            if v in lab and (lab[v] < least or (greatest is not None and lab[v] > greatest))]
+    n = g.n
+    return sorted(v for v, x in lab.values.items()
+                  if 0 <= v < n and (x < least or (greatest is not None and x > greatest)))
 
 
 def _sums_and_violations(g: Graph, lab: Labeling, mode: str) -> tuple[list[int], list[Violation]]:

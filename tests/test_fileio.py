@@ -49,10 +49,20 @@ def test_graph_errors_carry_line_numbers():
     ("p edge 3 -1\nnonsense\n", "line 1: edge count must be nonnegative, got -1"),
     ("p edge 2 1\ne 1 x\n", "line 2: non-integer endpoint in 'e 1 x'"),
     ("p edge 2 1\nc name x a\ne 1 2\n", "line 2: non-integer vertex id in 'c name x a'"),
+    # fields are split on any whitespace; an error quotes its line stripped
+    ("  p edge 2 1  \r\n\te 1 x\t\r\n", "line 2: non-integer endpoint in 'e 1 x'"),
+    ("p edge 3 1\r\n c  name\tx a \r\n", "line 2: non-integer vertex id in 'c  name\\tx a'"),
+    ("\t p edge 3\r\n", "line 1: expected 'p edge <n> <m>', got 'p edge 3'"),
+    ("p edge 2 1\n  e 1 2 3 \n", "line 2: expected 'e <u> <v>', got 'e 1 2 3'"),
+    (" \t\r\n  nonsense  here \r\n", "line 2: unrecognized line 'nonsense  here'"),
+    ("p edge 2 1\r\n\r\n  e  1\t1 \r\n", "line 3: loop edge (1, 1) not allowed in a simple graph"),
+    ("\tp edge 3 1 \r\n\tp edge 3 1\r\n", "line 2: duplicate problem line"),
 ], ids=["endpoint", "loop", "name", "edge-count", "vertex-count", "edge-before-name",
         "duplicate-name", "loop-before-bad-line", "vertex-count-before-bad-line",
         "edge-count-negative", "edge-count-before-bad-line", "non-integer-endpoint",
-        "non-integer-name-id"])
+        "non-integer-name-id", "spaced-non-integer-endpoint", "spaced-non-integer-name-id",
+        "spaced-problem-line", "spaced-edge-line", "spaced-unrecognized", "spaced-loop",
+        "spaced-duplicate-problem-line"])
 def test_graph_errors_name_the_offending_line_in_file_ids(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.graph_from_text(text)
@@ -68,6 +78,22 @@ def test_labeling_round_trip():
         fileio.labeling_from_text("v 1 1\nv 1 2\n")
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (fileio.labeling_from_text, " v 1 1 \r\n\tv 2\r\n",
+     "line 2: expected 'v <vertex-id> <label>', got 'v 2'"),
+    (fileio.labeling_from_text, "c x\r\n  v 1  y \r\n", "line 2: non-integer field in 'v 1  y'"),
+    (fileio.labeling_from_text, "v 1 1\r\n  v\t1 2 \r\n", "line 2: duplicate label for vertex 1"),
+    (fileio.lists_from_text, "  l 1 1 2\r\n\tl 2\r\n",
+     "line 2: expected 'l <vertex-id> <a> <b> ...', got 'l 2'"),
+    (fileio.lists_from_text, "l 1 1\t x \r\n", "line 1: non-integer field in 'l 1 1\\t x'"),
+], ids=["labeling-short", "labeling-non-integer", "labeling-duplicate", "lists-short",
+        "lists-non-integer"])
+def test_labeling_and_list_errors_quote_the_stripped_line(read, text, message):
+    with pytest.raises(FileFormatError) as err:
+        read(text)
+    assert str(err.value) == message
+
+
 def test_lists_round_trip():
     lists = make_lists({0: {2, 1}, 1: {3}})
     text = fileio.lists_to_text(lists)
@@ -79,6 +105,7 @@ def test_lists_round_trip():
     ("l 1 0 2\nl 2 1 2\nl 3 1 2\n", 1),
     ("l 1 1 2\nl 2 -1 2\nl 3 1 2\n", 2),
     ("l 1 1 2\nl 2 1 2\nl 3 2 0\n", 3),
+    ("\tl 1 1 2 \r\n l 2 1 2\r\n\r\n  l 3 0 2\r\n", 4),
 ])
 def test_lists_reject_non_positive_values(text, line):
     # a list holds labels, and labels are positive
@@ -112,7 +139,8 @@ def test_cnf_long_last_clause_names_its_line():
     ("p cnf 2 2\n1 0\n\n0\n", "line 4: empty clause"),
     # an unterminated last clause is reported at the line of its last literal
     ("p cnf 4 2\n1 0 2\n3 4\n1\nc end\n", "line 4: clause has 4 literals; at most 3 allowed"),
-], ids=["long-at-terminator", "empty-at-terminator", "long-unterminated"])
+    ("p cnf 4 1\r\n 1 2 \r\n\t3 4\r\n 0 \r\n", "line 4: clause has 4 literals; at most 3 allowed"),
+], ids=["long-at-terminator", "empty-at-terminator", "long-unterminated", "spaced-long"])
 def test_cnf_clause_errors_name_where_the_clause_closes(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.cnf_from_text(text)
@@ -126,12 +154,29 @@ def test_cnf_clause_errors_name_where_the_clause_closes(text, message):
     ("p cnf 3 x\n1 0\n", "line 1: non-integer count in 'p cnf 3 x'"),
     ("p cnf -2 1\n1 0\n", "line 1: negative count in 'p cnf -2 1'"),
     ("p cnf 2 -1\n1 0\n", "line 1: negative count in 'p cnf 2 -1'"),
+    # the clause count is checked against the clauses before a `%` line
+    ("p cnf 2 2\n1 2 0\n%\n0\n2 0\n", "line 1: problem line declares 2 clauses, file has 1"),
+    # fields are split on any whitespace; an error quotes its line stripped
+    ("  p cnf 3 x\n1 0\n", "line 1: non-integer count in 'p cnf 3 x'"),
+    ("\tp cnf -2 1 \r\n1 0\r\n", "line 1: negative count in 'p cnf -2 1'"),
+    (" p  cnf 3\r\n", "line 1: expected 'p cnf <vars> <clauses>', got 'p  cnf 3'"),
+    ("p cnf 2 1\r\n 1 y 0 \r\n", "line 2: non-integer literal in '1 y 0'"),
+    ("  c x\r\n\t1 5 0 \r\n p cnf 3 1\r\n", "line 2: literal 5 exceeds declared variable count"),
 ], ids=["literal-before-header", "clause-count", "non-integer-clause-count",
-        "negative-variables", "negative-clauses"])
+        "negative-variables", "negative-clauses", "clause-count-before-trailer",
+        "spaced-non-integer-count", "spaced-negative-count", "spaced-problem-line",
+        "spaced-non-integer-literal", "spaced-literal-before-header"])
 def test_cnf_header_is_checked(text, message):
     with pytest.raises(FileFormatError) as err:
         fileio.cnf_from_text(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["p cnf 2 1\n1 2 0\n%\n0\n", "p cnf 2 1\r\n1 2 0\r\n  %\r\n0\r\n"],
+                         ids=["lf", "crlf-indented"])
+def test_cnf_satlib_trailer_ends_the_clause_list(text):
+    # SATLIB files end in `%` and then `0`; the 0 closes no clause
+    assert fileio.cnf_from_text(text) == (2, [(1, 2)])
 
 
 def test_cnf_without_problem_line_infers_variables():

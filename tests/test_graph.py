@@ -36,11 +36,16 @@ def test_duplicate_edges_collapse():
 def test_loop_rejected():
     with pytest.raises(GraphError, match=r"\(0, 0\)"):
         build_graph(1, [(0, 0)])
+    # of several bad pairs, the first in input order is named
+    with pytest.raises(GraphError, match=r"^loop edge \(2, 2\)"):
+        build_graph(3, [(0, 1), (2, 2), (0, 3)])
 
 
 def test_out_of_range_rejected():
     with pytest.raises(GraphError, match=r"\(0, 3\)"):
         build_graph(3, [(0, 3)])
+    with pytest.raises(GraphError, match=r"^edge \(4, 0\) has an endpoint outside 0\.\.2$"):
+        build_graph(3, [(0, 1), (4, 0), (1, 1)])
 
 
 def test_build_is_order_insensitive():

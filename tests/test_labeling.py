@@ -6,6 +6,7 @@ from luckylab.labeling import (
     LabelingError,
     all_neighbor_sums,
     induced_coloring,
+    labels_outside_mode,
     make_lists,
     verify_additive,
     verify_from_lists,
@@ -28,6 +29,17 @@ def test_neighbor_sum_missing_label_names_vertex():
     g = path_graph(2)
     with pytest.raises(LabelingError, match="vertex 1 has no label"):
         verify_additive(g, Labeling({0: 1}))
+    # of several unlabeled vertices, the least is named
+    with pytest.raises(LabelingError, match="^labeling is not total: vertex 2 has no label$"):
+        all_neighbor_sums(path_graph(5), Labeling({4: 1, 3: 1, 0: 1}), base=1)
+
+
+def test_labels_outside_mode_ascending_and_within_the_graph():
+    # insertion order does not matter, and labels on vertices the graph lacks are ignored
+    lab = Labeling({7: 5, 3: 2, 2: 1, 1: 0, 0: 4, -1: 9})
+    assert labels_outside_mode(path_graph(4), lab, "binary") == [0, 3]
+    assert labels_outside_mode(path_graph(4), lab, "positive") == [1]
+    assert labels_outside_mode(path_graph(4), lab, "any") == []
 
 
 def test_verify_additive_path_all_ones():

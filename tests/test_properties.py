@@ -1,9 +1,11 @@
 """Property-based checks of the structural invariants."""
 
 import itertools
+import string
 
 from hypothesis import given, settings, strategies as st
 
+from luckylab.fileio import graph_from_text, graph_to_text
 from luckylab.graph import build_graph, connected_components
 from luckylab.labeling import (
     Labeling,
@@ -20,6 +22,18 @@ def graphs(draw, max_n=6):
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+# a display name is one to three words joined by single spaces, since the
+# reader splits a name line on whitespace and joins the words with one space
+_NAMES = st.lists(st.text(string.ascii_letters + string.digits + "_^{}(),'-", min_size=1,
+                          max_size=4), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def named_graphs(draw):
+    g = draw(graphs())
+    return build_graph(g.n, g.edges, draw(st.dictionaries(st.integers(0, g.n - 1), _NAMES)))
 
 
 @st.composite
@@ -49,6 +63,27 @@ def test_build_graph_sorts_edges_and_neighbours(case):
     assert g.adjacency() == tuple(
         tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
         for v in range(n))
+
+
+@given(named_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_text_round_trip(g, data):
+    text = graph_to_text(g)
+    parsed = graph_from_text(text)
+    assert parsed == g
+    assert graph_to_text(parsed) == text
+    # the same fields, re-spaced, with blank and comment lines between and
+    # either line ending, parse to the same graph
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    lines = []
+    for line in text.splitlines():
+        lines += data.draw(st.lists(st.sampled_from(["", " \t", "c", "c by hand"]), max_size=2))
+        first, *rest = line.split(" ")
+        seps = data.draw(st.lists(st.sampled_from([" ", "\t", "   ", " \t "]),
+                                  min_size=len(rest), max_size=len(rest)))
+        body = first + "".join(sep + field for sep, field in zip(seps, rest))
+        lines.append(data.draw(pad) + body + data.draw(pad))
+    assert graph_from_text(data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)) == g
 
 
 @given(graphs())

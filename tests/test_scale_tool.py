@@ -32,3 +32,4 @@ def test_xl_completion_instance_row():
     row = scale.xl_completion_instance(250)
     assert (row["v"], row["n"]) == (250, 8_625)
     assert row["status"] and row["seconds"] >= 0 and row["peak_rss_mb"] > 0
+    assert row["text_s"] >= 0

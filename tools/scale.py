@@ -19,7 +19,9 @@ For sat_threshold the line holds v, the seed, n, the status, the nodes, the
 seconds of the exists_binary call and the peak RSS in MB; a last line on
 stderr gives the share decided.  For xl_completion it holds v, n, the
 status (found, or the name of the exception the completion raised), the
-seconds of the labeling_from_assignment call and the peak RSS in MB.
+seconds of the labeling_from_assignment call, text_s (the seconds of reading
+back the reduction graph's text, graph_from_text(graph_to_text(g)), checked
+equal to g and dropped before the completion starts) and the peak RSS in MB.
 Standard library only; the package is imported from the checkout's src
 directory and the generator from its bench directory.
 """
@@ -69,6 +71,7 @@ def xl_completion_instance(v: int) -> dict:
     sys.path[:0] = [str(SRC), str(ROOT / "bench")]
     import generators
     from luckylab.constructions import build_sat_reduction
+    from luckylab.fileio import graph_from_text, graph_to_text
     from luckylab.formula import make_formula
     from luckylab.oracles import labeling_from_assignment
     from luckylab.solver import SearchBudget
@@ -78,6 +81,13 @@ def xl_completion_instance(v: int) -> dict:
     phi = make_formula(num_vars, clauses)
     red = build_sat_reduction(phi)
     start = time.perf_counter()
+    text = graph_to_text(red.graph)
+    parsed = graph_from_text(text)
+    text_s = time.perf_counter() - start
+    if parsed != red.graph:
+        raise AssertionError(f"v = {v}: the graph text round trip changed the graph")
+    del text, parsed
+    start = time.perf_counter()
     try:
         labeling_from_assignment(phi, planted, SearchBudget(max_nodes=SAT_THRESHOLD_NODES,
                                                             max_ms=3_600_000), reduction=red)
@@ -86,15 +96,15 @@ def xl_completion_instance(v: int) -> dict:
         status = type(err).__name__
     seconds = time.perf_counter() - start
     return {"v": v, "n": red.graph.n, "status": status, "seconds": round(seconds, 3),
-            "peak_rss_mb": _peak_rss_mb()}
+            "text_s": round(text_s, 3), "peak_rss_mb": _peak_rss_mb()}
 
 
 def _xl_completion() -> int:
-    print(f"{'v':>5} {'n':>6} {'status':<16} {'s':>7} {'rss_mb':>7}")
+    print(f"{'v':>5} {'n':>6} {'status':<16} {'s':>7} {'text_s':>7} {'rss_mb':>7}")
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for row in pool.imap(xl_completion_instance, XL_COMPLETION):
             print(f"{row['v']:>5} {row['n']:>6} {row['status']:<16} {row['seconds']:>7.3f} "
-                  f"{row['peak_rss_mb']:>7.1f}", flush=True)
+                  f"{row['text_s']:>7.3f} {row['peak_rss_mb']:>7.1f}", flush=True)
     return 0
 
 
