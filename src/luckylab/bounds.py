@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .graph import BudgetExceeded, Graph, chromatic_number, max_clique, regularity
-from .solver import SearchBudget, solve_eta, solve_eta1, solve_sigma
+from .solver import SearchBudget, _require_nonempty, solve_eta, solve_eta1, solve_sigma
 
 
 def clique_ratio_bound(g: Graph, omega: int) -> int:
@@ -58,8 +58,10 @@ def bounds_report(g: Graph, budget: Optional[SearchBudget] = None) -> BoundsRepo
 
     Every search, the clique and colouring searches among them, gets the
     whole budget.  Fields whose search exhausts it stay absent and their
-    flags are skipped (recorded in notes) rather than guessed.
+    flags are skipped (recorded in notes) rather than guessed.  A graph
+    without vertices is refused first, with the solvers' message.
     """
+    _require_nonempty(g)
     budget = budget or SearchBudget()
     rep = BoundsReport(n=g.n)
     try:

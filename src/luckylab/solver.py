@@ -42,12 +42,13 @@ below a required minimum, so either kills the branch.  Each test is made
 only at the depth where it can first fail, read from a table built once
 per search (_decide_table): an edge's at the later of its two ends'
 decisive depths, a minimum's at each depth where the neighbors still open
-can no longer make it up.  The frames used to move a greatest sum hi[v] at
+can no longer make it up.  The frames used to move a greatest sum at
 every neighbor on every value and to scan every checked neighbor's
-interval; hi is now the root's table only, read by _root_cut.  At equal
-node counts, the table took the benchmark's bounds_gnp wall time from
-0.726 s to 0.507 s (medians over 10 alternating pairs of 26 s runs on a
-2-core VM under CPython 3.11).
+interval; no table of greatest sums is kept now, and the root pass
+(_root_cut) reads them as lo plus the domain widths.  At equal node
+counts, the table took the benchmark's bounds_gnp wall time from 0.726 s
+to 0.507 s (medians over 10 alternating pairs of 26 s runs on a 2-core
+VM under CPython 3.11).
 
 An edge can be decided before either sum is.  The common neighbors of u
 and w add the same labels to both sums, so sum(u) - sum(w) is fixed once u,
@@ -318,28 +319,28 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
-def _decide_table(cadj, order, dec, lo, hi, dmin, dmax, min_sum):
+def _decide_table(cadj, order, dec, lo, domains, min_sum):
     """For each vertex, the checks on its neighbors' sums that assigning it can fail.
 
     dec[u] is the position of u's last multi-valued neighbor, where u's sum
-    is decided, and lo and hi are the root's sum intervals.  decide[v]
-    holds (u, need, ts) for checked neighbors u of v, in cadj[v] order.
-    When v decides u's sum, ts holds u's checked neighbors t whose sums are
+    is decided, and lo holds the root's least sums.  decide[v] holds
+    (u, need, ts) for checked neighbors u of v, in cadj[v] order.  When v
+    decides u's sum, ts holds u's checked neighbors t whose sums are
     decided by then (dec[t] <= pos[v]), and a t with lo[t] == lo[u] fails
     the edge; otherwise ts is empty.  lo[u] < need fails u's minimum: need
     is min_sum less the total domain width of u's neighbors after v, so the
     test says that u's greatest reachable sum lies below min_sum.  Without
     min_sum need is u's least sum at the root, which lo[u] never falls
-    below.  An entry that can fail neither
-    test is left out, and so is every entry at a one-value vertex, whose
-    assignment moves no sum.  A vertex with no entry holds the shared empty
-    tuple.  The culprit masks are not stored: as long as nbmask, they would
-    make the table quadratic.
+    below.  An entry that can fail neither test is left out, and so is
+    every entry at a one-value vertex, whose assignment moves no sum.  A
+    vertex with no entry holds the shared empty tuple.  The culprit masks
+    are not stored: as long as nbmask, they would make the table quadratic.
     """
     decide: list[tuple] = [()] * len(cadj)
-    seen = [0] * len(cadj)  # the domain width of the neighbors placed so far
-    for p, v in enumerate(order):
-        width = dmax[v] - dmin[v]
+    after = [0] * len(cadj)  # the domain width of the neighbors placed later
+    for p in range(len(order) - 1, -1, -1):
+        v = order[p]
+        width = domains[v][-1] - domains[v][0]
         if not width:
             continue
         entries = []
@@ -349,8 +350,8 @@ def _decide_table(cadj, order, dec, lo, hi, dmin, dmax, min_sum):
                     continue
                 need = lo[u]
             else:
-                seen[u] += width
-                need = min_sum - (hi[u] - lo[u] - seen[u])
+                need = min_sum - after[u]
+                after[u] += width
             ts = tuple([t for t in cadj[u] if dec[t] <= p]) if dec[u] == p else ()
             if ts or need > lo[u]:
                 entries.append((u, need, ts))
@@ -578,8 +579,9 @@ class _Engine:
     val to v moves lo[u] by val - dmin[v] at every neighbor u, since v's
     label replaces its domain minimum, and the free-tail walk moves it the
     same way.  A sum is checked at the fixed depth of its last multi-valued
-    neighbor, from decide (_decide_table), so no frame keeps the greatest
-    sums: hi is the root's table only, read by _root_cut.
+    neighbor, dec, from decide (_decide_table), so the engine keeps no
+    greatest sums: _root_cut reads them as lo plus the neighbors' domain
+    widths.
     """
 
     def __init__(self, problem: SearchProblem, budget: SearchBudget,
@@ -612,22 +614,18 @@ class _Engine:
         # neighbor's sum is read.
         constrained = [c and (self.min_sum is not None or bool(ca))
                        for c, ca in zip(checked, cadj)]
-        # each vertex's boundary mass, and in one pass over the edges the sum
-        # intervals and the free flags
+        # each vertex's boundary mass, and in one pass over the edges the
+        # least sums and the free flags
         mass = [0] * n
         for v, s in problem.extra_sum or ():
             mass[v] = s
         dmin = self.dmin = [d[0] for d in domains]
-        dmax = [d[-1] for d in domains]
         self.label = [0] * n
         lo = self.lo = mass[:]
-        hi = self.hi = mass[:]
         free = [True] * n
         for u, w in g.edges:
             lo[u] += dmin[w]
             lo[w] += dmin[u]
-            hi[u] += dmax[w]
-            hi[w] += dmax[u]
             if constrained[u]:
                 free[w] = False
             if constrained[w]:
@@ -665,7 +663,7 @@ class _Engine:
         # It also records dec[u], the position of u's last multi-valued
         # neighbor, where u's sum is decided (-1: decided at the root).
         nbmask = self.nbmask = [0] * n
-        dec = [-1] * n
+        dec = self.dec = [-1] * n
         single = wide = unchecked = 0
         for i, v in enumerate(order):
             pos[v] = i
@@ -689,7 +687,7 @@ class _Engine:
         # rest_min[d]: the least total the positions d and later can carry
         self.rest_min = list(itertools.accumulate(
             reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.decide = _decide_table(cadj, order, dec, lo, hi, dmin, dmax, self.min_sum)
+        self.decide = _decide_table(cadj, order, dec, lo, domains, self.min_sum)
         self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass)
 
         self.ones_mask = 0  # levels assigned above their domain minimum
@@ -835,13 +833,9 @@ class _Engine:
     # minima would violate the edge, so every completion spends at least one
     # extra unit on the pair.  Because all of its surrounding flexibility is
     # frozen, the condition persists until u or t is assigned, making the
-    # count a sound addition to the weight lower bound.  Frames keep no hi
-    # (a sum is checked at the fixed depth of its last multi-valued
-    # neighbor, and hi is the root's table only), so "fixed" is read from
-    # masks: each end's only unassigned multi-valued neighbor is the other
-    # end, or it has none when the other end has one value.  Every
-    # multi-valued position has width at least one, so this is exactly
-    # hi - lo equal to the other end's width.
+    # count a sound addition to the weight lower bound.  "Fixed" is read
+    # from masks: each end's only unassigned multi-valued neighbor is the
+    # other end, or it has none when the other end has one value.
 
     def _try_bonus(self, u: int, t: int, assigned_mask: int) -> bool:
         if self.lo[u] != self.lo[t]:
@@ -961,14 +955,16 @@ class _Engine:
         the problem's own cap the same pass over the checked edges stacks
         those pairs, in edge order.
         """
-        lo, hi, checked = self.lo, self.hi, self.checked
+        lo, dec, checked, domains = self.lo, self.dec, self.checked, self.domains
         if self.min_sum is not None:
-            for v in range(self.n):
-                if checked[v] and hi[v] < self.min_sum:
+            # a sum's greatest value: every neighbor at its greatest label
+            for v, nb in enumerate(self.adj):
+                if checked[v] and lo[v] + sum([domains[u][-1] - domains[u][0]
+                                               for u in nb]) < self.min_sum:
                     return True
         pos, bounded = self.pos, self.bounded
         for u, t in self.cedges:
-            if lo[u] == hi[u] == lo[t] == hi[t]:
+            if dec[u] < 0 and dec[t] < 0 and lo[u] == lo[t]:  # decided and equal
                 return True
             if bounded and not self.paired & (1 << pos[u] | 1 << pos[t]):
                 self._try_bonus(u, t, 0)  # nothing is assigned yet

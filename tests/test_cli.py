@@ -204,6 +204,15 @@ def test_missing_file_flag_exit_two(capsys, tmp_path, p3_file, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["solve", "eta"], ["bounds"]])
+def test_zero_vertex_graph_exit_two(capsys, tmp_path, command):
+    # bounds used to name max_clique, the first search it runs
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    assert main([*command, "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == "error: solver requires a graph with at least one vertex\n"
+
+
 # the 5-wheel and K4 with one pendant vertex are irregular; before the
 # premise was checked, both printed a "disagree" verdict and exited 1
 _IRREGULAR = {

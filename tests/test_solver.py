@@ -254,13 +254,8 @@ def test_weight_capped_decision_matches_enumeration(rng):
     for _ in range(40):
         g = random_graph(rng, 1, 6)
         for cap in (0, 1, 2, 3):
-            want = False
-            for labels in itertools.product((0, 1), repeat=g.n):
-                if sum(labels) <= cap:
-                    lab = Labeling(dict(enumerate(labels)))
-                    if not verify_additive(g, lab):
-                        want = True
-                        break
+            want = any(not verify_additive(g, Labeling(dict(enumerate(labels))))
+                       for labels in itertools.product((0, 1), repeat=g.n) if sum(labels) <= cap)
             rep = exists_binary(g, weight_cap=cap)
             assert (rep.status == "found") == want, (g.edges, cap)
             if rep.status == "found":
@@ -275,10 +270,7 @@ def _search_order_reference(n, adj, tiers=None):
     pendant's label would decide no sum yet.
     """
     degree = [len(adj[v]) for v in range(n)]
-    tier = [0] * n
-    if tiers:
-        for v, t in tiers.items():
-            tier[v] = t
+    tier = [(tiers or {}).get(v, 0) for v in range(n)]
     placed = [False] * n
     count = [0] * n
     order = []
@@ -426,7 +418,8 @@ def test_engine_setup_on_large_sat_reduction():
         assert eng._root_cut() is False
         # every table against a plain recomputation from the graph and the domains
         assert eng.lo == [sum(min(domains[u]) for u in adj[v]) for v in g.vertices()]
-        assert eng.hi == [sum(max(domains[u]) for u in adj[v]) for v in g.vertices()]
+        assert eng.dec == [max((eng.pos[u] for u in adj[v] if len(domains[u]) > 1), default=-1)
+                           for v in g.vertices()]
         assert eng.nbmask == [sum(1 << eng.pos[u] for u in adj[v]) for v in g.vertices()]
         rest = [0]
         for v in reversed(eng.order):
@@ -441,7 +434,7 @@ def _setup_tables(problem, break_symmetry):
     The root pass runs last, since it stacks the forced pairs it finds.
     """
     eng = _Engine(problem, SearchBudget(), break_symmetry=break_symmetry)
-    tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.hi, eng.rest_min, eng.watch,
+    tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.rest_min, eng.watch,
               eng.twin_prev, eng.twin_strict, eng.free_start, eng.tail, eng.tail_domains,
               eng.tail_mins, eng.wide, eng._build_slack_tables())
     cut = eng._root_cut()
@@ -498,20 +491,20 @@ def _setup_golden_problems():
 
 # sha256 of the setup tables of each family, with symmetry breaking on and off
 _SETUP_DIGESTS = {
-    "counterexample_lists": "7cb45bd66c1d5cfc758ec09aff3b2eba4f789da88d6f9716f0452e0c4a65ee81",
-    "counterexample_labels": "6f45e6b63ceda0716d189b083e5982383e8d38ad24311516a5e6f990746bcb96",
-    "sat_reduction": "38e83031e69a648dd28cbef42f46dc5ee852a6b81f9afeaa244706b370fa8a5c",
-    "inapprox_k4_d21": "f7f2a49bf24941151f0170c3c8749beee7e32dd70675672436deb3aba0580da4",
-    "petersen_min_sum": "d895e3864c7cc617030d55f2adc9f33d12ff4e58ce69884528b2081d351c9075",
-    "matching_cap": "1fe48ff495050aa148d59a3513cd74c6dc89c501adaabb8dbbdb6114a6d7da2d",
-    "random": "5346bc50c1ce2e3ab8168c0a4b46c28c7c527b703eb74121a46b69d216b92213",
+    "counterexample_lists": "c5a9fc1285546aa0a8b3580fe6eb1f297670f36236865172766685784cf839e3",
+    "counterexample_labels": "d11bdbc3a4cef3da1ceb3ac7dd8c6d39af68d7f8602a34bb90309ae1ab54e41f",
+    "sat_reduction": "7daaf74fbf2d02542bcecfd425bd374793deab51797b94ce5009d89804da8c2a",
+    "inapprox_k4_d21": "8b0020326415878b8ac0fc197a209445986a8fd912611df376fe779ff69ac553",
+    "petersen_min_sum": "10c242f120cbedfb7518ec7761f6298b4c532cf140566e79805d443dfff321f0",
+    "matching_cap": "42e6de20450c4afeb8fe929ef89f1ed28f5af72de7df88428cd7dec3d526954c",
+    "random": "e8ccf93c74036817a01eaf415316728c13601523c6b325ac2913685abd8322b5",
 }
 
 
 def test_setup_tables_golden():
     """Engine setup builds the same tables as before, on every family of problems.
 
-    The digests pin order, pos, nbmask, lo/hi, rest_min, the watch table
+    The digests pin order, pos, nbmask, lo, rest_min, the watch table
     (watched edges and Hall entries), the twin links, the free tail, wide,
     the slack cut's deficit tables and the root pass with its stacked pairs.
     """
@@ -554,22 +547,19 @@ _PIN_FORMULA = Cnf3Formula(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
 def _amplifier_enumeration_nodes():
     inst = build_amplifier_gadget(2)
     g = inst.graph
-    problem = SearchProblem(g, uniform_domains(g, (0, 1)), extra_sum=((inst.ports["v"], 0),))
-    outcome, nodes = enumerate_solutions(problem, SearchBudget(), lambda labels, sums: None)
-    assert outcome == "exhausted"
-    return nodes
+    return _enumerated(SearchProblem(g, uniform_domains(g, (0, 1)),
+                                     extra_sum=((inst.ports["v"], 0),)))[1]
 
 
-def _variable_gadget_enumeration_nodes():
-    # boundary case x=0,!x=0 of B(x): the ten pendants z1..z10 are free
+def _variable_gadget_problem(pendant=(0, 1)):
+    # boundary case x=0,!x=0 of B(x): the ten pendants z1..z10 are free and
+    # get the domain pendant
     inst = build_variable_gadget()
     g = inst.graph
     ports = (inst.ports["x"], inst.ports["not_x"])
-    domains = tuple((0,) if v in ports else (0, 1) for v in g.vertices())
-    problem = SearchProblem(g, domains, unchecked=frozenset(ports))
-    outcome, nodes = enumerate_solutions(problem, SearchBudget(), lambda labels, sums: None)
-    assert outcome == "exhausted"
-    return nodes
+    domains = tuple((0,) if v in ports else pendant if g.degree(v) == 1 else (0, 1)
+                    for v in g.vertices())
+    return SearchProblem(g, domains, unchecked=frozenset(ports))
 
 
 def _counterexample_refutation_nodes(k):
@@ -692,7 +682,7 @@ def _three_pairs_capped_nodes(cap, status):
     (lambda mp: _gnp_ptds_nodes(), 8_408),
     (lambda mp: _gnp_min_sum2_nodes(), 2_439),
     (lambda mp: _amplifier_enumeration_nodes(), 978),
-    (lambda mp: _variable_gadget_enumeration_nodes(), 8_289),
+    (lambda mp: _enumerated(_variable_gadget_problem())[1], 8_289),
     (_recipe_completion_nodes, 84),
     (lambda mp: _capped_binary_nodes(3, "found"), 33),
     (lambda mp: _capped_binary_nodes(2, "infeasible"), 143),
@@ -724,34 +714,41 @@ def test_dfs_frame_keeps_its_local_slots():
 
 
 class _IntervalScan(_Engine):
-    """The engine, checked at every node against the sum-interval scan.
+    """The engine, checked at its nodes against the sum-interval scan.
 
-    The reference keeps its own lo and hi: assigning val to v moves lo[u] by
-    val - min and hi[u] by val - max of v's domain at each neighbor u.  A
-    node's assignment pops the reference's assignments at its own and later
-    positions and pushes its own, so the reference follows the path.  Its
-    conflict scan is the one the decide table replaced: at each checked
-    neighbor u of v, a hi below min_sum fails u, and a decided sum
-    (lo == hi) fails an edge to a decided equal sum.  The table, followed
-    by the edge watchers and Hall entries, must give the same culprit mask
-    or None; the forced-pair test must agree with its hi - lo form.
+    The reference rebuilds its own lo and hi at each check from the boundary
+    mass, the labels of the assigned prefix and the least and greatest
+    values of the other domains.  So it depends on no earlier call, and a
+    call skipped cannot leave it stale.  Its conflict scan is the one the
+    decide table replaced: at each checked neighbor u of v, a hi below
+    min_sum fails u, and a decided sum (lo == hi) fails an edge to a
+    decided equal sum.  The table, followed by the edge watchers and Hall
+    entries, must give the same culprit mask or None; the forced-pair test
+    must agree with its hi - lo form.  With sparse set, a vertex with no
+    decide and no watch entry gets no check and no conflict, as in an
+    engine that skips the call there.
     """
 
     counts: dict = {}
+    sparse = False
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.ref_lo, self.ref_hi = self.lo[:], self.hi[:]
-        self.ref_path: list = []  # (v, val) of each assigned position
+    def __init__(self, problem, *args, **kwargs):
+        super().__init__(problem, *args, **kwargs)
+        self.mass = dict(problem.extra_sum or ())
 
-    def _move(self, v, val, sign):
-        dom = self.domains[v]
-        for u in self.adj[v]:
-            self.ref_lo[u] += sign * (val - dom[0])
-            self.ref_hi[u] += sign * (val - dom[-1])
+    def _intervals(self, depth):
+        """The reference lo and hi with the positions before depth assigned."""
+        lo = [self.mass.get(v, 0) for v in range(self.n)]
+        hi = lo[:]
+        for p, v in enumerate(self.order):
+            dom = (self.label[v],) if p < depth else self.domains[v]
+            for u in self.adj[v]:
+                lo[u] += dom[0]
+                hi[u] += dom[-1]
+        return lo, hi
 
-    def _interval_scan(self, v):
-        lo, hi, min_sum = self.ref_lo, self.ref_hi, self.min_sum
+    def _interval_scan(self, v, lo, hi):
+        min_sum = self.min_sum
         assigned = (2 << self.pos[v]) - 1
         for u in self.cadj[v]:
             s = hi[u]
@@ -766,13 +763,11 @@ class _IntervalScan(_Engine):
         return None
 
     def _conflict_after(self, v):
-        path = self.ref_path
-        while path and self.pos[path[-1][0]] >= self.pos[v]:
-            self._move(*path.pop(), -1)
-        path.append((v, self.label[v]))
-        self._move(v, self.label[v], 1)
-        assert self.lo == self.ref_lo
-        want = self._interval_scan(v)
+        if self.sparse and not (self.decide[v] or self.watch[v]):
+            return None
+        lo, hi = self._intervals(self.pos[v] + 1)
+        assert self.lo == lo
+        want = self._interval_scan(v, lo, hi)
         if want is None:  # the edge watchers and Hall entries alone
             table, self.decide = self.decide, [()] * self.n
             want = super()._conflict_after(v)
@@ -783,7 +778,8 @@ class _IntervalScan(_Engine):
         return got
 
     def _try_bonus(self, u, t, assigned_mask):
-        lo, hi, du, dt = self.ref_lo, self.ref_hi, self.domains[u], self.domains[t]
+        lo, hi = self._intervals(assigned_mask.bit_length())
+        du, dt = self.domains[u], self.domains[t]
         want = (hi[u] - lo[u] == dt[-1] - dt[0] and hi[t] - lo[t] == du[-1] - du[0]
                 and lo[u] == lo[t])
         got = super()._try_bonus(u, t, assigned_mask)
@@ -816,27 +812,34 @@ def test_decide_table_matches_the_interval_scan():
     """Each node's conflict mask and each forced-pair test match the interval scan.
 
     300 seeded problems, each searched to its first leaf with learning, in
-    full, and by branch and bound, within 3,000 nodes each.
+    full, and by branch and bound, within 3,000 nodes each.  They run twice:
+    checked at every node, and checked only at the nodes whose vertex has a
+    decide or watch entry, where the second run must find the same cuts.
     """
-    _IntervalScan.counts = {}
-    rng = random.Random(0xDEC1DE)
-    for _ in range(300):
-        problem = _random_interval_problem(rng)
-        for mode in ("first", "all", "minimize"):
-            eng = _IntervalScan(problem, SearchBudget(max_nodes=3_000),
-                                break_symmetry=mode != "all", learn=mode == "first")
+    runs = []
+    for sparse in (False, True):
+        _IntervalScan.counts, _IntervalScan.sparse = {}, sparse
+        rng = random.Random(0xDEC1DE)
+        for _ in range(300):
+            problem = _random_interval_problem(rng)
+            for mode in ("first", "all", "minimize"):
+                eng = _IntervalScan(problem, SearchBudget(max_nodes=3_000),
+                                    break_symmetry=mode != "all", learn=mode == "first")
 
-            def on_leaf(w, eng=eng, mode=mode):
-                if mode == "minimize":
-                    eng.cap = w - 1
-                return mode == "first"
+                def on_leaf(w, eng=eng, mode=mode):
+                    if mode == "minimize":
+                        eng.cap = w - 1
+                    return mode == "first"
 
-            eng.run(on_leaf)
-    counts = _IntervalScan.counts
+                eng.run(on_leaf)
+        runs.append(_IntervalScan.counts)
+    counts, sparse = runs
     # every kind of check fires: a sum short of min_sum before it is decided,
     # a decided edge, and a forced pair
     assert counts["nodes"] > 40_000 and counts["short"] > 50, counts
     assert counts["edge"] > 5_000 and counts["pairs"] > 50, counts
+    # the sparse run checks fewer nodes, unless the engine itself skips them
+    assert dict(sparse, nodes=counts["nodes"]) == counts, (sparse, counts)
 
 
 def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
@@ -884,7 +887,6 @@ def _slack_state(weight_cap, cap):
         eng.label[v] = val
         for u in eng.adj[v]:
             eng.lo[u] += val
-            eng.hi[u] += val - 1
     eng.ones_mask = 0b100
     eng.cap = cap
     eng.deadline = math.inf
@@ -1121,15 +1123,6 @@ def test_free_vertices_last_keeps_every_answer(monkeypatch):
             lambda: _search(SearchProblem(g, binary, unchecked=unchecked, min_sum=1), None,
                             minimize=True),
         ]
-
-        def enumerated():
-            sols = set()
-            outcome, nodes = enumerate_solutions(
-                SearchProblem(g, binary, unchecked=unchecked), SearchBudget(),
-                lambda labels, sums: sols.add((labels, sums)))
-            assert outcome == "exhausted"
-            return sols, nodes
-
         for call in calls:
             got = call()
             with monkeypatch.context() as m:
@@ -1137,10 +1130,11 @@ def test_free_vertices_last_keeps_every_answer(monkeypatch):
                 old = call()
             assert (got.status, got.value) == (old.status, old.value), (g.n, g.edges, unchecked)
             fewer += got.nodes_explored < old.nodes_explored
-        got, nodes = enumerated()
+        problem = SearchProblem(g, binary, unchecked=unchecked)
+        got, nodes = _enumerated(problem)
         with monkeypatch.context() as m:
             m.setattr(solver, "_search_order", lambda n, adj, tiers=None: order(n, adj))
-            old, old_nodes = enumerated()
+            old, old_nodes = _enumerated(problem)
         assert got == old, (g.n, g.edges, unchecked)
         fewer += nodes < old_nodes
     assert fewer > 300  # the free tier does move these searches
@@ -1594,11 +1588,10 @@ def _random_tail_problem(rng):
 class _TailChecked(_Engine):
     """The shipped engine, checking why no constraint can fail on its free tail.
 
-    It also logs each walk in tail_log: the weight and cap it starts under
-    and the mask it returns.
+    Each walk must return None on a stop, and otherwise (1 << F) - 1, the
+    mask the frames return at the first free position F once a leaf has
+    passed, with lo restored.
     """
-
-    tail_log: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1612,32 +1605,21 @@ class _TailChecked(_Engine):
                 assert self.min_sum is None and not self.cadj[u]
 
     def _free_tail(self, weight):
-        cap, before = self.cap, (self.lo[:], self.hi[:])
+        before = self.lo[:]
         mask = super()._free_tail(weight)
-        if self.tail:  # an empty tail only hands its one leaf to the hook
-            self.tail_log.append((weight, cap, mask))
-        assert mask is None or (self.lo, self.hi) == before  # restored unless stopped
+        assert mask is None or (mask, self.lo) == ((1 << self.free_start) - 1, before)
         return mask
 
 
 class _Frames(_Engine):
-    """The engine with one frame per free vertex, logging the frames at the first free position."""
-
-    tail_log: list = []
+    """The engine with one frame per free vertex."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the search reaches depth n through frames, and the walk there gets
         # an empty tail, so that it hands out the leaf and walks nothing
-        self.first_free, self.free_start = self.free_start, self.n
+        self.free_start = self.n
         self.tail, self.tail_domains, self.tail_mins = [], [], [0]
-
-    def _dfs(self, depth, cur_weight):
-        cap = self.cap
-        mask = super()._dfs(depth, cur_weight)
-        if depth == self.first_free < self.n:
-            self.tail_log.append((cur_weight, cap, mask))
-        return mask
 
 
 def _tail_runs(problem):
@@ -1671,9 +1653,7 @@ def _tail_runs(problem):
     eng.run(lower)
     runs["lowered"] = lowered, eng.nodes
     runs["first"] = _outcome(_search(problem, None))
-    solver._Engine.tail_log = []
     runs["bnb"] = _outcome(_search(problem, None, minimize=True))
-    runs["bnb-tails"] = solver._Engine.tail_log
     return runs
 
 
@@ -1688,8 +1668,8 @@ def test_free_tail_walk_matches_frames(monkeypatch):
     status, value, certificate and nodes; a hook that neither stops nor
     lowers the cap the same leaves under twin order; a hook that lowers
     the cap below each leaf the same leaves, none of them above the cap in
-    force when it is reached.  The walk must return the frames' mask at
-    each visit.
+    force when it is reached.  Each walk must return the mask the frames
+    return at the first free position (_TailChecked).
     """
     rng = random.Random(0x7A11)
     tails = cut = 0
@@ -1704,7 +1684,41 @@ def test_free_tail_walk_matches_frames(monkeypatch):
         walk, frames = both
         for run in (walk, frames):
             assert all(cap is None or w <= cap for w, cap in run["lowered"][0]), problem
-        for key in ("enumerated", "cut", "leaves", "lowered", "first", "bnb", "bnb-tails"):
+        for key in ("enumerated", "cut", "leaves", "lowered", "first", "bnb"):
             assert walk[key] == frames[key], (key, problem)
         cut += sum(0 < got < len(walk["enumerated"][1]) for _outcome, got in walk["cut"])
     assert tails > 100 and cut > 100, (tails, cut)
+
+
+def test_free_tail_walk_counts_in_closed_form():
+    """The walk counts one node per (re)assignment over the tail order.
+
+    On an edgeless graph every vertex is free, so the whole search is the
+    walk: prod |D_j| solutions in sum_q prod_{j <= q} |D_j| nodes, the i-th
+    reached at node sum_q (i // prod_{j > q} |D_j| + 1), and a budget cut
+    hands out exactly the solutions reached.  On the variable gadget each
+    visit to the ten free pendants takes 2,046 nodes and hands out 1,024
+    solutions, against 10 nodes and one solution with one-value pendants;
+    the search before the tail is the same.
+    """
+    domains = ((0, 1), (0, 1, 2), (1,), (0, 2, 5))
+    problem = SearchProblem(build_graph(4, []), domains)
+    sols = list(itertools.product(*domains))
+    reached = [sum(i // math.prod(map(len, domains[q + 1:])) + 1 for q in range(4))
+               for i in range(len(sols))]
+    nodes = sum(math.prod(map(len, domains[:q + 1])) for q in range(4))
+    assert (len(sols), nodes, reached[-1]) == (18, 32, 32)
+    for max_nodes in range(1, nodes + 2):
+        got = []
+        outcome = enumerate_solutions(problem, SearchBudget(max_nodes=max_nodes),
+                                      lambda labels, _sums: got.append(labels))
+        # a cut counts the node past the budget
+        assert outcome == (("exhausted", nodes) if max_nodes >= nodes
+                           else ("budget-exceeded", max_nodes + 1)), max_nodes
+        assert got == sols[:sum(r <= max_nodes for r in reached)], max_nodes
+    # with one-value pendants each visit hands out one solution
+    (full, full_nodes), (single, single_nodes) = (
+        _enumerated(_variable_gadget_problem(pendant)) for pendant in ((0, 1), (0,)))
+    visits = len(single)
+    assert visits == 4
+    assert (len(full), full_nodes - single_nodes) == (1_024 * visits, (2_046 - 10) * visits)
