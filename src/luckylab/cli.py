@@ -437,6 +437,9 @@ def cmd_check(args) -> int:
         return _worst(_certification_code(rep) for _name, rep in suite)
 
     if args.target == "solvers":
+        if args.graph:
+            raise ValueError("check solvers takes no --graph: it sweeps seeded random graphs "
+                             "(--random, --max-n, --seed)")
         graphs = _seeded(args, args.random or 200, lambda rng: random_graph(rng, 1, args.max_n))
         # a graph with a cut solver decides nothing
         return _sweep(

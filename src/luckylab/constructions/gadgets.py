@@ -482,8 +482,9 @@ def certify_gadget(instance: GadgetInstance, cap: int = DEFAULT_ENUM_CAP,
     case (complete backtracking search, each case under the whole budget)
     and evaluates the contract on each; any countermodel is reported
     verbatim, and a case the budget cut short reports the cut.  The
-    solutions stream through the contract as the search hands them out
-    (_certify_case), so memory does not grow with their number.
+    solutions are judged one by one as the search reaches them
+    (_certify_case), so memory does not grow with their number; once the
+    contract reads no more of them, they are only counted.
     """
     contract = _CONTRACTS.get(instance.kind)
     if contract is None:
@@ -511,7 +512,11 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
     Kept per case: the solution count, the first solution (the one shown
     when an infeasible case has solutions), each solution check's first
     failure (a check that failed is not run again) and each aggregate
-    check's set of observed values.
+    check's set of observed values.  Once no solution check is live and
+    the contract has no aggregate check (contracts A and B from their
+    first solution on), nothing reads a solution, so the search goes on
+    only counting them (enumerate_solutions' on_count); the count and
+    the node counts come out as when every solution is handed out.
     """
     g = instance.graph
     fixed = {instance.ports[nm]: val for nm, val in case.fixed}
@@ -540,8 +545,14 @@ def _certify_case(instance: GadgetInstance, contract: GadgetContract, case: Boun
                 live = tuple(entry for entry in live if entry[0] != name)
         for observe, seen in observed:
             seen.add(observe(labels, sums))
+        # once nothing reads a solution, the rest are only counted
+        return not live and not observed
 
-    outcome, _nodes = enumerate_solutions(problem, budget, on_solution)
+    def on_count(m):
+        nonlocal count
+        count += m
+
+    outcome, _nodes = enumerate_solutions(problem, budget, on_solution, on_count=on_count)
     case_rep = CaseReport(case.name, case.expect_feasible, count)
     if outcome != "exhausted":
         case_rep.countermodels.append(_BUDGET_CUT)

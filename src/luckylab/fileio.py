@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Union
 
-from .graph import Graph, build_graph
+from .graph import Graph, _checked_graph
 from .labeling import Labeling, ListAssignment, make_lists
 
 
@@ -67,7 +67,8 @@ def graph_from_text(text: str) -> Graph:
 
     Each line is checked as it is read, except name lines: their vertex ids
     are checked once every line is read, since a name may come before the
-    problem line.
+    problem line.  Checked, the pairs go straight to the normaliser that
+    build_graph ends in, so no pair is checked twice.
     """
     n = None
     m_declared = p_line = None
@@ -91,7 +92,7 @@ def graph_from_text(text: str) -> Graph:
                 raise FileFormatError(line_no, f"loop edge ({u}, {v}) not allowed in a simple graph")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise FileFormatError(line_no, f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-            edges.append((u - 1, v - 1))
+            edges.append((u - 1, v - 1) if u < v else (v - 1, u - 1))
         elif tag == "c":
             if len(parts) >= 4 and parts[1] == "name":
                 try:
@@ -123,7 +124,7 @@ def graph_from_text(text: str) -> Graph:
     for v, line_no in name_lines.items():
         if not 0 <= v < n:
             raise FileFormatError(line_no, f"name attached to unknown vertex {v + 1}")
-    g = build_graph(n, edges, names or None)
+    g = _checked_graph(n, edges, names)
     if g.m != m_declared:
         raise FileFormatError(p_line, f"problem line declares {m_declared} edges, file has {g.m}")
     return g

@@ -29,6 +29,17 @@ of the 147,096 nodes of a pass fall in free tails, all of them in certifying
 the variable gadget and its corrupted copy: every core solution of the
 variable gadget repeats under the 1,024 labelings of its pendants.
 
+Enumeration hands each leaf out as two tuples, the labels and the sums,
+through one call (enumerate_solutions).  A consumer that needs only how
+many solutions there are, once it has read some, switches it to counting:
+from then on each leaf only adds 1, with no tuples and no call to the
+consumer.  The clause and variable gadgets' contracts read only
+feasibility and the count, so their certification hands out one solution
+per boundary case.  That took about 15 % off the benchmark's
+exhaustive_proofs wall time at the same 147,096 nodes a pass
+(BENCH_33.json).  Counting a free tail in closed form would save its nodes
+as well, but would change the node counts the benchmark scores.
+
 Every vertex v carries lo[v], the least neighbor sum still reachable given
 the partial assignment: boundary mass plus the assigned neighbors' labels
 plus the least total the unassigned neighbors' domains allow.  The search
@@ -1173,7 +1184,8 @@ class _Engine:
     def run(self, on_leaf: Callable[[int], bool]) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
 
-        on_leaf returns True to stop the search; it may also lower self.cap.
+        on_leaf returns True to stop the search; it may also lower self.cap,
+        or set self.on_leaf to another hook, which gets every later leaf.
         The outcome is "stopped", "done" (the space is exhausted) or
         "budget-exceeded"; _root_cut may end the search before frame 0.
         The forced-pair bound is kept only when the problem itself carries
@@ -1221,7 +1233,8 @@ def uniform_domains(g: Graph, values: Iterable[int]) -> tuple[tuple[int, ...], .
 
 
 def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
-                        on_solution: Callable[[tuple[int, ...], tuple[int, ...]], None]):
+                        on_solution: Callable[[tuple[int, ...], tuple[int, ...]], object],
+                        *, on_count: Optional[Callable[[int], None]] = None):
     """Pass every labeling and its neighbor sums to on_solution; returns (outcome, nodes).
 
     The solutions come in lexicographic order over the engine's search
@@ -1231,16 +1244,34 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
     (boundary mass included): snapshots the callback may keep and cannot
     change.  The outcome is "exhausted" or "budget-exceeded"; a cut hands
     out exactly the solutions reached before it.
+
+    With on_count, on_solution may return a true value once it needs no
+    more solutions.  The search then goes on only counting them: the rest
+    are neither built nor handed out, and on_count gets their number once
+    before this returns, also on a budget cut.  The search, its node count
+    and the leaf at which a cut lands are the same either way.  Without
+    on_count every solution is handed out, whatever on_solution returns.
     """
     # enumeration must visit every solution, so symmetry breaking is off
     eng = _Engine(problem, budget, break_symmetry=False)
     label, lo = eng.label, eng.lo
+    counted = 0
 
-    def on_leaf(_weight: int) -> bool:
-        on_solution(tuple(label), tuple(lo))
+    def count(_weight: int) -> bool:
+        nonlocal counted
+        counted += 1
         return False
 
-    outcome = eng.run(on_leaf)
+    def hand_out(_weight: int) -> bool:
+        # _free_tail reads the hook at each leaf, so a switch takes effect
+        # from the next leaf on
+        if on_solution(tuple(label), tuple(lo)) and on_count is not None:
+            eng.on_leaf = count
+        return False
+
+    outcome = eng.run(hand_out)
+    if on_count is not None:
+        on_count(counted)
     return ("exhausted" if outcome == "done" else outcome), eng.nodes
 
 

@@ -34,6 +34,13 @@ def test_perf_record_names_its_claim_and_pairs(path):
             assert pair["first"] in ("parent", "change")
             assert set(pair["parent"]) == set(pair["change"]) == set(METRICS)
         assert set(workload["summary"]) == set(METRICS)
+        # records written before the tool kept pass counts have none
+        if "passes" in workload:
+            counts = {side: [pair["passes"][side] for pair in workload["pairs"]]
+                      for side in ("parent", "change")}
+            assert all(n >= 1 for side in counts.values() for n in side)
+            passes = workload["passes"]
+            assert passes["change_to_parent"] == passes["change_median"] / passes["parent_median"]
 
 
 def _load_tool():
@@ -43,7 +50,7 @@ def _load_tool():
     return module
 
 
-def _write_run(root, workload, seed, wall_s, commit, mtime):
+def _write_run(root, workload, seed, wall_s, commit, mtime, passes=100):
     path = root / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     values = {name: 1.0 for name in METRICS}
@@ -52,6 +59,7 @@ def _write_run(root, workload, seed, wall_s, commit, mtime):
         "env": {"commit": commit, "code_sha256": f"digest-{commit}", "seconds": 26.0,
                 "cpu_count": 2, "python": "3.11.7", "implementation": "CPython",
                 "platform": "Linux"},
+        "detail": {"passes": passes},
         "result": {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}},
     }))
     os.utime(path, (mtime, mtime))
@@ -64,8 +72,9 @@ def test_record_tool_pairs_runs_by_seed(tmp_path):
     walls = {7: (0.30, 0.20), 8: (0.26, 0.27), 9: (0.28, 0.18)}
     for seed, (p, c) in walls.items():
         # the change runs first on seed 8 only
-        _write_run(parent, "exhaustive_proofs", seed, p, "abc", 1000 + 10 * seed + (seed == 8) * 5)
-        _write_run(change, "exhaustive_proofs", seed, c, None, 1002 + 10 * seed)
+        _write_run(parent, "exhaustive_proofs", seed, p, "abc", 1000 + 10 * seed + (seed == 8) * 5,
+                   passes=seed * 10)
+        _write_run(change, "exhaustive_proofs", seed, c, None, 1002 + 10 * seed, passes=seed * 25)
     out = tmp_path / "BENCH_0.json"
     assert _load_tool().main(["--parent", str(parent), "--change", str(change),
                               "--claim", "exhaustive_proofs:wall_s",
@@ -77,6 +86,10 @@ def test_record_tool_pairs_runs_by_seed(tmp_path):
     assert [p["first"] for p in workload["pairs"]] == ["parent", "change", "parent"]
     assert [(p["parent"]["wall_s"], p["change"]["wall_s"]) for p in workload["pairs"]] == \
         list(walls.values())
+    assert [p["passes"] for p in workload["pairs"]] == \
+        [{"parent": 10 * seed, "change": 25 * seed} for seed in walls]
+    assert workload["passes"] == {"parent_median": 80, "change_median": 200,
+                                  "change_to_parent": 2.5}
     claim = record["claim"]
     assert (claim["metric"], claim["workload"], claim["pairs"]) == ("wall_s", "exhaustive_proofs", 3)
     assert (claim["parent_median"], claim["change_median"]) == (0.28, 0.20)

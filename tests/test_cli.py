@@ -742,6 +742,20 @@ def test_check_solvers_cli(capsys):
     assert len(lines) == 6 and all(l["agree"] for l in lines)
 
 
+@pytest.mark.parametrize("seed", [["--seed", "1"], []], ids=["seeded", "unseeded"])
+def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
+    """The sweep draws its own graphs, so a --graph file is an error, not
+    ignored; an empty graph used to pass as "2/2 agree"."""
+    empty = tmp_path / "empty.col"
+    empty.write_text("p edge 0 0\n")
+    code = main(["check", "solvers", "--graph", str(empty), "--random", "2", *seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: check solvers takes no --graph: it sweeps seeded "
+                            "random graphs (--random, --max-n, --seed)\n")
+
+
 def test_check_solvers_honours_max_n(capsys):
     code, out = run(capsys, "check", "solvers", "--random", "40", "--max-n", "8",
                     "--seed", "1", "--json")

@@ -64,6 +64,33 @@ def test_degree_sum_is_twice_edges(rng):
 def test_triangle_free():
     assert is_triangle_free(cycle_graph(5))
     assert not is_triangle_free(complete_graph(3))
+
+
+def _has_triangle(g):
+    return any(g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+               for a, b, c in itertools.combinations(g.vertices(), 3))
+
+
+def test_triangle_free_matches_a_search_of_every_triple():
+    """Sparse random cores with pendants, isolated vertices and triangles
+    closed through a new degree-2 vertex; pendants and isolated vertices lie
+    in no triangle, and is_triangle_free skips their neighborhoods."""
+    rng = random.Random(5)
+    answers = []
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        for _ in range(rng.randint(0, 4)):  # a pendant, hung on any vertex so far
+            edges.append((rng.randrange(n), n))
+            n += 1
+        if edges and rng.random() < 0.5:  # a triangle through a degree-2 vertex
+            u, v = rng.choice(edges)
+            edges += [(u, n), (v, n)]
+            n += 1
+        g = build_graph(n + rng.randint(0, 2), edges)  # and up to two isolated vertices
+        answers.append(is_triangle_free(g))
+        assert answers[-1] == (not _has_triangle(g)), g.edges
+    assert 0 < sum(answers) < len(answers)
     assert is_triangle_free(petersen_graph())
 
 

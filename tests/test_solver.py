@@ -1722,3 +1722,65 @@ def test_free_tail_walk_counts_in_closed_form():
     visits = len(single)
     assert visits == 4
     assert (len(full), full_nodes - single_nodes) == (1_024 * visits, (2_046 - 10) * visits)
+
+
+def _edgeless_problem():
+    # the 18-labeling problem of test_free_tail_walk_counts_in_closed_form
+    return SearchProblem(build_graph(4, []), ((0, 1), (0, 1, 2), (1,), (0, 2, 5)))
+
+
+def _full_hand_out(problem, max_nodes):
+    sols = []
+    result = enumerate_solutions(problem, SearchBudget(max_nodes=max_nodes),
+                                 lambda labels, sums: sols.append((labels, sums)))
+    return result, sols
+
+
+@pytest.mark.parametrize("make, dense", [(_edgeless_problem, None), (_variable_gadget_problem, 150)],
+                         ids=["edgeless", "variable-gadget-x=0,!x=0"])
+def test_counting_mode_matches_a_full_hand_out(make, dense):
+    """on_solution switches enumeration to counting by returning a true value.
+
+    Under each budget from 1 to nodes + 1, and for a switch after the first
+    and after the third solution, the search gives the same (outcome,
+    nodes) as a full hand-out; the solutions handed out are the full
+    hand-out's first ones, and with the count on_count gets, called once
+    also on a cut, they make up all of them.  Every budget of the variable
+    gadget case would take about 45 s, so there the budgets are each one
+    up to `dense` (the core search, the switch and the start of the first
+    free tail) and then every 53rd.
+    """
+    problem = make()
+    (_outcome, nodes), _sols = _full_hand_out(problem, 10**9)
+    budgets = range(1, nodes + 2)
+    if dense is not None:
+        budgets = sorted({*range(1, dense), *range(dense, nodes + 2, 53), nodes, nodes + 1})
+    switched = 0
+    for max_nodes in budgets:
+        want, sols = _full_hand_out(problem, max_nodes)
+        for after in (1, 3):
+            handed, counts = [], []
+
+            def on_solution(labels, sums):
+                handed.append((labels, sums))
+                return len(handed) >= after
+
+            got = enumerate_solutions(problem, SearchBudget(max_nodes=max_nodes), on_solution,
+                                      on_count=counts.append)
+            assert got == want, (max_nodes, after)
+            assert handed == sols[:after] and len(counts) == 1, (max_nodes, after)
+            assert len(handed) + counts[0] == len(sols), (max_nodes, after)
+            switched += counts[0] > 0 and got[0] == "budget-exceeded"
+    # some cut landed after the switch, so the count was passed on a cut
+    assert switched
+
+
+def test_counting_mode_needs_on_count():
+    """Without on_count a true return value switches nothing: every solution is handed out."""
+    for problem in (_edgeless_problem(), _variable_gadget_problem()):
+        want = _full_hand_out(problem, 10**9)
+        sols = []
+        got = enumerate_solutions(problem, SearchBudget(),
+                                  lambda labels, sums: sols.append((labels, sums)) or True)
+        assert (got, sols) == want
+        assert len(sols) in (18, 4_096)

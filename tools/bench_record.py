@@ -18,10 +18,15 @@ Per workload the record holds the seeds, each side's commit and source
 digest (a side run from a tree that is not a commit, such as a change not
 yet committed, has commit null and is named by its digest), and per pair each side's end-to-end metrics (each itself a median
 over the run's passes) with the side that ran first, judged by the run
-files' modification times.  It then summarises each metric over the pairs:
+files' modification times, and each side's number of timed passes (the
+run detail's `passes`).  It then summarises each metric over the pairs:
 each side's median and quartiles, the change's median relative to the
-parent's, and the pairs in which the change reads better.  The metric names
-and their directions come from BENCHMARK.json.  Standard library only.
+parent's, and the pairs in which the change reads better.  The pass counts
+are summarised as each side's median and their ratio, change to parent:
+the runner keeps every pass's records, so a faster change runs more passes
+in the same seconds and its peak_rss_mb rises with them, which the ratio
+lets a reader tell from a memory regression.  The metric names and their
+directions come from BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -89,9 +94,17 @@ def workload_record(parent: Path, change: Path, workload: str, seeds: list[int],
             runs[name].append(run)
             pair[name] = {m: run["result"]["metrics"][m]["value"] for m in better}
         pair["first"] = min(paths, key=lambda name: paths[name].stat().st_mtime)
+        pair["passes"] = {name: runs[name][-1]["detail"]["passes"] for name in paths}
         pairs.append(pair)
     return {"seeds": seeds, "parent": side(runs["parent"]), "change": side(runs["change"]),
-            "pairs": pairs, "summary": summarize(pairs, better)}
+            "pairs": pairs, "summary": summarize(pairs, better), "passes": pass_ratio(pairs)}
+
+
+def pass_ratio(pairs: list[dict]) -> dict:
+    """Each side's median pass count over the pairs, and the change's over the parent's."""
+    med = {name: statistics.median(p["passes"][name] for p in pairs) for name in ("parent", "change")}
+    return {"parent_median": med["parent"], "change_median": med["change"],
+            "change_to_parent": med["change"] / med["parent"]}
 
 
 def main(argv=None) -> int:
