@@ -427,7 +427,26 @@ def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
             "agree": not cut and got == want, **({"cut": cut} if cut else {})}
 
 
+# the input files each check target reads, and what it checks instead of
+# the others; any other file flag given is an error, not ignored
+_CHECK_INPUTS = {
+    "gadgets": ((), "it certifies the built-in gadget suite"),
+    "solvers": ((), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
+    "sat": (("cnf",), "it checks a formula (--cnf) or small and seeded random formulas "
+                      "(--exhaustive, --random)"),
+    "listcolor": (("graph", "lists"), "it checks a graph with lists (--graph, --lists) "
+                                      "or seeded random instances (--random)"),
+    "inapprox": (("graph",), "it checks one graph (--graph, --d)"),
+    "all": ((), "it runs the seeded desk-scale battery (--seed)"),
+}
+
+
 def cmd_check(args) -> int:
+    reads, instead = _CHECK_INPUTS[args.target]
+    for flag in ("cnf", "graph", "lists"):
+        if flag not in reads and getattr(args, flag):
+            raise ValueError(f"check {args.target} takes no --{flag}: {instead}")
+
     if args.target == "gadgets":
         suite = gadget_certification_suite(_budget(args))
         for name, rep in suite:
@@ -437,9 +456,6 @@ def cmd_check(args) -> int:
         return _worst(_certification_code(rep) for _name, rep in suite)
 
     if args.target == "solvers":
-        if args.graph:
-            raise ValueError("check solvers takes no --graph: it sweeps seeded random graphs "
-                             "(--random, --max-n, --seed)")
         graphs = _seeded(args, args.random or 200, lambda rng: random_graph(rng, 1, args.max_n))
         # a graph with a cut solver decides nothing
         return _sweep(
@@ -463,8 +479,9 @@ def cmd_check(args) -> int:
         return _verdict_sweep(args, _sat_verdict_payload, instances, "sat equivalence")
 
     if args.target == "listcolor":
-        if args.graph:
-            g = fileio.read_graph(args.graph)
+        # --lists alone would leave the sweep below ignoring it
+        if args.graph or args.lists:
+            g = fileio.read_graph(_required(args, "graph", "check listcolor"))
             lists = _read_lists(args, "check listcolor", g)
             return _emit_verdict(args, check_equivalence_listcolor(g, lists, _budget(args)))
         if not args.random:

@@ -37,8 +37,12 @@ consumer.  The clause and variable gadgets' contracts read only
 feasibility and the count, so their certification hands out one solution
 per boundary case.  That took about 15 % off the benchmark's
 exhaustive_proofs wall time at the same 147,096 nodes a pass
-(BENCH_33.json).  Counting a free tail in closed form would save its nodes
-as well, but would change the node counts the benchmark scores.
+(BENCH_33.json).  A free tail entered while enumeration only counts, with
+no weight cap and no budget cut inside it, is counted in one step: prod
+|D_j| leaves and the sum_q prod_{j <= q} |D_j| nodes its walk would count
+(_free_tail).  Node counts and the leaf at which a cut lands stay as they
+were, and the variable gadget's tails after its first solution cost no
+walk (BENCH_34.json records the gain in exhaustive_proofs wall time).
 
 Every vertex v carries lo[v], the least neighbor sum still reachable given
 the partial assignment: boundary mass plus the assigned neighbors' labels
@@ -195,6 +199,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
@@ -654,6 +659,11 @@ class _Engine:
         self.tail_domains = [domains[v] for v in self.tail]
         # each tail position's least value, and a 0 past the end
         self.tail_mins = [d[0] for d in self.tail_domains] + [0]
+        # the tail's leaves, prod |D_j|, and the walk's nodes over it,
+        # sum_q prod_{j <= q} |D_j|, when no cap prunes it
+        sizes = list(itertools.accumulate((len(d) for d in self.tail_domains),
+                                          operator.mul, initial=1))
+        self.tail_leaves, self.tail_nodes = sizes[-1], sum(sizes) - 1
         # boundary mass or unchecked status makes a vertex non-interchangeable.
         # Twins are both free or both not, and free ones get no links: the
         # walk's first leaf is the least labeling of the tail, and a search
@@ -725,6 +735,9 @@ class _Engine:
         self.nodes = 0
         self.deadline = None
         self.on_leaf: Optional[Callable[[int], bool]] = None
+        # the leaves counted once enumeration only counts them; None before
+        # (enumerate_solutions, _free_tail)
+        self.counted: Optional[int] = None
 
     def _conflict_after(self, v: int) -> Optional[int]:
         """Culprit bitmask for a constraint decided by assigning v, or None.
@@ -1131,7 +1144,25 @@ class _Engine:
         else (_search the labels, enumerate_solutions the labels and the
         sums); lo is restored on return, and both are left at the leaf on a
         stop, as the frames leave them.
+
+        Once enumeration only counts (self.counted is set), no hook reads a
+        leaf, so a tail with no cap to prune it and within the node budget
+        is counted in one step, as for unconstrained variables in model
+        counting (Bayardo & Pehoushek, AAAI 2000): tail_leaves leaves and
+        the tail_nodes nodes the walk would count.  A step that passes a
+        multiple of 2048 nodes first makes the walk's time check; past the
+        deadline the tail is walked, and cut where the walk's check cuts.
+        Any other tail is walked too, so a budget cut lands where it did.
+        The step leaves lo as the walk restores it; nothing reads a tail
+        label after the walk returns.
         """
+        if self.counted is not None and self.cap is None:
+            nodes = self.nodes + self.tail_nodes
+            if nodes <= self.budget.max_nodes and (
+                    nodes >> 11 == self.nodes >> 11 or time.monotonic() < self.deadline):
+                self.nodes = nodes
+                self.counted += self.tail_leaves
+                return (1 << self.free_start) - 1
         tail, doms, mins = self.tail, self.tail_domains, self.tail_mins
         label, lo, adj = self.label, self.lo, self.adj
         k = len(tail)
@@ -1248,30 +1279,31 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
     With on_count, on_solution may return a true value once it needs no
     more solutions.  The search then goes on only counting them: the rest
     are neither built nor handed out, and on_count gets their number once
-    before this returns, also on a budget cut.  The search, its node count
-    and the leaf at which a cut lands are the same either way.  Without
-    on_count every solution is handed out, whatever on_solution returns.
+    before this returns, also on a budget cut.  A free tail entered after
+    the switch is counted in one step rather than walked, when no weight
+    cap and no cut falls inside it (_free_tail); it adds the nodes the walk
+    would, so the node count and the leaf at which a cut lands are the same
+    either way.  Without on_count every solution is handed out, whatever
+    on_solution returns.
     """
     # enumeration must visit every solution, so symmetry breaking is off
     eng = _Engine(problem, budget, break_symmetry=False)
     label, lo = eng.label, eng.lo
-    counted = 0
 
     def count(_weight: int) -> bool:
-        nonlocal counted
-        counted += 1
+        eng.counted += 1
         return False
 
     def hand_out(_weight: int) -> bool:
         # _free_tail reads the hook at each leaf, so a switch takes effect
-        # from the next leaf on
+        # from the next leaf on, and from the next tail on in one step
         if on_solution(tuple(label), tuple(lo)) and on_count is not None:
-            eng.on_leaf = count
+            eng.on_leaf, eng.counted = count, 0
         return False
 
     outcome = eng.run(hand_out)
     if on_count is not None:
-        on_count(counted)
+        on_count(eng.counted or 0)
     return ("exhausted" if outcome == "done" else outcome), eng.nodes
 
 

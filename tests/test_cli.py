@@ -756,6 +756,30 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
                             "random graphs (--random, --max-n, --seed)\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "gadgets", "--graph", "/nonexistent.col"], "check gadgets takes no --graph: "),
+    (["check", "sat", "--exhaustive", "--max-vars", "1", "--max-clauses", "1",
+      "--graph", "/nonexistent.col"], "check sat takes no --graph: "),
+    (["check", "sat", "--exhaustive", "--lists", "/nonexistent.lists"],
+     "check sat takes no --lists: "),
+    (["check", "inapprox", "--graph", str(_DATA / "k4.col"), "--d", "21",
+      "--cnf", "/nonexistent.cnf"], "check inapprox takes no --cnf: "),
+    (["check", "listcolor", "--random", "2", "--seed", "1", "--cnf", "/nonexistent.cnf"],
+     "check listcolor takes no --cnf: "),
+    # the sweep would ignore --lists without --graph
+    (["check", "listcolor", "--random", "2", "--seed", "1", "--lists", "/nonexistent.lists"],
+     "check listcolor requires --graph\n"),
+    (["check", "all", "--seed", "1", "--lists", "/nonexistent"], "check all takes no --lists: "),
+], ids=["gadgets-graph", "sat-graph", "sat-lists", "inapprox-cnf", "listcolor-cnf",
+        "listcolor-lists-alone", "all-lists"])
+def test_check_rejects_an_input_file_it_does_not_read(capsys, argv, message):
+    """Every check target names a file flag it would ignore, before any work."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: " + message), captured.err
+
+
 def test_check_solvers_honours_max_n(capsys):
     code, out = run(capsys, "check", "solvers", "--random", "40", "--max-n", "8",
                     "--seed", "1", "--json")

@@ -302,6 +302,16 @@ def test_suite_budget_cut_output(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_suite_budget_cut_at_a_counted_tail_end(capsys):
+    # tests/data/check_gadgets_cut4166.jsonl is `luckylab check gadgets --json
+    # --budget-nodes 4166`: every B(x) case's second free tail, the first
+    # counted in one step, ends at node 4,166, so the case is cut at its
+    # next node after 2,048 solutions
+    golden = (Path(__file__).parent / "data" / "check_gadgets_cut4166.jsonl").read_text()
+    assert main(["check", "gadgets", "--json", "--budget-nodes", "4166"]) == 2
+    assert capsys.readouterr().out == golden
+
+
 def test_certification_cap():
     inst = build_vertex_gadget({2}, 3)
     with pytest.raises(GraphError, match="enumeration cap"):

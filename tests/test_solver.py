@@ -1620,6 +1620,7 @@ class _Frames(_Engine):
         # an empty tail, so that it hands out the leaf and walks nothing
         self.free_start = self.n
         self.tail, self.tail_domains, self.tail_mins = [], [], [0]
+        self.tail_leaves, self.tail_nodes = 1, 0
 
 
 def _tail_runs(problem):
@@ -1784,3 +1785,89 @@ def test_counting_mode_needs_on_count():
                                   lambda labels, sums: sols.append((labels, sums)) or True)
         assert (got, sols) == want
         assert len(sols) in (18, 4_096)
+
+
+def _counted_at_first(problem, budget):
+    """enumerate_solutions switched to counting at its first solution: (result, count)."""
+    counts = []
+    got = enumerate_solutions(problem, budget, lambda _labels, _sums: True,
+                              on_count=counts.append)
+    assert len(counts) == 1
+    return got, counts[0]
+
+
+def _tail_ends(problem):
+    """The node count at which each free tail of an uncut counted enumeration ends,
+    for the tails entered once the search only counts."""
+    ends = []
+
+    class Logged(_Engine):
+        def _free_tail(self, weight):
+            counting = self.counted is not None
+            mask = super()._free_tail(weight)
+            if counting:
+                ends.append(self.nodes)
+            return mask
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_Engine", Logged)
+        _counted_at_first(problem, SearchBudget())
+    return ends
+
+
+def test_counted_tails_match_a_full_hand_out_at_their_ends():
+    """A tail counted in one step ends, and a budget cuts around it, where the walk's does.
+
+    Case x=0,!x=0 of the variable gadget, switched to counting at its
+    first solution (inside its first free tail): each later tail is
+    counted in one step.  Under a budget of one node less than such a
+    tail's end the walk must cut inside it; at its end and one node past
+    it the tail is counted whole and the next node is cut.  Each gives the
+    (outcome, nodes) of a full hand-out, and its one handed-out solution
+    plus the count make up the hand-out's solutions.
+    """
+    problem = _variable_gadget_problem()
+    ends = _tail_ends(problem)
+    assert ends == [4_166, 6_238, 8_288]
+    for end in ends:
+        for max_nodes in (end - 1, end, end + 1):
+            want, sols = _full_hand_out(problem, max_nodes)
+            got, counted = _counted_at_first(problem, SearchBudget(max_nodes=max_nodes))
+            assert got == want, max_nodes
+            assert 1 + counted == len(sols), max_nodes
+
+
+def test_counting_under_a_weight_cap_matches_a_full_hand_out():
+    """A weight cap prunes the free tails, so none is counted in one step.
+
+    At cap 8 the variable gadget's case x=0,!x=0 has 1,628 of its 4,096
+    solutions; counting every tail whole would count 4,096.
+    """
+    problem = dataclasses.replace(_variable_gadget_problem(), weight_cap=8)
+    want, sols = _full_hand_out(problem, 10**9)
+    got, counted = _counted_at_first(problem, SearchBudget())
+    assert (got, 1 + counted, len(sols)) == (want, 1_628, 1_628)
+
+
+def test_counted_tails_keep_the_time_cap(monkeypatch):
+    """A tail counted in one step checks the clock where the walk would.
+
+    The clock reads 0 for the deadline and for the walk's check at node
+    2,048, in the first tail, and far past the deadline from then on.  The
+    second tail (nodes 2,113 to 4,166) is counted in one step; it passes
+    node 4,096, so the step checks the clock and the search is cut at node
+    4,096, as a full hand-out is.
+    """
+    def clocked(enumerate_once):
+        reads = itertools.count()
+        monkeypatch.setattr(solver.time, "monotonic", lambda: 0.0 if next(reads) < 2 else 1e9)
+        return enumerate_once()
+
+    problem = _variable_gadget_problem()
+    budget = SearchBudget(max_ms=1.0)
+    sols = []
+    want = clocked(lambda: enumerate_solutions(problem, budget,
+                                               lambda labels, _sums: sols.append(labels)))
+    got, counted = clocked(lambda: _counted_at_first(problem, budget))
+    assert want == ("budget-exceeded", 4_096)
+    assert (got, 1 + counted) == (want, len(sols))
