@@ -597,7 +597,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("jobs", "max_n", "vars", "clauses", "random"):
+        for flag in ("jobs", "max_n", "vars", "clauses", "max_vars", "max_clauses", "random"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")

@@ -40,9 +40,11 @@ exhaustive_proofs wall time at the same 147,096 nodes a pass
 (BENCH_33.json).  A free tail entered while enumeration only counts, with
 no weight cap and no budget cut inside it, is counted in one step: prod
 |D_j| leaves and the sum_q prod_{j <= q} |D_j| nodes its walk would count
-(_free_tail).  Node counts and the leaf at which a cut lands stay as they
-were, and the variable gadget's tails after its first solution cost no
-walk (BENCH_34.json records the gain in exhaustive_proofs wall time).
+(_free_tail; BENCH_34.json).  So is the rest of the tail in which the
+consumer switches, from the switching leaf on (BENCH_35.json).  Node
+counts and the leaf at which a cut lands stay as they were, and the
+variable gadget's free pendants cost one walk to its first solution and
+no more.
 
 Every vertex v carries lo[v], the least neighbor sum still reachable given
 the partial assignment: boundary mass plus the assigned neighbors' labels
@@ -1132,9 +1134,10 @@ class _Engine:
         has a twin link).  This loop lists them in that order, counting one
         node and making the budget check per (re)assignment, and hands each
         leaf and its weight to the hook.  Every leaf of the search leaves
-        through here: an empty tail (F = n) hands out its one leaf and
-        counts no node.  It returns what frame F would: None on a stop, and
-        otherwise (1 << F) - 1, since a leaf passed.
+        through here: an empty tail (F = n) hands its one leaf to the hook
+        at once, with no walk to set up and no node counted.  It returns
+        what frame F would: None on a stop, and otherwise (1 << F) - 1,
+        since a leaf passed.
 
         Each step applies the frames' weight bound to the live cap.  The
         first, all-minimum leaf needs no check: the frame at F - 1 has just
@@ -1149,20 +1152,21 @@ class _Engine:
         leaf, so a tail with no cap to prune it and within the node budget
         is counted in one step, as for unconstrained variables in model
         counting (Bayardo & Pehoushek, AAAI 2000): tail_leaves leaves and
-        the tail_nodes nodes the walk would count.  A step that passes a
-        multiple of 2048 nodes first makes the walk's time check; past the
-        deadline the tail is walked, and cut where the walk's check cuts.
-        Any other tail is walked too, so a budget cut lands where it did.
-        The step leaves lo as the walk restores it; nothing reads a tail
-        label after the walk returns.
+        the tail_nodes nodes the walk would count.  A tail in which the hook
+        switches to counting is counted the same way from the switching
+        leaf on, once per walk: the rest of a mixed-radix walk is the rank
+        complement of the leaf reached (Knuth, TAOCP 4A, 7.2.1.1).  Either
+        step is refused under a cap, past the budget or past the deadline
+        (_count_rest); the tail is then walked, and a cut lands where the
+        walk's does.  The step leaves lo as the walk restores it; nothing
+        reads a tail label after the walk returns.
         """
-        if self.counted is not None and self.cap is None:
-            nodes = self.nodes + self.tail_nodes
-            if nodes <= self.budget.max_nodes and (
-                    nodes >> 11 == self.nodes >> 11 or time.monotonic() < self.deadline):
-                self.nodes = nodes
-                self.counted += self.tail_leaves
-                return (1 << self.free_start) - 1
+        if not self.tail:
+            return None if self.on_leaf(weight) else (1 << self.free_start) - 1
+        if self.counted is not None and self._count_rest(self.tail_leaves, self.tail_nodes):
+            return (1 << self.free_start) - 1
+        # a switch to counting during the walk is looked for once
+        switch = self.counted is None
         tail, doms, mins = self.tail, self.tail_domains, self.tail_mins
         label, lo, adj = self.label, self.lo, self.adj
         k = len(tail)
@@ -1191,6 +1195,18 @@ class _Engine:
             self.nodes = nodes
             if self.on_leaf(weight):
                 return None
+            if switch and self.counted is not None:
+                switch = False
+                # the rest of the tail after this leaf: the walk's nodes at
+                # q number P_q - R_q - 1, with P_q = prod_{j <= q} |D_j| and
+                # R_q the mixed-radix rank of idx[0..q]
+                size, rank, rest = 1, 0, 0
+                for q, dom in enumerate(doms):
+                    size *= len(dom)
+                    rank = rank * len(dom) + idx[q]
+                    rest += size - rank - 1
+                if self._count_rest(size - rank - 1, rest):
+                    break
             # the last position whose next value the cap allows; excess is
             # the weight above the least values after it
             cap = self.cap
@@ -1211,6 +1227,22 @@ class _Engine:
             for u in adj[v]:
                 lo[u] -= d
         return (1 << self.free_start) - 1
+
+    def _count_rest(self, leaves: int, nodes: int) -> bool:
+        """Add leaves and nodes of a free tail to the counts in one step, if no cap or cut stops it.
+
+        It refuses, and the tail is walked, when a weight cap is live, when
+        the end passes the node budget, or when the step passes a multiple
+        of 2048 nodes, where the walk reads the clock, and the deadline has
+        passed: the walk's check then cuts the search where it always did.
+        """
+        end = self.nodes + nodes
+        if self.cap is not None or end > self.budget.max_nodes or (
+                end >> 11 != self.nodes >> 11 and time.monotonic() >= self.deadline):
+            return False
+        self.nodes = end
+        self.counted += leaves
+        return True
 
     def run(self, on_leaf: Callable[[int], bool]) -> str:
         """Search the whole space, passing each complete labeling's weight to on_leaf.
@@ -1279,12 +1311,13 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
     With on_count, on_solution may return a true value once it needs no
     more solutions.  The search then goes on only counting them: the rest
     are neither built nor handed out, and on_count gets their number once
-    before this returns, also on a budget cut.  A free tail entered after
-    the switch is counted in one step rather than walked, when no weight
-    cap and no cut falls inside it (_free_tail); it adds the nodes the walk
-    would, so the node count and the leaf at which a cut lands are the same
-    either way.  Without on_count every solution is handed out, whatever
-    on_solution returns.
+    before this returns, also on a budget cut.  The rest of the free tail
+    in which the switch happens, and each free tail entered after it, is
+    counted in one step rather than walked, when no weight cap and no cut
+    falls inside it (_free_tail); it adds the nodes the walk would, so the
+    node count and the leaf at which a cut lands are the same either way.
+    Without on_count every solution is handed out, whatever on_solution
+    returns.
     """
     # enumeration must visit every solution, so symmetry breaking is off
     eng = _Engine(problem, budget, break_symmetry=False)
@@ -1296,7 +1329,8 @@ def enumerate_solutions(problem: SearchProblem, budget: SearchBudget,
 
     def hand_out(_weight: int) -> bool:
         # _free_tail reads the hook at each leaf, so a switch takes effect
-        # from the next leaf on, and from the next tail on in one step
+        # from the next leaf on: the rest of this tail, and every later
+        # tail, is counted in one step where it can be
         if on_solution(tuple(label), tuple(lo)) and on_count is not None:
             eng.on_leaf, eng.counted = count, 0
         return False

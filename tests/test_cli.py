@@ -673,6 +673,19 @@ def test_vars_below_one_exit_two(capsys, pool_sizes, flag, value):
     assert pool_sizes == []
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-vars", "0"), ("--max-vars", "-1"), ("--max-clauses", "0"), ("--max-clauses", "-1"),
+], ids=["max-vars-0", "max-vars--1", "max-clauses-0", "max-clauses--1"])
+def test_exhaustive_sweep_size_below_one_exit_two(capsys, pool_sizes, flag, value):
+    # an empty exhaustive sweep used to be reported as if --exhaustive were missing
+    code = main(["check", "sat", "--exhaustive", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+    assert pool_sizes == []
+
+
 @pytest.mark.parametrize("lf", ["x", "2,,3", "2;3"])
 def test_vertex_gadget_lf_not_integers_exit_two(capsys, tmp_path, lf):
     code = main(["construct", "gadget", "--gadget-kind", "vertex", "--lf", lf,
@@ -699,8 +712,7 @@ def test_budget_flag_not_positive_exit_two(capsys, pool_sizes, flag, value, show
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["check", "sat", "--exhaustive", "--max-vars", "0"],
-     "nothing to check: pass --cnf, --exhaustive or --random"),
+    (["check", "sat"], "nothing to check: pass --cnf, --exhaustive or --random"),
     (["check", "listcolor"], "nothing to check: pass --graph/--lists or --random"),
 ], ids=["sat", "listcolor"])
 def test_nothing_to_check_exit_two(capsys, argv, message):

@@ -312,6 +312,17 @@ def test_suite_budget_cut_at_a_counted_tail_end(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_suite_budget_cut_at_the_switching_tail_end(capsys):
+    # tests/data/check_gadgets_cut2111.jsonl is `luckylab check gadgets --json
+    # --budget-nodes 2111`: every B(x) case switches to counting at its first
+    # solution, inside its first free tail, which ends at node 2,112; the
+    # rest of that tail would end past the budget, so it is walked and the
+    # case is cut at its last leaf after 1,023 solutions
+    golden = (Path(__file__).parent / "data" / "check_gadgets_cut2111.jsonl").read_text()
+    assert main(["check", "gadgets", "--json", "--budget-nodes", "2111"]) == 2
+    assert capsys.readouterr().out == golden
+
+
 def test_certification_cap():
     inst = build_vertex_gadget({2}, 3)
     with pytest.raises(GraphError, match="enumeration cap"):

@@ -1787,13 +1787,39 @@ def test_counting_mode_needs_on_count():
         assert len(sols) in (18, 4_096)
 
 
+def _counted_after(problem, budget, after):
+    """enumerate_solutions switched to counting at its after-th solution.
+
+    Returns the result, the solutions handed out, the count on_count got,
+    and each one-step count the engine made, as (first node, last node).
+    The logging engine subclasses the one in force, so that a caller's
+    patched engine (_tail_ends) still runs.
+    """
+    handed, counts, steps = [], [], []
+
+    class Logged(solver._Engine):
+        def _count_rest(self, leaves, nodes):
+            start = self.nodes
+            counted = super()._count_rest(leaves, nodes)
+            if counted:
+                steps.append((start + 1, self.nodes))
+            return counted
+
+    def on_solution(labels, sums):
+        handed.append((labels, sums))
+        return len(handed) >= after
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_Engine", Logged)
+        got = enumerate_solutions(problem, budget, on_solution, on_count=counts.append)
+    assert len(counts) == 1
+    return got, handed, counts[0], steps
+
+
 def _counted_at_first(problem, budget):
     """enumerate_solutions switched to counting at its first solution: (result, count)."""
-    counts = []
-    got = enumerate_solutions(problem, budget, lambda _labels, _sums: True,
-                              on_count=counts.append)
-    assert len(counts) == 1
-    return got, counts[0]
+    got, _handed, counted, _steps = _counted_after(problem, budget, 1)
+    return got, counted
 
 
 def _tail_ends(problem):
@@ -1852,11 +1878,12 @@ def test_counting_under_a_weight_cap_matches_a_full_hand_out():
 def test_counted_tails_keep_the_time_cap(monkeypatch):
     """A tail counted in one step checks the clock where the walk would.
 
-    The clock reads 0 for the deadline and for the walk's check at node
-    2,048, in the first tail, and far past the deadline from then on.  The
-    second tail (nodes 2,113 to 4,166) is counted in one step; it passes
-    node 4,096, so the step checks the clock and the search is cut at node
-    4,096, as a full hand-out is.
+    The clock reads 0 for the deadline and for the check at node 2,048, in
+    the first tail (the step that counts the rest of that tail from the
+    switch at node 76 passes it), and far past the deadline from then on.
+    The second tail (nodes 2,121 to 4,166) is counted in one step; it
+    passes node 4,096, so the step checks the clock and the search is cut
+    at node 4,096, as a full hand-out is.
     """
     def clocked(enumerate_once):
         reads = itertools.count()
@@ -1871,3 +1898,68 @@ def test_counted_tails_keep_the_time_cap(monkeypatch):
     got, counted = clocked(lambda: _counted_at_first(problem, budget))
     assert want == ("budget-exceeded", 4_096)
     assert (got, 1 + counted) == (want, len(sols))
+
+
+@pytest.mark.parametrize("after, leaf", [(1, 76), (3, 79), (1_024, 2_112)])
+def test_switching_tail_is_counted_from_the_switch(after, leaf):
+    """The rest of the tail in which enumeration switches to counting is counted in one step.
+
+    Case x=0,!x=0 of the variable gadget: its first free tail, nodes 67 to
+    2,112, holds its first 1,024 solutions, the first at node 76 and the
+    third at node 79.  A switch at either leaves the rest of the tail to
+    one step; a switch at the 1,024th, the tail's last leaf (node 2,112),
+    leaves nothing to count.  Under a budget of 2,111 the step would end
+    past it, so the walk goes on and cuts at the tail's last leaf; at
+    2,112 and 2,113 the step counts the tail whole.  Each budget, and no
+    cut, gives the (outcome, nodes) of a full hand-out; its first
+    solutions are handed out, and with the count they make up all of them.
+    """
+    problem = _variable_gadget_problem()
+    for max_nodes in (2_111, 2_112, 2_113, 10**9):
+        want, sols = _full_hand_out(problem, max_nodes)
+        got, handed, counted, steps = _counted_after(problem, SearchBudget(max_nodes=max_nodes),
+                                                     after)
+        assert got == want, max_nodes
+        assert handed == sols[:after] and len(handed) + counted == len(sols), max_nodes
+        # the walk stops at the switch; a refused step walks on to the cut
+        assert (steps[:1] == [(leaf + 1, 2_112)]) == (max_nodes > 2_111), (max_nodes, steps)
+    assert want == ("exhausted", 8_289) and len(sols) == 4_096
+
+
+def test_switching_tail_keeps_the_time_cap(monkeypatch):
+    """A step from the switching leaf that passes node 2,048 reads the clock first.
+
+    The clock reads 0 for the deadline and far past it from then on, so it
+    has expired when enumeration switches at its first solution (node 76).
+    The rest of the first tail would pass node 2,048, so the step reads the
+    clock and is refused; the walk goes on and is cut at node 2,048, as a
+    full hand-out is.
+    """
+    def clocked(enumerate_once):
+        reads = itertools.count()
+        monkeypatch.setattr(solver.time, "monotonic", lambda: 0.0 if next(reads) < 1 else 1e9)
+        return enumerate_once()
+
+    problem = _variable_gadget_problem()
+    budget = SearchBudget(max_ms=1.0)
+    sols = []
+    want = clocked(lambda: enumerate_solutions(problem, budget,
+                                               lambda labels, _sums: sols.append(labels)))
+    got, handed, counted, steps = clocked(lambda: _counted_after(problem, budget, 1))
+    assert want == ("budget-exceeded", 2_048)
+    assert (got, len(handed) + counted, steps) == (want, len(sols), [])
+
+
+def test_switching_tail_under_a_weight_cap_is_walked():
+    """A weight cap prunes the rest of the switching tail, so no step counts it.
+
+    At cap 8 the first tail of case x=0,!x=0 holds 638 of the case's 1,628
+    solutions; counting the rest of it whole after the third would make
+    them 1,024.  (test_counting_under_a_weight_cap_matches_a_full_hand_out
+    switches at the first.)
+    """
+    problem = dataclasses.replace(_variable_gadget_problem(), weight_cap=8)
+    want, sols = _full_hand_out(problem, 10**9)
+    got, handed, counted, steps = _counted_after(problem, SearchBudget(), 3)
+    assert (got, len(handed) + counted, steps) == (want, 1_628, [])
+    assert handed == sols[:3]
