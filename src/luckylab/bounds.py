@@ -31,7 +31,7 @@ class BoundsReport:
     (eta_le_chi_conjecture) is a conjecture, yet all_flags_hold() and the
     exit status of `luckylab bounds` count it like the theorem flags; a
     graph with eta > chi would read as a failed bound (an open ROADMAP item,
-    "The conjecture flag and small boundaries").
+    "The conjecture flag").
     """
 
     n: int

@@ -250,7 +250,13 @@ def cmd_verify(args) -> int:
         ok = verify_from_lists(lab, lists)
         _emit(args, {"from_lists": ok}, "labels drawn from lists" if ok else "label outside its list")
         return EXIT_OK if ok else EXIT_NEGATIVE
-    # ptds: the candidate set is given as an indicator labeling
+    # ptds: the candidate set is given as a 0/1 indicator labeling, total
+    # like the others; any other label names no set
+    all_neighbor_sums(g, lab, base=1)  # raises on a missing vertex
+    outside = labels_outside_mode(g, lab, "binary")
+    if outside:
+        raise ValueError(f"label {lab[outside[0]]} at vertex {outside[0] + 1} is not 0 or 1: "
+                         "verify ptds reads the set as a 0/1 indicator labeling")
     dom = {v for v, x in lab.values.items() if x == 1}
     ok = verify_ptds(g, dom)
     _emit(args, {"proper_total_dominating": ok, "set": [v + 1 for v in sorted(dom)]},
@@ -427,26 +433,54 @@ def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
             "agree": not cut and got == want, **({"cut": cut} if cut else {})}
 
 
-# the input files each check target reads, and what it checks instead of
-# the others; any other file flag given is an error, not ignored
-_CHECK_INPUTS = {
-    "gadgets": ((), "it certifies the built-in gadget suite"),
-    "solvers": ((), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
-    "sat": (("cnf",), "it checks a formula (--cnf) or small and seeded random formulas "
-                      "(--exhaustive, --random)"),
-    "listcolor": (("graph", "lists"), "it checks a graph with lists (--graph, --lists) "
-                                      "or seeded random instances (--random)"),
-    "inapprox": (("graph",), "it checks one graph (--graph, --d)"),
-    "all": ((), "it runs the seeded desk-scale battery (--seed)"),
+# the input flags each command reads, and what it reads instead of the
+# others; "<command> --<flag>" is the form a given flag selects, which
+# reads only its own inputs.  Any other input flag given is an error, not
+# ignored.  A command missing here reads every input flag it has.
+_INPUT_FLAGS = ("cnf", "graph", "lists", "random", "exhaustive")
+_INPUTS = {
+    **{f"solve {problem}": (("graph",), "it solves on the graph alone (--graph)")
+       for problem in SOLVERS},
+    **{f"verify {what}": (("graph",), "it checks the labeling on the graph (--graph, --labeling)")
+       for what in ("labeling", "ptds")},
+    **{f"construct {kind}": ((), "it builds a named family or gadget from its parameters")
+       for kind in ("counterexample", "clique-example", "gadget")},
+    "construct sat": (("cnf",), "it reduces the formula in --cnf"),
+    "construct inapprox": (("graph",), "it amplifies the graph in --graph"),
+    "construct listcolor": (("graph", "lists"),
+                            "it reduces the graph and lists in --graph, --lists"),
+    "bounds --random": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
+    "check gadgets": ((), "it certifies the built-in gadget suite"),
+    "check solvers": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
+    "check sat": (("cnf", "exhaustive", "random"),
+                  "it checks a formula (--cnf) or small and seeded random formulas "
+                  "(--exhaustive, --random)"),
+    "check sat --cnf": (("cnf",), "it checks the one formula in --cnf"),
+    "check listcolor": (("graph", "lists", "random"),
+                        "it checks a graph with lists (--graph, --lists) "
+                        "or seeded random instances (--random)"),
+    # selected by --graph alone: --lists with --random still asks for --graph
+    "check listcolor --graph": (("graph", "lists"), "it checks the one graph with lists in "
+                                                    "--graph, --lists"),
+    "check inapprox": (("graph",), "it checks one graph (--graph, --d)"),
+    "check all": ((), "it runs the seeded desk-scale battery (--seed)"),
 }
 
 
-def cmd_check(args) -> int:
-    reads, instead = _CHECK_INPUTS[args.target]
-    for flag in ("cnf", "graph", "lists"):
-        if flag not in reads and getattr(args, flag):
-            raise ValueError(f"check {args.target} takes no --{flag}: {instead}")
+def _check_inputs(args) -> None:
+    """Reject any input flag that the command, or the form a given flag selects, does not read."""
+    given = [flag for flag in _INPUT_FLAGS if getattr(args, flag, None)]
+    # the command and its positional choice, if it takes one
+    choices = ("problem", "what", "kind", "target")
+    command = " ".join([args.command, *(getattr(args, c) for c in choices if hasattr(args, c))])
+    for form in (command, *(f"{command} --{flag}" for flag in given)):
+        reads, instead = _INPUTS.get(form, (_INPUT_FLAGS, ""))
+        for flag in given:
+            if flag not in reads:
+                raise ValueError(f"{form} takes no --{flag}: {instead}")
 
+
+def cmd_check(args) -> int:
     if args.target == "gadgets":
         suite = gadget_certification_suite(_budget(args))
         for name, rep in suite:
@@ -606,6 +640,7 @@ def main(argv=None) -> int:
             if not getattr(args, flag, 1) > 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be positive, "
                                  f"got {getattr(args, flag)}")
+        _check_inputs(args)
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
     # an invalid budget is a ValueError; a path that cannot be read or

@@ -19,15 +19,16 @@ is left (its ends are adjacent checked vertices, so neither is free).  Free
 vertices get no twin links either: a search that breaks symmetry stops at
 its first leaf or lowers the cap below it, and the tail's first leaf is its
 least labeling, so no second tail leaf would pass.  Frames there would only
-list the tail's labelings, so _free_tail lists them in one loop (mixed-radix
-generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): in the frames' order,
-one node per (re)assignment with the same budget and weight checks,
-returning the mask frame F would.  So node counts, the leaves and the leaf
-at which a budget cut lands stay as they were, under every leaf hook, branch
-and bound included.  In the benchmark's exhaustive_proofs workload 112,530
-of the 147,096 nodes of a pass fall in free tails, all of them in certifying
-the variable gadget and its corrupted copy: every core solution of the
-variable gadget repeats under the 1,024 labelings of its pendants.
+list the tail's labelings, so _free_tail lists them in one loop over
+order[F:] (mixed-radix generation, Knuth, TAOCP 4A, 7.2.1.1, Algorithm M):
+in the frames' order, one node per (re)assignment with the same budget and
+weight checks, returning the mask frame F would.  So node counts, the
+leaves and the leaf at which a budget cut lands stay as they were, under
+every leaf hook, branch and bound included.  In the benchmark's
+exhaustive_proofs workload 112,530 of the 147,096 nodes of a pass fall in
+free tails, all of them in certifying the variable gadget and its
+corrupted copy: every core solution of the variable gadget repeats under
+the 1,024 labelings of its pendants.
 
 Enumeration hands each leaf out as two tuples, the labels and the sums,
 through one call (enumerate_solutions).  A consumer that needs only how
@@ -41,10 +42,15 @@ exhaustive_proofs wall time at the same 147,096 nodes a pass
 no weight cap and no budget cut inside it, is counted in one step: prod
 |D_j| leaves and the sum_q prod_{j <= q} |D_j| nodes its walk would count
 (_free_tail; BENCH_34.json).  So is the rest of the tail in which the
-consumer switches, from the switching leaf on (BENCH_35.json).  Node
-counts and the leaf at which a cut lands stay as they were, and the
-variable gadget's free pendants cost one walk to its first solution and
-no more.
+consumer switches, from the switching leaf on (BENCH_35.json); both counts
+come from one mixed-radix rank computation.  Node counts and the leaf at
+which a cut lands stay as they were, and the variable gadget's free
+pendants cost one walk to its first solution and no more.  Of the 112,530
+free-tail nodes of an exhaustive_proofs pass the walk advances 70, and
+the other 112,460 are counted in one step over 55 tail entries; no other
+workload of the benchmark reaches a free tail.  The walk remains because
+it keeps a search with many free vertices off the recursion: each free
+vertex would otherwise take a frame.
 
 Every vertex v carries lo[v], the least neighbor sum still reachable given
 the partial assignment: boundary mass plus the assigned neighbors' labels
@@ -114,8 +120,10 @@ tried, and every leaf the hook sees lies within the cap in force.
 A problem with a weight cap fixed before the search starts also counts
 forced pairs, edges that must spend one unit above their domain minima, into
 its weight lower bound.  Each stacked pair keeps one bit in pair_first, at
-the search position of its lower end, and stays open until that end is
-assigned, so at depth d the open pairs are the set bits of pair_first >> d.
+the search position of its lower end, and its culprits in pair_culprits at
+that position; it stays open until that end is assigned, so at depth d the
+open pairs are the set bits of pair_first >> d.  The frame that stacked it
+clears its two bits when its assignment is undone.
 Refuting a capped labeling needs that bound, even with the nogoods below:
 the inapproximability check on K4 at d = 21 takes 928 nodes with it,
 186,216 with pairs counted at the root only and 190,405 without it, and on
@@ -201,7 +209,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
@@ -657,15 +664,6 @@ class _Engine:
         self.free_start = n
         while self.free_start and free[order[self.free_start - 1]]:
             self.free_start -= 1
-        self.tail = order[self.free_start:]
-        self.tail_domains = [domains[v] for v in self.tail]
-        # each tail position's least value, and a 0 past the end
-        self.tail_mins = [d[0] for d in self.tail_domains] + [0]
-        # the tail's leaves, prod |D_j|, and the walk's nodes over it,
-        # sum_q prod_{j <= q} |D_j|, when no cap prunes it
-        sizes = list(itertools.accumulate((len(d) for d in self.tail_domains),
-                                          operator.mul, initial=1))
-        self.tail_leaves, self.tail_nodes = sizes[-1], sum(sizes) - 1
         # boundary mass or unchecked status makes a vertex non-interchangeable.
         # Twins are both free or both not, and free ones get no links: the
         # walk's first leaf is the least labeling of the tail, and a search
@@ -715,14 +713,14 @@ class _Engine:
 
         self.ones_mask = 0  # levels assigned above their domain minimum
         # forced-pair weight bound: disjoint edges whose endpoints must jointly
-        # exceed their domain minima by one.  Entries are (pair_mask,
-        # culprits), pair_mask holding the search positions of the pair's two
-        # ends.  paired holds the positions of every stacked pair, pair_first
-        # the lower end of each; a pair is open while that end is unassigned,
-        # so at depth d the open pairs are the set bits of pair_first >> d.
-        # Kept only under the problem's own weight cap (module docstring).
+        # exceed their domain minima by one.  paired holds the search
+        # positions of both ends of every stacked pair, pair_first the lower
+        # end of each, and pair_culprits[p] the culprits of the pair whose
+        # lower end is p; a pair is open while that end is unassigned, so at
+        # depth d the open pairs are the set bits of pair_first >> d.  Kept
+        # only under the problem's own weight cap (module docstring).
         self.paired = self.pair_first = 0
-        self.bonus_stack: list[tuple[int, int]] = []
+        self.pair_culprits = [0] * n
         self.bounded = problem.weight_cap is not None
         # the slack cut's deficit tables, built on its first call
         self.slack_tables: Optional[tuple[list, list]] = None
@@ -863,20 +861,26 @@ class _Engine:
     # from masks: each end's only unassigned multi-valued neighbor is the
     # other end, or it has none when the other end has one value.
 
-    def _try_bonus(self, u: int, t: int, assigned_mask: int) -> bool:
+    def _try_bonus(self, u: int, t: int, assigned_mask: int) -> int:
+        """Stack (u, t) if it is a forced pair; returns the positions of its ends, or 0."""
         if self.lo[u] != self.lo[t]:
-            return False
-        bu, bt = 1 << self.pos[u], 1 << self.pos[t]
+            return 0
+        pu, pt = self.pos[u], self.pos[t]
+        bu, bt = 1 << pu, 1 << pt
         nbmask, open_ = self.nbmask, self.multi & ~assigned_mask
         if nbmask[u] & open_ == bt & open_ and nbmask[t] & open_ == bu & open_:
-            self.bonus_stack.append((bu | bt, (nbmask[u] | nbmask[t]) & assigned_mask))
             self.paired |= bu | bt
             self.pair_first |= min(bu, bt)
-            return True
-        return False
+            self.pair_culprits[min(pu, pt)] = (nbmask[u] | nbmask[t]) & assigned_mask
+            return bu | bt
+        return 0
 
     def _scan_bonuses(self, v: int) -> int:
-        """Detect pairs newly forced by assigning v; returns how many were added."""
+        """Stack the pairs newly forced by assigning v; returns the positions of their ends.
+
+        The frame clears those positions from paired and pair_first once its
+        assignment is undone; all of those pairs are open then.
+        """
         added = 0
         pos = self.pos
         cadj = self.cadj
@@ -890,25 +894,17 @@ class _Engine:
                 # v itself is assigned, so it is skipped here
                 if pos[t] <= pv or self.paired >> pos[t] & 1:
                     continue
-                if self._try_bonus(u, t, assigned_mask):
-                    added += 1
+                pair = self._try_bonus(u, t, assigned_mask)
+                if pair:
+                    added |= pair
                     break
         return added
 
-    def _pop_bonuses(self, count: int) -> None:
-        # a frame pops the pairs it stacked once its assignment is undone,
-        # so all of them are open
-        for _ in range(count):
-            pair_mask, _culprits = self.bonus_stack.pop()
-            self.paired &= ~pair_mask
-            self.pair_first &= ~(pair_mask & -pair_mask)
-
-    def _bonus_culprits(self, assigned_mask: int) -> int:
-        """The culprits of every pair whose ends lie outside assigned_mask."""
+    def _bonus_culprits(self, below: int) -> int:
+        """The culprits of every stacked pair whose ends lie outside below."""
         mask = 0
-        for pair_mask, culprits in self.bonus_stack:
-            if not pair_mask & assigned_mask:
-                mask |= culprits
+        for p in _positions(self.pair_first & ~below):
+            mask |= self.pair_culprits[p]
         return mask
 
     # -- slack cut ------------------------------------------------------------
@@ -1082,7 +1078,7 @@ class _Engine:
                     # only levels labeled above their domain minimum, or the
                     # assignments that forced the open pairs, can lower this
                     conf |= (self.ones_mask | (self._bonus_culprits(below)
-                                               if self.bonus_stack else 0)) & below
+                                               if self.pair_first else 0)) & below
                     break  # values ascend, so every later value also blows the cap
             self.nodes += 1
             if self.nodes > max_nodes or (
@@ -1098,9 +1094,9 @@ class _Engine:
             # the flag first: branch and bound and enumeration skip the lookup
             if cmask is None and self.learn and self.ng_watch[depth][val > dmin_v]:
                 cmask = self._nogood_after(depth, val > dmin_v)
-            added_bonuses = 0
+            pairs = 0  # the ends of the forced pairs this value stacks
             if cmask is None and self.bounded:
-                added_bonuses = self._scan_bonuses(v)
+                pairs = self._scan_bonuses(v)
             skip_rest = None
             if cmask is None:
                 r = self._dfs(depth + 1, cur_weight + val)
@@ -1112,8 +1108,9 @@ class _Engine:
                     conf |= r
             else:
                 conf |= cmask
-            if added_bonuses:
-                self._pop_bonuses(added_bonuses)
+            if pairs:
+                self.paired &= ~pairs
+                self.pair_first &= ~pairs
             if dlo:
                 for u in adj_v:
                     lo[u] -= dlo
@@ -1137,11 +1134,17 @@ class _Engine:
         through here: an empty tail (F = n) hands its one leaf to the hook
         at once, with no walk to set up and no node counted.  It returns
         what frame F would: None on a stop, and otherwise (1 << F) - 1,
-        since a leaf passed.
+        since a leaf passed.  The tail is order[F:] and each step reads its
+        domains, so the engine keeps no copy of it.
 
-        Each step applies the frames' weight bound to the live cap.  The
-        first, all-minimum leaf needs no check: the frame at F - 1 has just
-        applied that bound to it, or with F = 0 _root_cut has.
+        idx holds the mixed-radix digits of the leaf reached, each position's
+        value as an index into its domain.  The walk starts from the digits
+        of rank -1, the leaf before the first: index -1 at position F and
+        the last index everywhere after.  From there each step advances the
+        last position whose next value fits under the live cap, applying
+        the frames' weight bound; the first, all-minimum leaf passes it,
+        since the frame at F - 1 has just applied that bound to it, or with
+        F = 0 _root_cut has.
 
         Only label and lo follow the walk, since a leaf hook reads nothing
         else (_search the labels, enumerate_solutions the labels and the
@@ -1149,61 +1152,44 @@ class _Engine:
         stop, as the frames leave them.
 
         Once enumeration only counts (self.counted is set), no hook reads a
-        leaf, so a tail with no cap to prune it and within the node budget
-        is counted in one step, as for unconstrained variables in model
-        counting (Bayardo & Pehoushek, AAAI 2000): tail_leaves leaves and
-        the tail_nodes nodes the walk would count.  A tail in which the hook
-        switches to counting is counted the same way from the switching
-        leaf on, once per walk: the rest of a mixed-radix walk is the rank
-        complement of the leaf reached (Knuth, TAOCP 4A, 7.2.1.1).  Either
-        step is refused under a cap, past the budget or past the deadline
-        (_count_rest); the tail is then walked, and a cut lands where the
-        walk's does.  The step leaves lo as the walk restores it; nothing
-        reads a tail label after the walk returns.
+        leaf, so the rest of the walk, with no cap to prune it and within
+        the node budget, is counted in one step, as for unconstrained
+        variables in model counting (Bayardo & Pehoushek, AAAI 2000): the
+        rest of a mixed-radix walk is the rank complement of the leaf
+        reached (Knuth, TAOCP 4A, 7.2.1.1).  The step is tried once per
+        walk: on entry, where rank -1 at every prefix gives prod |D_j|
+        leaves and sum_q prod_{j <= q} |D_j| nodes, or else at the leaf
+        where the hook switches to counting.  It is refused under a cap,
+        past the budget or past the deadline (_count_rest); the tail is
+        then walked, and a cut lands where the walk's does.  Nothing reads
+        a tail label after the walk returns.  In one pass of the
+        benchmark's exhaustive_proofs workload the walk advances 70 of the
+        147,096 nodes, and 112,460 are counted in one step over 55 tail
+        entries; the other workloads walk no node.
         """
-        if not self.tail:
-            return None if self.on_leaf(weight) else (1 << self.free_start) - 1
-        if self.counted is not None and self._count_rest(self.tail_leaves, self.tail_nodes):
-            return (1 << self.free_start) - 1
-        # a switch to counting during the walk is looked for once
-        switch = self.counted is None
-        tail, doms, mins = self.tail, self.tail_domains, self.tail_mins
-        label, lo, adj = self.label, self.lo, self.adj
+        free_start = self.free_start
+        if free_start == self.n:
+            return None if self.on_leaf(weight) else (1 << free_start) - 1
+        tail = self.order[free_start:]
+        domains, dmin, label, lo, adj = self.domains, self.dmin, self.label, self.lo, self.adj
         k = len(tail)
-        idx = [0] * k  # each position's value, as an index into its domain
-        for q, v in enumerate(tail):
-            label[v] = mins[q]  # at its least value; the nodes are counted below
-        weight += self.rest_min[self.free_start]
+        for v in tail:
+            label[v] = dmin[v]  # at its least value; the nodes are counted below
+        idx = [len(domains[v]) - 1 for v in tail]
+        idx[0] = -1  # rank -1: the leaf before the first
+        weight += self.rest_min[free_start]
         nodes, max_nodes, deadline = self.nodes, self.budget.max_nodes, self.deadline
-        p, i, val = 0, 0, mins[0]
+        switch = True  # the step that counts the rest is tried once
         while True:
-            # position p takes value val, every later one its least value
-            for q in range(p, k):
-                nodes += 1
-                if nodes > max_nodes or (nodes % 2048 == 0 and time.monotonic() >= deadline):
-                    self.nodes = nodes
-                    raise BudgetExceeded
-                v = tail[q]
-                d = val - label[v]
-                if d:
-                    label[v] = val
-                    weight += d
-                    for u in adj[v]:
-                        lo[u] += d
-                idx[q] = i
-                i, val = 0, mins[q + 1]
-            self.nodes = nodes
-            if self.on_leaf(weight):
-                return None
             if switch and self.counted is not None:
                 switch = False
-                # the rest of the tail after this leaf: the walk's nodes at
-                # q number P_q - R_q - 1, with P_q = prod_{j <= q} |D_j| and
-                # R_q the mixed-radix rank of idx[0..q]
+                # the walk's nodes at q after the leaf reached number
+                # P_q - R_q - 1, with P_q = prod_{j <= q} |D_j| and R_q the
+                # mixed-radix rank of idx[0..q]
                 size, rank, rest = 1, 0, 0
-                for q, dom in enumerate(doms):
-                    size *= len(dom)
-                    rank = rank * len(dom) + idx[q]
+                for q, v in enumerate(tail):
+                    size *= len(domains[v])
+                    rank = rank * len(domains[v]) + idx[q]
                     rest += size - rank - 1
                 if self._count_rest(size - rank - 1, rest):
                     break
@@ -1213,7 +1199,7 @@ class _Engine:
             excess = 0
             for p in range(k - 1, -1, -1):
                 v = tail[p]
-                dom = doms[p]
+                dom = domains[v]
                 i = idx[p] + 1
                 if i < len(dom):
                     val = dom[i]
@@ -1222,11 +1208,30 @@ class _Engine:
                 excess += label[v] - dom[0]
             else:
                 break
-        for q, v in enumerate(tail):
-            d = label[v] - mins[q]
+            # position p takes value val, every later one its least value
+            for q in range(p, k):
+                nodes += 1
+                if nodes > max_nodes or (nodes % 2048 == 0 and time.monotonic() >= deadline):
+                    self.nodes = nodes
+                    raise BudgetExceeded
+                v = tail[q]
+                if q > p:
+                    i, val = 0, dmin[v]
+                d = val - label[v]
+                if d:
+                    label[v] = val
+                    weight += d
+                    for u in adj[v]:
+                        lo[u] += d
+                idx[q] = i
+            self.nodes = nodes
+            if self.on_leaf(weight):
+                return None
+        for v in tail:
+            d = label[v] - dmin[v]
             for u in adj[v]:
                 lo[u] -= d
-        return (1 << self.free_start) - 1
+        return (1 << free_start) - 1
 
     def _count_rest(self, leaves: int, nodes: int) -> bool:
         """Add leaves and nodes of a free tail to the counts in one step, if no cap or cut stops it.

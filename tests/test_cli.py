@@ -151,6 +151,20 @@ def test_verify_ptds_uses_file_ids(capsys, tmp_path, p3_file):
     assert json.loads(out) == {"proper_total_dominating": False, "set": [1, 3]}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v 1 1\nv 2 7\nv 3 1\n",
+     "label 7 at vertex 2 is not 0 or 1: verify ptds reads the set as a 0/1 indicator labeling"),
+    ("v 1 1\nv 2 1\n", "labeling is not total: vertex 3 has no label"),
+], ids=["label-7", "not-total"])
+def test_verify_ptds_reads_a_total_indicator(capsys, tmp_path, p3_file, text, message):
+    """A label outside {0, 1}, or a vertex without one, names no set: exit 2, not a verdict."""
+    lab = tmp_path / "s.lab"
+    lab.write_text(text)
+    code = main(["verify", "ptds", "--graph", p3_file, "--labeling", str(lab), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_solve_ptds_set_uses_file_ids(capsys, tmp_path):
     # the least PTDS of this graph is library vertices {1, 2, 3}
     g = tmp_path / "g.col"
@@ -782,10 +796,35 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
     (["check", "listcolor", "--random", "2", "--seed", "1", "--lists", "/nonexistent.lists"],
      "check listcolor requires --graph\n"),
     (["check", "all", "--seed", "1", "--lists", "/nonexistent"], "check all takes no --lists: "),
+    # a file form reads no sweep flag, and a sweep no file
+    (["check", "sat", "--cnf", "/nonexistent.cnf", "--exhaustive", "--random", "3", "--seed", "1"],
+     "check sat --cnf takes no --random: "),
+    (["check", "sat", "--cnf", "/nonexistent.cnf", "--exhaustive"],
+     "check sat --cnf takes no --exhaustive: "),
+    (["check", "listcolor", "--graph", "/nonexistent.col", "--lists", "/nonexistent.lists",
+      "--random", "2", "--seed", "1"], "check listcolor --graph takes no --random: "),
+    (["check", "gadgets", "--random", "2", "--seed", "1"], "check gadgets takes no --random: "),
+    (["check", "solvers", "--exhaustive"], "check solvers takes no --exhaustive: "),
+    (["bounds", "--graph", "/nonexistent.col", "--random", "2", "--seed", "1"],
+     "bounds --random takes no --graph: "),
+    # the other commands
+    (["solve", "eta", "--graph", "/nonexistent.col", "--lists", "/nonexistent.lists"],
+     "solve eta takes no --lists: "),
+    (["verify", "labeling", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
+      "--lists", "/nonexistent.lists"], "verify labeling takes no --lists: "),
+    (["verify", "ptds", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
+      "--lists", "/nonexistent.lists"], "verify ptds takes no --lists: "),
+    (["construct", "counterexample", "--out", "/nonexistent/x", "--graph", "X", "--cnf", "Y"],
+     "construct counterexample takes no --cnf: "),
+    (["construct", "sat", "--out", "/nonexistent/x", "--cnf", "/nonexistent.cnf",
+      "--graph", "/nonexistent.col"], "construct sat takes no --graph: "),
 ], ids=["gadgets-graph", "sat-graph", "sat-lists", "inapprox-cnf", "listcolor-cnf",
-        "listcolor-lists-alone", "all-lists"])
+        "listcolor-lists-alone", "all-lists", "sat-cnf-random", "sat-cnf-exhaustive",
+        "listcolor-file-random", "gadgets-random", "solvers-exhaustive", "bounds-sweep-graph",
+        "solve-eta-lists", "verify-labeling-lists", "verify-ptds-lists",
+        "construct-counterexample-cnf", "construct-sat-graph"])
 def test_check_rejects_an_input_file_it_does_not_read(capsys, argv, message):
-    """Every check target names a file flag it would ignore, before any work."""
+    """Every command names an input flag it would ignore, before any work: no file is read."""
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

@@ -222,12 +222,15 @@ def test_malformed_graph_file_exit_two(files, text, command):
 @_SETTINGS
 def test_malformed_labeling_file_exit_two(files, drawn, what):
     text, misses_a_vertex = drawn
-    if misses_a_vertex:
-        # only a check of the labeling itself needs a label on every vertex
+    if misses_a_vertex and what == "lists":
+        # only the checks of the labeling and of its set need a label on
+        # every vertex
         what = "labeling"
     (files / "bad.lab").write_text(text)
+    # only verify lists reads --lists; the others would reject it unread
+    lists = ["--lists", str(files / "p3.lists")] if what == "lists" else []
     _assert_usage_error(["verify", what, "--graph", str(files / "p3.col"),
-                         "--labeling", str(files / "bad.lab"), "--lists", str(files / "p3.lists")])
+                         "--labeling", str(files / "bad.lab"), *lists])
 
 
 @given(text=malformed_lists(), command=st.sampled_from(["solve", "verify"]))

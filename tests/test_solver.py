@@ -435,10 +435,10 @@ def _setup_tables(problem, break_symmetry):
     """
     eng = _Engine(problem, SearchBudget(), break_symmetry=break_symmetry)
     tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.rest_min, eng.watch,
-              eng.twin_prev, eng.twin_strict, eng.free_start, eng.tail, eng.tail_domains,
-              eng.tail_mins, eng.wide, eng._build_slack_tables())
+              eng.twin_prev, eng.twin_strict, eng.free_start, eng.wide,
+              eng._build_slack_tables())
     cut = eng._root_cut()
-    return repr((tables, cut, eng.bonus_stack, eng.paired, eng.pair_first))
+    return repr((tables, cut, eng.paired, eng.pair_first))
 
 
 def _random_setup_problem(rng):
@@ -491,13 +491,13 @@ def _setup_golden_problems():
 
 # sha256 of the setup tables of each family, with symmetry breaking on and off
 _SETUP_DIGESTS = {
-    "counterexample_lists": "c5a9fc1285546aa0a8b3580fe6eb1f297670f36236865172766685784cf839e3",
-    "counterexample_labels": "d11bdbc3a4cef3da1ceb3ac7dd8c6d39af68d7f8602a34bb90309ae1ab54e41f",
-    "sat_reduction": "7daaf74fbf2d02542bcecfd425bd374793deab51797b94ce5009d89804da8c2a",
-    "inapprox_k4_d21": "8b0020326415878b8ac0fc197a209445986a8fd912611df376fe779ff69ac553",
-    "petersen_min_sum": "10c242f120cbedfb7518ec7761f6298b4c532cf140566e79805d443dfff321f0",
-    "matching_cap": "42e6de20450c4afeb8fe929ef89f1ed28f5af72de7df88428cd7dec3d526954c",
-    "random": "e8ccf93c74036817a01eaf415316728c13601523c6b325ac2913685abd8322b5",
+    "counterexample_lists": "5dca9a804a53272e04da6251551957428a72cba557ce2c406c96e80277d95095",
+    "counterexample_labels": "f2a64b4a9fd297a512f34592a1104573770a7ed36999f0d6c3e70dc8b6a47f05",
+    "sat_reduction": "649cabb27a7124de5717d76ca31819f41be97c065de670736ce641494d34a7de",
+    "inapprox_k4_d21": "9a3b6a15b86f3abb4a38474ded385fb24db87fd365c8e88f41a31d44f4cd0894",
+    "petersen_min_sum": "5abd3f03f139b70a04d29e7b54c30176388ddf23a27ee23c2d0c10b9d4bf2f20",
+    "matching_cap": "cf106a44b44df9c2b8c3df84aaff059c42ddeae35844007dac38f979bde6081e",
+    "random": "83fd267f1b8275d5ed73b1565d924b26999315ca6dcd3b5de868d1e16bb9bbe5",
 }
 
 
@@ -505,8 +505,9 @@ def test_setup_tables_golden():
     """Engine setup builds the same tables as before, on every family of problems.
 
     The digests pin order, pos, nbmask, lo, rest_min, the watch table
-    (watched edges and Hall entries), the twin links, the free tail, wide,
-    the slack cut's deficit tables and the root pass with its stacked pairs.
+    (watched edges and Hall entries), the twin links, the first free
+    position, wide, the slack cut's deficit tables and the root pass with
+    the positions of its stacked pairs.
     """
     got = {}
     for name, problems in _setup_golden_problems().items():
@@ -783,8 +784,8 @@ class _IntervalScan(_Engine):
         want = (hi[u] - lo[u] == dt[-1] - dt[0] and hi[t] - lo[t] == du[-1] - du[0]
                 and lo[u] == lo[t])
         got = super()._try_bonus(u, t, assigned_mask)
-        assert got == want, (u, t, assigned_mask)
-        self.counts["pairs"] = self.counts.get("pairs", 0) + got
+        assert got == (want and 1 << self.pos[u] | 1 << self.pos[t]), (u, t, assigned_mask)
+        self.counts["pairs"] = self.counts.get("pairs", 0) + want
         return got
 
 
@@ -861,12 +862,13 @@ def test_forced_pairs_kept_only_in_weight_bounded_searches(monkeypatch):
     rep = solve_eta1(k2)
     assert (rep.status, rep.value) == ("found", 1)
     assert len(engines) == 4
-    assert all(eng.bonus_stack == [] and eng.pair_first == 0 for eng in engines)
+    assert all(eng.paired == eng.pair_first == 0 for eng in engines)
     engines.clear()
     assert exists_binary(k2, weight_cap=1).status == "found"
-    # one entry: the search positions of both ends, forced before any
-    # assignment, so with no culprits
-    assert engines[0].bonus_stack == [(0b11, 0)]
+    # one pair: the search positions of both ends, forced before any
+    # assignment, so with no culprits at its first end
+    eng = engines[0]
+    assert (eng.paired, eng.pair_first, eng.pair_culprits) == (0b11, 0b1, [0, 0])
 
 
 def _slack_state(weight_cap, cap):
@@ -1595,7 +1597,7 @@ class _TailChecked(_Engine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        tail = set(self.tail)
+        tail = set(self.order[self.free_start:])
         assert not any(self.watch[v] for v in tail)
         assert all(self.twin_prev[v] is None and not self.twin_strict[v] for v in tail)
         for v in tail:
@@ -1619,8 +1621,6 @@ class _Frames(_Engine):
         # the search reaches depth n through frames, and the walk there gets
         # an empty tail, so that it hands out the leaf and walks nothing
         self.free_start = self.n
-        self.tail, self.tail_domains, self.tail_mins = [], [], [0]
-        self.tail_leaves, self.tail_nodes = 1, 0
 
 
 def _tail_runs(problem):
@@ -1723,6 +1723,21 @@ def test_free_tail_walk_counts_in_closed_form():
     visits = len(single)
     assert visits == 4
     assert (len(full), full_nodes - single_nodes) == (1_024 * visits, (2_046 - 10) * visits)
+
+
+@pytest.mark.parametrize("solve, nodes", [
+    (solve_eta, 3_000), (exists_binary, 3_002), (solve_eta1, 3_002), (solve_sigma, 3_000)],
+    ids=["eta", "binary", "eta1", "sigma"])
+def test_free_tail_walk_keeps_deep_searches_off_the_recursion(solve, nodes):
+    """P3 plus 2,997 isolated vertices: every search finds value 1 without RecursionError.
+
+    The isolated vertices are free, so the search frames only the three
+    vertices of P3 and walks the rest (_free_tail).  With one frame per
+    free vertex (_Frames) each of these searches would recurse about 3,000
+    frames deep, past the interpreter's default limit of 1,000.
+    """
+    rep = solve(build_graph(3_000, [(0, 1), (1, 2)]))
+    assert (rep.status, rep.value, rep.nodes_explored) == ("found", 1, nodes)
 
 
 def _edgeless_problem():
