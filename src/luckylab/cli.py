@@ -120,6 +120,13 @@ def _required(args, flag: str, cmd: str):
     return value
 
 
+def _value(given, default):
+    """A flag's value, or its default when it is not given.  The flags that
+    only some forms of a command read default to None in the parser, so that
+    _check_inputs can tell a given one from an absent one."""
+    return default if given is None else given
+
+
 def _read_lists(args, cmd: str, g):
     """The --lists file, checked against g; a wrong vertex is named by its file id."""
     lists = fileio.read_lists(_required(args, "lists", cmd))
@@ -224,7 +231,8 @@ def cmd_verify(args) -> int:
         # 1-based file ids throughout
         sums = all_neighbor_sums(g, lab, base=1)
         # a label outside --mode answers "no" whatever the sums
-        outside = labels_outside_mode(g, lab, args.mode)
+        mode = _value(args.mode, "any")
+        outside = labels_outside_mode(g, lab, mode)
         violations = [] if outside else equal_sum_edges(g, sums)
         payload = {
             "valid": not (outside or violations),
@@ -236,7 +244,7 @@ def cmd_verify(args) -> int:
         }
         if outside:
             payload["outside_mode"] = [{"vertex": v + 1, "label": lab[v]} for v in outside]
-            human = f"label {lab[outside[0]]} at vertex {outside[0] + 1} is outside --mode {args.mode}"
+            human = f"label {lab[outside[0]]} at vertex {outside[0] + 1} is outside --mode {mode}"
         else:
             human = "additive"
             if violations:
@@ -270,10 +278,11 @@ def cmd_verify(args) -> int:
 
 def _read_lf(args) -> set[int]:
     """The vertex gadget's list, --lf; a malformed one is a usage error that names the flag."""
+    lf = _value(args.lf, "2")
     try:
-        return {int(x) for x in args.lf.split(",")}
+        return {int(x) for x in lf.split(",")}
     except ValueError:
-        raise ValueError(f"--lf must be comma-separated integers, got {args.lf!r}") from None
+        raise ValueError(f"--lf must be comma-separated integers, got {lf!r}") from None
 
 
 def cmd_construct(args) -> int:
@@ -284,38 +293,40 @@ def cmd_construct(args) -> int:
     budget = _budget(args)
     extra, verify = {}, None
     if args.kind == "counterexample":
-        graph, lab, lists = counterexample_graph(args.k)
+        k = _value(args.k, 1)
+        graph, lab, lists = counterexample_graph(k)
         extra = {"labeling": (".lab", fileio.labeling_to_text(lab)),
                  "lists": (".lists", fileio.lists_to_text(lists))}
-        fields = {"n": graph.n, "m": graph.m, "k": args.k}
-        title = f"counterexample k={args.k}: n={graph.n}, m={graph.m}"
+        fields = {"n": graph.n, "m": graph.m, "k": k}
+        title = f"counterexample k={k}: n={graph.n}, m={graph.m}"
 
         def verify():
             violations = verify_additive(graph, lab, mode="positive")
             eta_rep = solve_eta(graph, budget)
             refutation = refute_lists(graph, lists, budget)
-            ok = (not violations and lab.max_label() == args.k
-                  and eta_rep.status == "found" and eta_rep.value == args.k
+            ok = (not violations and lab.max_label() == k
+                  and eta_rep.status == "found" and eta_rep.value == k
                   and refutation.status == "refuted")
             return ({"shipped_labeling_additive": not violations,
                      "shipped_max_label": lab.max_label(), "eta": eta_rep.to_json_dict(),
                      "refutation": refutation.to_json_dict(), "verified": ok},
-                    f"counterexample k={args.k}: n={graph.n}, eta={eta_rep.value}, "
+                    f"counterexample k={k}: n={graph.n}, eta={eta_rep.value}, "
                     f"lists {refutation.status}, choosability > {refutation.max_list_size}"
                     + ("" if ok else "  [VERIFICATION FAILED]"),
                     EXIT_OK if ok else EXIT_ERROR)
     elif args.kind == "clique-example":
-        graph = clique_eta_one(args.n)
+        n = _value(args.n, 3)
+        graph = clique_eta_one(n)
         fields = {"n": graph.n, "m": graph.m}
-        title = f"clique example n={args.n}: {graph.n} vertices"
+        title = f"clique example n={n}: {graph.n} vertices"
     elif args.kind == "gadget":
         builders = {
             "clause": lambda: build_clause_gadget(),
             "variable": build_variable_gadget,
             "forcing": build_forcing_gadget,
-            "index": lambda: build_index_gadget(args.j),
-            "vertex": lambda: build_vertex_gadget(_read_lf(args), args.s),
-            "amplifier": lambda: build_amplifier_gadget(args.d),
+            "index": lambda: build_index_gadget(_value(args.j, 2)),
+            "vertex": lambda: build_vertex_gadget(_read_lf(args), _value(args.s, 3)),
+            "amplifier": lambda: build_amplifier_gadget(_value(args.d, 1)),
         }
         inst = builders[_required(args, "gadget-kind", "construct gadget")]()
         graph = inst.graph
@@ -340,8 +351,9 @@ def cmd_construct(args) -> int:
                         f"{title}, verdict {verdict.status}", EXIT_CODE[verdict.status])
         elif args.kind == "inapprox":
             g = fileio.read_graph(_required(args, "graph", "construct inapprox"))
-            red = build_inapprox_reduction(g, args.d)
-            fields, title = {"n": red.graph.n, "d": args.d}, f"amplifier graph: n={red.graph.n}"
+            d = _value(args.d, 1)
+            red = build_inapprox_reduction(g, d)
+            fields, title = {"n": red.graph.n, "d": d}, f"amplifier graph: n={red.graph.n}"
         else:  # listcolor
             g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
             red = build_listcoloring_reduction(g, _read_lists(args, "construct listcolor", g))
@@ -436,23 +448,36 @@ def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
 # the input flags each command reads, and what it reads instead of the
 # others; "<command> --<flag>" is the form a given flag selects, which
 # reads only its own inputs.  Any other input flag given is an error, not
-# ignored.  A command missing here reads every input flag it has.
-_INPUT_FLAGS = ("cnf", "graph", "lists", "random", "exhaustive")
+# ignored.  A command missing here reads every input flag it has.  A
+# parameter flag counts as given only when it is set, which is why the
+# parser defaults it to None.
+_INPUT_FLAGS = ("cnf", "graph", "lists", "random", "exhaustive",
+                "mode", "k", "n", "d", "j", "s", "lf", "vars", "clauses")
+_FAMILY = "it builds a named family or gadget from its parameters"
 _INPUTS = {
     **{f"solve {problem}": (("graph",), "it solves on the graph alone (--graph)")
        for problem in SOLVERS},
-    **{f"verify {what}": (("graph",), "it checks the labeling on the graph (--graph, --labeling)")
-       for what in ("labeling", "ptds")},
-    **{f"construct {kind}": ((), "it builds a named family or gadget from its parameters")
-       for kind in ("counterexample", "clique-example", "gadget")},
+    "verify labeling": (("graph", "mode"), "it checks the labeling on the graph (--graph, --labeling)"),
+    "verify ptds": (("graph",), "it checks the labeling on the graph (--graph, --labeling)"),
+    "verify lists": (("graph", "lists"),
+                     "it checks the labeling against the lists (--graph, --labeling, --lists)"),
+    "construct counterexample": (("k",), _FAMILY),
+    "construct clique-example": (("n",), _FAMILY),
+    # and the form --gadget-kind selects, which reads that gadget's own
+    # parameters
+    "construct gadget": (("j", "s", "lf", "d"), _FAMILY),
+    **{f"construct gadget {kind}": ((), _FAMILY) for kind in ("clause", "variable", "forcing")},
+    "construct gadget index": (("j",), _FAMILY),
+    "construct gadget vertex": (("s", "lf"), _FAMILY),
+    "construct gadget amplifier": (("d",), _FAMILY),
     "construct sat": (("cnf",), "it reduces the formula in --cnf"),
-    "construct inapprox": (("graph",), "it amplifies the graph in --graph"),
+    "construct inapprox": (("graph", "d"), "it amplifies the graph in --graph"),
     "construct listcolor": (("graph", "lists"),
                             "it reduces the graph and lists in --graph, --lists"),
     "bounds --random": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
     "check gadgets": ((), "it certifies the built-in gadget suite"),
     "check solvers": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
-    "check sat": (("cnf", "exhaustive", "random"),
+    "check sat": (("cnf", "exhaustive", "random", "vars", "clauses"),
                   "it checks a formula (--cnf) or small and seeded random formulas "
                   "(--exhaustive, --random)"),
     "check sat --cnf": (("cnf",), "it checks the one formula in --cnf"),
@@ -462,18 +487,21 @@ _INPUTS = {
     # selected by --graph alone: --lists with --random still asks for --graph
     "check listcolor --graph": (("graph", "lists"), "it checks the one graph with lists in "
                                                     "--graph, --lists"),
-    "check inapprox": (("graph",), "it checks one graph (--graph, --d)"),
+    "check inapprox": (("graph", "d"), "it checks one graph (--graph, --d)"),
     "check all": ((), "it runs the seeded desk-scale battery (--seed)"),
 }
 
 
 def _check_inputs(args) -> None:
     """Reject any input flag that the command, or the form a given flag selects, does not read."""
-    given = [flag for flag in _INPUT_FLAGS if getattr(args, flag, None)]
+    given = [flag for flag in _INPUT_FLAGS if getattr(args, flag, None) is not None]
     # the command and its positional choice, if it takes one
     choices = ("problem", "what", "kind", "target")
     command = " ".join([args.command, *(getattr(args, c) for c in choices if hasattr(args, c))])
-    for form in (command, *(f"{command} --{flag}" for flag in given)):
+    forms = [command, *(f"{command} --{flag}" for flag in given)]
+    if command == "construct gadget" and args.gadget_kind:
+        forms.insert(1, f"{command} {args.gadget_kind}")
+    for form in forms:
         reads, instead = _INPUTS.get(form, (_INPUT_FLAGS, ""))
         for flag in given:
             if flag not in reads:
@@ -507,7 +535,8 @@ def cmd_check(args) -> int:
             instances.extend(exhaustive_small_formulas(args.max_vars, args.max_clauses))
         if args.random:
             instances.extend(_seeded(args, args.random,
-                                     lambda rng: random_formula(rng, args.vars, args.clauses)))
+                                     lambda rng: random_formula(rng, _value(args.vars, 3),
+                                                                _value(args.clauses, 3))))
         if not instances:
             raise ValueError("nothing to check: pass --cnf, --exhaustive or --random")
         return _verdict_sweep(args, _sat_verdict_payload, instances, "sat equivalence")
@@ -525,7 +554,7 @@ def cmd_check(args) -> int:
 
     if args.target == "inapprox":
         g = fileio.read_graph(_required(args, "graph", "check inapprox"))
-        return _emit_verdict(args, check_threshold_inapprox(g, args.d, _budget(args)))
+        return _emit_verdict(args, check_threshold_inapprox(g, _value(args.d, 16), _budget(args)))
 
     # all: the desk-scale battery in one shot; every instance is drawn before
     # anything is printed, so a missing --seed prints nothing
@@ -567,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--graph", required=True)
     pv.add_argument("--labeling", required=True)
     pv.add_argument("--lists")
-    pv.add_argument("--mode", choices=["any", "positive", "binary"], default="any")
+    pv.add_argument("--mode", choices=["any", "positive", "binary"])
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 
@@ -575,12 +604,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", choices=["counterexample", "clique-example", "gadget",
                                      "sat", "inapprox", "listcolor"])
     pc.add_argument("--out", required=True, help="output path prefix")
-    pc.add_argument("--k", type=int, default=1)
-    pc.add_argument("--n", type=int, default=3)
-    pc.add_argument("--d", type=int, default=1)
-    pc.add_argument("--j", type=int, default=2)
-    pc.add_argument("--s", type=int, default=3)
-    pc.add_argument("--lf", default="2")
+    pc.add_argument("--k", type=int)
+    pc.add_argument("--n", type=int)
+    pc.add_argument("--d", type=int)
+    pc.add_argument("--j", type=int)
+    pc.add_argument("--s", type=int)
+    pc.add_argument("--lf")
     pc.add_argument("--gadget-kind", choices=["clause", "variable", "forcing",
                                               "index", "vertex", "amplifier"])
     pc.add_argument("--cnf")
@@ -611,13 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--cnf")
     pk.add_argument("--graph")
     pk.add_argument("--lists")
-    pk.add_argument("--d", type=int, default=16)
-    pk.add_argument("--exhaustive", action="store_true")
+    pk.add_argument("--d", type=int)
+    pk.add_argument("--exhaustive", action="store_true", default=None)
     pk.add_argument("--max-vars", type=int, default=2)
     pk.add_argument("--max-clauses", type=int, default=2)
     pk.add_argument("--random", type=int)
-    pk.add_argument("--vars", type=int, default=3)
-    pk.add_argument("--clauses", type=int, default=3)
+    pk.add_argument("--vars", type=int)
+    pk.add_argument("--clauses", type=int)
     pk.add_argument("--max-n", type=int, default=4)
     pk.add_argument("--seed", type=int)
     pk.add_argument("--jobs", type=int, default=1)

@@ -174,7 +174,9 @@ def max_clique(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[int, li
 
     Exponential worst case; intended for n up to ~50.  Returns the clique
     number and a sorted witness clique.  Each branch-and-bound call counts
-    as a node of `budget`; running out raises BudgetExceeded.
+    as a node of `budget`; running out raises BudgetExceeded.  It recurses,
+    but each call adds a vertex to the clique, so the depth is at most the
+    clique number plus one, whatever n is.
     """
     if g.n < 1:
         raise GraphError("max_clique requires n >= 1")
@@ -223,8 +225,9 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[i
     """Exact chromatic number with a witness coloring (colors 1..chi).
 
     Tries k = 1, 2, ... and proves each failing k infeasible by exhaustive
-    backtracking.  Intended for n up to ~20.  Every placement call, over
-    all k, counts as a node of `budget`; running out raises BudgetExceeded.
+    backtracking.  Intended for n up to ~20.  Every placement, over all k,
+    counts as a node of `budget`; running out raises BudgetExceeded.  The
+    backtracking runs on an explicit stack, so its depth of n is no limit.
     """
     if g.n < 1:
         raise GraphError("chromatic_number requires n >= 1")
@@ -235,26 +238,35 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> tuple[i
 
     for k in range(1, n + 1):
         color = [0] * n  # 0 = unassigned, colors are 1..k
-
-        def place(i: int, used_max: int) -> bool:
-            """Colour order[i:], colours 1..used_max being taken by order[:i]."""
-            count_node()
+        # a depth-first search on an explicit stack, so that no graph is too
+        # large for the interpreter's: forbid[i] holds the colors of order[i]'s
+        # neighbors when it was reached, and colors 1..used[i] are taken by
+        # order[:i]
+        forbid: list = []
+        used = [0] * (n + 1)
+        while True:
+            count_node()  # one node per placement of order[len(forbid)]
+            i = len(forbid)
             if i == n:
-                return True
-            v = order[i]
-            forbidden = {color[u] for u in adj[v] if color[u]}
-            # new colors are interchangeable: only try one fresh color
-            for c in range(1, min(k, used_max + 1) + 1):
-                if c in forbidden:
-                    continue
-                color[v] = c
-                if place(i + 1, max(used_max, c)):
-                    return True
+                return k, {v: color[v] for v in range(n)}
+            forbid.append({color[u] for u in adj[order[i]] if color[u]})
+            # the next color at the deepest vertex that has one left; new
+            # colors are interchangeable, so only one fresh color is tried.
+            # An exhausted vertex is uncolored and popped.
+            while forbid:
+                i = len(forbid) - 1
+                v, f = order[i], forbid[i]
+                c = color[v] + 1
+                while c in f:
+                    c += 1
+                if c <= min(k, used[i] + 1):
+                    color[v] = c
+                    used[i + 1] = max(used[i], c)
+                    break
                 color[v] = 0
-            return False
-
-        if place(0, 0):
-            return k, {v: color[v] for v in range(n)}
+                forbid.pop()
+            else:
+                break  # k colors do not suffice
     raise AssertionError("unreachable: n colors always suffice")
 
 

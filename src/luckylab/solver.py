@@ -525,8 +525,9 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     search would branch over pendant labels while nothing yet constrains the
     port.  The amplifier's b_i is a_i's last neighbor (the selectors come
     first), so it still follows a_i at once.  To see a placed neighbor reach
-    one unordered neighbor, count[] is kept for placed vertices too; when
-    it does, its adjacency is scanned once for that neighbor.
+    one unordered neighbor, left[] (unordered neighbors) is kept for placed
+    vertices too; when it does, its adjacency is scanned once for that
+    neighbor.
 
     An optional tier map partitions the vertices into priority classes;
     lower tiers are exhausted first.  Constructions with large repeated
@@ -538,11 +539,20 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
 
     The selection runs on a lazy-deletion heap (Tarjan & Yannakakis, SIAM J.
     Comput. 1984): each change of a vertex's ordered-neighbor count, and a
-    pendant's late turn to come at once, pushes a fresh entry.  A count only
+    pendant's late turn to come at once, makes a fresh entry.  A count only
     grows and that turn only comes once, so a vertex's fresh entry sorts
-    before all of its older ones, and an entry popped for a placed vertex is
-    simply skipped.  A vertex gets at most degree + 2 entries, and each
-    vertex's adjacency is scanned at most twice, so the cost is
+    before all of its older ones, and an entry met for a placed vertex or
+    an older one is simply skipped.  The n count-0 entries never pass
+    through the heap: they are sorted once into a plain list, start, read
+    from the front.  The heap holds only the fresh entries of earlier
+    rounds.  A round keeps the least fresh entry it makes aside and pushes
+    the others; the next vertex then holds the least of that entry, the
+    heap top and the head of start (stale ones skipped first).  When the
+    round's entry is the least, as it often is (a vertex's neighbors follow
+    it), it is handed over with no push and no pop.  Either way the least
+    live entry wins, as on a plain heap, so the order is the same.  A
+    vertex gets at most degree + 1 fresh entries, and each vertex's
+    adjacency is scanned at most twice, so the cost is still
     O((n + m) log n).
 
     Each entry is one int, the key (tier, does not come at once, -count,
@@ -556,31 +566,56 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
     r = max(degree, default=0) + 1
     step = r * n  # one more ordered neighbor
     flag = r * step  # the "does not come at once" field
-    tier = [0] * n
+    base = (r - 1) * (step + n)
+    # count 0, so the flag is set unless the vertex is isolated
+    key: list = [(flag if d else 0) + base - d * n + v for v, d in enumerate(degree)]
     if tiers:
         for v, t in tiers.items():
-            tier[v] = t
-    # count 0, so the flag is set unless the vertex is isolated
-    key: list = [(2 * t + (d != 0)) * flag + (r - 1) * step + (r - 1 - d) * n + v
-                 for v, (t, d) in enumerate(zip(tier, degree))]
-    count = [0] * n  # ordered neighbors, kept for placed vertices too
-    heap = key[:]
-    heapq.heapify(heap)
+            key[v] += 2 * t * flag
+    end = max(key, default=0) + 1  # above every key: ends start and the heap
+    start = sorted(key)  # the count-0 keys, read from start[i] on
+    start.append(end)
+    i = 0
+    heap = [end]  # the fresh keys of earlier rounds
+    push, pop = heapq.heappush, heapq.heappop
+    left = degree[:]  # unordered neighbors, kept for placed vertices too
     order: list[int] = []
-    while heap:
-        k = heapq.heappop(heap)
-        v = k % n
-        if key[v] != k:
-            continue  # an older entry of a placed vertex
+    fresh = end  # the round's least fresh key
+    for _ in range(n):
+        # the next vertex: the round's fresh key unless the heap top or the
+        # head of start, stale ones skipped, is less.  start is sorted, so
+        # its stale entries matter only while its head is below the heap top.
+        if fresh > heap[0] or fresh > start[i]:
+            k = heap[0]
+            while k != end and key[k % n] != k:
+                pop(heap)
+                k = heap[0]
+            k = start[i]
+            if k < heap[0]:
+                while k != end and key[k % n] != k:
+                    i += 1
+                    k = start[i]
+            if k < heap[0]:
+                if k < fresh:
+                    if fresh != end:
+                        push(heap, fresh)
+                    fresh = k
+                    i += 1
+            elif fresh == end:
+                fresh = pop(heap)
+            else:
+                fresh = heapq.heappushpop(heap, fresh)
+        v = fresh % n
         key[v] = None
         order.append(v)
-        last = count[v] == degree[v] - 1  # v has one unordered neighbor
+        last = left[v] == 1  # v has one unordered neighbor
+        fresh = end
         for u in adj[v]:
-            c = count[u] + 1
-            count[u] = c
+            c = left[u] - 1
+            left[u] = c
             k = key[u]
             if k is None:
-                if c != degree[u] - 1:
+                if c != 1:
                     continue
                 # u, placed, has one unordered neighbor left; if that is a
                 # pendant, its label now decides u's sum
@@ -588,12 +623,17 @@ def _search_order(n: int, adj, tiers: Optional[Mapping[int, int]] = None) -> lis
                 if degree[u] != 1:
                     continue
                 k = key[u] - flag
-            elif c == degree[u] and (c > 1 or last):
+            elif c == 0 and (last or degree[u] > 1):
                 k -= flag + step
             else:
                 k -= step
             key[u] = k
-            heapq.heappush(heap, k)
+            if k > fresh:
+                push(heap, k)
+            else:
+                if fresh != end:
+                    push(heap, fresh)
+                fresh = k
     return order
 
 
@@ -689,13 +729,14 @@ class _Engine:
         for i, v in enumerate(order):
             pos[v] = i
             b = 1 << i
-            for u in adj[v]:
-                nbmask[u] |= b
             size = len(domains[v])
             if size == 1:
                 single |= b
+                for u in adj[v]:
+                    nbmask[u] |= b
             else:
                 for u in adj[v]:
+                    nbmask[u] |= b
                     dec[u] = i
                 if size > 2:
                     wide |= b

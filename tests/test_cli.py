@@ -600,6 +600,25 @@ def test_cli_imports_without_numpy():
     assert proc.returncode == 0
 
 
+def test_bounds_on_a_graph_deeper_than_the_recursion_limit(tmp_path):
+    """P3 plus 2,997 isolated vertices: chi's search is 3,000 placements deep.
+
+    Run as a program, so that a RecursionError would show as a traceback.
+    """
+    import luckylab
+
+    src = str(Path(luckylab.__file__).resolve().parents[1])
+    path = tmp_path / "p3_isolated.col"
+    path.write_text("p edge 3000 2\ne 1 2\ne 2 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "luckylab.cli", "bounds", "--graph", str(path),
+         "--budget-nodes", "10000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n=3000 omega=2 chi=2 ")
+
+
 def test_check_sat_sweep_deterministic_across_jobs(capsys):
     args = ["check", "sat", "--random", "6", "--vars", "3", "--clauses", "3",
             "--seed", "7", "--json"]
@@ -818,17 +837,81 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
      "construct counterexample takes no --cnf: "),
     (["construct", "sat", "--out", "/nonexistent/x", "--cnf", "/nonexistent.cnf",
       "--graph", "/nonexistent.col"], "construct sat takes no --graph: "),
+    # parameter flags: the parser leaves them unset, so a given one is seen
+    (["verify", "ptds", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
+      "--mode", "binary"], "verify ptds takes no --mode: "),
+    (["verify", "lists", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
+      "--lists", "/nonexistent.lists", "--mode", "any"], "verify lists takes no --mode: "),
+    (["check", "gadgets", "--d", "99", "--vars", "7"], "check gadgets takes no --d: "),
+    (["check", "all", "--seed", "1", "--clauses", "4"], "check all takes no --clauses: "),
+    (["check", "sat", "--cnf", "/nonexistent.cnf", "--vars", "4"],
+     "check sat --cnf takes no --vars: "),
+    (["check", "inapprox", "--graph", "/nonexistent.col", "--d", "21", "--vars", "3"],
+     "check inapprox takes no --vars: "),
+    (["construct", "counterexample", "--out", "/nonexistent/x", "--d", "5"],
+     "construct counterexample takes no --d: "),
+    # a value the default would give, or one that reads as false, is still given
+    (["construct", "counterexample", "--out", "/nonexistent/x", "--k", "1", "--n", "0"],
+     "construct counterexample takes no --n: "),
+    (["construct", "clique-example", "--out", "/nonexistent/x", "--k", "2"],
+     "construct clique-example takes no --k: "),
+    (["construct", "sat", "--out", "/nonexistent/x", "--cnf", "/nonexistent.cnf", "--lf", "2"],
+     "construct sat takes no --lf: "),
+    (["construct", "inapprox", "--out", "/nonexistent/x", "--graph", "/nonexistent.col",
+      "--j", "2"], "construct inapprox takes no --j: "),
+    # each gadget reads its own parameters
+    (["construct", "gadget", "--gadget-kind", "clause", "--out", "/nonexistent/x", "--d", "5"],
+     "construct gadget clause takes no --d: "),
+    (["construct", "gadget", "--gadget-kind", "index", "--out", "/nonexistent/x", "--s", "4"],
+     "construct gadget index takes no --s: "),
+    (["construct", "gadget", "--gadget-kind", "vertex", "--out", "/nonexistent/x", "--j", "3"],
+     "construct gadget vertex takes no --j: "),
+    (["construct", "gadget", "--gadget-kind", "amplifier", "--out", "/nonexistent/x",
+      "--lf", "2"], "construct gadget amplifier takes no --lf: "),
+    # an input file outranks a parameter: the message stays the command's own
+    (["construct", "gadget", "--gadget-kind", "clause", "--out", "/nonexistent/x",
+      "--graph", "/nonexistent.col", "--d", "5"], "construct gadget takes no --graph: "),
 ], ids=["gadgets-graph", "sat-graph", "sat-lists", "inapprox-cnf", "listcolor-cnf",
         "listcolor-lists-alone", "all-lists", "sat-cnf-random", "sat-cnf-exhaustive",
         "listcolor-file-random", "gadgets-random", "solvers-exhaustive", "bounds-sweep-graph",
         "solve-eta-lists", "verify-labeling-lists", "verify-ptds-lists",
-        "construct-counterexample-cnf", "construct-sat-graph"])
+        "construct-counterexample-cnf", "construct-sat-graph",
+        "verify-ptds-mode", "verify-lists-mode", "gadgets-d", "all-clauses", "sat-cnf-vars",
+        "inapprox-vars", "construct-counterexample-d", "construct-counterexample-n-zero",
+        "construct-clique-k", "construct-sat-lf", "construct-inapprox-j",
+        "construct-gadget-clause-d", "construct-gadget-index-s", "construct-gadget-vertex-j",
+        "construct-gadget-amplifier-lf", "construct-gadget-graph-first"])
 def test_check_rejects_an_input_file_it_does_not_read(capsys, argv, message):
     """Every command names an input flag it would ignore, before any work: no file is read."""
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: " + message), captured.err
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["construct", "counterexample"], ["--k", "1"]),
+    (["construct", "clique-example"], ["--n", "3"]),
+    (["construct", "gadget", "--gadget-kind", "index"], ["--j", "2"]),
+    (["construct", "gadget", "--gadget-kind", "vertex"], ["--s", "3", "--lf", "2"]),
+    (["construct", "gadget", "--gadget-kind", "amplifier"], ["--d", "1"]),
+    (["construct", "inapprox", "--graph", str(_DATA / "k4.col")], ["--d", "1"]),
+    (["check", "inapprox", "--graph", str(_DATA / "c4.col")], ["--d", "16"]),
+    (["check", "sat", "--random", "3", "--seed", "2"], ["--vars", "3", "--clauses", "3"]),
+], ids=["counterexample", "clique-example", "index", "vertex", "amplifier",
+        "construct-inapprox", "check-inapprox", "check-sat"])
+def test_parameter_flag_defaults_apply_where_read(capsys, tmp_path, argv, defaults):
+    """A parameter flag left out reads as its documented default."""
+    out = ["--out", str(tmp_path / "x")] if argv[0] == "construct" else []
+    assert run(capsys, *argv, *out, "--json") == run(capsys, *argv, *out, *defaults, "--json")
+
+
+def test_verify_mode_defaults_to_any(capsys, tmp_path, p3_file):
+    lab = tmp_path / "l.lab"
+    lab.write_text("v 1 1\nv 2 -1\nv 3 1\n")
+    argv = ["verify", "labeling", "--graph", p3_file, "--labeling", str(lab)]
+    assert run(capsys, *argv) == run(capsys, *argv, "--mode", "any")
+    assert run(capsys, *argv)[0] == 1
 
 
 def test_check_solvers_honours_max_n(capsys):

@@ -140,6 +140,52 @@ def test_chromatic_witness_proper(rng):
         assert len(set(witness.values())) == chi
 
 
+def _chromatic_number_reference(g):
+    """The recursive backtracking chromatic_number runs on an explicit stack.
+
+    Returns (chi, coloring, nodes), nodes counting every call of place over
+    all k, as the budget counts them.
+    """
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    adj = g.adjacency()
+    nodes = 0
+    for k in range(1, n + 1):
+        color = [0] * n
+
+        def place(i, used_max):
+            nonlocal nodes
+            nodes += 1
+            if i == n:
+                return True
+            v = order[i]
+            forbidden = {color[u] for u in adj[v] if color[u]}
+            for c in range(1, min(k, used_max + 1) + 1):
+                if c in forbidden:
+                    continue
+                color[v] = c
+                if place(i + 1, max(used_max, c)):
+                    return True
+                color[v] = 0
+            return False
+
+        if place(0, 0):
+            return k, {v: color[v] for v in range(n)}, nodes
+
+
+def test_chromatic_number_matches_recursive_reference():
+    """Same chi, same coloring, and the budget is first exceeded at the same node."""
+    from conftest import random_graph
+    rng = random.Random(11)
+    for _ in range(80):
+        g = random_graph(rng, 1, 9, p=rng.choice((0.2, 0.5, 0.8)))
+        chi, coloring, nodes = _chromatic_number_reference(g)
+        assert chromatic_number(g) == (chi, coloring)
+        assert chromatic_number(g, SearchBudget(max_nodes=nodes)) == (chi, coloring)
+        with pytest.raises(BudgetExceeded):
+            chromatic_number(g, SearchBudget(max_nodes=nodes - 1))
+
+
 def test_clique_at_most_chromatic(rng):
     from conftest import random_graph
     for _ in range(25):

@@ -378,6 +378,66 @@ def test_search_order_matches_reference_on_sat_reduction():
     assert _search_order(g.n, g.adjacency(), {}) == _search_order_reference(g.n, g.adjacency())
 
 
+def _engine_order_and_tiers(monkeypatch, problem):
+    """The engine's search order and the tier map it passed to _search_order."""
+    seen = []
+    real = solver._search_order
+    monkeypatch.setattr(solver, "_search_order",
+                        lambda n, adj, tiers=None: seen.append(tiers) or real(n, adj, tiers))
+    return _Engine(problem, SearchBudget()).order, seen[0]
+
+
+def test_search_order_matches_reference_on_inapprox_pair_tiers(monkeypatch):
+    red = build_inapprox_reduction(complete_graph(4), 21)
+    g = red.graph
+    pairs = {v: 1 for v in red.params["pair_vertices"]}
+    problem = SearchProblem(g, uniform_domains(g, (0, 1)), weight_cap=20,
+                            tiers=tuple(sorted(pairs.items())))
+    order, tiers = _engine_order_and_tiers(monkeypatch, problem)
+    assert pairs.items() <= tiers.items()
+    assert order == _search_order_reference(g.n, g.adjacency(), tiers)
+
+
+def test_search_order_matches_reference_with_a_free_tier(monkeypatch):
+    # a SAT reduction plus 40 isolated vertices, which the engine puts in a
+    # free tier of their own after the reduction's
+    red = build_sat_reduction(random_formula(random.Random(1), 8, 34)).graph
+    g = build_graph(red.n + 40, red.edges)
+    order, tiers = _engine_order_and_tiers(
+        monkeypatch, SearchProblem(g, uniform_domains(g, (0, 1))))
+    assert tiers == {v: 1 for v in range(red.n, g.n)}
+    assert order == _search_order_reference(g.n, g.adjacency(), tiers)
+    assert order[red.n:] == list(range(red.n, g.n))
+
+
+def test_search_order_takes_each_source_in_turn():
+    # the 4-cycle 0-1-3-2-0 and the isolated vertex 4.  The next vertex holds
+    # the least of three keys: the least fresh key of the last round, the
+    # heap top (fresh keys of earlier rounds) and the head of the sorted
+    # count-0 keys.  4 (isolated, so it sorts first) and then 0 come from the
+    # sorted keys; 1 is the fresh key of 0's round; 2, pushed in that round,
+    # beats the fresh key of 1's round, 3's, on its id; 3, all of whose
+    # neighbors are then ordered, is the fresh key of 2's round.
+    g = build_graph(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    adj = g.adjacency()
+    order = _search_order(g.n, adj)
+    assert order == [4, 0, 1, 2, 3] == _search_order_reference(g.n, adj)
+    # each source by definition: a vertex with no ordered neighbor still has
+    # its count-0 key; one adjacent to the vertex before it got its key in
+    # that vertex's round; any other got its key in an earlier round
+    sources = []
+    for i, v in enumerate(order):
+        if not set(adj[v]) & set(order[:i]):
+            sources.append("sorted")
+        elif v in adj[order[i - 1]]:
+            sources.append("fresh")
+        else:
+            sources.append("heap")
+    assert sources == ["sorted", "sorted", "fresh", "heap", "fresh"]
+    # the heap top won over a fresh key: 1's round made one, for 3
+    assert 3 in adj[1] and 3 not in order[:3]
+
+
 def test_search_order_pendant_waits_for_its_neighbors_sum():
     # an amplifier's b_i is a_i's last unordered neighbor, so assigning it
     # decides a_i's sum and it follows a_i at once
