@@ -120,13 +120,6 @@ def _required(args, flag: str, cmd: str):
     return value
 
 
-def _value(given, default):
-    """A flag's value, or its default when it is not given.  The flags that
-    only some forms of a command read default to None in the parser, so that
-    _check_inputs can tell a given one from an absent one."""
-    return default if given is None else given
-
-
 def _read_lists(args, cmd: str, g):
     """The --lists file, checked against g; a wrong vertex is named by its file id."""
     lists = fileio.read_lists(_required(args, "lists", cmd))
@@ -183,12 +176,6 @@ def _verdict_sweep(args, worker, instances, label: str) -> int:
                                f"{c[EXIT_NEGATIVE]} disagree, {c[EXIT_ERROR]} inconclusive")
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--budget-ms", type=float, default=DEFAULT_MAX_MS)
-    p.add_argument("--json", action="store_true", help="emit canonical JSON")
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -231,8 +218,7 @@ def cmd_verify(args) -> int:
         # 1-based file ids throughout
         sums = all_neighbor_sums(g, lab, base=1)
         # a label outside --mode answers "no" whatever the sums
-        mode = _value(args.mode, "any")
-        outside = labels_outside_mode(g, lab, mode)
+        outside = labels_outside_mode(g, lab, args.mode)
         violations = [] if outside else equal_sum_edges(g, sums)
         payload = {
             "valid": not (outside or violations),
@@ -244,7 +230,8 @@ def cmd_verify(args) -> int:
         }
         if outside:
             payload["outside_mode"] = [{"vertex": v + 1, "label": lab[v]} for v in outside]
-            human = f"label {lab[outside[0]]} at vertex {outside[0] + 1} is outside --mode {mode}"
+            human = (f"label {lab[outside[0]]} at vertex {outside[0] + 1} "
+                     f"is outside --mode {args.mode}")
         else:
             human = "additive"
             if violations:
@@ -278,11 +265,21 @@ def cmd_verify(args) -> int:
 
 def _read_lf(args) -> set[int]:
     """The vertex gadget's list, --lf; a malformed one is a usage error that names the flag."""
-    lf = _value(args.lf, "2")
     try:
-        return {int(x) for x in lf.split(",")}
+        return {int(x) for x in args.lf.split(",")}
     except ValueError:
-        raise ValueError(f"--lf must be comma-separated integers, got {lf!r}") from None
+        raise ValueError(f"--lf must be comma-separated integers, got {args.lf!r}") from None
+
+
+# each gadget kind's parameter flags and builder
+_GADGETS = {
+    "clause": ((), lambda args: build_clause_gadget()),
+    "variable": ((), lambda args: build_variable_gadget()),
+    "forcing": ((), lambda args: build_forcing_gadget()),
+    "index": (("j",), lambda args: build_index_gadget(args.j)),
+    "vertex": (("s", "lf"), lambda args: build_vertex_gadget(_read_lf(args), args.s)),
+    "amplifier": (("d",), lambda args: build_amplifier_gadget(args.d)),
+}
 
 
 def cmd_construct(args) -> int:
@@ -290,50 +287,39 @@ def cmd_construct(args) -> int:
 
     Every output is written before any verification runs.
     """
-    budget = _budget(args)
     extra, verify = {}, None
     if args.kind == "counterexample":
-        k = _value(args.k, 1)
-        graph, lab, lists = counterexample_graph(k)
+        graph, lab, lists = counterexample_graph(args.k)
         extra = {"labeling": (".lab", fileio.labeling_to_text(lab)),
                  "lists": (".lists", fileio.lists_to_text(lists))}
-        fields = {"n": graph.n, "m": graph.m, "k": k}
-        title = f"counterexample k={k}: n={graph.n}, m={graph.m}"
+        fields = {"n": graph.n, "m": graph.m, "k": args.k}
+        title = f"counterexample k={args.k}: n={graph.n}, m={graph.m}"
 
-        def verify():
+        def verify(budget):
             violations = verify_additive(graph, lab, mode="positive")
             eta_rep = solve_eta(graph, budget)
             refutation = refute_lists(graph, lists, budget)
-            ok = (not violations and lab.max_label() == k
-                  and eta_rep.status == "found" and eta_rep.value == k
+            ok = (not violations and lab.max_label() == args.k
+                  and eta_rep.status == "found" and eta_rep.value == args.k
                   and refutation.status == "refuted")
             return ({"shipped_labeling_additive": not violations,
                      "shipped_max_label": lab.max_label(), "eta": eta_rep.to_json_dict(),
                      "refutation": refutation.to_json_dict(), "verified": ok},
-                    f"counterexample k={k}: n={graph.n}, eta={eta_rep.value}, "
+                    f"counterexample k={args.k}: n={graph.n}, eta={eta_rep.value}, "
                     f"lists {refutation.status}, choosability > {refutation.max_list_size}"
                     + ("" if ok else "  [VERIFICATION FAILED]"),
                     EXIT_OK if ok else EXIT_ERROR)
     elif args.kind == "clique-example":
-        n = _value(args.n, 3)
-        graph = clique_eta_one(n)
+        graph = clique_eta_one(args.n)
         fields = {"n": graph.n, "m": graph.m}
-        title = f"clique example n={n}: {graph.n} vertices"
+        title = f"clique example n={args.n}: {graph.n} vertices"
     elif args.kind == "gadget":
-        builders = {
-            "clause": lambda: build_clause_gadget(),
-            "variable": build_variable_gadget,
-            "forcing": build_forcing_gadget,
-            "index": lambda: build_index_gadget(_value(args.j, 2)),
-            "vertex": lambda: build_vertex_gadget(_read_lf(args), _value(args.s, 3)),
-            "amplifier": lambda: build_amplifier_gadget(_value(args.d, 1)),
-        }
-        inst = builders[_required(args, "gadget-kind", "construct gadget")]()
+        inst = _GADGETS[_required(args, "gadget-kind", "construct gadget")][1](args)
         graph = inst.graph
         fields = {"kind": inst.kind, "n": graph.n, "ports": inst.ports}
         title = f"gadget {args.gadget_kind}: n={graph.n}"
 
-        def verify():
+        def verify(budget):
             rep = certify_gadget(inst, cap=max(40, graph.n), budget=budget)
             return ({"certification": rep.to_json_dict()},
                     f"{title}, certified={rep.certified}" + _cut_note(rep.budget_cut),
@@ -345,15 +331,14 @@ def cmd_construct(args) -> int:
             fields = {"n": red.graph.n, "m": red.graph.m, "params": red.params}
             title = f"sat reduction: n={red.graph.n}"
 
-            def verify():
+            def verify(budget):
                 verdict = check_equivalence_sat(phi, budget)
                 return ({"verdict": verdict.to_json_dict()},
                         f"{title}, verdict {verdict.status}", EXIT_CODE[verdict.status])
         elif args.kind == "inapprox":
             g = fileio.read_graph(_required(args, "graph", "construct inapprox"))
-            d = _value(args.d, 1)
-            red = build_inapprox_reduction(g, d)
-            fields, title = {"n": red.graph.n, "d": d}, f"amplifier graph: n={red.graph.n}"
+            red = build_inapprox_reduction(g, args.d)
+            fields, title = {"n": red.graph.n, "d": args.d}, f"amplifier graph: n={red.graph.n}"
         else:  # listcolor
             g = fileio.read_graph(_required(args, "graph", "construct listcolor"))
             red = build_listcoloring_reduction(g, _read_lists(args, "construct listcolor", g))
@@ -373,8 +358,9 @@ def cmd_construct(args) -> int:
         paths[kind] = str(path)
     payload = {**fields, "paths": paths}
     human, code = f"{title} -> {paths['graph']}", EXIT_OK
-    if args.verify and verify:
-        verified, human, code = verify()
+    # a kind without a verify step takes no --verify, so args has no verify
+    if verify and args.verify:
+        verified, human, code = verify(_budget(args))
         payload.update(verified)
     _emit(args, payload, human)
     return code
@@ -445,69 +431,6 @@ def _solver_oracle_payload(g, budget: SearchBudget) -> dict:
             "agree": not cut and got == want, **({"cut": cut} if cut else {})}
 
 
-# the input flags each command reads, and what it reads instead of the
-# others; "<command> --<flag>" is the form a given flag selects, which
-# reads only its own inputs.  Any other input flag given is an error, not
-# ignored.  A command missing here reads every input flag it has.  A
-# parameter flag counts as given only when it is set, which is why the
-# parser defaults it to None.
-_INPUT_FLAGS = ("cnf", "graph", "lists", "random", "exhaustive",
-                "mode", "k", "n", "d", "j", "s", "lf", "vars", "clauses")
-_FAMILY = "it builds a named family or gadget from its parameters"
-_INPUTS = {
-    **{f"solve {problem}": (("graph",), "it solves on the graph alone (--graph)")
-       for problem in SOLVERS},
-    "verify labeling": (("graph", "mode"), "it checks the labeling on the graph (--graph, --labeling)"),
-    "verify ptds": (("graph",), "it checks the labeling on the graph (--graph, --labeling)"),
-    "verify lists": (("graph", "lists"),
-                     "it checks the labeling against the lists (--graph, --labeling, --lists)"),
-    "construct counterexample": (("k",), _FAMILY),
-    "construct clique-example": (("n",), _FAMILY),
-    # and the form --gadget-kind selects, which reads that gadget's own
-    # parameters
-    "construct gadget": (("j", "s", "lf", "d"), _FAMILY),
-    **{f"construct gadget {kind}": ((), _FAMILY) for kind in ("clause", "variable", "forcing")},
-    "construct gadget index": (("j",), _FAMILY),
-    "construct gadget vertex": (("s", "lf"), _FAMILY),
-    "construct gadget amplifier": (("d",), _FAMILY),
-    "construct sat": (("cnf",), "it reduces the formula in --cnf"),
-    "construct inapprox": (("graph", "d"), "it amplifies the graph in --graph"),
-    "construct listcolor": (("graph", "lists"),
-                            "it reduces the graph and lists in --graph, --lists"),
-    "bounds --random": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
-    "check gadgets": ((), "it certifies the built-in gadget suite"),
-    "check solvers": (("random",), "it sweeps seeded random graphs (--random, --max-n, --seed)"),
-    "check sat": (("cnf", "exhaustive", "random", "vars", "clauses"),
-                  "it checks a formula (--cnf) or small and seeded random formulas "
-                  "(--exhaustive, --random)"),
-    "check sat --cnf": (("cnf",), "it checks the one formula in --cnf"),
-    "check listcolor": (("graph", "lists", "random"),
-                        "it checks a graph with lists (--graph, --lists) "
-                        "or seeded random instances (--random)"),
-    # selected by --graph alone: --lists with --random still asks for --graph
-    "check listcolor --graph": (("graph", "lists"), "it checks the one graph with lists in "
-                                                    "--graph, --lists"),
-    "check inapprox": (("graph", "d"), "it checks one graph (--graph, --d)"),
-    "check all": ((), "it runs the seeded desk-scale battery (--seed)"),
-}
-
-
-def _check_inputs(args) -> None:
-    """Reject any input flag that the command, or the form a given flag selects, does not read."""
-    given = [flag for flag in _INPUT_FLAGS if getattr(args, flag, None) is not None]
-    # the command and its positional choice, if it takes one
-    choices = ("problem", "what", "kind", "target")
-    command = " ".join([args.command, *(getattr(args, c) for c in choices if hasattr(args, c))])
-    forms = [command, *(f"{command} --{flag}" for flag in given)]
-    if command == "construct gadget" and args.gadget_kind:
-        forms.insert(1, f"{command} {args.gadget_kind}")
-    for form in forms:
-        reads, instead = _INPUTS.get(form, (_INPUT_FLAGS, ""))
-        for flag in given:
-            if flag not in reads:
-                raise ValueError(f"{form} takes no --{flag}: {instead}")
-
-
 def cmd_check(args) -> int:
     if args.target == "gadgets":
         suite = gadget_certification_suite(_budget(args))
@@ -518,7 +441,7 @@ def cmd_check(args) -> int:
         return _worst(_certification_code(rep) for _name, rep in suite)
 
     if args.target == "solvers":
-        graphs = _seeded(args, args.random or 200, lambda rng: random_graph(rng, 1, args.max_n))
+        graphs = _seeded(args, args.random, lambda rng: random_graph(rng, 1, args.max_n))
         # a graph with a cut solver decides nothing
         return _sweep(
             args, _solver_oracle_payload, graphs,
@@ -535,8 +458,7 @@ def cmd_check(args) -> int:
             instances.extend(exhaustive_small_formulas(args.max_vars, args.max_clauses))
         if args.random:
             instances.extend(_seeded(args, args.random,
-                                     lambda rng: random_formula(rng, _value(args.vars, 3),
-                                                                _value(args.clauses, 3))))
+                                     lambda rng: random_formula(rng, args.vars, args.clauses)))
         if not instances:
             raise ValueError("nothing to check: pass --cnf, --exhaustive or --random")
         return _verdict_sweep(args, _sat_verdict_payload, instances, "sat equivalence")
@@ -554,7 +476,7 @@ def cmd_check(args) -> int:
 
     if args.target == "inapprox":
         g = fileio.read_graph(_required(args, "graph", "check inapprox"))
-        return _emit_verdict(args, check_threshold_inapprox(g, _value(args.d, 16), _budget(args)))
+        return _emit_verdict(args, check_threshold_inapprox(g, args.d, _budget(args)))
 
     # all: the desk-scale battery in one shot; every instance is drawn before
     # anything is printed, so a missing --seed prints nothing
@@ -579,87 +501,136 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the command line
+
+
+# every flag's argparse keywords, declared once; an error that could name
+# several given flags names the first in this order
+_FLAGS = {
+    "cnf": {}, "graph": {}, "lists": {},
+    "random": {"type": int, "help": "sweep this many seeded random instances"},
+    "exhaustive": {"action": "store_true"},
+    "mode": {"choices": ["any", "positive", "binary"], "default": "any"},
+    "k": {"type": int, "default": 1}, "n": {"type": int, "default": 3}, "d": {"type": int},
+    "j": {"type": int, "default": 2}, "s": {"type": int, "default": 3}, "lf": {"default": "2"},
+    "vars": {"type": int, "default": 3}, "clauses": {"type": int, "default": 3},
+    "labeling": {}, "out": {"help": "output path prefix"},
+    "gadget-kind": {"choices": list(_GADGETS)},
+    "max-vars": {"type": int, "default": 2}, "max-clauses": {"type": int, "default": 2},
+    "max-n": {"type": int}, "seed": {"type": int}, "jobs": {"type": int, "default": 1},
+    "verify": {"action": "store_true"}, "dot": {"action": "store_true"},
+    "budget-nodes": {"type": int, "default": DEFAULT_MAX_NODES},
+    "budget-ms": {"type": float, "default": DEFAULT_MAX_MS},
+    "json": {"action": "store_true", "help": "emit canonical JSON"},
+}
+
+_SEARCH = ("budget-nodes", "budget-ms", "json")
+# every construct kind writes files; only those with a verify step search
+_BUILD, _VERIFY = ("out!", "dot", "json"), ("verify", "budget-nodes", "budget-ms")
+
+# each command's function, help, form word and the flags each form reads,
+# "flag!" required there and "flag=value" defaulting to value there; a
+# command without a form word is one form
+_COMMANDS = {
+    "solve": (cmd_solve, "run an exact solver", "problem", {
+        **{problem: ("graph!", *_SEARCH) for problem in SOLVERS},
+        "listdecide": ("graph!", "lists", *_SEARCH)}),
+    "verify": (cmd_verify, "check a labeling, list membership or dominating set", "what", {
+        "labeling": ("graph!", "labeling!", "mode", "json"),
+        "lists": ("graph!", "labeling!", "lists", "json"),
+        "ptds": ("graph!", "labeling!", "json")}),
+    "construct": (cmd_construct, "build a named family, gadget or reduction", "kind", {
+        "counterexample": ("k", *_BUILD, *_VERIFY),
+        "clique-example": ("n", *_BUILD),
+        "gadget": ("gadget-kind", "j", "s", "lf", "d=1", *_BUILD, *_VERIFY),
+        "sat": ("cnf", *_BUILD, *_VERIFY),
+        "inapprox": ("graph", "d=1", *_BUILD),
+        "listcolor": ("graph", "lists", *_BUILD)}),
+    "refute-lists": (cmd_refute_lists, "certify that a list assignment defeats its size", None,
+                     ("graph!", "lists!", *_SEARCH)),
+    "bounds": (cmd_bounds, "compute exact values and check every bound", None,
+               ("graph", "random", "max-n=7", "seed", "jobs", *_SEARCH)),
+    "check": (cmd_check, "run an equivalence harness or certification suite", "target", {
+        "sat": ("cnf", "exhaustive", "max-vars", "max-clauses", "random", "vars", "clauses",
+                "seed", "jobs", *_SEARCH),
+        "listcolor": ("graph", "lists", "random", "max-n=4", "seed", "jobs", *_SEARCH),
+        "inapprox": ("graph", "d=16", *_SEARCH),
+        "gadgets": _SEARCH,
+        "solvers": ("random=200", "max-n=4", "seed", "jobs", *_SEARCH),
+        "all": ("seed", "jobs", *_SEARCH)}),
+}
+
+# the forms a given flag picks, and the flags read only beside another: the
+# form "<form> --<flag>", or the gadget "construct gadget <kind>", takes none
+# of the flags in its set; a string names the flag it is read beside
+_PICKS = {
+    "check sat --cnf": {"random", "exhaustive", "max-vars", "max-clauses", "vars", "clauses",
+                        "seed", "jobs"},
+    **dict.fromkeys(("check sat --vars", "check sat --clauses", "check sat --seed"), "random"),
+    **dict.fromkeys(("check sat --max-vars", "check sat --max-clauses"), "exhaustive"),
+    "check listcolor --graph": {"random", "max-n", "seed", "jobs"},
+    # given both, the sweep is the form named
+    "bounds --random": {"graph"},
+    "bounds --graph": {"random", "max-n", "seed", "jobs"},
+    **{f"construct gadget {kind}": {"j", "s", "lf", "d"} - set(params)
+       for kind, (params, _build) in _GADGETS.items()},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="luckylab",
+    p = argparse.ArgumentParser(prog="luckylab", allow_abbrev=False,
                                 description="Workbench for additive (lucky) graph labelings")
     sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="run an exact solver")
-    ps.add_argument("problem", choices=[*SOLVERS, "listdecide"])
-    ps.add_argument("--graph", required=True)
-    ps.add_argument("--lists")
-    _add_budget_flags(ps)
-    ps.set_defaults(func=cmd_solve)
-
-    pv = sub.add_parser("verify", help="check a labeling, list membership or dominating set")
-    pv.add_argument("what", choices=["labeling", "lists", "ptds"])
-    pv.add_argument("--graph", required=True)
-    pv.add_argument("--labeling", required=True)
-    pv.add_argument("--lists")
-    pv.add_argument("--mode", choices=["any", "positive", "binary"])
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(func=cmd_verify)
-
-    pc = sub.add_parser("construct", help="build a named family, gadget or reduction")
-    pc.add_argument("kind", choices=["counterexample", "clique-example", "gadget",
-                                     "sat", "inapprox", "listcolor"])
-    pc.add_argument("--out", required=True, help="output path prefix")
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--d", type=int)
-    pc.add_argument("--j", type=int)
-    pc.add_argument("--s", type=int)
-    pc.add_argument("--lf")
-    pc.add_argument("--gadget-kind", choices=["clause", "variable", "forcing",
-                                              "index", "vertex", "amplifier"])
-    pc.add_argument("--cnf")
-    pc.add_argument("--graph")
-    pc.add_argument("--lists")
-    pc.add_argument("--verify", action="store_true")
-    pc.add_argument("--dot", action="store_true")
-    _add_budget_flags(pc)
-    pc.set_defaults(func=cmd_construct)
-
-    pr = sub.add_parser("refute-lists", help="certify that a list assignment defeats its size")
-    pr.add_argument("--graph", required=True)
-    pr.add_argument("--lists", required=True)
-    _add_budget_flags(pr)
-    pr.set_defaults(func=cmd_refute_lists)
-
-    pb = sub.add_parser("bounds", help="compute exact values and check every bound")
-    pb.add_argument("--graph")
-    pb.add_argument("--random", type=int, help="sweep over seeded random graphs")
-    pb.add_argument("--max-n", type=int, default=7)
-    pb.add_argument("--seed", type=int)
-    pb.add_argument("--jobs", type=int, default=1)
-    _add_budget_flags(pb)
-    pb.set_defaults(func=cmd_bounds)
-
-    pk = sub.add_parser("check", help="run an equivalence harness or certification suite")
-    pk.add_argument("target", choices=["sat", "listcolor", "inapprox", "gadgets", "solvers", "all"])
-    pk.add_argument("--cnf")
-    pk.add_argument("--graph")
-    pk.add_argument("--lists")
-    pk.add_argument("--d", type=int)
-    pk.add_argument("--exhaustive", action="store_true", default=None)
-    pk.add_argument("--max-vars", type=int, default=2)
-    pk.add_argument("--max-clauses", type=int, default=2)
-    pk.add_argument("--random", type=int)
-    pk.add_argument("--vars", type=int)
-    pk.add_argument("--clauses", type=int)
-    pk.add_argument("--max-n", type=int, default=4)
-    pk.add_argument("--seed", type=int)
-    pk.add_argument("--jobs", type=int, default=1)
-    _add_budget_flags(pk)
-    pk.set_defaults(func=cmd_check)
-
+    for command, (func, text, word, forms) in _COMMANDS.items():
+        pc = sub.add_parser(command, help=text, allow_abbrev=False)
+        if word is None:
+            parsers = {command: (pc, forms)}
+        else:
+            words = pc.add_subparsers(dest=word, required=True)
+            parsers = {f"{command} {w}": (words.add_parser(w, allow_abbrev=False), flags)
+                       for w, flags in forms.items()}
+        for form, (pf, flags) in parsers.items():
+            for spec in flags:
+                flag, _, default = spec.rstrip("!").partition("=")
+                pf.add_argument(f"--{flag}", required=spec.endswith("!"),
+                                **{**_FLAGS[flag], **({"default": default} if default else {})})
+            pf.set_defaults(func=func, form=form)
     return p
 
 
+def _check_given(args, rest: list[str], argv: list[str]) -> None:
+    """Reject any flag that the form, or the form a given flag picks, does not read.
+
+    A flag counts as given when the command line names it, whatever its value.
+    """
+    named = {arg.split("=")[0] for arg in argv}
+    given = [flag for flag in _FLAGS if f"--{flag}" in named]
+    # the namespace holds the form's own flags and no other
+    reads = [flag for flag in _FLAGS if hasattr(args, flag.replace("-", "_"))]
+    if rest:
+        bad = next((f"--{flag}" for flag in given if flag not in reads), rest[0])
+        raise ValueError(f"{args.form} takes no {bad}: it reads "
+                         + ", ".join(f"--{flag}" for flag in reads))
+    picked = {f"{args.form} --{flag}" for flag in given}
+    picked.add(f"{args.form} {getattr(args, 'gadget_kind', None)}")
+    for form, rule in _PICKS.items():
+        if form not in picked:
+            continue
+        if isinstance(rule, str):
+            if rule not in given:
+                raise ValueError(f"{form} requires --{rule}")
+            continue
+        bad = next((flag for flag in given if flag in rule), None)
+        if bad:
+            raise ValueError(f"{form} takes no --{bad}: it reads "
+                             + ", ".join(f"--{flag}" for flag in reads if flag not in rule))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, rest = build_parser().parse_known_args(argv)
     try:
+        _check_given(args, rest, argv)
         for flag in ("jobs", "max_n", "vars", "clauses", "max_vars", "max_clauses", "random"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
@@ -669,7 +640,6 @@ def main(argv=None) -> int:
             if not getattr(args, flag, 1) > 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be positive, "
                                  f"got {getattr(args, flag)}")
-        _check_inputs(args)
         return args.func(args)
     # every luckylab input error (file format, graph, labeling, formula) and
     # an invalid budget is a ValueError; a path that cannot be read or

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -797,8 +798,8 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("error: check solvers takes no --graph: it sweeps seeded "
-                            "random graphs (--random, --max-n, --seed)\n")
+    assert captured.err == ("error: check solvers takes no --graph: it reads --random, "
+                            "--max-n, --seed, --jobs, --budget-nodes, --budget-ms, --json\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -837,7 +838,7 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
      "construct counterexample takes no --cnf: "),
     (["construct", "sat", "--out", "/nonexistent/x", "--cnf", "/nonexistent.cnf",
       "--graph", "/nonexistent.col"], "construct sat takes no --graph: "),
-    # parameter flags: the parser leaves them unset, so a given one is seen
+    # parameter flags
     (["verify", "ptds", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
       "--mode", "binary"], "verify ptds takes no --mode: "),
     (["verify", "lists", "--graph", "/nonexistent.col", "--labeling", "/nonexistent.lab",
@@ -871,6 +872,27 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
     # an input file outranks a parameter: the message stays the command's own
     (["construct", "gadget", "--gadget-kind", "clause", "--out", "/nonexistent/x",
       "--graph", "/nonexistent.col", "--d", "5"], "construct gadget takes no --graph: "),
+    # a sweep's size flags are read only beside the sweep that uses them
+    (["check", "sat", "--exhaustive", "--vars", "9", "--clauses", "9"],
+     "check sat --vars requires --random\n"),
+    (["check", "sat", "--random", "3", "--seed", "1", "--max-vars", "2"],
+     "check sat --max-vars requires --exhaustive\n"),
+    (["check", "inapprox", "--graph", str(_DATA / "k4.col"), "--d", "21", "--seed", "4",
+      "--jobs", "2", "--max-n", "3"], "check inapprox takes no --max-n: "),
+    (["bounds", "--graph", str(_DATA / "k4.col"), "--max-n", "9", "--jobs", "2", "--seed", "1"],
+     "bounds --graph takes no --max-n: "),
+    (["check", "gadgets", "--max-n", "9", "--max-vars", "5", "--seed", "3"],
+     "check gadgets takes no --max-vars: "),
+    # only the kinds with a verify step take --verify
+    (["construct", "clique-example", "--out", "/nonexistent/x", "--verify"],
+     "construct clique-example takes no --verify: "),
+    (["construct", "inapprox", "--graph", str(_DATA / "k4.col"), "--out", "/nonexistent/x",
+      "--verify"], "construct inapprox takes no --verify: "),
+    (["construct", "listcolor", "--out", "/nonexistent/x", "--verify"],
+     "construct listcolor takes no --verify: "),
+    # a long flag is spelled out in full, never abbreviated
+    (["construct", "counterexample", "--out", "/nonexistent/x", "--budget-node", "5"],
+     "construct counterexample takes no --budget-node: "),
 ], ids=["gadgets-graph", "sat-graph", "sat-lists", "inapprox-cnf", "listcolor-cnf",
         "listcolor-lists-alone", "all-lists", "sat-cnf-random", "sat-cnf-exhaustive",
         "listcolor-file-random", "gadgets-random", "solvers-exhaustive", "bounds-sweep-graph",
@@ -880,13 +902,50 @@ def test_check_solvers_rejects_a_graph_file(capsys, tmp_path, seed):
         "inapprox-vars", "construct-counterexample-d", "construct-counterexample-n-zero",
         "construct-clique-k", "construct-sat-lf", "construct-inapprox-j",
         "construct-gadget-clause-d", "construct-gadget-index-s", "construct-gadget-vertex-j",
-        "construct-gadget-amplifier-lf", "construct-gadget-graph-first"])
+        "construct-gadget-amplifier-lf", "construct-gadget-graph-first", "sat-exhaustive-vars",
+        "sat-random-max-vars", "inapprox-sweep-flags", "bounds-graph-sweep-flags",
+        "gadgets-sweep-flags", "construct-clique-verify", "construct-inapprox-verify",
+        "construct-listcolor-verify", "abbreviated-flag"])
 def test_check_rejects_an_input_file_it_does_not_read(capsys, argv, message):
     """Every command names an input flag it would ignore, before any work: no file is read."""
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: " + message), captured.err
+
+
+# every form, and the flags it requires
+_FORMS = {
+    **{("solve", problem): ["--graph", "g"]
+       for problem in ("eta", "eta1", "binary", "sigma", "ptds", "listdecide")},
+    **{("verify", what): ["--graph", "g", "--labeling", "l"]
+       for what in ("labeling", "lists", "ptds")},
+    **{("construct", kind): ["--out", "x"]
+       for kind in ("counterexample", "clique-example", "gadget", "sat", "inapprox", "listcolor")},
+    ("refute-lists",): ["--graph", "g", "--lists", "l"],
+    ("bounds",): [],
+    **{("check", target): [] for target in ("sat", "listcolor", "inapprox", "gadgets", "solvers",
+                                            "all")},
+}
+
+
+@pytest.mark.parametrize("form", list(_FORMS), ids=" ".join)
+def test_help_lists_exactly_the_flags_a_form_reads(capsys, form):
+    """-h lists no flag the form rejects, and the rejection names every flag -h lists."""
+    with pytest.raises(SystemExit) as stop:
+        main([*form, "-h"])
+    assert stop.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)( \{\w+| [A-Z_]+)?", capsys.readouterr().out, re.M)
+    assert listed
+    for flag, metavar in listed:
+        value = [metavar[2:]] if metavar.startswith(" {") else ["1"] if metavar else []
+        # an undeclared flag after it is rejected, so the form ran no work
+        code = main([*form, *_FORMS[form], flag, *value, "--undeclared"])
+        err = capsys.readouterr().err
+        assert code == 2
+        prefix = f"error: {' '.join(form)} takes no --undeclared: it reads "
+        assert err.startswith(prefix), (flag, err)
+    assert set(err[len(prefix):].strip().split(", ")) == {flag for flag, _ in listed}
 
 
 @pytest.mark.parametrize("argv, defaults", [
