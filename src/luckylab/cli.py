@@ -577,9 +577,21 @@ _PICKS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is one line naming the form, like luckylab's own.
+
+    Its subparsers are of the same class, so a form's parser raises the
+    error that main reports.
+    """
+
+    def error(self, message):
+        form = self.prog.partition(" ")[2]
+        raise ValueError(f"{form}: {message}" if form else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="luckylab", allow_abbrev=False,
-                                description="Workbench for additive (lucky) graph labelings")
+    p = _Parser(prog="luckylab", allow_abbrev=False,
+                description="Workbench for additive (lucky) graph labelings")
     sub = p.add_subparsers(dest="command", required=True)
     for command, (func, text, word, forms) in _COMMANDS.items():
         pc = sub.add_parser(command, help=text, allow_abbrev=False)
@@ -628,8 +640,8 @@ def _check_given(args, rest: list[str], argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, rest = build_parser().parse_known_args(argv)
     try:
+        args, rest = build_parser().parse_known_args(argv)
         _check_given(args, rest, argv)
         for flag in ("jobs", "max_n", "vars", "clauses", "max_vars", "max_clauses", "random"):
             value = getattr(args, flag, None)
@@ -641,9 +653,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{flag.replace('_', '-')} must be positive, "
                                  f"got {getattr(args, flag)}")
         return args.func(args)
-    # every luckylab input error (file format, graph, labeling, formula) and
-    # an invalid budget is a ValueError; a path that cannot be read or
-    # written is an OSError
+    # every luckylab input error (file format, graph, labeling, formula),
+    # every error argparse finds (_Parser) and an invalid budget is a
+    # ValueError; a path that cannot be read or written is an OSError
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -21,14 +21,15 @@ class FileFormatError(ValueError):
         self.line_no = line_no
 
 
-def _records(text: str, skip: Union[str, tuple[str, ...]]) -> Iterator[tuple[int, str, list[str]]]:
-    """(line_no, line, fields) for each nonblank line whose first field does not start with skip.
+def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line_no, line, fields) for each nonblank line of a labeling, list or CNF file.
 
+    Comment lines, those whose first field starts with "c", are skipped.
     line is the raw line, unstripped: strip it only to quote it in an error.
     """
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields and not fields[0].startswith(skip):
+        if fields and not fields[0].startswith("c"):
             yield line_no, line, fields
 
 
@@ -77,7 +78,10 @@ def graph_from_text(text: str) -> Graph:
     name_lines: dict[int, int] = {}
     # edge lines and then name lines are most of a file, so they are tested
     # first and convert their ids inline; the other paths are cold
-    for line_no, line, parts in _records(text, ()):
+    for line_no, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts:
+            continue
         tag = parts[0]
         if tag == "e":
             if n is None:
@@ -101,7 +105,7 @@ def graph_from_text(text: str) -> Graph:
                     raise _non_integer(line_no, line, "vertex id") from None
                 if v in names:
                     raise FileFormatError(line_no, f"duplicate name for vertex {v + 1}")
-                names[v] = " ".join(parts[3:])
+                names[v] = parts[3] if len(parts) == 4 else " ".join(parts[3:])
                 name_lines[v] = line_no
             # other comments are ignored
         elif tag == "p":
@@ -139,7 +143,7 @@ def labeling_to_text(lab: Labeling) -> str:
 
 def labeling_from_text(text: str) -> Labeling:
     values: dict[int, int] = {}
-    for line_no, line, parts in _records(text, "c"):
+    for line_no, line, parts in _records(text):
         if parts[0] != "v" or len(parts) != 3:
             raise FileFormatError(line_no,
                                   f"expected 'v <vertex-id> <label>', got {line.strip()!r}")
@@ -163,7 +167,7 @@ def lists_to_text(lists: ListAssignment) -> str:
 
 def lists_from_text(text: str) -> ListAssignment:
     lists: dict[int, list[int]] = {}
-    for line_no, line, parts in _records(text, "c"):
+    for line_no, line, parts in _records(text):
         if parts[0] != "l" or len(parts) < 3:
             raise FileFormatError(line_no,
                                   f"expected 'l <vertex-id> <a> <b> ...', got {line.strip()!r}")
@@ -206,7 +210,7 @@ def cnf_from_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         clauses.append(tuple(pending))
         pending.clear()
 
-    for line_no, line, parts in _records(text, "c"):
+    for line_no, line, parts in _records(text):
         if parts[0].startswith("%"):
             break
         if parts[0].startswith("p"):

@@ -105,7 +105,9 @@ def build_graph(
     """Normalize an edge list into a Graph.
 
     Duplicate pairs (in either orientation) collapse; loops and
-    out-of-range endpoints are rejected with the offending pair.
+    out-of-range endpoints are rejected with the first offending pair in
+    input order, as it was given.  edge_list is read once, so it may be a
+    generator.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")

@@ -344,7 +344,7 @@ def _twin_predecessors(adj, sig, order, checked):
     return prev, strict
 
 
-def _decide_table(cadj, order, dec, lo, domains, min_sum):
+def _decide_table(checked, adj, cedges, order, pos, dec, lo, domains, min_sum):
     """For each vertex, the checks on its neighbors' sums that assigning it can fail.
 
     dec[u] is the position of u's last multi-valued neighbor, where u's sum
@@ -360,28 +360,45 @@ def _decide_table(cadj, order, dec, lo, domains, min_sum):
     every entry at a one-value vertex, whose assignment moves no sum.  A
     vertex with no entry holds the shared empty tuple.  The culprit masks
     are not stored: as long as nbmask, they would make the table quadratic.
+
+    The table is built from the decided side.  One pass over the checked
+    edges, cedges, collects each ts: t joins u's when dec[t] <= dec[u], and
+    as the edges are sorted, each ts comes out in cadj[u] order.  Then each
+    checked u whose sum is not decided at the root makes its entries at its
+    own neighbors, in ascending u, which is cadj[v] order.  Without min_sum
+    that is one entry, at order[dec[u]]; with it, u's multi-valued
+    neighbors are walked in descending position, summing their widths into
+    need.
     """
-    decide: list[tuple] = [()] * len(cadj)
-    after = [0] * len(cadj)  # the domain width of the neighbors placed later
-    for p in range(len(order) - 1, -1, -1):
-        v = order[p]
-        width = domains[v][-1] - domains[v][0]
-        if not width:
+    tss: dict[int, list[int]] = {}
+    for u, t in cedges:
+        du, dt = dec[u], dec[t]
+        if dt <= du:
+            tss.setdefault(u, []).append(t)
+        if du <= dt:
+            tss.setdefault(t, []).append(u)
+    rows: dict[int, list] = {}
+    for u, d in enumerate(dec):
+        if d < 0 or not checked[u]:
             continue
-        entries = []
-        for u in cadj[v]:
-            if min_sum is None:
-                if dec[u] != p:
-                    continue
-                need = lo[u]
-            else:
-                need = min_sum - after[u]
-                after[u] += width
-            ts = tuple([t for t in cadj[u] if dec[t] <= p]) if dec[u] == p else ()
+        ts = tuple(tss[u]) if u in tss else ()
+        if min_sum is None:
+            if ts:
+                rows.setdefault(order[d], []).append((u, lo[u], ts))
+            continue
+        after = 0  # the domain width of u's neighbors placed after v
+        for v in sorted(adj[u], key=pos.__getitem__, reverse=True):
+            width = domains[v][-1] - domains[v][0]
+            if not width:
+                continue
+            need = min_sum - after
             if ts or need > lo[u]:
-                entries.append((u, need, ts))
-        if entries:
-            decide[v] = tuple(entries)
+                rows.setdefault(v, []).append((u, need, ts))
+            after += width
+            ts = ()  # only the first, order[d], decides u's sum
+    decide: list[tuple] = [()] * len(dec)
+    for v, row in rows.items():
+        decide[v] = tuple(row)
     return decide
 
 
@@ -749,7 +766,8 @@ class _Engine:
         # rest_min[d]: the least total the positions d and later can carry
         self.rest_min = list(itertools.accumulate(
             reversed([dmin[v] for v in order]), initial=0))[::-1]
-        self.decide = _decide_table(cadj, order, dec, lo, domains, self.min_sum)
+        self.decide = _decide_table(checked, adj, cedges, order, pos, dec, lo, domains,
+                                    self.min_sum)
         self.watch = _edge_watchers(cedges, adj, order, pos, nbmask, multi, unchecked, domains, mass)
 
         self.ones_mask = 0  # levels assigned above their domain minimum

@@ -591,6 +591,17 @@ def test_os_error_is_usage_error(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "eta"], "error: solve eta: the following arguments are required: --graph\n"),
+    (["bounds", "--random", "x"], "error: bounds: argument --random: invalid int value: 'x'\n"),
+], ids=["missing-required-flag", "non-integer-value"])
+def test_argparse_usage_error_is_one_line_naming_the_form(capsys, argv, message):
+    """An error argparse finds reads like every other usage error: one line, no usage block."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+
+
 def test_cli_imports_without_numpy():
     import luckylab
 

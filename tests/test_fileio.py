@@ -1,9 +1,14 @@
+import hashlib
+import random
+
 import pytest
 
 from luckylab import fileio
+from luckylab.constructions import build_sat_reduction
 from luckylab.fileio import FileFormatError
 from luckylab.graph import build_graph, petersen_graph
 from luckylab.labeling import Labeling, make_lists
+from luckylab.oracles import random_formula
 
 
 def test_graph_round_trip_bit_exact():
@@ -11,6 +16,18 @@ def test_graph_round_trip_bit_exact():
     text = fileio.graph_to_text(g)
     again = fileio.graph_from_text(text)
     assert again == g
+    assert fileio.graph_to_text(again) == text
+
+
+def test_sat_reduction_text_pinned_at_volume():
+    """A reduction of the benchmark's largest size writes the same bytes and reads back whole."""
+    g = build_sat_reduction(random_formula(random.Random(61), 61, 201)).graph
+    assert (g.n, g.m) == (2_103, 2_702)
+    text = fileio.graph_to_text(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9b8a0bc1d5033bed0a7c27809db295c34b8bfc367c89e391d4c94ff8cc7f00bc")
+    again = fileio.graph_from_text(text)
+    assert (again.n, again.edges, again.names) == (g.n, g.edges, g.names)
     assert fileio.graph_to_text(again) == text
 
 

@@ -39,6 +39,12 @@ def test_loop_rejected():
     # of several bad pairs, the first in input order is named
     with pytest.raises(GraphError, match=r"^loop edge \(2, 2\)"):
         build_graph(3, [(0, 1), (2, 2), (0, 3)])
+    # a generator is read once, and its first bad pair is named
+    with pytest.raises(GraphError, match=r"^loop edge \(1, 1\)"):
+        build_graph(3, ((u, v) for u, v in [(0, 2), (1, 1), (2, 2)]))
+    # a good pair that sorts after the bad one does not move the blame
+    with pytest.raises(GraphError, match=r"^loop edge \(0, 0\)"):
+        build_graph(3, [(2, 1), (0, 0), (5, 1)])
 
 
 def test_out_of_range_rejected():
@@ -46,12 +52,22 @@ def test_out_of_range_rejected():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError, match=r"^edge \(4, 0\) has an endpoint outside 0\.\.2$"):
         build_graph(3, [(0, 1), (4, 0), (1, 1)])
+    # the first bad pair in input order is named, in its given orientation
+    with pytest.raises(GraphError, match=r"^edge \(5, 2\) has an endpoint outside 0\.\.2$"):
+        build_graph(3, [(5, 2)])
+    with pytest.raises(GraphError, match=r"^edge \(1, -1\) has an endpoint outside 0\.\.2$"):
+        build_graph(3, [(0, 1), (1, -1), (2, 7)])
+    with pytest.raises(GraphError, match=r"^edge \(0, 3\) has an endpoint outside 0\.\.2$"):
+        build_graph(3, ((u, v) for u, v in [(1, 2), (0, 3), (2, 2)]))
+    with pytest.raises(GraphError, match=r"^edge \(3, 0\) has an endpoint outside 0\.\.2$"):
+        build_graph(3, [(2, 1), (3, 0), (-1, 0)])
 
 
 def test_build_is_order_insensitive():
     a = build_graph(4, [(0, 1), (2, 3), (1, 2)])
     b = build_graph(4, [(2, 1), (1, 0), (3, 2), (0, 1)])
     assert a == b
+    assert build_graph(4, iter([(2, 1), (1, 0), (3, 2)])) == a
 
 
 def test_degree_sum_is_twice_edges(rng):

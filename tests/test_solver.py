@@ -494,7 +494,7 @@ def _setup_tables(problem, break_symmetry):
     The root pass runs last, since it stacks the forced pairs it finds.
     """
     eng = _Engine(problem, SearchBudget(), break_symmetry=break_symmetry)
-    tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.rest_min, eng.watch,
+    tables = (eng.order, eng.pos, eng.nbmask, eng.lo, eng.rest_min, eng.decide, eng.watch,
               eng.twin_prev, eng.twin_strict, eng.free_start, eng.wide,
               eng._build_slack_tables())
     cut = eng._root_cut()
@@ -551,23 +551,23 @@ def _setup_golden_problems():
 
 # sha256 of the setup tables of each family, with symmetry breaking on and off
 _SETUP_DIGESTS = {
-    "counterexample_lists": "5dca9a804a53272e04da6251551957428a72cba557ce2c406c96e80277d95095",
-    "counterexample_labels": "f2a64b4a9fd297a512f34592a1104573770a7ed36999f0d6c3e70dc8b6a47f05",
-    "sat_reduction": "649cabb27a7124de5717d76ca31819f41be97c065de670736ce641494d34a7de",
-    "inapprox_k4_d21": "9a3b6a15b86f3abb4a38474ded385fb24db87fd365c8e88f41a31d44f4cd0894",
-    "petersen_min_sum": "5abd3f03f139b70a04d29e7b54c30176388ddf23a27ee23c2d0c10b9d4bf2f20",
-    "matching_cap": "cf106a44b44df9c2b8c3df84aaff059c42ddeae35844007dac38f979bde6081e",
-    "random": "83fd267f1b8275d5ed73b1565d924b26999315ca6dcd3b5de868d1e16bb9bbe5",
+    "counterexample_lists": "917fcabebe2300f22066ebb67b2677ab85dad274179f419800eb19a29d590a17",
+    "counterexample_labels": "92e6b213559cae98385b37ccdc9ceab58051fbbeadee09d52fb5c0be386e5acd",
+    "sat_reduction": "ab7949fcb80bbd4f7103fe9dcd10b02e5b7f8b80fdddbdfa69464c606b3da4df",
+    "inapprox_k4_d21": "613760576ac4c20425b02deb8b8cf6b6eb401525ab5ca0820992af825400346f",
+    "petersen_min_sum": "274c096de11838634af9fcf321416cdb2e95f4ac93b7c7901280e26407c97ad8",
+    "matching_cap": "9e476eada1eb2570251b5b555e7416992bf390e884f34626e8ee540e6e3362b7",
+    "random": "e2b4786bd5323801974d3cdeb59a1bb0ee8e3a48627cef23b1950f2c13a0add0",
 }
 
 
 def test_setup_tables_golden():
     """Engine setup builds the same tables as before, on every family of problems.
 
-    The digests pin order, pos, nbmask, lo, rest_min, the watch table
-    (watched edges and Hall entries), the twin links, the first free
-    position, wide, the slack cut's deficit tables and the root pass with
-    the positions of its stacked pairs.
+    The digests pin order, pos, nbmask, lo, rest_min, the decide table,
+    the watch table (watched edges and Hall entries), the twin links, the
+    first free position, wide, the slack cut's deficit tables and the root
+    pass with the positions of its stacked pairs.
     """
     got = {}
     for name, problems in _setup_golden_problems().items():
@@ -577,6 +577,70 @@ def test_setup_tables_golden():
                 digest.update(_setup_tables(problem, break_symmetry).encode())
         got[name] = digest.hexdigest()
     assert got == _SETUP_DIGESTS
+
+
+def _per_position_decide_table(cadj, order, dec, lo, domains, min_sum):
+    """The reference for _decide_table: a scan of every position, last first.
+
+    At each multi-valued vertex v it walks v's checked neighbors u, in
+    cadj[v] order; after[u] sums the domain widths of u's neighbors
+    scanned before v, which are those placed after it.
+    """
+    decide = [()] * len(cadj)
+    after = [0] * len(cadj)
+    for p in range(len(order) - 1, -1, -1):
+        v = order[p]
+        width = domains[v][-1] - domains[v][0]
+        if not width:
+            continue
+        entries = []
+        for u in cadj[v]:
+            if min_sum is None:
+                if dec[u] != p:
+                    continue
+                need = lo[u]
+            else:
+                need = min_sum - after[u]
+                after[u] += width
+            ts = tuple([t for t in cadj[u] if dec[t] <= p]) if dec[u] == p else ()
+            if ts or need > lo[u]:
+                entries.append((u, need, ts))
+        if entries:
+            decide[v] = tuple(entries)
+    return decide
+
+
+def test_decide_table_matches_per_position_reference():
+    """The decide table, built from the decided side, equals the per-position scan.
+
+    300 random setup problems, among them min_sum, unchecked vertices,
+    one-value and wide domains, and SAT reductions with and without
+    min_sum, fixed vertices and unchecked ports.
+    """
+    rng = random.Random(0xDEC1DE5)
+    problems = [_random_setup_problem(rng) for _ in range(300)]
+    # every case the table tells apart is drawn
+    assert sum(p.min_sum is not None for p in problems) > 100
+    assert sum(bool(p.unchecked) for p in problems) > 100
+    assert sum(any(len(d) == 1 for d in p.domains) for p in problems) > 100
+    assert sum(any(len(d) > 2 for d in p.domains) for p in problems) > 100
+    for seed in (1, 2, 3):
+        red = build_sat_reduction(random_formula(random.Random(seed), 8, 34))
+        g = red.graph
+        ports = frozenset(red.id_of(f"x{i}") for i in range(1, 9))
+        recipe = tuple((1,) if v in ports else (0, 1) for v in g.vertices())
+        problems += [SearchProblem(g, uniform_domains(g, (0, 1))),
+                     SearchProblem(g, uniform_domains(g, (0, 1)), min_sum=1),
+                     SearchProblem(g, recipe),
+                     SearchProblem(g, uniform_domains(g, (0, 1)), unchecked=ports)]
+    entries = 0
+    for problem in problems:
+        eng = _Engine(problem, SearchBudget())
+        assert eng.decide == _per_position_decide_table(
+            eng.cadj, eng.order, eng.dec, eng.lo, eng.domains, eng.min_sum), problem
+        entries += sum(len(row) > 1 for row in eng.decide)
+    # rows of several entries pin their order
+    assert entries > 500, entries
 
 
 def test_setup_peak_stays_near_what_the_engine_keeps():
